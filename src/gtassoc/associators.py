@@ -178,10 +178,6 @@ def phi0_reference(maxdeg=5, ring=None) -> AssociatorCandidate:
     return AssociatorCandidate(phi, 1)
 
 
-def _degree_words(degree):
-    return all_words(degree)
-
-
 def extend_associator(phi: AssociatorCandidate, parity: bool = False,
                       algebra: HoloAlgebra = None):
     """Extend a candidate satisfying the equations through degree D to D+1.
@@ -203,7 +199,7 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
 
     log_tail = nc_log(base).homogeneous(target)
     lyndon = lyndon_basis(XY, target, maxdeg=target)
-    words = _degree_words(target)
+    words = all_words(target)
 
     def candidate(coords):
         corr = NCSeries.zero(XY, target)

@@ -177,12 +177,12 @@ class BraidRep:
         one = HMatrix.identity(self.N, self.maxdeg, self.ring, self.known_order)
         for m in xis:
             d = m - one
-            if not (d.h_order() is None or d.h_order() >= 1):
+            if not (d.order() is None or d.order() >= 1):
                 return False
         for a in range(len(xis)):
             for b in range(a + 1, len(xis)):
                 comm = xis[a] * xis[b] * xis[a].inverse() * xis[b].inverse() - one
-                if not (comm.h_order() is None or comm.h_order() >= 2):
+                if not (comm.order() is None or comm.order() >= 2):
                     return False
         return True
 

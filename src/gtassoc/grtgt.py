@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .associators import AssociatorCandidate, duality_check, hexagon_check, pentagon_check
 from .braids import xi_word
-from .holonomy import holonomy_algebra, phi_tilde_eval, phi_tilde_generators
+from .holonomy import embed_free, holonomy_algebra, phi_tilde_eval, phi_tilde_generators
 from .ncseries import (NCSeries, bch, commutator, is_grouplike, is_lie, letter_swap,
                        nc_exp, nc_log, nc_substitute)
 from .symcoef import Poly, SymRing
@@ -332,9 +332,6 @@ def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) ->
         reference = phi0_reference(min(series.maxdeg, 5))
     ref = reference if series.ring is None else reference.promote(series.ring)
     algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
-    if series.ring is not None:
-        # holonomy coefficients follow the series ring through embed_free
-        pass
     gens = phi_tilde_generators(ref.series, ref.lam, algebra)
     xi = {}
     for (i, j) in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
@@ -342,21 +339,7 @@ def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) ->
         xi[(i, j)] = phi_tilde_eval(gens, algebra, word).pure_part()
 
     def f_at(u, v):
-        la, lb = u.log(), v.log()
-        cache = {b"": algebra.one(min(la.known_order, lb.known_order))}
-
-        def product_for(word):
-            got = cache.get(word)
-            if got is not None:
-                return got
-            prod = product_for(word[:-1]) * (la if word[-1] == 0 else lb)
-            cache[word] = prod
-            return prod
-
-        out = algebra.zero()
-        for word, coeff in sorted(series.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            out = out + coeff * product_for(word)
-        return out
+        return embed_free(series, algebra, dict(zip(series.alphabet, (u.log(), v.log()))))
 
     lhs = f_at(xi[(1, 2)], xi[(2, 3)] * xi[(2, 4)]) * f_at(xi[(1, 3)] * xi[(2, 3)], xi[(3, 4)])
     rhs = (f_at(xi[(2, 3)], xi[(3, 4)])
@@ -368,16 +351,6 @@ def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) ->
 # -- Ihara projection ----------------------------------------------------
 
 
-def _log1p_series(name, maxdeg, ring):
-    letter = NCSeries.letter(XY, name, maxdeg, ring)
-    acc = NCSeries.zero(XY, maxdeg, ring)
-    power = NCSeries.one(XY, maxdeg, ring)
-    for k in range(1, maxdeg + 1):
-        power = power * letter
-        acc = acc + Fraction((-1) ** (k + 1), k) * power
-    return acc
-
-
 def ihara_projection(f: NCSeries) -> dict:
     """pi_ab . p_x of f(log(1+x), log(1+y)) as {(deg_x, deg_y): coeff}.
 
@@ -387,10 +360,9 @@ def ihara_projection(f: NCSeries) -> dict:
     """
     if f.coefficient(b"") != 1:
         raise ValueError("the projection expects constant term 1")
-    subs = nc_substitute(f, {
-        "x": _log1p_series("x", f.maxdeg, f.ring),
-        "y": _log1p_series("y", f.maxdeg, f.ring),
-    })
+    one = NCSeries.one(XY, f.maxdeg, f.ring)
+    subs = nc_substitute(f, {name: nc_log(one + NCSeries.letter(XY, name, f.maxdeg, f.ring))
+                             for name in XY})
     out = {}
     for word, coeff in subs.terms.items():
         if word and word[-1] != 0:

@@ -14,6 +14,7 @@ from .linalg import mat_inv
 from .ncseries import NCSeries
 from .scalar import ScalarSeries
 from .symcoef import as_fraction
+from .truncated import neumann_inverse, series_exp, series_log, substitute
 
 
 class HMatrix:
@@ -84,23 +85,13 @@ class HMatrix:
     def constant_term(self):
         return [[as_fraction(e.coefficient(0)) for e in row] for row in self.rows]
 
+    def _one(self):
+        return HMatrix.identity(self.n, self.maxdeg, self.ring, self.known_order, self.var)
+
     def inverse(self):
-        m0 = self.constant_term()
-        m0_inv = HMatrix.from_const(mat_inv(m0), self.maxdeg, self.ring,
-                                    self.known_order, self.var)
-        x = m0_inv * self - HMatrix.identity(self.n, self.maxdeg, self.ring,
-                                             self.known_order, self.var)
-        acc = HMatrix.identity(self.n, self.maxdeg, self.ring, self.known_order, self.var)
-        power = acc
-        sign = 1
-        for _ in range(self.known_order):
-            power = power * x
-            sign = -sign
-            if power.is_zero():
-                break
-            acc = acc + (sign * ScalarSeries.one(self.maxdeg, self.ring,
-                                                 self.known_order, self.var)) * power
-        return acc * m0_inv
+        lead_inv = HMatrix.from_const(mat_inv(self.constant_term()), self.maxdeg, self.ring,
+                                      self.known_order, self.var)
+        return neumann_inverse(self, lead_inv, self._one())
 
     def transpose(self):
         return HMatrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
@@ -109,60 +100,26 @@ class HMatrix:
         """Entrywise h -> -h."""
         return HMatrix([[e.eps() for e in row] for row in self.rows])
 
-    def h_order(self):
-        orders = [e.order() for row in self.rows for e in row if e.order() is not None]
+    def order(self):
+        orders = [o for o in (e.order() for row in self.rows for e in row) if o is not None]
         return min(orders) if orders else None
 
     def is_zero(self, order=None):
         return all(e.is_zero(order) for row in self.rows for e in row)
 
     def is_identity(self, order=None):
-        diff = self - HMatrix.identity(self.n, self.maxdeg, self.ring,
-                                       self.known_order, self.var)
-        return diff.is_zero(order)
+        return (self - self._one()).is_zero(order)
 
     def equal_through(self, other, order=None):
         return (self - other).is_zero(order)
 
     def log(self):
         """Series log; only for matrices congruent to 1 mod h."""
-        u = self - HMatrix.identity(self.n, self.maxdeg, self.ring,
-                                    self.known_order, self.var)
-        w = u.h_order()
-        if w is not None and w < 1:
-            raise ValueError("matrix log needs a matrix congruent to 1 mod h")
-        acc = HMatrix.zero(self.n, self.maxdeg, self.ring, self.known_order, self.var)
-        if w is None:
-            return acc
-        power = HMatrix.identity(self.n, self.maxdeg, self.ring, self.known_order, self.var)
-        k = 1
-        while k * w <= self.known_order:
-            power = power * u
-            if power.is_zero():
-                break
-            acc = acc + (Fraction((-1) ** (k + 1), k)
-                         * ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)) * power
-            k += 1
-        return acc
+        return series_log(self, self._one())
 
     def exp(self):
-        w = self.h_order()
-        if w is not None and w < 1:
-            raise ValueError("matrix exp needs positive h-order")
-        acc = HMatrix.identity(self.n, self.maxdeg, self.ring, self.known_order, self.var)
-        if w is None:
-            return acc
-        term = acc
-        k = 1
-        while k * w <= self.known_order:
-            term = term * self
-            term = (Fraction(1, k) * ScalarSeries.one(self.maxdeg, self.ring,
-                                                      self.known_order, self.var)) * term
-            if term.is_zero():
-                break
-            acc = acc + term
-            k += 1
-        return acc
+        """Series exp; only for matrices of positive h-order."""
+        return series_exp(self, self._one())
 
     def __repr__(self):
         return "<HMatrix %dx%d known<=%d>" % (self.n, self.n, self.known_order)
@@ -221,24 +178,9 @@ def evaluate_series(series: NCSeries, images: dict) -> HMatrix:
             raise ValueError("no matrix image for letter %r" % name)
     ko = min([series.known_order] + [m.known_order for m in images.values()])
     for m in images.values():
-        w = m.h_order()
+        w = m.order()
         if w is not None and w < 1:
             raise ValueError("matrix substitution needs h-order >= 1 arguments")
-    one = HMatrix.identity(sample.n, sample.maxdeg, sample.ring, ko, sample.var)
-    out = HMatrix.zero(sample.n, sample.maxdeg, sample.ring, ko, sample.var)
-    cache = {b"": one}
-
-    def product_for(word):
-        got = cache.get(word)
-        if got is not None:
-            return got
-        prod = product_for(word[:-1]) * images[series.alphabet[word[-1]]]
-        cache[word] = prod
-        return prod
-
-    unit = ScalarSeries.one(sample.maxdeg, sample.ring, ko, sample.var)
-    for word, coeff in series.rendered_words():
-        if len(word) > ko:
-            continue
-        out = out + (coeff * unit) * product_for(word)
-    return out
+    return substitute(series, images,
+                      HMatrix.identity(sample.n, sample.maxdeg, sample.ring, ko, sample.var),
+                      HMatrix.zero(sample.n, sample.maxdeg, sample.ring, ko, sample.var))

@@ -27,6 +27,7 @@ from fractions import Fraction
 from . import ncseries
 from .ncseries import EMPTY, NCSeries
 from .symcoef import as_fraction
+from .truncated import neumann_inverse, series_exp, series_log, substitute
 
 CACHE_FORMAT_VERSION = 1
 DEFAULT_MONOMIAL_BOUND = 6 ** 6
@@ -349,55 +350,16 @@ class HoloElt:
         return HoloElt(self.algebra, out, self.known_order)
 
     def exp(self):
-        if self.coefficient(EMPTY):
-            raise ValueError("exp needs order >= 1")
-        w = self.order()
-        acc = self.algebra.one(self.known_order)
-        if w is None:
-            return acc
-        term = acc
-        k = 1
-        while k * w <= self.known_order:
-            term = term * self * Fraction(1, k)
-            if not term.terms:
-                break
-            acc = acc + term
-            k += 1
-        return acc
+        return series_exp(self, self.algebra.one(self.known_order))
 
     def log(self):
-        if self.coefficient(EMPTY) != 1:
-            raise ValueError("log needs constant term 1")
-        u = self - self.algebra.one(self.known_order)
-        w = u.order()
-        acc = self.algebra.zero(self.known_order)
-        if w is None:
-            return acc
-        power = self.algebra.one(self.known_order)
-        k = 1
-        while k * w <= self.known_order:
-            power = power * u
-            if not power.terms:
-                break
-            acc = acc + Fraction((-1) ** (k + 1), k) * power
-            k += 1
-        return acc
+        return series_log(self, self.algebra.one(self.known_order))
 
     def inverse(self):
         c0 = as_fraction(self.coefficient(EMPTY))
         if not c0:
             raise ValueError("no inverse: zero constant term")
-        u = (1 / c0) * self - self.algebra.one(self.known_order)
-        acc = self.algebra.one(self.known_order)
-        power = acc
-        sign = 1
-        for _ in range(self.known_order):
-            power = power * u
-            sign = -sign
-            if not power.terms:
-                break
-            acc = acc + sign * power
-        return (1 / c0) * acc
+        return neumann_inverse(self, 1 / c0, self.algebra.one(self.known_order))
 
     def __repr__(self):
         parts = []
@@ -418,22 +380,7 @@ def embed_free(series: NCSeries, algebra: HoloAlgebra, images: dict) -> HoloElt:
         if img.coefficient(EMPTY):
             raise ValueError("holonomy images must have order >= 1")
         ko = min(ko, img.known_order)
-    out = algebra.zero(ko)
-    cache = {EMPTY: algebra.one(ko)}
-
-    def product_for(word):
-        got = cache.get(word)
-        if got is not None:
-            return got
-        prod = product_for(word[:-1]) * images[series.alphabet[word[-1]]]
-        cache[word] = prod
-        return prod
-
-    for word, coeff in series.rendered_words():
-        if len(word) > ko:
-            continue
-        out = out + coeff * product_for(word)
-    return out
+    return substitute(series, images, algebra.one(ko), algebra.zero(ko))
 
 
 def holonomy_algebra(n, maxdeg, cache_dir=None) -> HoloAlgebra:
@@ -504,6 +451,14 @@ class BnElt:
     def from_perm(cls, algebra, perm):
         return cls(algebra, {tuple(perm): algebra.one()})
 
+    @property
+    def known_order(self):
+        """Parts are truncated at the algebra's degree, which bounds every series sum."""
+        return self.algebra.maxdeg
+
+    def order(self):
+        return min((u.order() for u in self.parts.values()), default=None)
+
     def __add__(self, other):
         parts = dict(self.parts)
         for p, u in other.parts.items():
@@ -539,19 +494,7 @@ class BnElt:
         p0, c0 = next(iter(degree0.items()))
         c0 = as_fraction(c0)
         lead_inv = BnElt(self.algebra, {_perm_inv(p0): (1 / c0) * self.algebra.one().permuted(_perm_inv(p0))})
-        # m = lead_inv * self - 1 has positive order; invert by Neumann series
-        one = BnElt.unit(self.algebra)
-        m = lead_inv * self - one
-        acc = one
-        power = one
-        sign = 1
-        for _ in range(self.algebra.maxdeg):
-            power = power * m
-            sign = -sign
-            if not power.parts:
-                break
-            acc = acc + sign * power
-        return acc * lead_inv
+        return neumann_inverse(self, lead_inv, BnElt.unit(self.algebra))
 
     def pure_part(self):
         """The U(T_n) component on the identity permutation; errors otherwise."""
@@ -682,14 +625,3 @@ def load_cache(path) -> HoloAlgebra:
                 row[parse_word(wtxt)] = int(val)
         algebra._prepend_cache[(idx[lname], parse_word(wtext))] = row
     return algebra
-
-
-def verify_cache_round_trip(algebra: HoloAlgebra, path) -> bool:
-    save_cache(algebra, path)
-    loaded = load_cache(path)
-    with open(path) as fh:
-        first = fh.read()
-    save_cache(loaded, path)
-    with open(path) as fh:
-        second = fh.read()
-    return first == second

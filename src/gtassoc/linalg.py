@@ -2,7 +2,8 @@
 
 Everything here is dense and written for the tiny systems that come up:
 Lie-coordinate extraction (<= 32 columns), the degree-by-degree associator
-solver (<= 6 unknowns), and constant-matrix work for representations.
+solver (one unknown per Lyndon word of the new degree: 9 at degree 6), and
+constant-matrix work for representations.
 """
 
 from __future__ import annotations
@@ -78,37 +79,15 @@ class CoordSolver:
     def __init__(self, basis_rows):
         self.nbasis = len(basis_rows)
         self.ncols = len(basis_rows[0])
-        # augment with identity to track the expressing combination
-        aug = [
+        # augment with identity to track the expressing combination; rref
+        # pivots inside that block exactly when the basis rows are dependent
+        self.rows = [
             list(map(Fraction, row)) + [Fraction(i == j) for j in range(self.nbasis)]
             for i, row in enumerate(basis_rows)
         ]
-        work = [row[:] for row in aug]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = None
-            for i in range(r, len(work)):
-                if work[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = 1 / work[r][c]
-            work[r] = [v * inv for v in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        if r != self.nbasis:
+        self.pivots = rref(self.rows)
+        if self.pivots[-1] >= self.ncols:
             raise ValueError("basis rows are linearly dependent")
-        self.pivots = pivots
-        self.rows = work
 
     def coordinates(self, target):
         """Coordinates of target in the basis; raises if outside the span.
@@ -162,24 +141,11 @@ def mat_identity(n):
 
 
 def mat_inv(a):
-    """Inverse of a Fraction matrix by Gauss-Jordan."""
+    """Inverse of a Fraction matrix by Gauss-Jordan on [a | 1]."""
     n = len(a)
     work = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [v * inv for v in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    if rref(work) != list(range(n)):
+        raise ValueError("matrix is singular")
     return [row[n:] for row in work]
 
 

@@ -17,6 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .symcoef import as_fraction, parse_coeff, parse_ring_tag, render_coeff, ring_tag
+from .truncated import neumann_inverse, series_exp, series_log, substitute
 
 EMPTY = b""
 
@@ -103,9 +104,6 @@ class NCSeries:
         return NCSeries(self.alphabet, maxdeg,
                         {w: c for w, c in self.terms.items() if len(w) <= maxdeg},
                         self.ring, ko)
-
-    def with_known_order(self, known_order):
-        return NCSeries(self.alphabet, self.maxdeg, self.terms, self.ring, known_order)
 
     def promote(self, ring):
         if ring == self.ring:
@@ -223,22 +221,11 @@ class NCSeries:
 
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coefficient(EMPTY)
-        c0f = as_fraction(c0)
-        if not c0f:
+        c0 = as_fraction(self.coefficient(EMPTY))
+        if not c0:
             raise ValueError("series with zero constant term has no inverse")
-        one = NCSeries.one(self.alphabet, self.maxdeg, self.ring, self.known_order)
-        u = (1 / c0f) * self - one
-        acc = one
-        power = one
-        sign = 1
-        for _ in range(self.known_order):
-            power = power * u
-            sign = -sign
-            if not power.terms:
-                break
-            acc = acc + sign * power
-        return (1 / c0f) * acc
+        return neumann_inverse(self, 1 / c0, NCSeries.one(self.alphabet, self.maxdeg, self.ring,
+                                                          self.known_order))
 
     def rendered_words(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
@@ -250,7 +237,8 @@ class NCSeries:
             name = ".".join(self.alphabet[b] for b in word) or "1"
             bits.append("%s %s" % (render_coeff(coeff), name))
         more = " ..." if len(self.terms) > 12 else ""
-        return "<NCSeries %s deg<=%d known<=%d>" % ("; ".join(bits), self.maxdeg, self.known_order)
+        return "<NCSeries %s%s deg<=%d known<=%d>" % ("; ".join(bits), more, self.maxdeg,
+                                                      self.known_order)
 
 
 class LieSeries(NCSeries):
@@ -273,40 +261,11 @@ def commutator(f: NCSeries, g: NCSeries) -> NCSeries:
 
 
 def nc_exp(f: NCSeries) -> NCSeries:
-    w = f.order()
-    if f.coefficient(EMPTY):
-        raise ValueError("exp requires a series of order >= 1")
-    acc = NCSeries.one(f.alphabet, f.maxdeg, f.ring, f.known_order)
-    if w is None:
-        return acc
-    term = acc
-    k = 1
-    while k * w <= f.known_order:
-        term = term * f * Fraction(1, k)
-        if not term.terms:
-            break
-        acc = acc + term
-        k += 1
-    return acc
+    return series_exp(f, NCSeries.one(f.alphabet, f.maxdeg, f.ring, f.known_order))
 
 
 def nc_log(g: NCSeries) -> NCSeries:
-    if g.coefficient(EMPTY) != 1:
-        raise ValueError("log requires constant term 1")
-    u = g - NCSeries.one(g.alphabet, g.maxdeg, g.ring, g.known_order)
-    w = u.order()
-    acc = NCSeries.zero(g.alphabet, g.maxdeg, g.ring, g.known_order)
-    if w is None:
-        return acc
-    power = NCSeries.one(g.alphabet, g.maxdeg, g.ring, g.known_order)
-    k = 1
-    while k * w <= g.known_order:
-        power = power * u
-        if not power.terms:
-            break
-        acc = acc + Fraction((-1) ** (k + 1), k) * power
-        k += 1
-    return acc
+    return series_log(g, NCSeries.one(g.alphabet, g.maxdeg, g.ring, g.known_order))
 
 
 def nc_substitute(f: NCSeries, images: dict, grouplike: bool = False) -> NCSeries:
@@ -335,22 +294,8 @@ def nc_substitute(f: NCSeries, images: dict, grouplike: bool = False) -> NCSerie
         vals[name] = img
         ko = min(ko, img.known_order)
         sample = img
-    out = NCSeries.zero(sample.alphabet, sample.maxdeg, sample.ring, ko)
-    prefix_cache = {EMPTY: NCSeries.one(sample.alphabet, sample.maxdeg, sample.ring, ko)}
-
-    def product_for(word):
-        cached = prefix_cache.get(word)
-        if cached is not None:
-            return cached
-        prod = product_for(word[:-1]) * vals[f.alphabet[word[-1]]]
-        prefix_cache[word] = prod
-        return prod
-
-    for word, coeff in f.rendered_words():
-        if len(word) > ko:
-            continue
-        out = out + coeff * product_for(word)
-    return out
+    return substitute(f, vals, NCSeries.one(sample.alphabet, sample.maxdeg, sample.ring, ko),
+                      NCSeries.zero(sample.alphabet, sample.maxdeg, sample.ring, ko))
 
 
 def letter_swap(f: NCSeries, mapping: dict) -> NCSeries:

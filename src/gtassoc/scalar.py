@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from .symcoef import Poly, as_fraction, parse_coeff, parse_ring_tag, render_coeff, ring_tag
+from .truncated import series_exp, series_log
 
 
 class ScalarSeries:
@@ -194,37 +195,10 @@ class ScalarSeries:
         return self.copy_with({k: (c if k % 2 == 0 else -c) for k, c in self.coeffs.items()})
 
     def exp(self):
-        w = self.order()
-        if w is not None and w < 1:
-            raise ValueError("scalar exp requires order >= 1")
-        acc = ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)
-        term = acc
-        k = 1
-        while w is not None and k * w <= self.known_order:
-            term = term * self * Fraction(1, k)
-            if not term.coeffs:
-                break
-            acc = acc + term
-            k += 1
-        return acc
+        return series_exp(self, ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var))
 
     def log(self):
-        if self.coefficient(0) != 1:
-            raise ValueError("scalar log requires constant term 1")
-        u = self - ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)
-        w = u.order()
-        acc = ScalarSeries.zero(self.maxdeg, self.ring, self.known_order, self.var)
-        if w is None:
-            return acc
-        power = ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)
-        k = 1
-        while k * w <= self.known_order:
-            power = power * u
-            if not power.coeffs:
-                break
-            acc = acc + Fraction((-1) ** (k + 1), k) * power
-            k += 1
-        return acc
+        return series_log(self, ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var))
 
     def __repr__(self):
         bits = []

@@ -4,11 +4,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gtassoc.hmatrix import HMatrix, evaluate_series
+from gtassoc.holonomy import BnElt, HoloAlgebra, embed_free, transposition
 from gtassoc.ncseries import (AlgebraError, LieSeries, NCSeries, bch, commutator,
                               dynkin, from_text, is_grouplike, is_lie, letter_swap,
                               lie_project, lyndon_basis, lyndon_words, nc_exp, nc_log,
                               nc_substitute, to_text)
+from gtassoc.scalar import ScalarSeries
 from gtassoc.symcoef import SymRing
+from gtassoc.truncated import substitute
 
 XY = ("x", "y")
 
@@ -250,3 +254,111 @@ def test_text_round_trip_rational_and_symbolic():
 def test_empty_word_renders_as_one():
     one, _, _ = letters()
     assert to_text(one).splitlines()[1] == "1\t1"
+
+
+def test_repr_marks_elided_terms():
+    one, x, y = letters(4)
+    short = one + x + y
+    assert " ..." not in repr(short)
+    long_series = (one + x + y) * (one + x + y) * (one + x + y)
+    assert len(long_series.terms) > 12
+    assert repr(long_series).split(" deg<=")[0].endswith(" ...")
+
+
+# -- the truncation contract of every series type ------------------------
+#
+# Each kind gives (one, generators) at a requested known order; elements are
+# built as sums of scaled generator words, so they have positive order.
+
+T3 = HoloAlgebra(3, 4)
+
+
+def _nc_kind(ko):
+    return (NCSeries.one(XY, 4, known_order=ko),
+            [NCSeries.letter(XY, name, 4, known_order=ko) for name in XY])
+
+
+def _holo_kind(ko):
+    return T3.one(ko), [T3.generator(1, 2, ko), T3.generator(2, 3, ko), T3.generator(1, 3, ko)]
+
+
+def _scalar_kind(ko):
+    h = ScalarSeries.gen(6, known_order=ko)
+    return ScalarSeries.one(6, known_order=ko), [h, h * h * F(-2, 3)]
+
+
+def _hmatrix_kind(ko):
+    h = ScalarSeries.gen(4, known_order=ko)
+    return (HMatrix.identity(2, 4, known_order=ko),
+            [h * HMatrix.from_const([[0, 1], [1, 0]], 4, known_order=ko),
+             h * HMatrix.from_const([[1, 0], [2, -1]], 4, known_order=ko)])
+
+
+def _bn_kind(ko):
+    return BnElt.unit(T3), [BnElt.from_holo(g) for g in _holo_kind(ko)[1]]
+
+
+# kind -> (build, exp, log, has inverse, substitution entry point); None where
+# a type has no such method.  ScalarSeries divides by scalar_div instead.
+KINDS = {
+    "NCSeries": (_nc_kind, nc_exp, nc_log, True, nc_substitute),
+    "HoloElt": (_holo_kind, lambda f: f.exp(), lambda g: g.log(), True,
+                lambda series, images: embed_free(series, T3, images)),
+    "ScalarSeries": (_scalar_kind, lambda f: f.exp(), lambda g: g.log(), False, None),
+    "HMatrix": (_hmatrix_kind, lambda f: f.exp(), lambda g: g.log(), True, evaluate_series),
+    "BnElt": (_bn_kind, None, None, True, None),
+}
+
+_SPEC = st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                           st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+                 min_size=1, max_size=4)
+
+
+def _build(spec, one, gens):
+    out = one - one
+    for coeff, word in spec:
+        term = one
+        for i in word:
+            term = term * gens[i % len(gens)]
+        out = out + term * F(coeff, 2)
+    return out
+
+
+def _naive_substitute(series, images, one, zero):
+    """Word-by-word evaluation with no shared prefix products."""
+    out = zero
+    for word, coeff in series.terms.items():
+        prod = one
+        for b in word:
+            prod = prod * images[series.alphabet[b]]
+        out = out + prod * coeff
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=15, deadline=None)
+@given(spec_f=_SPEC, spec_g=_SPEC, spec_s=_SPEC, c0=st.integers(-3, 3).filter(bool),
+       ko=st.integers(2, 4))
+def test_truncation_contract(kind, spec_f, spec_g, spec_s, c0, ko):
+    build, exp, log, has_inverse, entry = KINDS[kind]
+    one, gens = build(ko)
+    f, g = _build(spec_f, one, gens), _build(spec_g, one, gens)
+    if exp is not None:
+        round_trip = exp(log(one + f))
+        assert round_trip.known_order == ko and round_trip.equal_through(one + f)
+        assert log(exp(f)).equal_through(f)
+    if has_inverse:
+        x = one * F(c0) + f
+        if kind == "BnElt":
+            x = BnElt.from_perm(T3, transposition(3, 1)) * x
+        assert (x * x.inverse()).equal_through(one)
+    n_one, letter_x, letter_y = letters(4)
+    series = _build(spec_s, n_one, [letter_x, letter_y]) + n_one * F(c0)
+    images = {"x": f, "y": g}
+    k = min(series.known_order, f.known_order, g.known_order)
+    one_k = build(k)[0]
+    zero_k = one_k - one_k
+    fast = substitute(series, images, one_k, zero_k)
+    assert fast.equal_through(_naive_substitute(series, images, one_k, zero_k))
+    if entry is not None:
+        assert entry(series, images).equal_through(fast)
