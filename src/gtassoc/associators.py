@@ -17,8 +17,21 @@ inside the truncated enveloping algebra of the 4-strand holonomy Lie
 algebra: (d3)(d1) = (d0)(d2)(d4).
 
 The degree-3 coefficient c is the coordinate on [x,[x,y]] - [y,[y,x]]; the
-degree-5 reference candidate phi0_reference is even with c = 0, and
-extend_associator solves the linearized system for a one-degree extension.
+degree-5 reference candidate phi0_reference is even with c = 0.
+
+extend_associator adds one degree.  A candidate that satisfies the equations
+through degree D is changed by a Lie element psi, homogeneous of degree D+1.
+Every product of psi with a term of positive degree lies past degree D+1,
+so the degree-(D+1) defects are exactly affine in psi: the defect of the
+unchanged candidate plus a linear map L(psi), with z = -x-y,
+
+    duality   psi(y,x) + psi(x,y)
+    hexagon   psi(z,x) + psi(y,z) + psi(x,y)      (free of lambda)
+    pentagon  psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4).
+
+Its kernel on Lie elements is the degree-(D+1) part of grt_1 (Drinfeld;
+Furusho, "Pentagon and hexagon equations"): dimensions 1, 0, 1, 0, 1 in
+degrees 3 to 7, spanned by sigma_3, sigma_5 and sigma_7.
 """
 
 from __future__ import annotations
@@ -26,11 +39,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import holonomy
-from .holonomy import HoloAlgebra, embed_free, holonomy_algebra
+from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .linalg import solve_affine
-from .ncseries import (NCSeries, is_grouplike, letter_swap, lyndon_basis, nc_exp,
-                       nc_log, nc_substitute, to_text)
+from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
+                       nc_exp, nc_log, nc_substitute, to_text)
 from .symcoef import as_fraction
+from .truncated import prefix_products
 from .wbasis import XY, all_words, w_coordinates, w_element
 
 
@@ -102,17 +116,24 @@ PENTAGON_FACES = (
 )
 
 
+# the sign of each face in (d3)(d1) - (d0)(d2)(d4), hence in its linear part
+_FACE_SIGNS = {"d3": 1, "d1": 1, "d0": -1, "d2": -1, "d4": -1}
+
+
+def _face_images(algebra: HoloAlgebra, xs, ys, unit):
+    """The images {"x": sum of the t_ij in xs, "y": sum of those in ys} of one face.
+
+    unit is the coefficient of each t_ij: Fraction(1), or the int 1 for
+    products that only add and multiply integers.
+    """
+    return {letter: HoloElt(algebra, {bytes((algebra.generator_index(i, j),)): unit
+                                      for (_, i, j) in pairs})
+            for letter, pairs in (("x", xs), ("y", ys))}
+
+
 def pentagon_faces(series: NCSeries, algebra: HoloAlgebra):
-    faces = {}
-    for name, xs, ys in PENTAGON_FACES:
-        xi = algebra.zero()
-        for (_, i, j) in xs:
-            xi = xi + algebra.generator(i, j)
-        yi = algebra.zero()
-        for (_, i, j) in ys:
-            yi = yi + algebra.generator(i, j)
-        faces[name] = embed_free(series, algebra, {"x": xi, "y": yi})
-    return faces
+    return {name: embed_free(series, algebra, _face_images(algebra, xs, ys, Fraction(1)))
+            for name, xs, ys in PENTAGON_FACES}
 
 
 def pentagon_defect(series: NCSeries, algebra: HoloAlgebra):
@@ -178,6 +199,55 @@ def phi0_reference(maxdeg=5, ring=None) -> AssociatorCandidate:
     return AssociatorCandidate(phi, 1)
 
 
+def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
+    """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) for homogeneous psi of one degree.
+
+    Returns one coordinate list on algebra.basis_words(degree) per element.
+    One pass per face runs over the words of the degree: a word's image is
+    formed once, from the cached images of its prefixes (all of lower
+    degree), added into every element whose series has the word, and
+    dropped.  The word images have integer coordinates and are formed in
+    int arithmetic, several times cheaper than Fraction arithmetic.
+    """
+    sums = [{} for _ in elements]
+    words = all_words(degree)
+    for name, xs, ys in PENTAGON_FACES:
+        sign = _FACE_SIGNS[name]
+        images = _face_images(algebra, xs, ys, 1)
+        product_for = prefix_products(images, XY, HoloElt(algebra, {EMPTY: 1}))
+        for word in words:
+            uses = [(acc, sign * elt.terms[word])
+                    for acc, elt in zip(sums, elements) if word in elt.terms]
+            if not uses:
+                continue
+            image = product_for(word[:-1]) * images[XY[word[-1]]]
+            for mono, mult in image.terms.items():
+                for acc, c in uses:
+                    acc[mono] = acc.get(mono, 0) + c * mult
+    basis = algebra.basis_words(degree)
+    return [[acc.get(w, Fraction(0)) for w in basis] for acc in sums]
+
+
+def _linear_residuals(elements, algebra: HoloAlgebra, degree):
+    """The linear part L of the defining equations on homogeneous Lie elements.
+
+    For psi of the given degree, with z = -x-y, L(psi) stacks the duality
+    block swap(psi) + psi and the hexagon block psi(z,x) + psi(y,z) + psi(x,y)
+    (both on all_words(degree)) over the pentagon block of _pentagon_linear.
+    """
+    words = all_words(degree)
+    x = NCSeries.letter(XY, "x", degree)
+    y = NCSeries.letter(XY, "y", degree)
+    z = -1 * x - y
+    rows = []
+    for psi, pent in zip(elements, _pentagon_linear(elements, algebra, degree)):
+        dual = letter_swap(psi, {"x": "y", "y": "x"}) + psi
+        hexa = nc_substitute(psi, {"x": z, "y": x}) + nc_substitute(psi, {"x": y, "y": z}) + psi
+        rows.append([dual.coefficient(w) for w in words]
+                    + [hexa.coefficient(w) for w in words] + pent)
+    return rows
+
+
 def extend_associator(phi: AssociatorCandidate, parity: bool = False,
                       algebra: HoloAlgebra = None):
     """Extend a candidate satisfying the equations through degree D to D+1.
@@ -188,6 +258,15 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     homogeneous solution space as series; the particular solution zeroes a
     fixed complement of the pivot coordinates.  With parity=True and D+1
     odd, the zero (even) correction is selected when admissible.
+
+    The candidate is base + psi, where base is phi with known order D+1 and
+    no degree-(D+1) terms, and psi = (Lie correction) - (degree-(D+1) part
+    of log base) is homogeneous of degree D+1.  The degree-(D+1) residual of
+    base + psi is exactly R(base) + L(psi): every product of psi with a term
+    of positive degree lies past the known order, so only psi times the
+    constant terms survives.  The nonlinear part R(base) is evaluated once;
+    the matrix columns are L of the Lyndon basis elements and the right-hand
+    side is -(R(base) + L(-log tail)).
     """
     s = phi.series
     if s.ring is not None:
@@ -208,28 +287,15 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
                 corr = corr + c * elt
         return base + (corr - log_tail)
 
-    def residual(coords):
-        cand = candidate(coords)
-        vec = []
-        swapped = letter_swap(cand, {"x": "y", "y": "x"})
-        dual = (swapped * cand).homogeneous(target)
-        vec.extend(dual.terms.get(w, Fraction(0)) for w in words)
-        hexa = hexagon_product(cand, phi.lam).homogeneous(target)
-        vec.extend(hexa.terms.get(w, Fraction(0)) for w in words)
-        pent = pentagon_defect(cand, algebra).homogeneous(target)
-        vec.extend(pent.terms.get(w, Fraction(0)) for w in algebra.basis_words(target))
-        return vec
-
-    m = len(lyndon)
-    zero_coords = [Fraction(0)] * m
-    r0 = residual(zero_coords)
-    columns = []
-    for i in range(m):
-        coords = list(zero_coords)
-        coords[i] = Fraction(1)
-        ri = residual(coords)
-        columns.append([a - b for a, b in zip(ri, r0)])
-    matrix = [[columns[j][i] for j in range(m)] for i in range(len(r0))]
+    # the nonlinear part, once: the residual of base itself
+    dual = (letter_swap(base, {"x": "y", "y": "x"}) * base).homogeneous(target)
+    hexa = hexagon_product(base, phi.lam).homogeneous(target)
+    pent = pentagon_defect(base, algebra).homogeneous(target)
+    r_base = ([dual.coefficient(w) for w in words] + [hexa.coefficient(w) for w in words]
+              + [pent.coefficient(w) for w in algebra.basis_words(target)])
+    *columns, tail = _linear_residuals([elt for _, elt in lyndon] + [-log_tail], algebra, target)
+    r0 = [a + b for a, b in zip(r_base, tail)]
+    matrix = [list(row) for row in zip(*columns)]
     particular, kernel = solve_affine(matrix, [-v for v in r0])
     kernel_series = []
     for vec in kernel:
@@ -241,5 +307,5 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     if (parity and target % 2 == 1 and log_tail.is_zero()
             and all(not v for v in r0)):
         # the even extension: keep the degree-(D+1) component zero
-        particular = zero_coords
+        particular = [Fraction(0)] * len(lyndon)
     return AssociatorCandidate(candidate(particular), phi.lam), kernel_series

@@ -62,15 +62,26 @@ def cmd_resonance(args):
 
 
 def cmd_extend(args):
+    if args.degree < 0:
+        raise UsageError("--degree must be at least 0")
+    try:
+        # fail before the ladder below spends time on the lower degrees
+        holonomy.holonomy_algebra(4, args.degree + 1)
+    except ValueError as exc:
+        print("resource bound: %s" % exc, file=sys.stderr)
+        return 3
     phi = phi0_reference(min(args.degree, 5)) if args.degree >= 2 else \
         AssociatorCandidate(NCSeries.one(("x", "y"), 1), 1)
     start = AssociatorCandidate(phi.series.truncated(args.degree, known_order=args.degree), phi.lam) \
         if args.degree <= phi.maxdeg else phi
+    # the reference data stops at degree 5: solve up to the requested degree first
+    while start.known_order < args.degree:
+        start, _ = extend_associator(start, parity=args.parity)
     extended, kernel = extend_associator(start, parity=args.parity)
     out = to_text(extended.series, extra={"lambda": extended.lam})
     sys.stdout.write(out)
     sys.stdout.write("# kernel dimension at degree %d: %d\n"
-                     % (args.degree + 1, len(kernel)))
+                     % (extended.known_order, len(kernel)))
     return 0
 
 

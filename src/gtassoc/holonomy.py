@@ -30,7 +30,9 @@ from .symcoef import as_fraction
 from .truncated import neumann_inverse, series_exp, series_log, substitute
 
 CACHE_FORMAT_VERSION = 1
-DEFAULT_MONOMIAL_BOUND = 6 ** 6
+# dim U(T_n) in the top degree, which sizes the reduction tables and every
+# product there: admits U(T_4) through degree 7 (9330) but not 8 (28501)
+DEFAULT_DIMENSION_BOUND = 10000
 _REGISTRY = {}
 
 
@@ -48,13 +50,13 @@ def hilbert_dimensions(n, maxdeg):
 class HoloAlgebra:
     """U(T_n) truncated at maxdeg, with cached normal-form reduction."""
 
-    def __init__(self, n, maxdeg, monomial_bound=DEFAULT_MONOMIAL_BOUND):
+    def __init__(self, n, maxdeg, dimension_bound=DEFAULT_DIMENSION_BOUND):
         if n < 2:
             raise ValueError("need n >= 2 strands")
-        n_gens = n * (n - 1) // 2
-        if maxdeg > 0 and n_gens ** maxdeg > monomial_bound:
-            raise ValueError("free monomial count %d exceeds the resource bound %d"
-                             % (n_gens ** maxdeg, monomial_bound))
+        top = hilbert_dimensions(n, maxdeg)[-1] if maxdeg > 0 else 1
+        if top > dimension_bound:
+            raise ValueError("degree-%d dimension %d of U(T_%d) exceeds the resource bound %d"
+                             % (maxdeg, top, n, dimension_bound))
         self.n = n
         self.maxdeg = int(maxdeg)
         # letters ordered by (column class j, row i); class of t_ij is j

@@ -3,7 +3,10 @@
 Every suite returns a Report: a list of checks, each carrying a stable id,
 a short anchor naming the identity it verifies, a pass/fail/skipped status,
 and a witness string (usually a truncated series rendered in text form).
-Reports are deterministic for fixed inputs and serialize to text or JSON.
+Each check also records duration_ms, the milliseconds since the previous
+check was added (or since the report was made), and the report records its
+total.  Reports are deterministic for fixed inputs apart from these
+durations, and serialize to text or JSON.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ class Report:
     suite: str
     checks: list = field(default_factory=list)
     duration_ms: int = 0
+    # when the report was made or its last check added; each check is timed from here
+    _mark: float = field(default_factory=time.monotonic, init=False, repr=False, compare=False)
 
     def add(self, check_id, anchor, passed, witness=""):
         if any(c.id == check_id for c in self.checks):
@@ -44,7 +49,10 @@ class Report:
         status = "pass" if passed else "fail"
         if passed is None:
             status = "skipped"
-        self.checks.append(Check(check_id, anchor, status, str(witness)))
+        now = time.monotonic()
+        self.checks.append(Check(check_id, anchor, status, str(witness),
+                                 int((now - self._mark) * 1000)))
+        self._mark = now
 
     @property
     def ok(self):

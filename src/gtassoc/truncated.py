@@ -63,15 +63,14 @@ def neumann_inverse(x, lead_inv, one):
     return acc * lead_inv
 
 
-def substitute(series, images, one, zero):
-    """series evaluated at images: sum over words of coefficient * product of images.
+def prefix_products(images, alphabet, one):
+    """A function word -> product of the images of its letters, left to right.
 
-    images maps letter names to values of positive order.  Words are taken
-    in (length, lex) order, the product for each prefix is formed once, and
-    words longer than zero.known_order are skipped.
+    Words are bytes of indices into alphabet; images maps letter names to
+    values.  Every word asked for, and each of its prefixes, is formed once
+    and kept, so callers that must not keep a word ask for its prefix and
+    multiply by the last letter's image themselves.
     """
-    ko = zero.known_order
-    alphabet = series.alphabet
     cache = {b"": one}
 
     def product_for(word):
@@ -80,6 +79,18 @@ def substitute(series, images, one, zero):
             got = cache[word] = product_for(word[:-1]) * images[alphabet[word[-1]]]
         return got
 
+    return product_for
+
+
+def substitute(series, images, one, zero):
+    """series evaluated at images: sum over words of coefficient * product of images.
+
+    images maps letter names to values of positive order.  Words are taken
+    in (length, lex) order, the product for each prefix is formed once, and
+    words longer than zero.known_order are skipped.
+    """
+    ko = zero.known_order
+    product_for = prefix_products(images, series.alphabet, one)
     out = zero
     for word, coeff in series.rendered_words():
         if len(word) <= ko:

@@ -2,11 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from gtassoc import associators
 from gtassoc.associators import (AssociatorCandidate, bar, c_extract, certify,
                                  duality_check, extend_associator, hexagon_check,
-                                 is_even, pentagon_check, phi0_reference)
-from gtassoc.ncseries import NCSeries, is_grouplike, nc_log
-from gtassoc.wbasis import XY, w_coordinates, w_element
+                                 hexagon_product, is_even, pentagon_check,
+                                 pentagon_defect, phi0_reference)
+from gtassoc.holonomy import holonomy_algebra
+from gtassoc.ncseries import NCSeries, is_grouplike, letter_swap, lyndon_basis, nc_log
+from gtassoc.wbasis import XY, all_words, w_coordinates, w_element
 
 
 def test_phi0_coefficients(phi0):
@@ -125,3 +128,62 @@ def test_extension_to_degree_six_is_unique(phi0):
     cut = {w: c for w, c in ext6.series.terms.items() if len(w) <= 5}
     assert cut == phi0.series.terms
     assert all(certify(ext6).values())
+
+
+def brute_force_system(phi):
+    """The extension system from full residuals: at coords 0 and at each unit vector.
+
+    Column i is r_i - r_0 and the right-hand side is -r_0, with no use of the
+    affine structure that extend_associator relies on.
+    """
+    s = phi.series
+    target = s.known_order + 1
+    algebra = holonomy_algebra(4, target)
+    base = s.truncated(target, known_order=target)
+    log_tail = nc_log(base).homogeneous(target)
+    lyndon = lyndon_basis(XY, target, maxdeg=target)
+    words = all_words(target)
+
+    def residual(coords):
+        corr = NCSeries.zero(XY, target)
+        for c, (_, elt) in zip(coords, lyndon):
+            if c:
+                corr = corr + c * elt
+        cand = base + (corr - log_tail)
+        dual = (letter_swap(cand, {"x": "y", "y": "x"}) * cand).homogeneous(target)
+        hexa = hexagon_product(cand, phi.lam).homogeneous(target)
+        pent = pentagon_defect(cand, algebra).homogeneous(target)
+        return ([dual.coefficient(w) for w in words] + [hexa.coefficient(w) for w in words]
+                + [pent.coefficient(w) for w in algebra.basis_words(target)])
+
+    m = len(lyndon)
+    r0 = residual([F(0)] * m)
+    columns = [[a - b for a, b in zip(residual([F(i == j) for j in range(m)]), r0)]
+               for i in range(m)]
+    return [[columns[j][i] for j in range(m)] for i in range(len(r0))], [-v for v in r0]
+
+
+def test_linearized_system_matches_brute_force(monkeypatch):
+    captured = []
+    solve = associators.solve_affine
+
+    def capture(matrix, rhs):
+        captured.append((matrix, rhs))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(associators, "solve_affine", capture)
+
+    def check(cand, parity=False):
+        oracle = brute_force_system(cand)
+        captured.clear()
+        extended, _ = extend_associator(cand, parity=parity)
+        assert captured == [oracle]
+        return extended
+
+    for parity in (False, True):
+        cand = AssociatorCandidate(NCSeries.one(XY, 1), 1)
+        for _ in range(4):  # 1 -> 2 -> 3 -> 4 -> 5
+            cand = check(cand, parity)
+    from gtassoc.grtgt import act_grt, grt_exp, psi1
+    tw = act_grt(phi0_reference(5), grt_exp(F(3, 4) * psi1(5)))
+    check(AssociatorCandidate(tw.series.truncated(4, known_order=4), tw.lam))

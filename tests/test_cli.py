@@ -33,9 +33,21 @@ def test_report_deterministic(capsys, tmp_path):
     run(capsys, "resonance", "--n", "5", "--out", p2, "--format", "json")
     a = json.loads(open(p1).read())
     b = json.loads(open(p2).read())
-    a.pop("duration_ms")
-    b.pop("duration_ms")
+    # durations are the documented non-deterministic part of a report
+    for rep in (a, b):
+        rep.pop("duration_ms")
+        for check in rep["checks"]:
+            check.pop("duration_ms")
     assert a == b
+
+
+def test_check_durations(capsys):
+    code, out, _ = run(capsys, "verify", "associator", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    durations = {c["id"]: c["duration_ms"] for c in data["checks"]}
+    assert durations["extend-deg3"] > 0
+    assert sum(durations.values()) <= data["duration_ms"] + len(durations)
 
 
 def test_chars_diagonal(capsys):
@@ -62,6 +74,21 @@ def test_extend(capsys):
     assert code == 0
     assert "kernel dimension at degree 5: 1" in out
     assert "lambda=1" in out
+
+
+def test_extend_labels_the_degree_reached(capsys):
+    from gtassoc.ncseries import from_text
+    code, out, _ = run(capsys, "extend", "--degree", "5")
+    assert code == 0
+    body, _, label = out.rpartition("# ")
+    assert label == "kernel dimension at degree 6: 0\n"
+    series, _ = from_text(body)
+    assert series.known_order == 6
+    # degree 8 is past the default resource bound: refused before any solving
+    code, out, err = run(capsys, "extend", "--degree", "7")
+    assert code == 3 and not out and "resource bound" in err
+    code, _, _ = run(capsys, "extend", "--degree", "-1")
+    assert code == 2
 
 
 def test_kz_report(capsys):

@@ -203,6 +203,18 @@ def test_resource_bound():
         HoloAlgebra(4, 8)
 
 
+def test_resource_bound_is_the_top_dimension():
+    # dim U(T_4) in degrees 7, 8, 9 is 9330, 28501, 86526; the default admits 7 only
+    assert HoloAlgebra(4, 7).maxdeg == 7
+    for maxdeg in (8, 9):
+        with pytest.raises(ValueError, match="resource bound"):
+            HoloAlgebra(4, maxdeg)
+    with pytest.raises(ValueError, match="resource bound"):
+        HoloAlgebra(4, 7, dimension_bound=9329)
+    # dimension 5880, the largest that the older bound on 6**6 free monomials admitted
+    assert HoloAlgebra(8, 3).maxdeg == 3
+
+
 def test_cache_round_trip(tmp_path):
     alg = HoloAlgebra(3, 3)
     path = str(tmp_path / "h.cache")
