@@ -147,7 +147,11 @@ class BraidRep:
         return out
 
     def delta(self, r) -> HMatrix:
-        return self.image(BraidWord.delta(self.n, r))
+        """delta_r = sigma_{r-1} delta_{r-1} sigma_{r-1}, kept where image() finds it."""
+        letters = BraidWord.delta(self.n, r).letters
+        if r > 2 and letters not in self._words:
+            self._words[letters] = self.sigma(r - 1) * self.delta(r - 1) * self.sigma(r - 1)
+        return self.image(letters)
 
     def promote(self, ring):
         if ring == self.ring:

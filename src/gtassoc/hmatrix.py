@@ -1,6 +1,13 @@
 """Square matrices over truncated scalar series, plus series-into-matrix
 substitution.
 
+An HMatrix is one truncated series in h of sparse constant matrices: ``terms``
+maps a power p to ``{(i, j): coefficient}`` with zero coefficients and empty
+powers dropped, and no power exceeds the one ``known_order``.  A sum keeps the
+smaller known order.  A product is the truncated convolution over pairs of
+powers, each pair a row-indexed sparse product, with the series rule
+K = min(K_A + w_B, K_B + w_A, maxdeg) for known orders K and orders w.
+
 Inverses require an invertible constant-term matrix over Q; logs are only
 taken of matrices congruent to 1 mod h, which is all the braid-group images
 of pure braids ever need.
@@ -18,22 +25,41 @@ from .truncated import neumann_inverse, series_exp, series_log, substitute
 
 
 class HMatrix:
-    __slots__ = ("n", "rows", "var", "ring", "maxdeg", "known_order")
+    __slots__ = ("n", "terms", "var", "ring", "maxdeg", "known_order")
 
     def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        self.n = len(self.rows)
-        sample = self.rows[0][0]
-        self.var = sample.var
-        self.ring = sample.ring
-        self.maxdeg = sample.maxdeg
-        self.known_order = min(e.known_order for row in self.rows for e in row)
+        """The matrix of an n x n grid of ScalarSeries, known to the least entry's order."""
+        rows = [list(r) for r in rows]
+        sample = rows[0][0]
+        terms = {}
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                for p, c in e.coeffs.items():
+                    terms.setdefault(p, {})[i, j] = c
+        self._fill(len(rows), terms, sample.var, sample.ring, sample.maxdeg,
+                   min(e.known_order for row in rows for e in row))
+
+    def _fill(self, n, terms, var, ring, maxdeg, known_order):
+        self.n, self.var, self.ring, self.maxdeg, self.known_order = n, var, ring, maxdeg, known_order
+        self.terms = {}
+        for p, m in terms.items():
+            m = {key: c for key, c in m.items() if c}
+            if m and 0 <= p <= known_order:
+                self.terms[p] = m
+        return self
+
+    def _like(self, terms, known_order=None):
+        """A matrix with self's shape and ring from raw terms, cleaned and truncated."""
+        return HMatrix.__new__(HMatrix)._fill(
+            self.n, terms, self.var, self.ring, self.maxdeg,
+            self.known_order if known_order is None else known_order)
 
     @classmethod
     def from_const(cls, matrix, maxdeg, ring=None, known_order=None, var="h"):
-        rows = [[ScalarSeries.const(v, maxdeg, ring, known_order, var) for v in row]
-                for row in matrix]
-        return cls(rows)
+        coerce = as_fraction if ring is None else ring.coerce
+        const = {(i, j): coerce(v) for i, row in enumerate(matrix) for j, v in enumerate(row)}
+        ko = maxdeg if known_order is None else min(int(known_order), maxdeg)
+        return cls.__new__(cls)._fill(len(matrix), {0: const}, var, ring, int(maxdeg), int(ko))
 
     @classmethod
     def identity(cls, n, maxdeg, ring=None, known_order=None, var="h"):
@@ -42,48 +68,76 @@ class HMatrix:
 
     @classmethod
     def zero(cls, n, maxdeg, ring=None, known_order=None, var="h"):
-        return cls([[ScalarSeries.zero(maxdeg, ring, known_order, var)
-                     for _ in range(n)] for _ in range(n)])
+        return cls.from_const([[0] * n for _ in range(n)], maxdeg, ring, known_order, var)
 
     def entry(self, i, j) -> ScalarSeries:
-        return self.rows[i][j]
+        key = (i, j)
+        return ScalarSeries(self.maxdeg, {p: m[key] for p, m in self.terms.items() if key in m},
+                            self.ring, self.known_order, self.var)
 
     def promote(self, ring):
         if ring == self.ring:
             return self
-        return HMatrix([[e.promote(ring) for e in row] for row in self.rows])
+        if ring is None:
+            raise ValueError("cannot demote coefficients to Q")
+        terms = {p: {key: ring.coerce(c) for key, c in m.items()} for p, m in self.terms.items()}
+        return HMatrix.__new__(HMatrix)._fill(self.n, terms, self.var, ring, self.maxdeg,
+                                              self.known_order)
+
+    _check = ScalarSeries._check  # the same variable and coefficient ring
 
     def __add__(self, other):
-        return HMatrix([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)])
+        self._check(other)
+        terms = {p: dict(m) for p, m in self.terms.items()}
+        for p, m in other.terms.items():
+            acc = terms.setdefault(p, {})
+            for key, c in m.items():
+                cur = acc.get(key)
+                acc[key] = c if cur is None else cur + c
+        return self._like(terms, min(self.known_order, other.known_order))
 
     def __sub__(self, other):
-        return HMatrix([[a - b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.rows, other.rows)])
+        return self + (-other)
 
     def __neg__(self):
-        return HMatrix([[-a for a in row] for row in self.rows])
+        return self._like({p: {key: -c for key, c in m.items()} for p, m in self.terms.items()})
 
     def __rmul__(self, scalar):
-        return HMatrix([[scalar * a for a in row] for row in self.rows])
+        if isinstance(scalar, ScalarSeries):
+            diagonal = {p: {(i, i): c for i in range(self.n)} for p, c in scalar.coeffs.items()}
+            return HMatrix.__new__(HMatrix)._fill(self.n, diagonal, scalar.var, scalar.ring,
+                                                  scalar.maxdeg, scalar.known_order) * self
+        c = as_fraction(scalar) if self.ring is None else self.ring.coerce(scalar)
+        return self._like({p: {key: c * v for key, v in m.items()} for p, m in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, HMatrix):
             return self.__rmul__(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return HMatrix(out)
+        self._check(other)
+        wa, wb = self.order(), other.order()
+        if wa is None or wb is None:
+            return self._like({}, min(self.known_order, other.known_order))
+        ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
+        other_rows = {}
+        for q, m in other.terms.items():
+            rows = other_rows[q] = {}
+            for (k, j), c in m.items():
+                rows.setdefault(k, []).append((j, c))
+        terms = {}
+        for p, a in self.terms.items():
+            for q, rows in other_rows.items():
+                if p + q > ko:
+                    continue
+                acc = terms.setdefault(p + q, {})
+                for (i, k), x in a.items():
+                    for j, y in rows.get(k, ()):
+                        cur = acc.get((i, j))
+                        acc[i, j] = x * y if cur is None else cur + x * y
+        return self._like(terms, ko)
 
     def constant_term(self):
-        return [[as_fraction(e.coefficient(0)) for e in row] for row in self.rows]
+        const = self.terms.get(0, {})
+        return [[as_fraction(const.get((i, j), 0)) for j in range(self.n)] for i in range(self.n)]
 
     def _one(self):
         return HMatrix.identity(self.n, self.maxdeg, self.ring, self.known_order, self.var)
@@ -94,18 +148,20 @@ class HMatrix:
         return neumann_inverse(self, lead_inv, self._one())
 
     def transpose(self):
-        return HMatrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        return self._like({p: {(j, i): c for (i, j), c in m.items()}
+                           for p, m in self.terms.items()})
 
     def eps(self):
         """Entrywise h -> -h."""
-        return HMatrix([[e.eps() for e in row] for row in self.rows])
+        return self._like({p: m if p % 2 == 0 else {key: -c for key, c in m.items()}
+                           for p, m in self.terms.items()})
 
     def order(self):
-        orders = [o for o in (e.order() for row in self.rows for e in row) if o is not None]
-        return min(orders) if orders else None
+        return min(self.terms) if self.terms else None
 
     def is_zero(self, order=None):
-        return all(e.is_zero(order) for row in self.rows for e in row)
+        k = self.known_order if order is None else order
+        return all(p > k for p in self.terms)
 
     def is_identity(self, order=None):
         return (self - self._one()).is_zero(order)
@@ -136,7 +192,7 @@ def to_text(matrix: HMatrix, extra=None) -> str:
     for i in range(matrix.n):
         for j in range(matrix.n):
             blocks.append("entry %d %d" % (i, j))
-            blocks.append(scalar_text(matrix.rows[i][j]).rstrip("\n"))
+            blocks.append(scalar_text(matrix.entry(i, j)).rstrip("\n"))
     return "\n".join(blocks) + "\n"
 
 
@@ -148,15 +204,13 @@ def from_text(text: str):
     fields = dict(tok.partition("=")[::2] for tok in lines[0].split()[1:])
     n = int(fields["n"])
     entries = {}
-    i = 1
     current = None
     chunk = []
     def flush():
         if current is not None:
             series, _ = scalar_from("\n".join(chunk))
             entries[current] = series
-    while i < len(lines):
-        line = lines[i]
+    for line in lines[1:]:
         if line.startswith("entry "):
             flush()
             _, a, b = line.split()
@@ -164,7 +218,6 @@ def from_text(text: str):
             chunk = []
         elif line.strip():
             chunk.append(line)
-        i += 1
     flush()
     rows = [[entries[(i, j)] for j in range(n)] for i in range(n)]
     return HMatrix(rows), fields

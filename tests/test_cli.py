@@ -50,6 +50,22 @@ def test_check_durations(capsys):
     assert sum(durations.values()) <= data["duration_ms"] + len(durations)
 
 
+def test_each_defining_equation_carries_its_own_time(capsys, monkeypatch):
+    import time
+    from gtassoc import associators
+    check = associators.pentagon_check
+
+    def slow_pentagon_check(*args, **kwargs):
+        time.sleep(0.02)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(associators, "pentagon_check", slow_pentagon_check)
+    code, out, _ = run(capsys, "verify", "associator", "--format", "json")
+    assert code == 0
+    durations = {c["id"]: c["duration_ms"] for c in json.loads(out)["checks"]}
+    assert durations["phi0-pentagon"] >= 20
+
+
 def test_chars_diagonal(capsys):
     code, out, _ = run(capsys, "chars", "--partition", "3,2", "--g", "a,b",
                        "--order", "5")
