@@ -44,7 +44,7 @@ from .linalg import solve_affine
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
                        nc_exp, nc_log, nc_substitute, to_text)
 from .symcoef import as_fraction
-from .truncated import prefix_products
+from .truncated import suffix_products
 from .wbasis import XY, all_words, w_coordinates, w_element
 
 
@@ -120,19 +120,19 @@ PENTAGON_FACES = (
 _FACE_SIGNS = {"d3": 1, "d1": 1, "d0": -1, "d2": -1, "d4": -1}
 
 
-def _face_images(algebra: HoloAlgebra, xs, ys, unit):
+def _face_images(algebra: HoloAlgebra, xs, ys):
     """The images {"x": sum of the t_ij in xs, "y": sum of those in ys} of one face.
 
-    unit is the coefficient of each t_ij: Fraction(1), or the int 1 for
-    products that only add and multiply integers.
+    The coefficients are the int 1, so the face word images, which are
+    integral, are formed in int arithmetic.
     """
-    return {letter: HoloElt(algebra, {bytes((algebra.generator_index(i, j),)): unit
+    return {letter: HoloElt(algebra, {bytes((algebra.generator_index(i, j),)): 1
                                       for (_, i, j) in pairs})
             for letter, pairs in (("x", xs), ("y", ys))}
 
 
 def pentagon_faces(series: NCSeries, algebra: HoloAlgebra):
-    return {name: embed_free(series, algebra, _face_images(algebra, xs, ys, Fraction(1)))
+    return {name: embed_free(series, algebra, _face_images(algebra, xs, ys))
             for name, xs, ys in PENTAGON_FACES}
 
 
@@ -204,7 +204,7 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
 
     Returns one coordinate list on algebra.basis_words(degree) per element.
     One pass per face runs over the words of the degree: a word's image is
-    formed once, from the cached images of its prefixes (all of lower
+    formed once, from the cached images of its suffixes (all of lower
     degree), added into every element whose series has the word, and
     dropped.  The word images have integer coordinates and are formed in
     int arithmetic, several times cheaper than Fraction arithmetic.
@@ -213,14 +213,14 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
     words = all_words(degree)
     for name, xs, ys in PENTAGON_FACES:
         sign = _FACE_SIGNS[name]
-        images = _face_images(algebra, xs, ys, 1)
-        product_for = prefix_products(images, XY, HoloElt(algebra, {EMPTY: 1}))
+        images = _face_images(algebra, xs, ys)
+        product_for = suffix_products(images, XY, HoloElt(algebra, {EMPTY: 1}))
         for word in words:
             uses = [(acc, sign * elt.terms[word])
                     for acc, elt in zip(sums, elements) if word in elt.terms]
             if not uses:
                 continue
-            image = product_for(word[:-1]) * images[XY[word[-1]]]
+            image = images[XY[word[0]]] * product_for(word[1:])
             for mono, mult in image.terms.items():
                 for acc, c in uses:
                     acc[mono] = acc.get(mono, 0) + c * mult

@@ -320,17 +320,17 @@ def gt_checks(g, pentagon=True, reference: AssociatorCandidate = None) -> dict:
     return report
 
 
-def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) -> bool:
-    """Check the 4-strand equation on the images of the pure braid generators.
+def gt_pentagon_defect(series: NCSeries, reference: AssociatorCandidate = None):
+    """The 4-strand equation, lhs - rhs in U(T_4), on the images of the pure
+    braid generators.
 
     The generators xi_ij go through the braid-algebra morphism attached to a
-    reference lambda=1 associator; this is a necessary condition for
-    membership, sufficient for every computation done here.
+    reference lambda=1 associator.  The reference is used over its own ring:
+    the xi_ij and their logs stay rational when it is, and only the
+    coefficients of series meet its images.
     """
     from .associators import phi0_reference  # local to avoid cycles at import time
-    if reference is None:
-        reference = phi0_reference(min(series.maxdeg, 5))
-    ref = reference if series.ring is None else reference.promote(series.ring)
+    ref = phi0_reference(min(series.maxdeg, 5)) if reference is None else reference
     algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
     gens = phi_tilde_generators(ref.series, ref.lam, algebra)
     xi = {}
@@ -345,7 +345,13 @@ def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) ->
     rhs = (f_at(xi[(2, 3)], xi[(3, 4)])
            * f_at(xi[(1, 2)] * xi[(1, 3)], xi[(2, 4)] * xi[(3, 4)])
            * f_at(xi[(1, 2)], xi[(2, 3)]))
-    return lhs.equal_through(rhs)
+    return lhs - rhs
+
+
+def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) -> bool:
+    """The 4-strand equation holds through the known order; a necessary
+    condition for membership, sufficient for every computation done here."""
+    return gt_pentagon_defect(series, reference).is_zero()
 
 
 # -- Ihara projection ----------------------------------------------------

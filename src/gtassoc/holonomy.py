@@ -14,6 +14,10 @@ the number of low-class letters, hence terminates, and its output is the
 coordinate vector on the normal-form basis.  Per-degree dimensions match
 the Hilbert series prod_{i=1}^{n-1} 1/(1-i t), which the tests pin.
 
+A product never re-reduces its right factor: each pair of basis words is
+reduced by prepending the left word's letters, right to left, onto the
+right word, which is already normal.
+
 The same file hosts the semidirect product kS_n |x U(T_n) needed to push
 braid words through a morphism built from an associator.
 """
@@ -137,9 +141,9 @@ class HoloAlgebra:
         self._prepend_cache[key] = result
         return result
 
-    def normal_form(self, word):
-        """Reduce an arbitrary word over the generators; returns {basis word: int}."""
-        acc = {EMPTY: 1}
+    def normal_form(self, word, onto=EMPTY):
+        """Normal form of word . onto for onto already normal; returns {basis word: int}."""
+        acc = {onto: 1}
         for letter in reversed(word):
             nxt = {}
             for mono, coeff in acc.items():
@@ -290,6 +294,8 @@ class HoloElt:
                        self.known_order)
 
     def __mul__(self, other):
+        """Product through the known order; each pair of basis words is
+        reduced by folding the left word onto the right one, already normal."""
         if not isinstance(other, HoloElt):
             return self.__rmul__(other)
         self._check(other)
@@ -307,7 +313,7 @@ class HoloElt:
                 if len(w2) > room:
                     continue
                 c = c1 * c2
-                for mono, mult in nf(w1 + w2).items():
+                for mono, mult in nf(w1, w2).items():
                     cur = out.get(mono)
                     val = c * mult if cur is None else cur + c * mult
                     if val:
@@ -382,7 +388,8 @@ def embed_free(series: NCSeries, algebra: HoloAlgebra, images: dict) -> HoloElt:
         if img.coefficient(EMPTY):
             raise ValueError("holonomy images must have order >= 1")
         ko = min(ko, img.known_order)
-    return substitute(series, images, algebra.one(ko), algebra.zero(ko))
+    # an int unit keeps integral images (the pentagon faces) in int arithmetic
+    return substitute(series, images, HoloElt(algebra, {EMPTY: 1}, ko), algebra.zero(ko))
 
 
 def holonomy_algebra(n, maxdeg, cache_dir=None) -> HoloAlgebra:

@@ -46,6 +46,8 @@ class SymRing:
         return (self.symbols, tuple(sorted(self.squares.items())))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, SymRing) and self._key() == other._key()
 
     def __hash__(self):

@@ -6,6 +6,10 @@ NCSeries, HoloElt, ScalarSeries, HMatrix and BnElt share a small protocol:
 or a Poly of the series ring).  The caller passes the unit (and zero) built
 with the known order the result must carry; nothing here reads a
 coefficient, so Fraction and Poly coefficients work alike.
+
+Word images are built from the left, image(first letter) * image(rest),
+so the single-generator factor sits on the left, which a holonomy product
+folds onto the normal right factor for the cost of one cached rewrite.
 """
 
 from __future__ import annotations
@@ -63,20 +67,20 @@ def neumann_inverse(x, lead_inv, one):
     return acc * lead_inv
 
 
-def prefix_products(images, alphabet, one):
-    """A function word -> product of the images of its letters, left to right.
+def suffix_products(images, alphabet, one):
+    """A function word -> product of the images of its letters, built from the left.
 
     Words are bytes of indices into alphabet; images maps letter names to
-    values.  Every word asked for, and each of its prefixes, is formed once
-    and kept, so callers that must not keep a word ask for its prefix and
-    multiply by the last letter's image themselves.
+    values.  Every word asked for, and each of its suffixes, is formed once
+    and kept, so callers that must not keep a word ask for its suffix and
+    multiply the first letter's image on the left themselves.
     """
     cache = {b"": one}
 
     def product_for(word):
         got = cache.get(word)
         if got is None:
-            got = cache[word] = product_for(word[:-1]) * images[alphabet[word[-1]]]
+            got = cache[word] = images[alphabet[word[0]]] * product_for(word[1:])
         return got
 
     return product_for
@@ -86,11 +90,11 @@ def substitute(series, images, one, zero):
     """series evaluated at images: sum over words of coefficient * product of images.
 
     images maps letter names to values of positive order.  Words are taken
-    in (length, lex) order, the product for each prefix is formed once, and
+    in (length, lex) order, the product for each suffix is formed once, and
     words longer than zero.known_order are skipped.
     """
     ko = zero.known_order
-    product_for = prefix_products(images, series.alphabet, one)
+    product_for = suffix_products(images, series.alphabet, one)
     out = zero
     for word, coeff in series.rendered_words():
         if len(word) <= ko:

@@ -230,3 +230,45 @@ def test_kappa_identification(gab_symbolic):
     assert ok
     assert a_val == K.symbol("kappa3") * F(1, 2)
     assert b_val == K.symbol("kappa5") * F(1, 48)
+
+
+def _promoted_reference_defect(series, reference):
+    """The 4-strand defect with the reference promoted to the series ring first."""
+    from gtassoc.braids import xi_word
+    from gtassoc.holonomy import embed_free, holonomy_algebra, phi_tilde_eval, phi_tilde_generators
+    ref = reference.promote(series.ring)
+    algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
+    gens = phi_tilde_generators(ref.series, ref.lam, algebra)
+    xi = {p: phi_tilde_eval(gens, algebra, xi_word(4, *p)).pure_part()
+          for p in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))}
+
+    def f_at(u, v):
+        return embed_free(series, algebra, {"x": u.log(), "y": v.log()})
+
+    lhs = f_at(xi[1, 2], xi[2, 3] * xi[2, 4]) * f_at(xi[1, 3] * xi[2, 3], xi[3, 4])
+    rhs = (f_at(xi[2, 3], xi[3, 4]) * f_at(xi[1, 2] * xi[1, 3], xi[2, 4] * xi[3, 4])
+           * f_at(xi[1, 2], xi[2, 3]))
+    return lhs - rhs
+
+
+def test_gt_pentagon_defect_matches_promoted_reference(phi0, gab_symbolic, ab_ring):
+    from gtassoc.grtgt import gt_pentagon_defect, gt_pentagon_push
+    from gtassoc.ncseries import nc_exp
+    member = gt_pentagon_defect(gab_symbolic.series, phi0)
+    assert member.is_zero() and gt_pentagon_push(gab_symbolic.series, phi0)
+    assert member.terms == _promoted_reference_defect(gab_symbolic.series, phi0).terms == {}
+    a = ab_ring.symbol("a")
+    shifted = nc_exp(nc_log(gab_symbolic.series) + a * w_element(4, 5, ab_ring))
+    defect = gt_pentagon_defect(shifted, phi0)
+    assert defect.terms and not gt_pentagon_push(shifted, phi0)
+    oracle = _promoted_reference_defect(shifted, phi0)
+    assert defect.terms == oracle.terms
+    assert defect.known_order == oracle.known_order
+
+
+def test_gt_checks_reports_pentagon_failure(gab_symbolic, ab_ring):
+    from gtassoc.ncseries import nc_exp
+    a = ab_ring.symbol("a")
+    shifted = GtElt(nc_exp(nc_log(gab_symbolic.series) + a * w_element(4, 5, ab_ring)))
+    rep = gt_checks(shifted, pentagon=True)
+    assert rep["pentagon"] is False

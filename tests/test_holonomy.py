@@ -253,3 +253,52 @@ def test_stale_cache_triggers_rebuild_with_warning(tmp_path, monkeypatch):
         rebuilt = holonomy.holonomy_algebra(3, 2, cache_dir=cache_dir)
     assert rebuilt.dimensions() == alg.dimensions()
     assert any("rebuilding" in str(w.message) for w in caught)
+
+
+def _oracle_product(u, v):
+    """The product by reducing every concatenated word pair from scratch."""
+    alg = u.algebra
+    wa, wb = u.order(), v.order()
+    if wa is None or wb is None:
+        return alg.zero(min(u.known_order, v.known_order))
+    ko = min(u.known_order + wb, v.known_order + wa, alg.maxdeg)
+    concat = {}
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            if len(w1) + len(w2) <= ko:
+                concat[w1 + w2] = concat.get(w1 + w2, 0) + c1 * c2
+    return alg.reduce_terms(concat, ko)
+
+
+def _random_element(rng, alg, ring):
+    """A seeded element on normal-form words, its order and known order random."""
+    low = rng.randint(0, 2)
+    words = [w for d in range(low, alg.maxdeg + 1) for w in alg.basis_words(d)]
+    terms = {}
+    for w in rng.sample(words, min(len(words), rng.randint(1, 12))):
+        c = F(rng.randint(-5, 5), rng.randint(1, 4))
+        if ring is not None:
+            c = c * ring.one + rng.randint(-2, 2) * ring.symbol(rng.choice(ring.symbols))
+        terms[w] = c
+    return HoloElt(alg, terms, known_order=rng.randint(low, alg.maxdeg))
+
+
+def test_product_folds_onto_normal_right_factor():
+    from gtassoc.symcoef import SymRing
+    rng = random.Random(11)
+    for n, maxdeg in ((3, 5), (4, 4)):
+        alg = HoloAlgebra(n, maxdeg)
+        for ring in (None, SymRing(("a", "b"))):
+            for _ in range(25):
+                u = _random_element(rng, alg, ring)
+                v = _random_element(rng, alg, ring)
+                for left, right in ((u, v), (v, u), (u, u)):
+                    got, want = left * right, _oracle_product(left, right)
+                    assert got.terms == want.terms
+                    assert got.known_order == want.known_order
+            # a sum of generators on the left, as in word images built from the left
+            gens = alg.zero()
+            for i, j in ((1, 2), (1, n), (n - 1, n)):
+                gens = gens + alg.generator(i, j)
+            v = _random_element(rng, alg, ring)
+            assert (gens * v).terms == _oracle_product(gens, v).terms
