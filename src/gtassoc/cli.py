@@ -1,16 +1,14 @@
 """Command-line entry point.
 
 Subcommands: verify {associator|grt|gt|braid|hecke|kz|all}, chars,
-resonance, extend, kz-report, cache.  Exit codes: 0 all-pass, 1 check
-failure, 2 usage error, 3 resource or cache error.
+resonance, extend, kz-report.  Exit codes: 0 all-pass, 1 check failure,
+2 usage error, 3 resource error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import time
 
 from . import holonomy, kz, report
 from .associators import AssociatorCandidate, extend_associator, phi0_reference
@@ -27,23 +25,24 @@ VERIFY_SUITES = {
 }
 
 
-def _emit(rep, args):
-    text = rep.to_json() if args.format == "json" else rep.to_text()
+def _emit(reps, args):
+    """Write the reports to --out in one go, or else to stdout."""
+    texts = []
+    for rep in reps:
+        text = rep.to_json() if args.format == "json" else rep.to_text()
+        texts.append(text if text.endswith("\n") else text + "\n")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write("".join(texts))
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write("".join(texts))
 
 
 def cmd_verify(args):
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    ok = True
-    for name in names:
-        rep = VERIFY_SUITES[name](args.degree)
-        _emit(rep, args)
-        ok = ok and rep.ok
-    return 0 if ok else 1
+    reps = [VERIFY_SUITES[name](args.degree) for name in names]
+    _emit(reps, args)
+    return 0 if all(rep.ok for rep in reps) else 1
 
 
 def cmd_chars(args):
@@ -51,13 +50,13 @@ def cmd_chars(args):
     if len(symbols) != 2:
         raise UsageError("--g expects two symbol names, e.g. a,b")
     rep = report.chars_report(args.partition, symbols, args.order)
-    _emit(rep, args)
+    _emit([rep], args)
     return 0 if rep.ok else 1
 
 
 def cmd_resonance(args):
     rep = report.resonance_report(args.n)
-    _emit(rep, args)
+    _emit([rep], args)
     return 0 if rep.ok else 1
 
 
@@ -100,57 +99,6 @@ def cmd_kz_report(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
-
-
-def _cache_dir(args):
-    return args.dir or os.environ.get("GTASSOC_CACHE") or os.path.join(
-        os.path.expanduser("~"), ".cache", "gtassoc")
-
-
-def cmd_cache(args):
-    cache_dir = _cache_dir(args)
-    if args.action == "clear":
-        removed = 0
-        if os.path.isdir(cache_dir):
-            for name in sorted(os.listdir(cache_dir)):
-                if name.startswith("holonomy-") and name.endswith(".cache"):
-                    os.remove(os.path.join(cache_dir, name))
-                    removed += 1
-        print("cleared %d cache file(s) under %s" % (removed, cache_dir))
-        return 0
-    if args.action == "build":
-        t0 = time.monotonic()
-        try:
-            algebra = holonomy.HoloAlgebra(args.n, args.degree)
-        except ValueError as exc:
-            print("resource bound: %s" % exc, file=sys.stderr)
-            return 3
-        path = holonomy.cache_path(cache_dir, args.n, args.degree)
-        holonomy.save_cache(algebra, path)
-        dims = algebra.dimensions()
-        print("built %s in %d ms" % (path, int((time.monotonic() - t0) * 1000)))
-        print("dimensions: %s" % ",".join(map(str, dims)))
-        return 0
-    # inspect
-    if not os.path.isdir(cache_dir):
-        print("no cache directory at %s" % cache_dir)
-        return 0
-    found = False
-    for name in sorted(os.listdir(cache_dir)):
-        if not name.endswith(".cache"):
-            continue
-        found = True
-        path = os.path.join(cache_dir, name)
-        try:
-            algebra = holonomy.load_cache(path)
-            print("%s: n=%d maxdeg=%d dims=%s" % (
-                name, algebra.n, algebra.maxdeg,
-                ",".join(map(str, algebra.dimensions()))))
-        except holonomy.CacheError as exc:
-            print("%s: stale (%s); rebuild required" % (name, exc))
-    if not found:
-        print("no cache files under %s" % cache_dir)
     return 0
 
 
@@ -197,13 +145,6 @@ def build_parser():
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_kz_report)
-
-    p = sub.add_parser("cache", help="holonomy cache management")
-    p.add_argument("action", choices=("build", "inspect", "clear"))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--dir", help="cache directory (default: GTASSOC_CACHE or ~/.cache/gtassoc)")
-    p.set_defaults(fn=cmd_cache)
     return parser
 
 
@@ -218,9 +159,6 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except holonomy.CacheError as exc:
-        print("cache error: %s" % exc, file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

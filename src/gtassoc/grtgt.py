@@ -338,13 +338,16 @@ def gt_pentagon_defect(series: NCSeries, reference: AssociatorCandidate = None):
         word = xi_word(4, i, j)
         xi[(i, j)] = phi_tilde_eval(gens, algebra, word).pure_part()
 
-    def f_at(u, v):
-        return embed_free(series, algebra, dict(zip(series.alphabet, (u.log(), v.log()))))
+    # xi_12, xi_23 and xi_34 each enter two faces: take each log once
+    l12, l23, l34 = (xi[p].log() for p in ((1, 2), (2, 3), (3, 4)))
 
-    lhs = f_at(xi[(1, 2)], xi[(2, 3)] * xi[(2, 4)]) * f_at(xi[(1, 3)] * xi[(2, 3)], xi[(3, 4)])
-    rhs = (f_at(xi[(2, 3)], xi[(3, 4)])
-           * f_at(xi[(1, 2)] * xi[(1, 3)], xi[(2, 4)] * xi[(3, 4)])
-           * f_at(xi[(1, 2)], xi[(2, 3)]))
+    def f_at(log_u, log_v):
+        return embed_free(series, algebra, dict(zip(series.alphabet, (log_u, log_v))))
+
+    lhs = f_at(l12, (xi[(2, 3)] * xi[(2, 4)]).log()) * f_at((xi[(1, 3)] * xi[(2, 3)]).log(), l34)
+    rhs = (f_at(l23, l34)
+           * f_at((xi[(1, 2)] * xi[(1, 3)]).log(), (xi[(2, 4)] * xi[(3, 4)]).log())
+           * f_at(l12, l23))
     return lhs - rhs
 
 

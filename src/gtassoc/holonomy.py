@@ -25,7 +25,6 @@ braid words through a morphism built from an associator.
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 
 from . import ncseries
@@ -33,7 +32,6 @@ from .ncseries import EMPTY, NCSeries
 from .symcoef import as_fraction
 from .truncated import neumann_inverse, series_exp, series_log, substitute
 
-CACHE_FORMAT_VERSION = 1
 # dim U(T_n) in the top degree, which sizes the reduction tables and every
 # product there: admits U(T_4) through degree 7 (9330) but not 8 (28501)
 DEFAULT_DIMENSION_BOUND = 10000
@@ -392,27 +390,17 @@ def embed_free(series: NCSeries, algebra: HoloAlgebra, images: dict) -> HoloElt:
     return substitute(series, images, HoloElt(algebra, {EMPTY: 1}, ko), algebra.zero(ko))
 
 
-def holonomy_algebra(n, maxdeg, cache_dir=None) -> HoloAlgebra:
-    """Shared registry of built algebras; consults the disk cache when set."""
+def holonomy_algebra(n, maxdeg) -> HoloAlgebra:
+    """Shared registry of built algebras, one object per (n, maxdeg).
+
+    Threads that miss together may each build an algebra, but setdefault
+    hands all of them the first one stored.
+    """
     key = (n, maxdeg)
     alg = _REGISTRY.get(key)
     if alg is not None:
         return alg
-    if cache_dir is None:
-        cache_dir = os.environ.get("GTASSOC_CACHE")
-    if cache_dir:
-        path = cache_path(cache_dir, n, maxdeg)
-        if os.path.exists(path):
-            try:
-                alg = load_cache(path)
-            except CacheError as exc:
-                import warnings
-                warnings.warn("stale holonomy cache %s (%s); rebuilding" % (path, exc))
-                alg = None
-    if alg is None:
-        alg = HoloAlgebra(n, maxdeg)
-    _REGISTRY[key] = alg
-    return alg
+    return _REGISTRY.setdefault(key, HoloAlgebra(n, maxdeg))
 
 
 # -- semidirect product kS_n |x U(T_n) ---------------------------------
@@ -551,86 +539,3 @@ def phi_tilde_eval(generators, algebra, braid_letters):
         acc = acc * (image if idx > 0 else inverse)
     return acc
 
-
-# -- disk cache ---------------------------------------------------------
-
-
-class CacheError(RuntimeError):
-    pass
-
-
-def cache_path(cache_dir, n, maxdeg):
-    return os.path.join(cache_dir, "holonomy-n%d-deg%d.cache" % (n, maxdeg))
-
-
-def save_cache(algebra: HoloAlgebra, path):
-    """Write basis words and the complete single-letter reduction table."""
-    lines = ["gtassoc-holonomy-cache version=%d n=%d maxdeg=%d" % (
-        CACHE_FORMAT_VERSION, algebra.n, algebra.maxdeg)]
-    dims = algebra.dimensions()
-    lines.append("dims=%s" % ",".join(str(d) for d in dims))
-    lines.append("letters=%s" % ",".join(algebra.letters))
-
-    def wname(word):
-        return ".".join(algebra.letters[b] for b in word) or "1"
-
-    basis_by_degree = [algebra.basis_words(d) for d in range(algebra.maxdeg + 1)]
-    for d, words in enumerate(basis_by_degree):
-        lines.append("basis degree=%d count=%d" % (d, len(words)))
-        for w in words:
-            lines.append(wname(w))
-    lines.append("reduction rows")
-    for letter in range(len(algebra.letters)):
-        for d in range(algebra.maxdeg):
-            for w in basis_by_degree[d]:
-                row = algebra.prepend(letter, w)
-                body = ";".join("%s=%d" % (wname(k), v)
-                                for k, v in sorted(row.items(), key=lambda kv: (len(kv[0]), kv[0])))
-                lines.append("%s|%s\t%s" % (algebra.letters[letter], wname(w), body))
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_cache(path) -> HoloAlgebra:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CacheError("empty cache file")
-    head = dict(tok.partition("=")[::2] for tok in lines[0].split()[1:])
-    if lines[0].split()[0] != "gtassoc-holonomy-cache":
-        raise CacheError("not a holonomy cache file")
-    if int(head.get("version", -1)) != CACHE_FORMAT_VERSION:
-        raise CacheError("cache format version mismatch")
-    n, maxdeg = int(head["n"]), int(head["maxdeg"])
-    algebra = HoloAlgebra(n, maxdeg)
-    dims_line = lines[1]
-    stated = [int(v) for v in dims_line.partition("=")[2].split(",")]
-    if stated != algebra.dimensions():
-        raise CacheError("cached dimensions disagree with the construction")
-    letters = tuple(lines[2].partition("=")[2].split(","))
-    if letters != algebra.letters:
-        raise CacheError("cached letters disagree")
-    idx = algebra.letter_index
-
-    def parse_word(text):
-        return EMPTY if text == "1" else bytes(idx[p] for p in text.split("."))
-
-    i = 3
-    while i < len(lines) and not lines[i].startswith("reduction rows"):
-        i += 1
-    i += 1
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if not line.strip():
-            continue
-        key, _, body = line.partition("\t")
-        lname, _, wtext = key.partition("|")
-        row = {}
-        if body:
-            for piece in body.split(";"):
-                wtxt, _, val = piece.partition("=")
-                row[parse_word(wtxt)] = int(val)
-        algebra._prepend_cache[(idx[lname], parse_word(wtext))] = row
-    return algebra

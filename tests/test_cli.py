@@ -1,5 +1,4 @@
 import json
-import os
 
 from gtassoc.cli import main
 
@@ -113,33 +112,28 @@ def test_kz_report(capsys):
     assert "log_h_tilde d=2 hbar^3\t-32*zeta3" in out
 
 
-def test_cache_cycle(capsys, tmp_path):
-    d = str(tmp_path / "cache")
-    code, out, _ = run(capsys, "cache", "build", "--n", "3", "--degree", "4", "--dir", d)
-    assert code == 0 and "1,3,7,15,31" in out
-    code, out, _ = run(capsys, "cache", "inspect", "--dir", d)
-    assert code == 0 and "holonomy-n3-deg4.cache" in out
-    # version stamp mismatch is reported as stale
-    path = os.path.join(d, "holonomy-n3-deg4.cache")
-    body = open(path).read().replace("version=1", "version=9")
-    open(path, "w").write(body)
-    code, out, _ = run(capsys, "cache", "inspect", "--dir", d)
-    assert code == 0 and "stale" in out
-    code, out, _ = run(capsys, "cache", "clear", "--dir", d)
-    assert code == 0 and "cleared 1" in out
-    code, out, _ = run(capsys, "cache", "clear", "--dir", d)
-    assert code == 0 and "cleared 0" in out
-
-
-def test_cache_resource_bound(capsys, tmp_path):
-    code, _, err = run(capsys, "cache", "build", "--n", "4", "--degree", "9",
-                       "--dir", str(tmp_path))
-    assert code == 3
-    assert "resource bound" in err
-
-
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "verify", "nonsense")
     assert code == 2
     code, _, err = run(capsys, "chars", "--partition", "2,1", "--g", "a")
     assert code == 2
+
+
+def test_verify_all_out_holds_every_suite(capsys, tmp_path, monkeypatch):
+    from gtassoc import cli
+    # each suite runs once; both invocations print the same reports, durations included
+    reports = {name: fn(5) for name, fn in cli.VERIFY_SUITES.items()}
+    for name, rep in reports.items():
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, lambda degree, rep=rep: rep)
+    path = str(tmp_path / "report.txt")
+    code, out, _ = run(capsys, "verify", "all", "--out", path)
+    assert code == 0 and out == ""
+    written = open(path).read()
+    assert sum(line.startswith("suite ") for line in written.splitlines()) == 6
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0 and written == out
+
+
+def test_no_cache_subcommand(capsys):
+    code, _, err = run(capsys, "cache", "inspect")
+    assert code == 2 and "invalid choice: 'cache'" in err

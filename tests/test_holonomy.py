@@ -1,11 +1,11 @@
-import os
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.holonomy import (BnElt, CacheError, HoloAlgebra, HoloElt, embed_free,
-                              hilbert_dimensions, load_cache, save_cache,
+from gtassoc.holonomy import (BnElt, HoloAlgebra, HoloElt, embed_free, hilbert_dimensions,
                               transposition, phi_tilde_eval, phi_tilde_generators)
 from gtassoc.ncseries import NCSeries, commutator
 
@@ -215,46 +215,6 @@ def test_resource_bound_is_the_top_dimension():
     assert HoloAlgebra(8, 3).maxdeg == 3
 
 
-def test_cache_round_trip(tmp_path):
-    alg = HoloAlgebra(3, 3)
-    path = str(tmp_path / "h.cache")
-    save_cache(alg, path)
-    first = open(path).read()
-    loaded = load_cache(path)
-    save_cache(loaded, path)
-    assert open(path).read() == first
-    assert loaded.dimensions() == alg.dimensions()
-    for rel in alg.relation_words():
-        assert loaded.reduce_terms(rel).is_zero()
-
-
-def test_cache_version_mismatch(tmp_path):
-    alg = HoloAlgebra(3, 2)
-    path = str(tmp_path / "h.cache")
-    save_cache(alg, path)
-    body = open(path).read().replace("version=1", "version=99")
-    open(path, "w").write(body)
-    with pytest.raises(CacheError):
-        load_cache(path)
-
-
-def test_stale_cache_triggers_rebuild_with_warning(tmp_path, monkeypatch):
-    import warnings
-    from gtassoc import holonomy
-    alg = HoloAlgebra(3, 2)
-    cache_dir = str(tmp_path)
-    path = holonomy.cache_path(cache_dir, 3, 2)
-    save_cache(alg, path)
-    body = open(path).read().replace("version=1", "version=99")
-    open(path, "w").write(body)
-    monkeypatch.setattr(holonomy, "_REGISTRY", {})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rebuilt = holonomy.holonomy_algebra(3, 2, cache_dir=cache_dir)
-    assert rebuilt.dimensions() == alg.dimensions()
-    assert any("rebuilding" in str(w.message) for w in caught)
-
-
 def _oracle_product(u, v):
     """The product by reducing every concatenated word pair from scratch."""
     alg = u.algebra
@@ -302,3 +262,81 @@ def test_product_folds_onto_normal_right_factor():
                 gens = gens + alg.generator(i, j)
             v = _random_element(rng, alg, ring)
             assert (gens * v).terms == _oracle_product(gens, v).terms
+
+
+def test_registry_hands_racing_threads_one_algebra(monkeypatch):
+    from gtassoc import holonomy
+    monkeypatch.setattr(holonomy, "_REGISTRY", {})
+    barrier = threading.Barrier(2, timeout=5)
+    build = HoloAlgebra.__init__
+
+    def build_after_both_missed(self, *args, **kwargs):
+        # each thread waits here until the other has missed the registry too
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # a registry that lets one thread build at a time
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(HoloAlgebra, "__init__", build_after_both_missed)
+    got = [None, None]
+
+    def fetch(k):
+        got[k] = holonomy.holonomy_algebra(3, 3)
+
+    threads = [threading.Thread(target=fetch, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] is got[1] is holonomy._REGISTRY[(3, 3)]
+
+
+def _threaded_work(seed):
+    """Products of seeded generator combinations in U(T_4) at degree 5, one exp,
+    one S_4 image, and w-basis coordinates: every shared table gets filled."""
+    from gtassoc import holonomy
+    from gtassoc.wbasis import DEGREE_SPANS, w_coordinates, w_element
+    alg = holonomy.holonomy_algebra(4, 5)
+    rng = random.Random(seed)
+    pairs = [(i, j) for j in range(2, 5) for i in range(1, j)]
+    combos = []
+    for _ in range(4):
+        u = alg.zero()
+        for i, j in rng.sample(pairs, 3):
+            u = u + F(rng.randint(-3, 3) or 1, rng.randint(1, 3)) * alg.generator(i, j)
+        combos.append(u)
+    out = [combos[0] * combos[1] * combos[2], (combos[2] * combos[3]).commutator(combos[0])]
+    out.append((combos[seed % 4] + combos[1] * combos[3]).exp())
+    out.append(out[0].permuted(transposition(4, 1 + seed % 3)))
+    coords = [w_coordinates(w_element(k), degree)
+              for degree, span in DEGREE_SPANS.items() for k in span]
+    return alg, [(u.known_order, u.terms) for u in out] + coords
+
+
+def test_algebras_are_shared_freely_across_threads(monkeypatch):
+    from gtassoc import holonomy, wbasis
+    monkeypatch.setattr(holonomy, "_REGISTRY", {})
+    monkeypatch.setattr(wbasis, "_CACHE", {})
+    expected = [_threaded_work(seed)[1] for seed in range(4)]
+    monkeypatch.setattr(holonomy, "_REGISTRY", {})
+    monkeypatch.setattr(wbasis, "_CACHE", {})
+    got = [None] * 4
+
+    def work(seed):
+        got[seed] = _threaded_work(seed)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads inside the cache fills
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(alg is got[0][0] for alg, _ in got)
+    assert [results for _, results in got] == expected
