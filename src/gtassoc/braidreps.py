@@ -159,16 +159,16 @@ class BraidRep:
         return BraidRep(self.n, [self.sigma_images[i].promote(ring)
                                  for i in range(1, self.n)], self.provenance)
 
-    def braid_relations_ok(self, order=None) -> bool:
+    def braid_relations_ok(self) -> bool:
         for i in range(1, self.n - 1):
             lhs = self.sigma(i) * self.sigma(i + 1) * self.sigma(i)
             rhs = self.sigma(i + 1) * self.sigma(i) * self.sigma(i + 1)
-            if not lhs.equal_through(rhs, order):
+            if not lhs.equal_through(rhs):
                 return False
         for i in range(1, self.n):
             for j in range(i + 2, self.n):
                 if not (self.sigma(i) * self.sigma(j)).equal_through(
-                        self.sigma(j) * self.sigma(i), order):
+                        self.sigma(j) * self.sigma(i)):
                     return False
         return True
 

@@ -14,6 +14,7 @@ from . import holonomy, kz, report
 from .associators import AssociatorCandidate, extend_associator, phi0_reference
 from .ncseries import NCSeries, to_text
 from .symcoef import render_coeff
+from .tableaux import Partition
 
 VERIFY_SUITES = {
     "associator": report.verify_associator,
@@ -46,10 +47,7 @@ def cmd_verify(args):
 
 
 def cmd_chars(args):
-    symbols = tuple(s.strip() for s in args.g.split(","))
-    if len(symbols) != 2:
-        raise UsageError("--g expects two symbol names, e.g. a,b")
-    rep = report.chars_report(args.partition, symbols, args.order)
+    rep = report.chars_report(args.partition, args.g, args.order)
     _emit([rep], args)
     return 0 if rep.ok else 1
 
@@ -61,8 +59,6 @@ def cmd_resonance(args):
 
 
 def cmd_extend(args):
-    if args.degree < 0:
-        raise UsageError("--degree must be at least 0")
     try:
         # fail before the ladder below spends time on the lower degrees
         holonomy.holonomy_algebra(4, args.degree + 1)
@@ -102,8 +98,24 @@ def cmd_kz_report(args):
     return 0
 
 
-class UsageError(Exception):
-    pass
+# argparse types: a value they refuse is a usage error (exit 2), not a check failure
+def natural(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def partition(text):
+    Partition.parse(text)
+    return text
+
+
+def symbol_pair(text):
+    symbols = tuple(s.strip() for s in text.split(","))
+    if len(symbols) != 2:
+        raise ValueError(text)
+    return symbols
 
 
 def build_parser():
@@ -116,15 +128,16 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES) + ["all"])
-    p.add_argument("--degree", type=int, default=5)
+    p.add_argument("--degree", type=natural, default=5)
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("chars", help="character diagonal of a partition")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--g", default="a,b", help="symbol names for the generic element")
-    p.add_argument("--order", type=int, default=5)
+    p.add_argument("--partition", type=partition, required=True)
+    p.add_argument("--g", type=symbol_pair, default="a,b",
+                   help="two symbol names for the generic element")
+    p.add_argument("--order", type=natural, default=5)
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_chars)
@@ -136,7 +149,7 @@ def build_parser():
     p.set_defaults(fn=cmd_resonance)
 
     p = sub.add_parser("extend", help="extend the reference candidate one degree")
-    p.add_argument("--degree", type=int, default=4, help="extend from this degree")
+    p.add_argument("--degree", type=natural, default=4, help="extend from this degree")
     p.add_argument("--parity", action="store_true")
     p.set_defaults(fn=cmd_extend)
 
@@ -154,11 +167,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -235,7 +235,7 @@ def unitarity_check(rep: BraidRep) -> bool:
     """Every generator image M satisfies transpose(eps(M)) M = 1."""
     for i in range(1, rep.n):
         m = rep.sigma(i)
-        if not (m.eps().transpose() * m).is_identity():
+        if not (m.eps().transpose() * m).is_one():
             return False
     return True
 

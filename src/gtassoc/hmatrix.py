@@ -19,13 +19,14 @@ from fractions import Fraction
 
 from .linalg import mat_inv
 from .ncseries import NCSeries
-from .scalar import ScalarSeries
+from .scalar import ScalarSeries, from_text as scalar_from, to_text as scalar_text
 from .symcoef import as_fraction
-from .truncated import neumann_inverse, series_exp, series_log, substitute
+from .truncated import Truncated, neumann_inverse, substitute
 
 
-class HMatrix:
+class HMatrix(Truncated):
     __slots__ = ("n", "terms", "var", "ring", "maxdeg", "known_order")
+    _degree = staticmethod(int)
 
     def __init__(self, rows):
         """The matrix of an n x n grid of ScalarSeries, known to the least entry's order."""
@@ -34,7 +35,7 @@ class HMatrix:
         terms = {}
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
-                for p, c in e.coeffs.items():
+                for p, c in e.terms.items():
                     terms.setdefault(p, {})[i, j] = c
         self._fill(len(rows), terms, sample.var, sample.ring, sample.maxdeg,
                    min(e.known_order for row in rows for e in row))
@@ -85,6 +86,7 @@ class HMatrix:
                                               self.known_order)
 
     _check = ScalarSeries._check  # the same variable and coefficient ring
+    _coerce = NCSeries._coerce
 
     def __add__(self, other):
         self._check(other)
@@ -96,18 +98,15 @@ class HMatrix:
                 acc[key] = c if cur is None else cur + c
         return self._like(terms, min(self.known_order, other.known_order))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return self._like({p: {key: -c for key, c in m.items()} for p, m in self.terms.items()})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, ScalarSeries):
-            diagonal = {p: {(i, i): c for i in range(self.n)} for p, c in scalar.coeffs.items()}
+            diagonal = {p: {(i, i): c for i in range(self.n)} for p, c in scalar.terms.items()}
             return HMatrix.__new__(HMatrix)._fill(self.n, diagonal, scalar.var, scalar.ring,
                                                   scalar.maxdeg, scalar.known_order) * self
-        c = as_fraction(scalar) if self.ring is None else self.ring.coerce(scalar)
+        c = self._coerce(scalar)
         return self._like({p: {key: c * v for key, v in m.items()} for p, m in self.terms.items()})
 
     def __mul__(self, other):
@@ -156,34 +155,12 @@ class HMatrix:
         return self._like({p: m if p % 2 == 0 else {key: -c for key, c in m.items()}
                            for p, m in self.terms.items()})
 
-    def order(self):
-        return min(self.terms) if self.terms else None
-
-    def is_zero(self, order=None):
-        k = self.known_order if order is None else order
-        return all(p > k for p in self.terms)
-
-    def is_identity(self, order=None):
-        return (self - self._one()).is_zero(order)
-
-    def equal_through(self, other, order=None):
-        return (self - other).is_zero(order)
-
-    def log(self):
-        """Series log; only for matrices congruent to 1 mod h."""
-        return series_log(self, self._one())
-
-    def exp(self):
-        """Series exp; only for matrices of positive h-order."""
-        return series_exp(self, self._one())
-
     def __repr__(self):
         return "<HMatrix %dx%d known<=%d>" % (self.n, self.n, self.known_order)
 
 
 def to_text(matrix: HMatrix, extra=None) -> str:
     """Dense entry grid in the series text format, one block per entry."""
-    from .scalar import to_text as scalar_text
     header = "hmatrix n=%d" % matrix.n
     if extra:
         for key in sorted(extra):
@@ -197,29 +174,30 @@ def to_text(matrix: HMatrix, extra=None) -> str:
 
 
 def from_text(text: str):
-    from .scalar import from_text as scalar_from
+    """Parse to_text output; raises ValueError on an entry out of range, repeated or missing."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("hmatrix "):
         raise ValueError("not an hmatrix text block")
     fields = dict(tok.partition("=")[::2] for tok in lines[0].split()[1:])
-    n = int(fields["n"])
-    entries = {}
-    current = None
-    chunk = []
-    def flush():
-        if current is not None:
-            series, _ = scalar_from("\n".join(chunk))
-            entries[current] = series
+    n = int(fields.get("n", 0))
+    if n < 1:
+        raise ValueError("hmatrix header needs n >= 1")
+    chunks = {}
+    chunk = None
     for line in lines[1:]:
         if line.startswith("entry "):
-            flush()
             _, a, b = line.split()
-            current = (int(a), int(b))
-            chunk = []
+            key = (int(a), int(b))
+            if not (0 <= key[0] < n and 0 <= key[1] < n) or key in chunks:
+                raise ValueError("entry %d %d is out of range or repeated" % key)
+            chunk = chunks[key] = []
         elif line.strip():
+            if chunk is None:
+                raise ValueError("series text before the first entry line")
             chunk.append(line)
-    flush()
-    rows = [[entries[(i, j)] for j in range(n)] for i in range(n)]
+    if len(chunks) != n * n:
+        raise ValueError("%d of the %d entries are missing" % (n * n - len(chunks), n * n))
+    rows = [[scalar_from("\n".join(chunks[i, j]))[0] for j in range(n)] for i in range(n)]
     return HMatrix(rows), fields
 
 

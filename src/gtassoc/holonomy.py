@@ -30,11 +30,13 @@ from fractions import Fraction
 from . import ncseries
 from .ncseries import EMPTY, NCSeries
 from .symcoef import as_fraction
-from .truncated import neumann_inverse, series_exp, series_log, substitute
+from .truncated import Truncated, neumann_inverse, substitute
 
 # dim U(T_n) in the top degree, which sizes the reduction tables and every
 # product there: admits U(T_4) through degree 7 (9330) but not 8 (28501)
 DEFAULT_DIMENSION_BOUND = 10000
+# (n, maxdeg) -> HoloAlgebra, and n -> the prepend and permutation rows that
+# every algebra on n strands shares: no row depends on the truncation degree
 _REGISTRY = {}
 
 
@@ -70,8 +72,7 @@ class HoloAlgebra:
             i, j = int(name[1]), int(name[2])
             self.pair_of.append((i, j))
             self.cls.append(j)
-        self._prepend_cache = {}
-        self._perm_cache = {}
+        self._prepend_cache, self._perm_cache = _REGISTRY.setdefault(n, ({}, {}))
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -242,10 +243,11 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-class HoloElt:
+class HoloElt(Truncated):
     """Element of a HoloAlgebra as coordinates on the normal-form basis."""
 
     __slots__ = ("algebra", "terms", "known_order")
+    _degree = staticmethod(len)
 
     def __init__(self, algebra, terms, known_order=None):
         self.algebra = algebra
@@ -253,43 +255,19 @@ class HoloElt:
         self.known_order = ko
         self.terms = {w: c for w, c in terms.items() if c and len(w) <= ko}
 
+    def _like(self, terms, known_order=None):
+        return HoloElt(self.algebra, terms,
+                       self.known_order if known_order is None else known_order)
+
+    def _one(self):
+        return self.algebra.one(self.known_order)
+
     def _check(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("elements of different holonomy algebras")
 
     def coefficient(self, word):
         return self.terms.get(word, Fraction(0))
-
-    def order(self):
-        if not self.terms:
-            return None
-        return min(len(w) for w in self.terms)
-
-    def homogeneous(self, d):
-        return HoloElt(self.algebra, {w: c for w, c in self.terms.items() if len(w) == d},
-                       self.known_order)
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = out.get(w)
-            s = c if cur is None else cur + c
-            if s:
-                out[w] = s
-            elif cur is not None:
-                del out[w]
-        return HoloElt(self.algebra, out, min(self.known_order, other.known_order))
-
-    def __neg__(self):
-        return HoloElt(self.algebra, {w: -c for w, c in self.terms.items()}, self.known_order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        return HoloElt(self.algebra, {w: scalar * c for w, c in self.terms.items()},
-                       self.known_order)
 
     def __mul__(self, other):
         """Product through the known order; each pair of basis words is
@@ -324,22 +302,6 @@ class HoloElt:
         return (isinstance(other, HoloElt) and self.algebra is other.algebra
                 and self.terms == other.terms)
 
-    def equal_through(self, other, order=None):
-        self._check(other)
-        k = min(self.known_order, other.known_order)
-        if order is not None:
-            k = min(k, order)
-        diff = self - other
-        return all(not c for w, c in diff.terms.items() if len(w) <= k)
-
-    def is_zero(self, order=None):
-        k = self.known_order if order is None else order
-        return all(not c for w, c in self.terms.items() if len(w) <= k)
-
-    def is_one(self, order=None):
-        one = self.algebra.one()
-        return (self - one).is_zero(order)
-
     def commutator(self, other):
         return self * other - other * self
 
@@ -353,19 +315,7 @@ class HoloElt:
                     out[mono] = val
                 elif cur is not None:
                     del out[mono]
-        return HoloElt(self.algebra, out, self.known_order)
-
-    def exp(self):
-        return series_exp(self, self.algebra.one(self.known_order))
-
-    def log(self):
-        return series_log(self, self.algebra.one(self.known_order))
-
-    def inverse(self):
-        c0 = as_fraction(self.coefficient(EMPTY))
-        if not c0:
-            raise ValueError("no inverse: zero constant term")
-        return neumann_inverse(self, 1 / c0, self.algebra.one(self.known_order))
+        return self._like(out)
 
     def __repr__(self):
         parts = []
@@ -425,13 +375,19 @@ def transposition(n, r):
     return tuple(perm)
 
 
-class BnElt:
-    """Element of the completed infinitesimal braid algebra kS_n |x U(T_n)."""
+class BnElt(Truncated):
+    """Element of the completed infinitesimal braid algebra kS_n |x U(T_n).
 
-    __slots__ = ("algebra", "parts")
+    Its known order is the least of its parts', zero parts included, and of
+    the bound a sum or product passes in.
+    """
 
-    def __init__(self, algebra, parts):
+    __slots__ = ("algebra", "parts", "known_order")
+
+    def __init__(self, algebra, parts, known_order=None):
         self.algebra = algebra
+        bound = algebra.maxdeg if known_order is None else min(known_order, algebra.maxdeg)
+        self.known_order = min([bound] + [u.known_order for u in parts.values()])
         self.parts = {p: u for p, u in parts.items() if u.terms}
 
     @classmethod
@@ -448,10 +404,8 @@ class BnElt:
     def from_perm(cls, algebra, perm):
         return cls(algebra, {tuple(perm): algebra.one()})
 
-    @property
-    def known_order(self):
-        """Parts are truncated at the algebra's degree, which bounds every series sum."""
-        return self.algebra.maxdeg
+    def _one(self):
+        return BnElt.unit(self.algebra)
 
     def order(self):
         return min((u.order() for u in self.parts.values()), default=None)
@@ -460,20 +414,21 @@ class BnElt:
         parts = dict(self.parts)
         for p, u in other.parts.items():
             parts[p] = parts[p] + u if p in parts else u
-        return BnElt(self.algebra, parts)
+        return BnElt(self.algebra, parts, min(self.known_order, other.known_order))
 
     def __neg__(self):
-        return BnElt(self.algebra, {p: -u for p, u in self.parts.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return BnElt(self.algebra, {p: -u for p, u in self.parts.items()}, self.known_order)
 
     def __rmul__(self, scalar):
-        return BnElt(self.algebra, {p: scalar * u for p, u in self.parts.items()})
+        return BnElt(self.algebra, {p: scalar * u for p, u in self.parts.items()},
+                     self.known_order)
 
     def __mul__(self, other):
         if not isinstance(other, BnElt):
             return self.__rmul__(other)
+        wa, wb = self.order(), other.order()
+        ko = min(self.known_order, other.known_order) if wa is None or wb is None else \
+            min(self.known_order + wb, other.known_order + wa)
         parts = {}
         for p, u in self.parts.items():
             for q, v in other.parts.items():
@@ -481,7 +436,7 @@ class BnElt:
                 pq = _perm_mul(p, q)
                 term = u * pv
                 parts[pq] = parts[pq] + term if pq in parts else term
-        return BnElt(self.algebra, parts)
+        return BnElt(self.algebra, parts, ko)
 
     def inverse(self):
         """Inverse of an element whose leading part is a single permutation."""
@@ -491,7 +446,7 @@ class BnElt:
         p0, c0 = next(iter(degree0.items()))
         c0 = as_fraction(c0)
         lead_inv = BnElt(self.algebra, {_perm_inv(p0): (1 / c0) * self.algebra.one().permuted(_perm_inv(p0))})
-        return neumann_inverse(self, lead_inv, BnElt.unit(self.algebra))
+        return neumann_inverse(self, lead_inv, self._one())
 
     def pure_part(self):
         """The U(T_n) component on the identity permutation; errors otherwise."""
@@ -500,14 +455,10 @@ class BnElt:
         for p in self.parts:
             if p != ident:
                 raise ValueError("element has non-trivial symmetric part")
-        return self.parts.get(ident, self.algebra.zero())
+        return self.parts.get(ident, self.algebra.zero(self.known_order))
 
     def __eq__(self, other):
         return isinstance(other, BnElt) and self.algebra is other.algebra and self.parts == other.parts
-
-    def equal_through(self, other, order=None):
-        diff = self - other
-        return all(u.is_zero(order) for u in diff.parts.values())
 
 
 def phi_tilde_generators(phi_series: NCSeries, lam, algebra: HoloAlgebra):

@@ -52,8 +52,8 @@ def _zeta(ring, k):
     return ring.symbol("zeta%d" % k)
 
 
-def hbar_series(ring, maxdeg=DEFAULT_HBAR_ORDER, coeffs=None) -> ScalarSeries:
-    return ScalarSeries(maxdeg, coeffs or {}, ring, var=HBAR)
+def hbar_series(ring, maxdeg=DEFAULT_HBAR_ORDER, terms=None) -> ScalarSeries:
+    return ScalarSeries(maxdeg, terms or {}, ring, var=HBAR)
 
 
 def loggamma(z: ScalarSeries) -> ScalarSeries:
@@ -157,13 +157,13 @@ def q_n(n, d):
 def ratio_formula_rhs(d, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """exp(-2 sum_n zeta_{2n+1}/(2n+1) 2^{2n+1} hb^{2n+1} Q_n(d))."""
     ring = kz_ring() if ring is None else ring
-    coeffs = {}
+    terms = {}
     n = 1
     while 2 * n + 1 <= maxdeg:
         k = 2 * n + 1
-        coeffs[k] = _zeta(ring, k) * Fraction(-2 * 2 ** k * q_n(n, d), k)
+        terms[k] = _zeta(ring, k) * Fraction(-2 * 2 ** k * q_n(n, d), k)
         n += 1
-    return ScalarSeries(maxdeg, coeffs, ring, var=HBAR).exp()
+    return ScalarSeries(maxdeg, terms, ring, var=HBAR).exp()
 
 
 BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
@@ -185,7 +185,7 @@ def specialize_even(s: ScalarSeries, maxdeg=None) -> ScalarSeries:
     ring = s.ring
     maxdeg = s.maxdeg if maxdeg is None else maxdeg
     out = {}
-    for power, coeff in s.coeffs.items():
+    for power, coeff in s.terms.items():
         if power % 2:
             raise ValueError("odd hb-power %d cannot specialize" % power)
         total = Fraction(0)

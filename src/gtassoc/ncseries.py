@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .symcoef import as_fraction, parse_coeff, parse_ring_tag, render_coeff, ring_tag
-from .truncated import neumann_inverse, series_exp, series_log, substitute
+from .truncated import Truncated, substitute
 
 EMPTY = b""
 
@@ -26,14 +26,9 @@ class AlgebraError(ValueError):
     """Alphabet or coefficient-ring mismatch between operands."""
 
 
-def _coerce(ring, value):
-    if ring is None:
-        return as_fraction(value)
-    return ring.coerce(value)
-
-
-class NCSeries:
+class NCSeries(Truncated):
     __slots__ = ("alphabet", "maxdeg", "known_order", "ring", "terms")
+    _degree = staticmethod(len)
 
     def __init__(self, alphabet, maxdeg, terms=None, ring=None, known_order=None):
         self.alphabet = tuple(alphabet)
@@ -68,9 +63,17 @@ class NCSeries:
         unit = Fraction(1) if ring is None else ring.one
         return cls(alphabet, maxdeg, {bytes([idx]): unit}, ring, known_order)
 
-    def scaled_copy(self, terms, known_order=None):
+    def _like(self, terms, known_order=None):
         return NCSeries(self.alphabet, self.maxdeg, terms, self.ring,
                         self.known_order if known_order is None else known_order)
+
+    scaled_copy = _like  # public name of _like
+
+    def _one(self):
+        return NCSeries.one(self.alphabet, self.maxdeg, self.ring, self.known_order)
+
+    def _coerce(self, scalar):
+        return as_fraction(scalar) if self.ring is None else self.ring.coerce(scalar)
 
     # -- basic access -------------------------------------------------
 
@@ -86,15 +89,6 @@ class NCSeries:
         if c is None:
             return Fraction(0) if self.ring is None else self.ring.zero
         return c
-
-    def order(self):
-        """omega(f): degree of the lowest monomial, or None for the zero series."""
-        if not self.terms:
-            return None
-        return min(len(w) for w in self.terms)
-
-    def homogeneous(self, degree):
-        return self.scaled_copy({w: c for w, c in self.terms.items() if len(w) == degree})
 
     def max_stored_degree(self):
         return max((len(w) for w in self.terms), default=0)
@@ -118,7 +112,7 @@ class NCSeries:
                         {w: ring.coerce(c) for w, c in self.terms.items()},
                         ring, self.known_order)
 
-    def _check_compatible(self, other):
+    def _check(self, other):
         if self.alphabet != other.alphabet:
             raise AlgebraError("alphabet mismatch: %r vs %r" % (self.alphabet, other.alphabet))
         if not (self.ring == other.ring):
@@ -126,37 +120,10 @@ class NCSeries:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, NCSeries):
-            self._check_compatible(other)
-            ko = min(self.known_order, other.known_order)
-            out = dict(self.terms)
-            for w, c in other.terms.items():
-                cur = out.get(w)
-                s = c if cur is None else cur + c
-                if s:
-                    out[w] = s
-                elif cur is not None:
-                    del out[w]
-            return NCSeries(self.alphabet, self.maxdeg, out, self.ring, ko)
-        return self + NCSeries.one(self.alphabet, self.maxdeg, self.ring, self.known_order) * other
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, NCSeries) else (-1) * other)
-
-    def __neg__(self):
-        return self.scaled_copy({w: -c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        c = _coerce(self.ring, scalar)
-        if not c:
-            return NCSeries.zero(self.alphabet, self.maxdeg, self.ring, self.known_order)
-        return self.scaled_copy({w: c * v for w, v in self.terms.items()})
-
     def __mul__(self, other):
         if not isinstance(other, NCSeries):
             return self.__rmul__(other)
-        self._check_compatible(other)
+        self._check(other)
         wa = self.order()
         wb = other.order()
         if wa is None or wb is None:
@@ -186,46 +153,6 @@ class NCSeries:
             return NotImplemented
         return (self.alphabet == other.alphabet and self.ring == other.ring
                 and self.terms == other.terms)
-
-    def equal_through(self, other, order=None):
-        """Coefficientwise equality up to min(known orders) or an explicit order."""
-        self._check_compatible(other)
-        k = min(self.known_order, other.known_order)
-        if order is not None:
-            if order > k:
-                raise ValueError("comparison order %d exceeds known order %d" % (order, k))
-            k = order
-        for w, c in self.terms.items():
-            if len(w) <= k and c != other.terms.get(w, 0 * c):
-                return False
-        for w, c in other.terms.items():
-            if len(w) <= k and w not in self.terms and c:
-                return False
-        return True
-
-    def is_one(self, order=None):
-        k = self.known_order if order is None else order
-        for w, c in self.terms.items():
-            if len(w) > k:
-                continue
-            if w == EMPTY:
-                if c != 1:
-                    return False
-            elif c:
-                return False
-        return self.coefficient(EMPTY) == 1
-
-    def is_zero(self, order=None):
-        k = self.known_order if order is None else order
-        return all(not c for w, c in self.terms.items() if len(w) <= k)
-
-    def inverse(self):
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = as_fraction(self.coefficient(EMPTY))
-        if not c0:
-            raise ValueError("series with zero constant term has no inverse")
-        return neumann_inverse(self, 1 / c0, NCSeries.one(self.alphabet, self.maxdeg, self.ring,
-                                                          self.known_order))
 
     def rendered_words(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
@@ -261,11 +188,11 @@ def commutator(f: NCSeries, g: NCSeries) -> NCSeries:
 
 
 def nc_exp(f: NCSeries) -> NCSeries:
-    return series_exp(f, NCSeries.one(f.alphabet, f.maxdeg, f.ring, f.known_order))
+    return f.exp()
 
 
 def nc_log(g: NCSeries) -> NCSeries:
-    return series_log(g, NCSeries.one(g.alphabet, g.maxdeg, g.ring, g.known_order))
+    return g.log()
 
 
 def nc_substitute(f: NCSeries, images: dict, grouplike: bool = False) -> NCSeries:
@@ -306,7 +233,7 @@ def letter_swap(f: NCSeries, mapping: dict) -> NCSeries:
     for w, c in f.terms.items():
         nw = bytes(table[b] for b in w)
         out[nw] = out.get(nw, 0 * c) + c
-    return f.scaled_copy(out)
+    return f._like(out)
 
 
 def bch(u: NCSeries, v: NCSeries) -> LieSeries:
@@ -439,22 +366,32 @@ def to_text(f: NCSeries, extra=None) -> str:
 
 
 def from_text(text: str):
-    """Parse the series text format; returns (series, header_fields)."""
+    """Parse the series text format; returns (series, header_fields).
+
+    Raises ValueError on a missing header field, a letter outside the
+    alphabet, a repeated word or a word past the known order.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty series text")
-    fields = {}
-    for tok in lines[0].split():
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    alphabet = tuple(fields["alphabet"].split(",")) if fields["alphabet"] else ()
-    maxdeg = int(fields["maxdeg"])
-    ring = parse_ring_tag(fields["ring"])
-    known = int(fields.get("knownorder", maxdeg))
+    fields = dict(tok.partition("=")[::2] for tok in lines[0].split())
+    try:
+        alphabet = tuple(fields["alphabet"].split(",")) if fields["alphabet"] else ()
+        maxdeg = int(fields["maxdeg"])
+        ring = parse_ring_tag(fields["ring"])
+    except KeyError as exc:
+        raise ValueError("series header lacks %s" % exc) from None
+    known = min(int(fields.get("knownorder", maxdeg)), maxdeg)
     idx = {name: i for i, name in enumerate(alphabet)}
     terms = {}
     for line in lines[1:]:
         wtxt, _, ctxt = line.partition("\t")
-        word = EMPTY if wtxt == "1" else bytes(idx[p] for p in wtxt.split("."))
+        names = [] if wtxt == "1" else wtxt.split(".")
+        if len(names) > known or not all(name in idx for name in names):
+            raise ValueError("word %r is not over %s through degree %d"
+                             % (wtxt, ",".join(alphabet), known))
+        word = bytes(idx[name] for name in names)
+        if word in terms:
+            raise ValueError("word %r appears twice" % wtxt)
         terms[word] = parse_coeff(ctxt, ring)
     return NCSeries(alphabet, maxdeg, terms, ring, known), fields

@@ -11,24 +11,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .symcoef import Poly, as_fraction, parse_coeff, parse_ring_tag, render_coeff, ring_tag
-from .truncated import series_exp, series_log
+from .ncseries import NCSeries, from_text as nc_from_text, to_text as nc_to_text
+from .symcoef import Poly, as_fraction, render_coeff
+from .truncated import Truncated
 
 
-class ScalarSeries:
-    __slots__ = ("var", "maxdeg", "known_order", "ring", "coeffs")
+class ScalarSeries(Truncated):
+    __slots__ = ("var", "maxdeg", "known_order", "ring", "terms")
+    _degree = staticmethod(int)
 
-    def __init__(self, maxdeg, coeffs=None, ring=None, known_order=None, var="h"):
+    def __init__(self, maxdeg, terms=None, ring=None, known_order=None, var="h"):
         self.var = var
         self.maxdeg = int(maxdeg)
         self.ring = ring
         self.known_order = self.maxdeg if known_order is None else min(int(known_order), self.maxdeg)
         clean = {}
-        if coeffs:
-            for k, c in coeffs.items():
+        if terms:
+            for k, c in terms.items():
                 if 0 <= k <= self.known_order and c:
                     clean[int(k)] = c
-        self.coeffs = clean
+        self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
@@ -54,44 +56,36 @@ class ScalarSeries:
     def exp_multiple(cls, m, maxdeg, ring=None, known_order=None, var="h"):
         """exp(m*h) as an exact truncated series, m rational."""
         m = as_fraction(m)
-        coeffs = {}
+        terms = {}
         ko = maxdeg if known_order is None else known_order
         for k in range(0, ko + 1):
             c = m ** k / math.factorial(k)
-            coeffs[k] = c if ring is None else ring.const(c)
-        return cls(maxdeg, coeffs, ring, known_order, var)
+            terms[k] = c if ring is None else ring.const(c)
+        return cls(maxdeg, terms, ring, known_order, var)
 
-    def copy_with(self, coeffs, known_order=None):
-        return ScalarSeries(self.maxdeg, coeffs, self.ring,
+    def _like(self, terms, known_order=None):
+        return ScalarSeries(self.maxdeg, terms, self.ring,
                             self.known_order if known_order is None else known_order, self.var)
+
+    def _one(self):
+        return ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)
+
+    _coerce = NCSeries._coerce
 
     # -- access -----------------------------------------------------------
 
     def coefficient(self, k):
-        c = self.coeffs.get(k)
+        c = self.terms.get(k)
         if c is None:
             return Fraction(0) if self.ring is None else self.ring.zero
         return c
-
-    def order(self):
-        if not self.coeffs:
-            return None
-        return min(self.coeffs)
-
-    def is_zero(self, order=None):
-        k = self.known_order if order is None else order
-        return all(not c for d, c in self.coeffs.items() if d <= k)
-
-    def is_one(self, order=None):
-        diff = self - ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)
-        return diff.is_zero(order)
 
     def promote(self, ring):
         if ring == self.ring:
             return self
         if ring is None:
             raise ValueError("cannot demote coefficients to Q")
-        return ScalarSeries(self.maxdeg, {k: ring.coerce(c) for k, c in self.coeffs.items()},
+        return ScalarSeries(self.maxdeg, {k: ring.coerce(c) for k, c in self.terms.items()},
                             ring, self.known_order, self.var)
 
     def _check(self, other):
@@ -102,46 +96,11 @@ class ScalarSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, ScalarSeries):
-            if not isinstance(other, (int, Fraction, Poly)):
-                return NotImplemented
-            other = ScalarSeries.const(other, self.maxdeg, self.ring, self.known_order, self.var)
-        self._check(other)
-        ko = min(self.known_order, other.known_order)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            cur = out.get(k)
-            s = c if cur is None else cur + c
-            if s:
-                out[k] = s
-            elif cur is not None:
-                del out[k]
-        return ScalarSeries(self.maxdeg, out, self.ring, ko, self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.copy_with({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ScalarSeries):
-            if not isinstance(other, (int, Fraction, Poly)):
-                return NotImplemented
-            other = ScalarSeries.const(other, self.maxdeg, self.ring, self.known_order, self.var)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, ScalarSeries):
             if not isinstance(other, (int, Fraction, Poly)):
                 return NotImplemented
-            c = as_fraction(other) if self.ring is None else self.ring.coerce(other)
-            if not c:
-                return ScalarSeries.zero(self.maxdeg, self.ring, self.known_order, self.var)
-            return self.copy_with({k: c * v for k, v in self.coeffs.items()})
+            return self.__rmul__(other)
         self._check(other)
         wa, wb = self.order(), other.order()
         if wa is None or wb is None:
@@ -149,10 +108,10 @@ class ScalarSeries:
                                      min(self.known_order, other.known_order), self.var)
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
         out = {}
-        for k1, c1 in self.coeffs.items():
+        for k1, c1 in self.terms.items():
             if k1 > ko:
                 continue
-            for k2, c2 in other.coeffs.items():
+            for k2, c2 in other.terms.items():
                 k = k1 + k2
                 if k > ko:
                     continue
@@ -165,46 +124,26 @@ class ScalarSeries:
                     del out[k]
         return ScalarSeries(self.maxdeg, out, self.ring, ko, self.var)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, ScalarSeries):
             return NotImplemented
         return (self.var == other.var and self.ring == other.ring
-                and self.coeffs == other.coeffs)
-
-    def equal_through(self, other, order=None):
-        self._check(other)
-        k = min(self.known_order, other.known_order)
-        if order is not None:
-            if order > k:
-                raise ValueError("comparison order %d exceeds known order %d" % (order, k))
-            k = order
-        for d in range(0, k + 1):
-            if self.coefficient(d) != other.coefficient(d):
-                return False
-        return True
+                and self.terms == other.terms)
 
     def shift(self, m):
         """Multiply by h^m."""
-        return ScalarSeries(self.maxdeg, {k + m: c for k, c in self.coeffs.items()},
+        return ScalarSeries(self.maxdeg, {k + m: c for k, c in self.terms.items()},
                             self.ring, min(self.known_order + m, self.maxdeg), self.var)
 
     def eps(self):
         """The involution h -> -h."""
-        return self.copy_with({k: (c if k % 2 == 0 else -c) for k, c in self.coeffs.items()})
-
-    def exp(self):
-        return series_exp(self, ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var))
-
-    def log(self):
-        return series_log(self, ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var))
+        return self._like({k: (c if k % 2 == 0 else -c) for k, c in self.terms.items()})
 
     def __repr__(self):
         bits = []
-        for k in sorted(self.coeffs)[:10]:
-            bits.append("(%s)%s^%d" % (render_coeff(self.coeffs[k]), self.var, k))
-        more = " ..." if len(self.coeffs) > 10 else ""
+        for k in sorted(self.terms)[:10]:
+            bits.append("(%s)%s^%d" % (render_coeff(self.terms[k]), self.var, k))
+        more = " ..." if len(self.terms) > 10 else ""
         return "<ScalarSeries %s%s known<=%d>" % (" + ".join(bits) or "0", more, self.known_order)
 
 
@@ -225,8 +164,8 @@ def scalar_div(num: ScalarSeries, den: ScalarSeries) -> ScalarSeries:
     if not lead_f:
         raise ValueError("denominator has non-invertible leading coefficient")
     out = {}
-    rem = {k - wd: c for k, c in num.coeffs.items()}
-    dshift = {k - wd: c for k, c in den.coeffs.items()}
+    rem = {k - wd: c for k, c in num.terms.items()}
+    dshift = {k - wd: c for k, c in den.terms.items()}
     for k in range(0, ko + 1):
         c = rem.get(k)
         if c is None:
@@ -291,7 +230,7 @@ def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
         if wu is None or k * wu > s.known_order:
             break
         power = power * u
-        if not power.coeffs:
+        if not power.terms:
             break
     out = root * acc
     if w:
@@ -300,32 +239,14 @@ def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
 
 
 def to_text(s: ScalarSeries, extra=None) -> str:
-    header = "alphabet=%s maxdeg=%d ring=%s" % (s.var, s.maxdeg, ring_tag(s.ring))
-    if s.known_order != s.maxdeg:
-        header += " knownorder=%d" % s.known_order
-    if extra:
-        for k in sorted(extra):
-            header += " %s=%s" % (k, extra[k])
-    lines = [header]
-    for k in sorted(s.coeffs):
-        word = "1" if k == 0 else ".".join([s.var] * k)
-        lines.append("%s\t%s" % (word, render_coeff(s.coeffs[k])))
-    return "\n".join(lines) + "\n"
+    """The series text format over the one-letter alphabet of s's variable."""
+    words = {bytes(k): c for k, c in s.terms.items()}
+    return nc_to_text(NCSeries((s.var,), s.maxdeg, words, s.ring, s.known_order), extra)
 
 
 def from_text(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    fields = {}
-    for tok in lines[0].split():
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    var = fields["alphabet"]
-    maxdeg = int(fields["maxdeg"])
-    ring = parse_ring_tag(fields["ring"])
-    known = int(fields.get("knownorder", maxdeg))
-    coeffs = {}
-    for line in lines[1:]:
-        wtxt, _, ctxt = line.partition("\t")
-        k = 0 if wtxt == "1" else len(wtxt.split("."))
-        coeffs[k] = parse_coeff(ctxt, ring)
-    return ScalarSeries(maxdeg, coeffs, ring, known, var), fields
+    series, fields = nc_from_text(text)
+    if len(series.alphabet) != 1:
+        raise ValueError("a scalar series has one variable, not %r" % (series.alphabet,))
+    return ScalarSeries(series.maxdeg, {len(w): c for w, c in series.terms.items()}, series.ring,
+                        series.known_order, series.alphabet[0]), fields

@@ -1,10 +1,17 @@
-"""Series algorithms written once for every truncated type in the package.
+"""Series code written once for every truncated type in the package.
 
-NCSeries, HoloElt, ScalarSeries, HMatrix and BnElt share a small protocol:
-``order()`` (lowest degree present, None for zero), ``known_order``, and
-``+``, ``-`` and ``*``, including ``c * x`` for a coefficient c (a Fraction,
-or a Poly of the series ring).  The caller passes the unit (and zero) built
-with the known order the result must carry; nothing here reads a
+``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries, HMatrix and
+BnElt.  It holds the one truncation contract: ``is_zero``, ``is_one`` and
+``equal_through`` read through ``known_order`` by default and raise
+ValueError when asked past it.  For types whose ``terms`` map a key (a
+word, or a power of h) to a nonzero coefficient it also holds the sum,
+negation and scaling, which do not depend on what the key is.
+
+The series algorithms below (exp, log, Neumann inverse, substitution) need
+only ``order()`` (lowest degree present, None for zero), ``known_order``,
+and ``+``, ``-`` and ``*``, including ``c * x`` for a coefficient c (a
+Fraction, or a Poly of the series ring).  The caller passes the unit (and
+zero) built with the known order the result must carry; they read no
 coefficient, so Fraction and Poly coefficients work alike.
 
 Word images are built from the left, image(first letter) * image(rest),
@@ -15,6 +22,99 @@ folds onto the normal right factor for the cost of one cached rewrite.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .symcoef import as_fraction
+
+
+class Truncated:
+    """Base of the truncated types.  A subclass provides
+
+    - ``terms`` and ``known_order``;
+    - ``_degree(key)``, the degree of a key of ``terms``;
+    - ``_like(terms, known_order=None)``, a value of the plain type (never a
+      subclass) with self's shape, built from raw terms, which it cleans of
+      zeros and truncates at the known order (self's by default);
+    - ``_one()``, the unit at self's known order;
+    - ``_check(other)``, which raises unless other has self's shape;
+    - and, where scalars need converting, ``_coerce(scalar)``.
+    """
+
+    __slots__ = ()
+
+    def _coerce(self, scalar):
+        return scalar
+
+    def order(self):
+        """Degree of the lowest stored term, or None for zero."""
+        return min(map(self._degree, self.terms)) if self.terms else None
+
+    def homogeneous(self, degree):
+        deg = self._degree
+        return self._like({k: c for k, c in self.terms.items() if deg(k) == degree})
+
+    def __add__(self, other):
+        if not isinstance(other, Truncated):
+            other = self._one() * other
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            cur = out.get(key)
+            s = c if cur is None else cur + c
+            if s:
+                out[key] = s
+            elif cur is not None:
+                del out[key]
+        return self._like(out, min(self.known_order, other.known_order))
+
+    def __radd__(self, other):
+        return self + other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, Truncated) else -1 * other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, scalar):
+        c = self._coerce(scalar)
+        return self._like({k: c * v for k, v in self.terms.items()})
+
+    def _through(self, order):
+        """The degree a comparison reads through: known_order, or an order not past it."""
+        if order is None:
+            return self.known_order
+        if order > self.known_order:
+            raise ValueError("comparison order %d exceeds known order %d"
+                             % (order, self.known_order))
+        return order
+
+    def is_zero(self, order=None):
+        k = self._through(order)
+        w = self.order()
+        return w is None or w > k
+
+    def is_one(self, order=None):
+        return (self - self._one()).is_zero(order)
+
+    def equal_through(self, other, order=None):
+        """Equality through min(known orders), or through an order not past it."""
+        return (self - other).is_zero(order)
+
+    def exp(self):
+        return series_exp(self, self._one())
+
+    def log(self):
+        return series_log(self, self._one())
+
+    def inverse(self):
+        """Neumann inverse; the constant term must be a nonzero rational."""
+        c0 = as_fraction(sum(self.homogeneous(0).terms.values()))
+        if not c0:
+            raise ValueError("series with zero constant term has no inverse")
+        return neumann_inverse(self, 1 / c0, self._one())
 
 
 def series_exp(f, one):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gtassoc.cli import main
 
 
@@ -137,3 +139,14 @@ def test_verify_all_out_holds_every_suite(capsys, tmp_path, monkeypatch):
 def test_no_cache_subcommand(capsys):
     code, _, err = run(capsys, "cache", "inspect")
     assert code == 2 and "invalid choice: 'cache'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("chars", "--partition", "3,x"),
+    ("chars", "--partition", "1,2"),
+    ("chars", "--partition", "3,2", "--order", "-1"),
+    ("verify", "associator", "--degree", "-2"),
+], ids=" ".join)
+def test_bad_values_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "invalid" in err

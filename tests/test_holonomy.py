@@ -340,3 +340,33 @@ def test_algebras_are_shared_freely_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert all(alg is got[0][0] for alg, _ in got)
     assert [results for _, results in got] == expected
+
+
+def test_bn_known_order_is_the_least_of_its_parts():
+    T3 = HoloAlgebra(3, 4)
+    assert BnElt.from_holo(T3.generator(1, 2, known_order=2)).known_order == 2
+    zero = BnElt.from_holo(T3.zero(2))
+    assert zero.known_order == 2 and zero.is_zero(2)
+    with pytest.raises(ValueError):
+        zero.is_zero(3)
+    # a part that cancels keeps its known order in the sum
+    g = BnElt.from_holo(T3.generator(1, 2, known_order=2))
+    assert (g - g + BnElt.unit(T3)).known_order == 2
+
+
+def test_algebras_on_n_strands_share_one_row_table(monkeypatch):
+    from gtassoc import holonomy
+    monkeypatch.setattr(holonomy, "_REGISTRY", {})
+    low, high = holonomy.holonomy_algebra(4, 3), holonomy.holonomy_algebra(4, 5)
+    assert low._prepend_cache is high._prepend_cache and low._perm_cache is high._perm_cache
+    assert holonomy.holonomy_algebra(3, 5)._prepend_cache is not high._prepend_cache
+    # a row that the degree-5 algebra filled gives the degree-3 product the same answer
+    u = high.generator(1, 3) + F(2) * high.generator(2, 4)
+    (u * u * u).permuted(transposition(4, 2))
+    v = low.generator(1, 3) + F(2) * low.generator(2, 4)
+    got = (v * v * v).permuted(transposition(4, 2))
+    fresh = HoloAlgebra(4, 3)
+    monkeypatch.setattr(fresh, "_prepend_cache", {})
+    monkeypatch.setattr(fresh, "_perm_cache", {})
+    w = fresh.generator(1, 3) + F(2) * fresh.generator(2, 4)
+    assert got.terms == (w * w * w).permuted(transposition(4, 2)).terms

@@ -362,3 +362,15 @@ def test_truncation_contract(kind, spec_f, spec_g, spec_s, c0, ko):
     assert fast.equal_through(_naive_substitute(series, images, one_k, zero_k))
     if entry is not None:
         assert entry(series, images).equal_through(fast)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_truncation_contract_past_known_order(kind):
+    one, gens = KINDS[kind][0](2)
+    f = gens[0] * F(1, 2)
+    is_one = (one + f).is_one
+    assert not f.is_zero(2) and not is_one(2) and f.equal_through(f, 2)
+    assert (f - f).is_zero() and (f - f).known_order == 2
+    for ask in (f.is_zero, is_one, lambda order: f.equal_through(f, order)):
+        with pytest.raises(ValueError, match="exceeds known order 2"):
+            ask(3)
