@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import holonomy
 from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .linalg import solve_affine
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,

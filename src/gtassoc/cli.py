@@ -143,7 +143,7 @@ def build_parser():
     p.set_defaults(fn=cmd_chars)
 
     p = sub.add_parser("resonance", help="resonance-free scan over partitions")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=natural, default=8)
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_resonance)
@@ -154,8 +154,8 @@ def build_parser():
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("kz-report", help="coefficient tables of the ratio logs")
-    p.add_argument("--dmax", type=int, default=6)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--dmax", type=natural, default=6)
+    p.add_argument("--order", type=natural, default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_kz_report)
     return parser

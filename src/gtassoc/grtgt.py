@@ -182,76 +182,63 @@ def grt_cap_psi(a, b, maxdeg=5, ring=None) -> GrtElt:
 # -- group laws and actions --------------------------------------------
 
 
-def _conjugate_letter(f: NCSeries, name: str) -> NCSeries:
-    letter = NCSeries.letter(XY, name, f.maxdeg, f.ring, f.known_order)
-    return f * letter * f.inverse()
+def _letters(g: NCSeries):
+    return tuple(NCSeries.letter(XY, name, g.maxdeg, g.ring, g.known_order) for name in XY)
+
+
+def _graded_sub(f: NCSeries, g: NCSeries) -> NCSeries:
+    """f(g x g^{-1}, y), the substitution of the graded law."""
+    x, y = _letters(g)
+    return nc_substitute(f, {"x": g * x * g.inverse(), "y": y})
+
+
+def _filtered_sub(f: NCSeries, g: NCSeries) -> NCSeries:
+    """f(log(g e^x g^{-1}), y), the substitution of the filtered law."""
+    x, y = _letters(g)
+    return nc_substitute(f, {"x": nc_log(g * nc_exp(x) * g.inverse()), "y": y})
+
+
+def _group_inverse(s: NCSeries, sub) -> NCSeries:
+    """The inverse for the law (f.g) = sub(f, g) g, by an order-raising fixed point."""
+    inv = NCSeries.one(XY, s.maxdeg, s.ring, s.known_order)
+    for _ in range(s.known_order + 1):
+        inv = sub(s, inv).inverse()
+    if not (sub(s, inv) * inv).is_one():
+        raise RuntimeError("group inverse iteration failed to converge")
+    return inv
 
 
 def grt_mul(f1, f2) -> GrtElt:
     """(f1.f2)(x,y) = f1(f2 x f2^{-1}, y) f2."""
-    s1, s2 = _series_of(f1), _series_of(f2)
-    y = NCSeries.letter(XY, "y", s2.maxdeg, s2.ring, s2.known_order)
-    out = nc_substitute(s1, {"x": _conjugate_letter(s2, "x"), "y": y}) * s2
-    return GrtElt(out)
+    s2 = _series_of(f2)
+    return GrtElt(_graded_sub(_series_of(f1), s2) * s2)
 
 
 def grt_inverse(f) -> GrtElt:
-    """Inverse for the graded group law, by an order-raising fixed point."""
-    s = _series_of(f)
-    one = NCSeries.one(XY, s.maxdeg, s.ring, s.known_order)
-    y = NCSeries.letter(XY, "y", s.maxdeg, s.ring, s.known_order)
-    inv = one
-    for _ in range(s.known_order + 1):
-        inv = nc_substitute(s, {"x": _conjugate_letter(inv, "x"), "y": y}).inverse()
-    residue = grt_mul(GrtElt(s), GrtElt(inv)).series
-    if not residue.is_one():
-        raise RuntimeError("graded inverse iteration failed to converge")
-    return GrtElt(inv)
+    """Inverse for the graded group law."""
+    return GrtElt(_group_inverse(_series_of(f), _graded_sub))
 
 
 def act_grt(phi: AssociatorCandidate, f) -> AssociatorCandidate:
     """Right action of the graded group on candidates; lambda is unchanged."""
     s = _series_of(f)
-    base = phi.series
-    y = NCSeries.letter(XY, "y", base.maxdeg, base.ring, base.known_order)
-    out = nc_substitute(base, {"x": _conjugate_letter(s, "x"), "y": y}) * s
-    return AssociatorCandidate(out, phi.lam)
+    return AssociatorCandidate(_graded_sub(phi.series, s) * s, phi.lam)
 
 
 def act_gt(g, phi: AssociatorCandidate) -> AssociatorCandidate:
     """Left action (f.Phi)(x,y) = f(Phi e^x Phi^{-1}, e^y) Phi."""
-    s = _series_of(g)
-    base = phi.series
-    x = NCSeries.letter(XY, "x", base.maxdeg, base.ring, base.known_order)
-    y = NCSeries.letter(XY, "y", base.maxdeg, base.ring, base.known_order)
-    conj = base * nc_exp(x) * base.inverse()
-    out = nc_substitute(s, {"x": nc_log(conj), "y": y}) * base
-    return AssociatorCandidate(out, phi.lam)
+    return AssociatorCandidate(_filtered_sub(_series_of(g), phi.series) * phi.series, phi.lam)
 
 
 def gt_mul(g1, g2) -> GtElt:
     """(g1.g2)(x,y) = g1(g2 e^x g2^{-1}, e^y) g2 (the lambda=1 substitution law)."""
-    s1, s2 = _series_of(g1), _series_of(g2)
-    x = NCSeries.letter(XY, "x", s2.maxdeg, s2.ring, s2.known_order)
-    y = NCSeries.letter(XY, "y", s2.maxdeg, s2.ring, s2.known_order)
-    conj = s2 * nc_exp(x) * s2.inverse()
-    out = nc_substitute(s1, {"x": nc_log(conj), "y": y}) * s2
-    return GtElt(out)
+    s2 = _series_of(g2)
+    return GtElt(_filtered_sub(_series_of(g1), s2) * s2)
 
 
 def gt_inverse(g) -> GtElt:
-    s = _series_of(g)
-    one = NCSeries.one(XY, s.maxdeg, s.ring, s.known_order)
-    x = NCSeries.letter(XY, "x", s.maxdeg, s.ring, s.known_order)
-    y = NCSeries.letter(XY, "y", s.maxdeg, s.ring, s.known_order)
-    inv = one
-    for _ in range(s.known_order + 1):
-        conj = inv * nc_exp(x) * inv.inverse()
-        inv = nc_substitute(s, {"x": nc_log(conj), "y": y}).inverse()
-    residue = gt_mul(GtElt(s), GtElt(inv)).series
-    if not residue.is_one():
-        raise RuntimeError("filtered inverse iteration failed to converge")
-    return GtElt(inv)
+    """Inverse for the filtered group law."""
+    return GtElt(_group_inverse(_series_of(g), _filtered_sub))
 
 
 def iota(phi: AssociatorCandidate, f) -> GtElt:
@@ -267,8 +254,7 @@ def iota(phi: AssociatorCandidate, f) -> GtElt:
     base = phi.series
     phip = act_grt(phi, f).series
     rhs = nc_log(phip * base.inverse())
-    x = NCSeries.letter(XY, "x", base.maxdeg, base.ring, base.known_order)
-    y = NCSeries.letter(XY, "y", base.maxdeg, base.ring, base.known_order)
+    x, y = _letters(base)
     u = nc_log(base * nc_exp(x) * base.inverse())
 
     def delta(G):
@@ -308,8 +294,7 @@ def gt_checks(g, pentagon=True, reference: AssociatorCandidate = None) -> dict:
     report["grouplike"] = is_grouplike(s)
     swapped = letter_swap(s, {"x": "y", "y": "x"})
     report["duality"] = (s * swapped).is_one()
-    x = NCSeries.letter(XY, "x", s.maxdeg, s.ring, s.known_order)
-    y = NCSeries.letter(XY, "y", s.maxdeg, s.ring, s.known_order)
+    x, y = _letters(s)
     w = bch(-1 * y, -1 * x)
     prod = (nc_substitute(s, {"x": w, "y": x})
             * nc_substitute(s, {"x": y, "y": w})

@@ -5,8 +5,9 @@ An HMatrix is one truncated series in h of sparse constant matrices: ``terms``
 maps a power p to ``{(i, j): coefficient}`` with zero coefficients and empty
 powers dropped, and no power exceeds the one ``known_order``.  A sum keeps the
 smaller known order.  A product is the truncated convolution over pairs of
-powers, each pair a row-indexed sparse product, with the series rule
-K = min(K_A + w_B, K_B + w_A, maxdeg) for known orders K and orders w.
+powers, each pair a row-indexed sparse product, through the known order the
+``Truncated`` base gives every product.  A ScalarSeries multiplies on either
+side as the diagonal matrix it stands for.
 
 Inverses require an invertible constant-term matrix over Q; logs are only
 taken of matrices congruent to 1 mod h, which is all the braid-group images
@@ -87,6 +88,7 @@ class HMatrix(Truncated):
 
     _check = ScalarSeries._check  # the same variable and coefficient ring
     _coerce = NCSeries._coerce
+    _scalars = (ScalarSeries,)
 
     def __add__(self, other):
         self._check(other)
@@ -109,14 +111,8 @@ class HMatrix(Truncated):
         c = self._coerce(scalar)
         return self._like({p: {key: c * v for key, v in m.items()} for p, m in self.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, HMatrix):
-            return self.__rmul__(other)
-        self._check(other)
-        wa, wb = self.order(), other.order()
-        if wa is None or wb is None:
-            return self._like({}, min(self.known_order, other.known_order))
-        ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
+    def _convolve(self, other, ko):
+        """Pairs of powers through ko, each a row-indexed sparse product."""
         other_rows = {}
         for q, m in other.terms.items():
             rows = other_rows[q] = {}
@@ -132,7 +128,7 @@ class HMatrix(Truncated):
                     for j, y in rows.get(k, ()):
                         cur = acc.get((i, j))
                         acc[i, j] = x * y if cur is None else cur + x * y
-        return self._like(terms, ko)
+        return terms
 
     def constant_term(self):
         const = self.terms.get(0, {})

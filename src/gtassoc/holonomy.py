@@ -262,6 +262,10 @@ class HoloElt(Truncated):
     def _one(self):
         return self.algebra.one(self.known_order)
 
+    @property
+    def maxdeg(self):
+        return self.algebra.maxdeg
+
     def _check(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("elements of different holonomy algebras")
@@ -269,16 +273,9 @@ class HoloElt(Truncated):
     def coefficient(self, word):
         return self.terms.get(word, Fraction(0))
 
-    def __mul__(self, other):
-        """Product through the known order; each pair of basis words is
-        reduced by folding the left word onto the right one, already normal."""
-        if not isinstance(other, HoloElt):
-            return self.__rmul__(other)
-        self._check(other)
-        wa, wb = self.order(), other.order()
-        if wa is None or wb is None:
-            return self.algebra.zero(min(self.known_order, other.known_order))
-        ko = min(self.known_order + wb, other.known_order + wa, self.algebra.maxdeg)
+    def _convolve(self, other, ko):
+        """Each pair of basis words is reduced by folding the left word onto
+        the right one, already normal."""
         nf = self.algebra.normal_form
         out = {}
         for w1, c1 in self.terms.items():
@@ -296,7 +293,7 @@ class HoloElt(Truncated):
                         out[mono] = val
                     elif cur is not None:
                         del out[mono]
-        return HoloElt(self.algebra, out, ko)
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, HoloElt) and self.algebra is other.algebra
@@ -382,13 +379,14 @@ class BnElt(Truncated):
     the bound a sum or product passes in.
     """
 
-    __slots__ = ("algebra", "parts", "known_order")
+    __slots__ = ("algebra", "terms", "known_order")
 
-    def __init__(self, algebra, parts, known_order=None):
+    def __init__(self, algebra, terms, known_order=None):
+        """terms maps a permutation to its U(T_n) part; zero parts are dropped."""
         self.algebra = algebra
         bound = algebra.maxdeg if known_order is None else min(known_order, algebra.maxdeg)
-        self.known_order = min([bound] + [u.known_order for u in parts.values()])
-        self.parts = {p: u for p, u in parts.items() if u.terms}
+        self.known_order = min([bound] + [u.known_order for u in terms.values()])
+        self.terms = {p: u for p, u in terms.items() if u.terms}
 
     @classmethod
     def unit(cls, algebra):
@@ -404,43 +402,32 @@ class BnElt(Truncated):
     def from_perm(cls, algebra, perm):
         return cls(algebra, {tuple(perm): algebra.one()})
 
+    def _like(self, terms, known_order=None):
+        return BnElt(self.algebra, terms, self.known_order if known_order is None else known_order)
+
     def _one(self):
         return BnElt.unit(self.algebra)
 
+    maxdeg = HoloElt.maxdeg
+    _check = HoloElt._check
+
     def order(self):
-        return min((u.order() for u in self.parts.values()), default=None)
+        return min((u.order() for u in self.terms.values()), default=None)
 
-    def __add__(self, other):
-        parts = dict(self.parts)
-        for p, u in other.parts.items():
-            parts[p] = parts[p] + u if p in parts else u
-        return BnElt(self.algebra, parts, min(self.known_order, other.known_order))
-
-    def __neg__(self):
-        return BnElt(self.algebra, {p: -u for p, u in self.parts.items()}, self.known_order)
-
-    def __rmul__(self, scalar):
-        return BnElt(self.algebra, {p: scalar * u for p, u in self.parts.items()},
-                     self.known_order)
-
-    def __mul__(self, other):
-        if not isinstance(other, BnElt):
-            return self.__rmul__(other)
-        wa, wb = self.order(), other.order()
-        ko = min(self.known_order, other.known_order) if wa is None or wb is None else \
-            min(self.known_order + wb, other.known_order + wa)
+    def _convolve(self, other, ko):
+        """The twisted product (p, u)(q, v) = (pq, u . p(v)), summed by permutation."""
         parts = {}
-        for p, u in self.parts.items():
-            for q, v in other.parts.items():
+        for p, u in self.terms.items():
+            for q, v in other.terms.items():
                 pv = v.permuted(p)
                 pq = _perm_mul(p, q)
                 term = u * pv
                 parts[pq] = parts[pq] + term if pq in parts else term
-        return BnElt(self.algebra, parts, ko)
+        return parts
 
     def inverse(self):
         """Inverse of an element whose leading part is a single permutation."""
-        degree0 = {p: u.coefficient(EMPTY) for p, u in self.parts.items() if u.coefficient(EMPTY)}
+        degree0 = {p: u.coefficient(EMPTY) for p, u in self.terms.items() if u.coefficient(EMPTY)}
         if len(degree0) != 1:
             raise ValueError("inverse implemented for single-permutation leading part")
         p0, c0 = next(iter(degree0.items()))
@@ -452,13 +439,13 @@ class BnElt(Truncated):
         """The U(T_n) component on the identity permutation; errors otherwise."""
         n = self.algebra.n
         ident = tuple(range(1, n + 1))
-        for p in self.parts:
+        for p in self.terms:
             if p != ident:
                 raise ValueError("element has non-trivial symmetric part")
-        return self.parts.get(ident, self.algebra.zero(self.known_order))
+        return self.terms.get(ident, self.algebra.zero(self.known_order))
 
     def __eq__(self, other):
-        return isinstance(other, BnElt) and self.algebra is other.algebra and self.parts == other.parts
+        return isinstance(other, BnElt) and self.algebra is other.algebra and self.terms == other.terms
 
 
 def phi_tilde_generators(phi_series: NCSeries, lam, algebra: HoloAlgebra):

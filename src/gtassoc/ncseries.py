@@ -118,36 +118,6 @@ class NCSeries(Truncated):
         if not (self.ring == other.ring):
             raise AlgebraError("coefficient ring mismatch: %r vs %r" % (self.ring, other.ring))
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, NCSeries):
-            return self.__rmul__(other)
-        self._check(other)
-        wa = self.order()
-        wb = other.order()
-        if wa is None or wb is None:
-            ko = min(self.known_order, other.known_order)
-            return NCSeries.zero(self.alphabet, self.maxdeg, self.ring, ko)
-        ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
-        out = {}
-        for w1, c1 in self.terms.items():
-            room = ko - len(w1)
-            if room < 0:
-                continue
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                w = w1 + w2
-                c = c1 * c2
-                cur = out.get(w)
-                s = c if cur is None else cur + c
-                if s:
-                    out[w] = s
-                elif cur is not None:
-                    del out[w]
-        return NCSeries(self.alphabet, self.maxdeg, out, self.ring, ko)
-
     def __eq__(self, other):
         if not isinstance(other, NCSeries):
             return NotImplemented

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .ncseries import NCSeries, from_text as nc_from_text, to_text as nc_to_text
-from .symcoef import Poly, as_fraction, render_coeff
+from .symcoef import as_fraction, render_coeff
 from .truncated import Truncated
 
 
@@ -94,36 +94,6 @@ class ScalarSeries(Truncated):
         if not (self.ring == other.ring):
             raise ValueError("coefficient ring mismatch")
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, ScalarSeries):
-            if not isinstance(other, (int, Fraction, Poly)):
-                return NotImplemented
-            return self.__rmul__(other)
-        self._check(other)
-        wa, wb = self.order(), other.order()
-        if wa is None or wb is None:
-            return ScalarSeries.zero(self.maxdeg, self.ring,
-                                     min(self.known_order, other.known_order), self.var)
-        ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
-        out = {}
-        for k1, c1 in self.terms.items():
-            if k1 > ko:
-                continue
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                if k > ko:
-                    continue
-                c = c1 * c2
-                cur = out.get(k)
-                s = c if cur is None else cur + c
-                if s:
-                    out[k] = s
-                elif cur is not None:
-                    del out[k]
-        return ScalarSeries(self.maxdeg, out, self.ring, ko, self.var)
-
     def __eq__(self, other):
         if not isinstance(other, ScalarSeries):
             return NotImplemented
@@ -187,15 +157,6 @@ def scalar_div(num: ScalarSeries, den: ScalarSeries) -> ScalarSeries:
     return ScalarSeries(num.maxdeg, out, num.ring, ko, num.var)
 
 
-def _binom_half(k):
-    # C(1/2, k)
-    out = Fraction(1)
-    half = Fraction(1, 2)
-    for i in range(k):
-        out *= (half - i) / (i + 1)
-    return out
-
-
 def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
     """Square root with positive rational leading coefficient.
 
@@ -218,24 +179,10 @@ def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
         root = as_fraction(root)
         if root * root != lead:
             raise ValueError("supplied root does not square to the leading coefficient")
-    u = scalar_div(s.shift(-w) if w else s, ScalarSeries.const(lead, s.maxdeg, s.ring, s.known_order, s.var)) \
-        - ScalarSeries.one(s.maxdeg, s.ring, s.known_order, s.var)
-    acc = ScalarSeries.zero(s.maxdeg, s.ring, s.known_order, s.var)
-    power = ScalarSeries.one(s.maxdeg, s.ring, s.known_order, s.var)
-    k = 0
-    wu = u.order()
-    while True:
-        acc = acc + _binom_half(k) * power
-        k += 1
-        if wu is None or k * wu > s.known_order:
-            break
-        power = power * u
-        if not power.terms:
-            break
-    out = root * acc
-    if w:
-        out = out.shift(w // 2)
-    return out
+    unit = scalar_div(s.shift(-w) if w else s,
+                      ScalarSeries.const(lead, s.maxdeg, s.ring, s.known_order, s.var))
+    out = root * (Fraction(1, 2) * unit.log()).exp()
+    return out.shift(w // 2) if w else out
 
 
 def to_text(s: ScalarSeries, extra=None) -> str:

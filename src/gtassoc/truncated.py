@@ -3,9 +3,13 @@
 ``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries, HMatrix and
 BnElt.  It holds the one truncation contract: ``is_zero``, ``is_one`` and
 ``equal_through`` read through ``known_order`` by default and raise
-ValueError when asked past it.  For types whose ``terms`` map a key (a
-word, or a power of h) to a nonzero coefficient it also holds the sum,
-negation and scaling, which do not depend on what the key is.
+ValueError when asked past it.  It also holds the one product rule:
+``__mul__`` gives a product of known orders K_a, K_b and orders w_a, w_b
+the known order min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a
+factor is zero, and asks the type's ``_convolve`` hook only for the terms
+through that degree.  For types whose ``terms`` map a key (a word, or a
+power of h) to a nonzero coefficient it also holds the sum, negation and
+scaling, and a default convolution in which keys multiply by ``+``.
 
 The series algorithms below (exp, log, Neumann inverse, substitution) need
 only ``order()`` (lowest degree present, None for zero), ``known_order``,
@@ -36,10 +40,14 @@ class Truncated:
       zeros and truncates at the known order (self's by default);
     - ``_one()``, the unit at self's known order;
     - ``_check(other)``, which raises unless other has self's shape;
-    - and, where scalars need converting, ``_coerce(scalar)``.
+    - ``maxdeg``, the truncation degree no product goes past;
+    - where scalars need converting, ``_coerce(scalar)``;
+    - and, where keys do not multiply by ``+`` alone, ``_convolve``.
     """
 
     __slots__ = ()
+    # Truncated types that multiply as coefficients, c * x
+    _scalars = ()
 
     def _coerce(self, scalar):
         return scalar
@@ -81,6 +89,39 @@ class Truncated:
     def __rmul__(self, scalar):
         c = self._coerce(scalar)
         return self._like({k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, Truncated) or isinstance(other, self._scalars):
+            return self.__rmul__(other)
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
+            return NotImplemented
+        self._check(other)
+        wa, wb = self.order(), other.order()
+        if wa is None or wb is None:
+            return self._like({}, min(self.known_order, other.known_order))
+        ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
+        return self._like(self._convolve(other, ko), ko)
+
+    def _convolve(self, other, ko):
+        """The terms of self * other through degree ko."""
+        deg = self._degree
+        out = {}
+        for k1, c1 in self.terms.items():
+            room = ko - deg(k1)
+            if room < 0:
+                continue
+            for k2, c2 in other.terms.items():
+                if deg(k2) > room:
+                    continue
+                k = k1 + k2
+                c = c1 * c2
+                cur = out.get(k)
+                s = c if cur is None else cur + c
+                if s:
+                    out[k] = s
+                elif cur is not None:
+                    del out[k]
+        return out
 
     def _through(self, order):
         """The degree a comparison reads through: known_order, or an order not past it."""

@@ -146,6 +146,9 @@ def test_no_cache_subcommand(capsys):
     ("chars", "--partition", "1,2"),
     ("chars", "--partition", "3,2", "--order", "-1"),
     ("verify", "associator", "--degree", "-2"),
+    ("kz-report", "--order", "-1"),
+    ("kz-report", "--dmax", "-1"),
+    ("resonance", "--n", "-1"),
 ], ids=" ".join)
 def test_bad_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

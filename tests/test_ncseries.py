@@ -374,3 +374,51 @@ def test_truncation_contract_past_known_order(kind):
     for ask in (f.is_zero, is_one, lambda order: f.equal_through(f, order)):
         with pytest.raises(ValueError, match="exceeds known order 2"):
             ask(3)
+
+
+def _product_rule(a, b):
+    wa, wb = a.order(), b.order()
+    if wa is None or wb is None:
+        return min(a.known_order, b.known_order)
+    return min(a.known_order + wb, b.known_order + wa, a.maxdeg)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("seed", range(4))
+def test_product_known_order_rule(kind, seed):
+    rng = random.Random(seed)
+    build = KINDS[kind][0]
+    operands = []
+    for _ in range(4):
+        one, gens = build(rng.randint(1, 4))
+        spec = [(rng.choice((-3, -1, 1, 2)), [rng.randrange(3) for _ in range(rng.randint(1, 3))])
+                for _ in range(rng.randint(1, 3))]
+        x = _build(spec, one, gens)
+        if rng.random() < 0.5:
+            x = x + one * F(rng.randint(1, 3))
+        if kind == "BnElt" and rng.random() < 0.5:
+            x = BnElt.from_perm(T3, transposition(3, rng.randint(1, 2))) * x
+        operands += [x, x - x]
+    for a in operands:
+        for b in operands:
+            assert (a * b).known_order == _product_rule(a, b)
+    zero = operands[1]
+    assert (zero * operands[0]).known_order == min(zero.known_order, operands[0].known_order)
+
+
+def test_series_times_matrix_either_side():
+    h = ScalarSeries.gen(4, known_order=3)
+    s = ScalarSeries.one(4, known_order=3) * F(2) + h * h * F(-1, 3)
+    m = h * HMatrix.from_const([[1, 2], [0, -1]], 4) + HMatrix.identity(2, 4, known_order=2)
+    left, right = s * m, m * s
+    assert left.terms == right.terms and left.known_order == right.known_order == 2
+    assert left.entry(0, 1).equal_through(s * m.entry(0, 1))
+
+
+def test_lie_series_multiplies_with_plain_series():
+    one, x, y = letters(4)
+    lie = LieSeries(XY, 4, (x * y - y * x).terms)
+    plain = one + x * F(1, 2)
+    for got, want in ((plain * lie, plain * (x * y - y * x)),
+                      (lie * plain, (x * y - y * x) * plain)):
+        assert type(got) is NCSeries and got == want and got.known_order == want.known_order

@@ -75,3 +75,11 @@ def test_variable_mismatch_rejected():
     b = ScalarSeries.gen(4, var="hbar")
     with pytest.raises(ValueError):
         a + b
+
+
+def test_sqrt_of_a_monomial_keeps_the_known_order_of_its_unit():
+    # 4h^2 + O(h^3) has root 2h + O(h^2): the unit 1 + O(h) is known through degree 0
+    s = ScalarSeries(3, {2: F(4)}, known_order=2)
+    r = scalar_sqrt(s)
+    assert r.known_order == 1 and r.coefficient(1) == 2
+    assert (r * r).equal_through(s)
