@@ -42,7 +42,7 @@ from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .linalg import solve_affine
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
                        nc_exp, nc_log, nc_substitute, to_text)
-from .symcoef import as_fraction
+from .symcoef import as_fraction, common_denominator
 from .truncated import suffix_products
 from .wbasis import XY, all_words, w_coordinates, w_element
 
@@ -136,9 +136,21 @@ def pentagon_faces(series: NCSeries, algebra: HoloAlgebra):
 
 
 def pentagon_defect(series: NCSeries, algebra: HoloAlgebra):
-    """(d3)(d1) - (d0)(d2)(d4) in U(T_4)."""
+    """(d3)(d1) - (d0)(d2)(d4) in U(T_4).
+
+    The faces F of D*Phi, D the series' common denominator, are integral, and
+    D^3 times the defect is D (F3)(F1) - (F0)(F2)(F4).  Over a ring D = 1.
+    """
+    d = common_denominator(series.terms.values())
+    if d != 1:
+        series = series.scaled_copy({w: c.numerator * (d // c.denominator)
+                                     for w, c in series.terms.items()})
     f = pentagon_faces(series, algebra)
-    return f["d3"] * f["d1"] - f["d0"] * f["d2"] * f["d4"]
+    defect = d * (f["d3"] * f["d1"]) - f["d0"] * f["d2"] * f["d4"]
+    if d != 1:
+        defect = HoloElt(algebra, {w: Fraction(c, d ** 3) for w, c in defect.terms.items()},
+                         defect.known_order)
+    return defect
 
 
 def pentagon_check(phi: AssociatorCandidate, algebra: HoloAlgebra = None) -> bool:
@@ -205,9 +217,13 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
     One pass per face runs over the words of the degree: a word's image is
     formed once, from the cached images of its suffixes (all of lower
     degree), added into every element whose series has the word, and
-    dropped.  The word images have integer coordinates and are formed in
-    int arithmetic, several times cheaper than Fraction arithmetic.
+    dropped.  The word images are integral, and each element is scaled once
+    by its common denominator d, so the sums run in int and each column is
+    divided by its d once, into Fractions.
     """
+    dens = [common_denominator(elt.terms.values()) for elt in elements]
+    scaled = [{w: c.numerator * (d // c.denominator) for w, c in elt.terms.items()}
+              for elt, d in zip(elements, dens)]
     sums = [{} for _ in elements]
     words = all_words(degree)
     for name, xs, ys in PENTAGON_FACES:
@@ -215,8 +231,7 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
         images = _face_images(algebra, xs, ys)
         product_for = suffix_products(images, XY, HoloElt(algebra, {EMPTY: 1}))
         for word in words:
-            uses = [(acc, sign * elt.terms[word])
-                    for acc, elt in zip(sums, elements) if word in elt.terms]
+            uses = [(acc, sign * ints[word]) for acc, ints in zip(sums, scaled) if word in ints]
             if not uses:
                 continue
             image = images[XY[word[0]]] * product_for(word[1:])
@@ -224,7 +239,9 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
                 for acc, c in uses:
                     acc[mono] = acc.get(mono, 0) + c * mult
     basis = algebra.basis_words(degree)
-    return [[acc.get(w, Fraction(0)) for w in basis] for acc in sums]
+    zero = Fraction(0)
+    return [[Fraction(acc[w], d) if w in acc else zero for w in basis]
+            for acc, d in zip(sums, dens)]
 
 
 def _linear_residuals(elements, algebra: HoloAlgebra, degree):

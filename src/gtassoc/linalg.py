@@ -1,43 +1,53 @@
-"""Small exact linear algebra helpers over Q.
+"""Exact dense linear algebra over Q, with one Gauss-Jordan elimination.
 
-Everything here is dense and written for the tiny systems that come up:
-Lie-coordinate extraction (<= 32 columns), the degree-by-degree associator
-solver (one unknown per Lyndon word of the new degree: 9 at degree 6), and
-constant-matrix work for representations.
+The systems are narrow: Lie-coordinate extraction (<= 32 columns), the
+associator solver (one column per Lyndon word of the new degree: 9 at
+degree 6, over 3153 rows, 638 of them nonzero) and constant-matrix
+inverses.  ``rref`` eliminates in int and builds Fractions only at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+from .symcoef import common_denominator
 
 
 def rref(rows):
-    """Row-reduce a list of Fraction rows in place; return pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+    """Row-reduce rational rows in place; return the pivot column list.
+
+    Zero rows are dropped and each row is cleared of denominators.  Row i
+    becomes a row_i - b row_r, with a/b = p/f in lowest terms for the pivot
+    p and the entry f, divided by the gcd of its entries.  Each pivot row is
+    divided by its pivot once, into Fractions; the reduced row echelon form
+    is unique, so the rows equal those of Gauss-Jordan in Fractions.
+    """
+    ncols = len(rows[0]) if rows else 0
+    work = []
+    for row in rows:
+        d = common_denominator(row)
+        ints = [v.numerator * (d // v.denominator) for v in row]
+        if any(ints):
+            work.append(ints)
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        work[r], work[pivot] = work[pivot], work[r]
+        prow, p = work[r], work[r][c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row) or 1
+                work[i] = [x // g for x in row]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
+    rows[:] = [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)]
     return pivots
 
 
@@ -95,27 +105,21 @@ class CoordSolver:
         target entries may be Fractions or ring elements supporting +,*,-.
         """
         residual = list(target)
-        coords = [None] * self.nbasis
-        for r, c in enumerate(self.pivots):
+        coords = []
+        for row, c in zip(self.rows, self.pivots):
             f = residual[c]
-            comb = self.rows[r]
-            coords_r = f
-            coords[r] = coords_r
+            coords.append(f)
             if f:
-                for j in range(self.ncols):
-                    m = comb[j]
+                for j, m in enumerate(row[:self.ncols]):
                     if m:
                         residual[j] = residual[j] - f * m
-        for v in residual:
-            if v:
-                raise ValueError("target is not in the span of the basis")
+        if any(residual):
+            raise ValueError("target is not in the span of the basis")
         # back out the combination on original basis rows
         out = [Fraction(0)] * self.nbasis
-        for r in range(self.nbasis):
-            f = coords[r]
+        for row, f in zip(self.rows, coords):
             if f:
-                for i in range(self.nbasis):
-                    m = self.rows[r][self.ncols + i]
+                for i, m in enumerate(row[self.ncols:]):
                     if m:
                         out[i] = out[i] + f * m
         return out

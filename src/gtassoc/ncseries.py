@@ -117,6 +117,8 @@ class NCSeries(Truncated):
             raise AlgebraError("alphabet mismatch: %r vs %r" % (self.alphabet, other.alphabet))
         if not (self.ring == other.ring):
             raise AlgebraError("coefficient ring mismatch: %r vs %r" % (self.ring, other.ring))
+        if self.maxdeg != other.maxdeg:
+            raise AlgebraError("maxdeg mismatch: %d vs %d" % (self.maxdeg, other.maxdeg))
 
     def __eq__(self, other):
         if not isinstance(other, NCSeries):

@@ -17,6 +17,9 @@ from .truncated import Truncated
 
 
 class ScalarSeries(Truncated):
+    """A series in one variable.  Operands may differ in ``maxdeg`` (the KZ
+    code mixes 8 and 5); a sum or product takes the left operand's."""
+
     __slots__ = ("var", "maxdeg", "known_order", "ring", "terms")
     _degree = staticmethod(int)
 

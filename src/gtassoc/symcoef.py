@@ -10,6 +10,7 @@ which is how formal square roots such as sqrt(d^2-1) stay exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def as_fraction(value) -> Fraction:
@@ -22,6 +23,11 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, Poly):
         return value.as_fraction()
     raise TypeError("not an exact rational: %r" % (value,))
+
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of exact rationals, 1 for ring elements."""
+    return lcm(*(v.denominator for v in values if isinstance(v, (int, Fraction))))
 
 
 class SymRing:

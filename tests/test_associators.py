@@ -6,9 +6,10 @@ from gtassoc import associators
 from gtassoc.associators import (AssociatorCandidate, bar, c_extract, certify,
                                  duality_check, extend_associator, hexagon_check,
                                  hexagon_product, is_even, pentagon_check,
-                                 pentagon_defect, phi0_reference)
+                                 pentagon_defect, pentagon_faces, phi0_reference)
 from gtassoc.holonomy import holonomy_algebra
 from gtassoc.ncseries import NCSeries, is_grouplike, letter_swap, lyndon_basis, nc_log
+from gtassoc.symcoef import common_denominator
 from gtassoc.wbasis import XY, all_words, w_coordinates, w_element
 
 
@@ -128,6 +129,36 @@ def test_extension_to_degree_six_is_unique(phi0):
     cut = {w: c for w, c in ext6.series.terms.items() if len(w) <= 5}
     assert cut == phi0.series.terms
     assert all(certify(ext6).values())
+
+    # degree 7 has one free direction, sigma_7
+    ext7, kernel = extend_associator(ext6)
+    assert len(kernel) == 1 and not kernel[0].is_zero()
+    assert all(certify(ext7).values())
+    # its pentagon linear part vanishes, computed face by face through embed_free
+    # (on an integral multiple, which keeps the face products in int)
+    d = common_denominator(kernel[0].terms.values())
+    sigma7 = kernel[0].scaled_copy({w: int(d * c) for w, c in kernel[0].terms.items()})
+    faces = pentagon_faces(sigma7, holonomy_algebra(4, 7))
+    linear = (faces["d3"] + faces["d1"]) - (faces["d0"] + faces["d2"] + faces["d4"])
+    assert faces["d3"].order() == 7 and linear.is_zero()
+
+
+@pytest.mark.parametrize("kind", ["twisted", "perturbed", "symbolic"])
+def test_integer_pentagon_matches_fraction_faces(phi0, ab_ring, kind):
+    from gtassoc.grtgt import act_grt, grt_exp, psi1
+    if kind == "twisted":
+        series = act_grt(phi0, grt_exp(F(3, 4) * psi1(5))).series
+    elif kind == "perturbed":
+        series = phi0.series + F(-5, 7) * w_element(4, 5) + F(2, 9) * w_element(6, 5)
+    else:
+        a, b = ab_ring.symbol("a"), ab_ring.symbol("b")
+        series = phi0.series.promote(ab_ring) + (a * b) * w_element(4, 5, ab_ring)
+    algebra = holonomy_algebra(4, 5)
+    f = pentagon_faces(series, algebra)
+    expected = f["d3"] * f["d1"] - f["d0"] * f["d2"] * f["d4"]
+    defect = pentagon_defect(series, algebra)
+    assert defect == expected and defect.known_order == expected.known_order
+    assert defect.is_zero() == (kind == "twisted")
 
 
 def brute_force_system(phi):

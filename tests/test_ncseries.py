@@ -52,6 +52,15 @@ def test_alphabet_ring_mismatch_rejected():
         x * NCSeries.letter(XY, "x", 6, ring)
 
 
+def test_maxdeg_mismatch_rejected():
+    _, x4, _ = letters(4)
+    _, _, y5 = letters(5)
+    with pytest.raises(AlgebraError, match="maxdeg"):
+        x4 + y5
+    with pytest.raises(AlgebraError, match="maxdeg"):
+        x4 * y5
+
+
 def test_exp_log_inverse_pair():
     _, x, y = letters()
     e = nc_exp(x + y)
