@@ -28,7 +28,7 @@ from fractions import Fraction
 from .braidreps import BraidRep, InfinitesimalRep
 from .hmatrix import HMatrix, evaluate_series
 from .linalg import mat_mul
-from .scalar import ScalarSeries, scalar_div
+from .scalar import ScalarSeries, scalar_div, scalar_sqrt
 from .symcoef import SymRing
 from .tableaux import Partition, axial_distance, tableaux
 
@@ -129,7 +129,7 @@ class MatrixModel:
             prod = q_integer(d + 1, self.maxdeg, self.ring) * q_integer(d - 1, self.maxdeg, self.ring)
             unit_part = scalar_div(prod, ScalarSeries.const(d * d - 1, self.maxdeg, self.ring,
                                                             prod.known_order))
-            root = _scalar_sqrt_unit(unit_part)
+            root = scalar_sqrt(unit_part)
             off = s * root
             rows = [[scalar_div(-self.q(-d), dq), scalar_div(off, dq)],
                     [scalar_div(off, dq), scalar_div(self.q(d), dq)]]
@@ -141,11 +141,6 @@ class MatrixModel:
         ap = a_entry_prime(d, self.maxdeg, self.ring)
         one = ScalarSeries.one(self.maxdeg, self.ring, a.known_order)
         return HMatrix([[a, b], [scalar_div(one + a * ap, b), ap]])
-
-
-def _scalar_sqrt_unit(s: ScalarSeries) -> ScalarSeries:
-    from .scalar import scalar_sqrt
-    return scalar_sqrt(s)
 
 
 def hecke_block_from_candidate(phi, d, maxdeg=None) -> HMatrix:
@@ -166,11 +161,8 @@ def hecke_block_from_candidate(phi, d, maxdeg=None) -> HMatrix:
     left = evaluate_series(series, {"x": u, "y": v})
     right = evaluate_series(series, {"x": v, "y": u})
     m1h = HMatrix.from_const(m1, maxdeg, ring, ko)
-    mid = m1h * (h * m1h).exp()
-    lam = phi.lam
-    if lam != 1:
-        # exp(lam t/2) with t acting by 2 M^1: replace exp(h M^1)
-        mid = m1h * ((Fraction(lam) * ScalarSeries.one(maxdeg, ring, ko)) * (h * m1h)).exp()
+    # exp(lam t/2) with t acting by 2 M^1
+    mid = m1h * (phi.lam * (h * m1h)).exp()
     return left * mid * right
 
 

@@ -6,8 +6,11 @@ maps a power p to ``{(i, j): coefficient}`` with zero coefficients and empty
 powers dropped, and no power exceeds the one ``known_order``.  A sum keeps the
 smaller known order.  A product is the truncated convolution over pairs of
 powers, each pair a row-indexed sparse product, through the known order the
-``Truncated`` base gives every product.  A ScalarSeries multiplies on either
-side as the diagonal matrix it stands for.
+``Truncated`` base gives every product.  Over Q the product sums in int: each
+factor is scaled once by the common denominator of its coefficients, and each
+output entry is one Fraction over the product of the two denominators; Poly
+coefficients go through the same loop unscaled.  A ScalarSeries multiplies on
+either side as the diagonal matrix it stands for.
 
 Inverses require an invertible constant-term matrix over Q; logs are only
 taken of matrices congruent to 1 mod h, which is all the braid-group images
@@ -21,7 +24,7 @@ from fractions import Fraction
 from .linalg import mat_inv
 from .ncseries import NCSeries
 from .scalar import ScalarSeries, from_text as scalar_from, to_text as scalar_text
-from .symcoef import as_fraction
+from .symcoef import as_fraction, common_denominator
 from .truncated import Truncated, neumann_inverse, substitute
 
 
@@ -30,12 +33,16 @@ class HMatrix(Truncated):
     _degree = staticmethod(int)
 
     def __init__(self, rows):
-        """The matrix of an n x n grid of ScalarSeries, known to the least entry's order."""
+        """The matrix of an n x n grid of ScalarSeries, known to the least entry's order.
+
+        Raises ValueError unless every entry has the first entry's variable and ring.
+        """
         rows = [list(r) for r in rows]
         sample = rows[0][0]
         terms = {}
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
+                sample._check(e)
                 for p, c in e.terms.items():
                     terms.setdefault(p, {})[i, j] = c
         self._fill(len(rows), terms, sample.var, sample.ring, sample.maxdeg,
@@ -112,14 +119,23 @@ class HMatrix(Truncated):
         return self._like({p: {key: c * v for key, v in m.items()} for p, m in self.terms.items()})
 
     def _convolve(self, other, ko):
-        """Pairs of powers through ko, each a row-indexed sparse product."""
+        """Pairs of powers through ko, each a row-indexed sparse product.
+
+        Over Q the factors are scaled to int numerators over their common
+        denominators d_a and d_b, the sums run in int, and each nonzero sum
+        becomes one Fraction over d_a * d_b.  Poly coefficients are summed as
+        they are.
+        """
+        a_terms, b_terms = self.terms, other.terms
+        if self.ring is None:
+            (d_a, a_terms), (d_b, b_terms) = _numerators(a_terms), _numerators(b_terms)
         other_rows = {}
-        for q, m in other.terms.items():
+        for q, m in b_terms.items():
             rows = other_rows[q] = {}
             for (k, j), c in m.items():
                 rows.setdefault(k, []).append((j, c))
         terms = {}
-        for p, a in self.terms.items():
+        for p, a in a_terms.items():
             for q, rows in other_rows.items():
                 if p + q > ko:
                     continue
@@ -128,6 +144,10 @@ class HMatrix(Truncated):
                     for j, y in rows.get(k, ()):
                         cur = acc.get((i, j))
                         acc[i, j] = x * y if cur is None else cur + x * y
+        if self.ring is None:
+            d = d_a * d_b
+            terms = {p: {key: Fraction(v, d) for key, v in m.items() if v}
+                     for p, m in terms.items()}
         return terms
 
     def constant_term(self):
@@ -153,6 +173,13 @@ class HMatrix(Truncated):
 
     def __repr__(self):
         return "<HMatrix %dx%d known<=%d>" % (self.n, self.n, self.known_order)
+
+
+def _numerators(terms):
+    """(d, terms times d as int coefficients), d the common denominator of every power."""
+    d = common_denominator(c for m in terms.values() for c in m.values())
+    return d, {p: {key: c.numerator * (d // c.denominator) for key, c in m.items()}
+               for p, m in terms.items()}
 
 
 def to_text(matrix: HMatrix, extra=None) -> str:

@@ -126,16 +126,21 @@ class CoordSolver:
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """The product a b, skipping the zero entries of a.
+
+    An entry whose row of a has no nonzero entry is a[i][0] * b[0][j], so the
+    output has the type the dense sum would have.
+    """
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = ai[0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + ai[t] * b[t][j]
-            row.append(acc)
+    for ai in a:
+        terms = [(x, b[t]) for t, x in enumerate(ai) if x]
+        if not terms:
+            out.append([ai[0] * y for y in b[0]])
+            continue
+        x, bt = terms[0]
+        row = [x * y for y in bt]
+        for x, bt in terms[1:]:
+            row = [r + x * y for r, y in zip(row, bt)]
         out.append(row)
     return out
 

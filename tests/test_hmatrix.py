@@ -17,6 +17,7 @@ from gtassoc.braids import BraidWord
 from gtassoc.hecke import MatrixModel, rep_build, unitary_ring
 from gtassoc.hmatrix import HMatrix, to_text
 from gtassoc.scalar import ScalarSeries
+from gtassoc.symcoef import SymRing
 from gtassoc.tableaux import Partition
 
 MAXDEG = 5
@@ -64,6 +65,27 @@ def random_matrix(rng, ring, n):
         full.append([p[0] for p in pairs])
         cut.append([p[1] for p in pairs])
     return full, HMatrix(cut)
+
+
+def fraction_convolve(a, b, ko):
+    """The row-indexed sparse product in Fraction arithmetic: the oracle for
+    the int sums of HMatrix products over Q."""
+    b_rows = {}
+    for q, m in b.terms.items():
+        rows = b_rows[q] = {}
+        for (k, j), c in m.items():
+            rows.setdefault(k, []).append((j, c))
+    terms = {}
+    for p, m in a.terms.items():
+        for q, rows in b_rows.items():
+            if p + q > ko:
+                continue
+            acc = terms.setdefault(p + q, {})
+            for (i, k), x in m.items():
+                for j, y in rows.get(k, ()):
+                    cur = acc.get((i, j))
+                    acc[i, j] = x * y if cur is None else cur + x * y
+    return terms
 
 
 def assert_matches(got, oracle, truth):
@@ -120,3 +142,71 @@ def test_delta_by_recursion_equals_the_word_product(kind, phi0):
             word = word * rep.sigma(v)
         assert to_text(rep.delta(r)) == to_text(word)
         assert rep.image(BraidWord.delta(shape.n, r)) is rep.delta(r)
+
+
+def matrix_of(grid_terms, maxdeg, known_order):
+    """An HMatrix from a grid of {power: coefficient} dicts, all at one known order."""
+    return HMatrix([[ScalarSeries(maxdeg, {p: F(c) for p, c in e.items()}, None, known_order)
+                     for e in row] for row in grid_terms])
+
+
+def assert_product_matches_fraction_oracle(a, b):
+    got = a * b
+    want = a._like(fraction_convolve(a, b, got.known_order), got.known_order)
+    assert got.terms == want.terms
+    assert all(type(c) is F for m in got.terms.values() for c in m.values())
+    return got
+
+
+def test_rational_product_matches_the_fraction_oracle():
+    rng = random.Random(9973)
+    denominators = (1, 1, 2, 3, 9973, 10007)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        pair = []
+        for _ in range(2):
+            ko = rng.randint(1, MAXDEG)
+            pair.append(matrix_of(
+                [[{p: F(rng.randint(-9, 9), rng.choice(denominators))
+                   for p in range(rng.randint(0, 2), ko + 1) if rng.random() < 0.5}
+                  for _ in range(n)] for _ in range(n)], MAXDEG, ko))
+        assert_product_matches_fraction_oracle(*pair)
+
+
+def test_integral_factors_multiply_over_denominator_one():
+    a = matrix_of([[{0: 2, 1: -3}, {}], [{1: 5}, {0: 1}]], 4, 4)
+    b = matrix_of([[{0: 1}, {2: 7}], [{0: -4}, {1: 1}]], 4, 3)
+    got = assert_product_matches_fraction_oracle(a, b)
+    assert got.known_order == 3
+    assert all(c.denominator == 1 for m in got.terms.values() for c in m.values())
+
+
+def test_coprime_denominators_and_cancellation():
+    x, y = F(1, 9973), F(1, 10007)
+    a = matrix_of([[{0: x, 1: y}, {0: y}], [{}, {1: x}]], 3, 3)
+    b = matrix_of([[{0: y}, {0: x}], [{0: -x, 1: -y}, {0: 3}]], 3, 2)
+    got = assert_product_matches_fraction_oracle(a, b)
+    # (0, 0) is x*y - y*x at h^0 and y*y - y*y at h^1: both cancel and are dropped
+    assert (0, 0) not in got.terms.get(0, {}) and (0, 0) not in got.terms.get(1, {})
+    assert got.terms[0][0, 1] == x * x + 3 * y
+    assert got.terms[1][1, 0] == -x * x
+
+
+def test_mixed_known_orders_truncate_like_the_oracle():
+    h = ScalarSeries.gen(6, known_order=2)
+    a = h * matrix_of([[{0: F(1, 3), 2: F(-5, 7)}, {1: F(2, 9)}], [{0: 1}, {}]], 6, 2)
+    b = matrix_of([[{0: F(1, 7)}, {3: F(4, 5)}], [{1: F(-1, 11)}, {0: F(2)}]], 6, 5)
+    got = assert_product_matches_fraction_oracle(a, b)
+    assert got.known_order == min(a.known_order + b.order(), b.known_order + a.order())
+    assert assert_product_matches_fraction_oracle(b, a).known_order == got.known_order
+
+
+def test_rows_must_share_one_variable_and_ring():
+    ring = SymRing(("a",))
+    q = ScalarSeries.one(3)
+    p = ScalarSeries.const(ring.symbol("a"), 3, ring)
+    with pytest.raises(ValueError):
+        HMatrix([[q, p], [q, q]])
+    with pytest.raises(ValueError):
+        HMatrix([[q, ScalarSeries.one(3, var="t")], [q, q]])
+    assert HMatrix([[p, p], [p, p]]).ring == ring

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gtassoc.linalg import CoordSolver, mat_identity, mat_inv, mat_mul, rref, solve_affine
+from gtassoc.symcoef import SymRing
 
 
 def fraction_rref(rows):
@@ -26,6 +27,20 @@ def fraction_rref(rows):
         r += 1
     del rows[r:]
     return pivots
+
+
+def dense_mat_mul(a, b):
+    """The dense triple loop, every product formed: the oracle for mat_mul."""
+    out = []
+    for ai in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = ai[0] * b[0][j]
+            for t in range(1, len(b)):
+                acc = acc + ai[t] * b[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def random_matrix(rng):
@@ -143,3 +158,28 @@ def test_solve_affine_rank_deficient_kernel():
     assert kernel == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
     for vec in kernel:
         assert mat_mul(matrix, [[v] for v in vec]) == [[F(0)], [F(0)]]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "int", "poly"])
+def test_mat_mul_skipping_zeros_matches_the_dense_loop(kind):
+    rng = random.Random(11)
+    ring = SymRing(("a", "b"))
+
+    def entry():
+        if rng.random() < 0.6:
+            value = 0
+        else:
+            value = rng.randint(-9, 9)
+        if kind == "int":
+            return value
+        value = F(value, rng.randint(1, 7))
+        return value if kind == "fraction" else value * ring.symbol(rng.choice("ab")) + value
+
+    for _ in range(40):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        a[rng.randrange(n)] = [a[0][0] * 0] * k  # an all-zero row
+        b = [[entry() for _ in range(m)] for _ in range(k)]
+        got, want = mat_mul(a, b), dense_mat_mul(a, b)
+        assert got == want
+        assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
