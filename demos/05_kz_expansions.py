@@ -40,7 +40,7 @@ for k in (3, 5, 7):
     print("    hb^%d: %s" % (k, ht.log().coefficient(k)))
 
 print("\nspecializing the even reference by Euler's zeta(2k) values:")
-sp = specialize_even(b_even_ref(d, ring))
+sp = specialize_even(b_even_ref(d, ring), 5)
 print("  in Q[[h]]:", "1 + (%s) h^2 + (%s) h^4 + ..." % (
     (Fraction(d, d + 1) * sp).coefficient(2), (Fraction(d, d + 1) * sp).coefficient(4)))
 phi0 = phi0_reference(5)

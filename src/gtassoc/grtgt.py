@@ -155,8 +155,7 @@ def grt_exp(psi: NCSeries, maxdeg=None) -> GrtElt:
     if not is_lie(psi):
         raise ValueError("grt_exp needs a Lie series")
     if maxdeg is not None and maxdeg != psi.maxdeg:
-        psi = psi.truncated(maxdeg) if maxdeg < psi.maxdeg else NCSeries(
-            psi.alphabet, maxdeg, psi.terms, psi.ring, maxdeg)
+        psi = psi.truncated(maxdeg)  # padding keeps psi's known order
     one = NCSeries.one(XY, psi.maxdeg, psi.ring, psi.known_order)
     return GrtElt(exp_s(psi, one))
 

@@ -2,13 +2,13 @@
 substitution.
 
 An HMatrix is one truncated series in h of sparse constant matrices: ``terms``
-maps a power p to ``{(i, j): coefficient}`` with zero coefficients and empty
-powers dropped, and no power exceeds the one ``known_order``.  A sum keeps the
-smaller known order.  A product is the truncated convolution over pairs of
-powers, each pair a row-indexed sparse product, through the known order the
-``Truncated`` base gives every product.  Over Q the product sums in int: each
-factor is scaled once by the common denominator of its coefficients, and each
-output entry is one Fraction over the product of the two denominators; Poly
+maps a key ``(power, row, col)`` to a nonzero coefficient, no power exceeds
+the one ``known_order``, and the ``Truncated`` base gives it the sum,
+negation, scaling, order, h -> -h and the known order of every product.  A
+product is a row-indexed sparse convolution over the keys of both factors
+through that known order.  Over Q the product sums in int: each factor is
+scaled once by the common denominator of its coefficients, and each output
+entry is one Fraction over the product of the two denominators; Poly
 coefficients go through the same loop unscaled.  A ScalarSeries multiplies on
 either side as the diagonal matrix it stands for.
 
@@ -20,6 +20,7 @@ of pure braids ever need.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .linalg import mat_inv
 from .ncseries import NCSeries
@@ -30,12 +31,13 @@ from .truncated import Truncated, neumann_inverse, substitute
 
 class HMatrix(Truncated):
     __slots__ = ("n", "terms", "var", "ring", "maxdeg", "known_order")
-    _degree = staticmethod(int)
+    _degree = itemgetter(0)
 
     def __init__(self, rows):
         """The matrix of an n x n grid of ScalarSeries, known to the least entry's order.
 
-        Raises ValueError unless every entry has the first entry's variable and ring.
+        Raises ValueError unless every entry has the first entry's variable,
+        ring and maxdeg.
         """
         rows = [list(r) for r in rows]
         sample = rows[0][0]
@@ -44,17 +46,13 @@ class HMatrix(Truncated):
             for j, e in enumerate(row):
                 sample._check(e)
                 for p, c in e.terms.items():
-                    terms.setdefault(p, {})[i, j] = c
+                    terms[p, i, j] = c
         self._fill(len(rows), terms, sample.var, sample.ring, sample.maxdeg,
                    min(e.known_order for row in rows for e in row))
 
     def _fill(self, n, terms, var, ring, maxdeg, known_order):
         self.n, self.var, self.ring, self.maxdeg, self.known_order = n, var, ring, maxdeg, known_order
-        self.terms = {}
-        for p, m in terms.items():
-            m = {key: c for key, c in m.items() if c}
-            if m and 0 <= p <= known_order:
-                self.terms[p] = m
+        self.terms = {key: c for key, c in terms.items() if c and key[0] <= known_order}
         return self
 
     def _like(self, terms, known_order=None):
@@ -66,9 +64,9 @@ class HMatrix(Truncated):
     @classmethod
     def from_const(cls, matrix, maxdeg, ring=None, known_order=None, var="h"):
         coerce = as_fraction if ring is None else ring.coerce
-        const = {(i, j): coerce(v) for i, row in enumerate(matrix) for j, v in enumerate(row)}
+        const = {(0, i, j): coerce(v) for i, row in enumerate(matrix) for j, v in enumerate(row)}
         ko = maxdeg if known_order is None else min(int(known_order), maxdeg)
-        return cls.__new__(cls)._fill(len(matrix), {0: const}, var, ring, int(maxdeg), int(ko))
+        return cls.__new__(cls)._fill(len(matrix), const, var, ring, int(maxdeg), int(ko))
 
     @classmethod
     def identity(cls, n, maxdeg, ring=None, known_order=None, var="h"):
@@ -80,8 +78,8 @@ class HMatrix(Truncated):
         return cls.from_const([[0] * n for _ in range(n)], maxdeg, ring, known_order, var)
 
     def entry(self, i, j) -> ScalarSeries:
-        key = (i, j)
-        return ScalarSeries(self.maxdeg, {p: m[key] for p, m in self.terms.items() if key in m},
+        get = self.terms.get
+        return ScalarSeries(self.maxdeg, {p: get((p, i, j)) for p in range(self.known_order + 1)},
                             self.ring, self.known_order, self.var)
 
     def promote(self, ring):
@@ -89,37 +87,23 @@ class HMatrix(Truncated):
             return self
         if ring is None:
             raise ValueError("cannot demote coefficients to Q")
-        terms = {p: {key: ring.coerce(c) for key, c in m.items()} for p, m in self.terms.items()}
+        terms = {key: ring.coerce(c) for key, c in self.terms.items()}
         return HMatrix.__new__(HMatrix)._fill(self.n, terms, self.var, ring, self.maxdeg,
                                               self.known_order)
 
-    _check = ScalarSeries._check  # the same variable and coefficient ring
+    _check = ScalarSeries._check  # the same variable, coefficient ring and maxdeg
     _coerce = NCSeries._coerce
     _scalars = (ScalarSeries,)
 
-    def __add__(self, other):
-        self._check(other)
-        terms = {p: dict(m) for p, m in self.terms.items()}
-        for p, m in other.terms.items():
-            acc = terms.setdefault(p, {})
-            for key, c in m.items():
-                cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-        return self._like(terms, min(self.known_order, other.known_order))
-
-    def __neg__(self):
-        return self._like({p: {key: -c for key, c in m.items()} for p, m in self.terms.items()})
-
     def __rmul__(self, scalar):
-        if isinstance(scalar, ScalarSeries):
-            diagonal = {p: {(i, i): c for i in range(self.n)} for p, c in scalar.terms.items()}
-            return HMatrix.__new__(HMatrix)._fill(self.n, diagonal, scalar.var, scalar.ring,
-                                                  scalar.maxdeg, scalar.known_order) * self
-        c = self._coerce(scalar)
-        return self._like({p: {key: c * v for key, v in m.items()} for p, m in self.terms.items()})
+        if not isinstance(scalar, ScalarSeries):
+            return super().__rmul__(scalar)
+        self._check(scalar)
+        diagonal = {(p, i, i): c for p, c in scalar.terms.items() for i in range(self.n)}
+        return self._like(diagonal, scalar.known_order) * self
 
     def _convolve(self, other, ko):
-        """Pairs of powers through ko, each a row-indexed sparse product.
+        """Each key of self against the row of other that its column indexes, through ko.
 
         Over Q the factors are scaled to int numerators over their common
         denominators d_a and d_b, the sums run in int, and each nonzero sum
@@ -129,30 +113,25 @@ class HMatrix(Truncated):
         a_terms, b_terms = self.terms, other.terms
         if self.ring is None:
             (d_a, a_terms), (d_b, b_terms) = _numerators(a_terms), _numerators(b_terms)
-        other_rows = {}
-        for q, m in b_terms.items():
-            rows = other_rows[q] = {}
-            for (k, j), c in m.items():
-                rows.setdefault(k, []).append((j, c))
+        rows = {}
+        for (q, k, j), c in b_terms.items():
+            rows.setdefault(k, []).append((q, j, c))
         terms = {}
-        for p, a in a_terms.items():
-            for q, rows in other_rows.items():
-                if p + q > ko:
-                    continue
-                acc = terms.setdefault(p + q, {})
-                for (i, k), x in a.items():
-                    for j, y in rows.get(k, ()):
-                        cur = acc.get((i, j))
-                        acc[i, j] = x * y if cur is None else cur + x * y
+        for (p, i, k), x in a_terms.items():
+            room = ko - p
+            for q, j, y in rows.get(k, ()):
+                if q <= room:
+                    key = (p + q, i, j)
+                    cur = terms.get(key)
+                    terms[key] = x * y if cur is None else cur + x * y
         if self.ring is None:
             d = d_a * d_b
-            terms = {p: {key: Fraction(v, d) for key, v in m.items() if v}
-                     for p, m in terms.items()}
+            terms = {key: Fraction(v, d) for key, v in terms.items() if v}
         return terms
 
     def constant_term(self):
-        const = self.terms.get(0, {})
-        return [[as_fraction(const.get((i, j), 0)) for j in range(self.n)] for i in range(self.n)]
+        get = self.terms.get
+        return [[as_fraction(get((0, i, j), 0)) for j in range(self.n)] for i in range(self.n)]
 
     def _one(self):
         return HMatrix.identity(self.n, self.maxdeg, self.ring, self.known_order, self.var)
@@ -163,23 +142,16 @@ class HMatrix(Truncated):
         return neumann_inverse(self, lead_inv, self._one())
 
     def transpose(self):
-        return self._like({p: {(j, i): c for (i, j), c in m.items()}
-                           for p, m in self.terms.items()})
-
-    def eps(self):
-        """Entrywise h -> -h."""
-        return self._like({p: m if p % 2 == 0 else {key: -c for key, c in m.items()}
-                           for p, m in self.terms.items()})
+        return self._like({(p, j, i): c for (p, i, j), c in self.terms.items()})
 
     def __repr__(self):
         return "<HMatrix %dx%d known<=%d>" % (self.n, self.n, self.known_order)
 
 
 def _numerators(terms):
-    """(d, terms times d as int coefficients), d the common denominator of every power."""
-    d = common_denominator(c for m in terms.values() for c in m.values())
-    return d, {p: {key: c.numerator * (d // c.denominator) for key, c in m.items()}
-               for p, m in terms.items()}
+    """(d, terms times d as int coefficients), d the common denominator of every term."""
+    d = common_denominator(terms.values())
+    return d, {key: c.numerator * (d // c.denominator) for key, c in terms.items()}
 
 
 def to_text(matrix: HMatrix, extra=None) -> str:

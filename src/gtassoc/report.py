@@ -309,7 +309,7 @@ def verify_kz(order=7) -> Report:
     bridge_ok = True
     phi0 = phi0_reference(5)
     for d in range(2, 7):
-        sp = kz.specialize_even(kz.b_even_ref(d, ring))
+        sp = kz.specialize_even(kz.b_even_ref(d, ring), 5)
         bs = hecke.b_semi(phi0, d)
         if not sp.equal_through(bs, 4):
             bridge_ok = False

@@ -17,8 +17,8 @@ from .truncated import Truncated
 
 
 class ScalarSeries(Truncated):
-    """A series in one variable.  Operands may differ in ``maxdeg`` (the KZ
-    code mixes 8 and 5); a sum or product takes the left operand's."""
+    """A series in one variable.  Operands of a sum, product or quotient must
+    share the variable, the coefficient ring and ``maxdeg``."""
 
     __slots__ = ("var", "maxdeg", "known_order", "ring", "terms")
     _degree = staticmethod(int)
@@ -96,6 +96,8 @@ class ScalarSeries(Truncated):
             raise ValueError("series variable mismatch: %r vs %r" % (self.var, other.var))
         if not (self.ring == other.ring):
             raise ValueError("coefficient ring mismatch")
+        if self.maxdeg != other.maxdeg:
+            raise ValueError("maxdeg mismatch: %d vs %d" % (self.maxdeg, other.maxdeg))
 
     def __eq__(self, other):
         if not isinstance(other, ScalarSeries):
@@ -107,10 +109,6 @@ class ScalarSeries(Truncated):
         """Multiply by h^m."""
         return ScalarSeries(self.maxdeg, {k + m: c for k, c in self.terms.items()},
                             self.ring, min(self.known_order + m, self.maxdeg), self.var)
-
-    def eps(self):
-        """The involution h -> -h."""
-        return self._like({k: (c if k % 2 == 0 else -c) for k, c in self.terms.items()})
 
     def __repr__(self):
         bits = []

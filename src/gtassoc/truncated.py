@@ -7,16 +7,20 @@ ValueError when asked past it.  It also holds the one product rule:
 ``__mul__`` gives a product of known orders K_a, K_b and orders w_a, w_b
 the known order min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a
 factor is zero, and asks the type's ``_convolve`` hook only for the terms
-through that degree.  For types whose ``terms`` map a key (a word, or a
-power of h) to a nonzero coefficient it also holds the sum, negation and
-scaling, and a default convolution in which keys multiply by ``+``.
+through that degree.  Every type but BnElt has ``terms`` that map a key (a
+word, a power of h, or a (power, row, col) triple) to a nonzero
+coefficient; for those the base also holds the sum, negation, scaling,
+h -> -h, and a default convolution in which keys multiply by ``+``.
+Operands of different ``maxdeg`` are refused by every type's ``_check``.
 
-The series algorithms below (exp, log, Neumann inverse, substitution) need
-only ``order()`` (lowest degree present, None for zero), ``known_order``,
-and ``+``, ``-`` and ``*``, including ``c * x`` for a coefficient c (a
+The series algorithms below (exp, log, Neumann inverse) need only
+``order()`` (lowest degree present, None for zero), ``known_order``, and
+``+``, ``-`` and ``*``, including ``c * x`` for a coefficient c (a
 Fraction, or a Poly of the series ring).  The caller passes the unit (and
 zero) built with the known order the result must carry; they read no
-coefficient, so Fraction and Poly coefficients work alike.
+coefficient, so Fraction and Poly coefficients work alike.  Substitution
+sums ``coefficient * image`` into one dict of terms, so it also needs the
+key-to-coefficient ``terms``, ``_coerce`` and ``_like``.
 
 Word images are built from the left, image(first letter) * image(rest),
 so the single-generator factor sits on the left, which a holonomy product
@@ -144,6 +148,11 @@ class Truncated:
         """Equality through min(known orders), or through an order not past it."""
         return (self - other).is_zero(order)
 
+    def eps(self):
+        """The involution h -> -h: the terms of odd degree change sign."""
+        deg = self._degree
+        return self._like({k: -c if deg(k) % 2 else c for k, c in self.terms.items()})
+
     def exp(self):
         return series_exp(self, self._one())
 
@@ -232,12 +241,17 @@ def substitute(series, images, one, zero):
 
     images maps letter names to values of positive order.  Words are taken
     in (length, lex) order, the product for each suffix is formed once, and
-    words longer than zero.known_order are skipped.
+    words longer than zero.known_order are skipped.  Each word adds its
+    coerced coefficient times its product's terms into one dict, which
+    zero._like cleans of zeros and truncates at zero's known order.
     """
     ko = zero.known_order
     product_for = suffix_products(images, series.alphabet, one)
-    out = zero
+    acc = {}
     for word, coeff in series.rendered_words():
         if len(word) <= ko:
-            out = out + coeff * product_for(word)
-    return out
+            c = zero._coerce(coeff)
+            for key, v in product_for(word).terms.items():
+                cur = acc.get(key)
+                acc[key] = c * v if cur is None else cur + c * v
+    return zero._like(acc)

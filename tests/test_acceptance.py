@@ -236,7 +236,7 @@ def test_criterion_10_kz_symbolic(phi0):
             if c:
                 ok = ok and not c.coefficient({"gamma": 1})
                 ok = ok and not any(c.coefficient({"zeta%d" % z: 1}) for z in (2, 4, 6, 8))
-        ok = ok and kz.specialize_even(kz.b_even_ref(d, ring)).equal_through(
+        ok = ok and kz.specialize_even(kz.b_even_ref(d, ring), 5).equal_through(
             b_semi(phi0, d), 4)
     announce("10 kz-symbolic", ok)
 

@@ -48,6 +48,16 @@ def test_grt_exp_basics():
     assert cap.series.homogeneous(5).equal_through((3 * psi2(5)).homogeneous(5))
 
 
+def test_grt_exp_padding_keeps_the_known_order():
+    x, y = NCSeries.letter(XY, "x", 5), NCSeries.letter(XY, "y", 5)
+    psi = commutator(x, y).truncated(5, known_order=3)
+    padded = grt_exp(psi, 7).series
+    assert padded.maxdeg == 7 and padded.known_order == 3
+    assert padded.terms == grt_exp(psi).series.terms
+    with pytest.raises(ValueError, match="exceeds known order 3"):
+        padded.is_one(4)
+
+
 def test_cap_psi_is_graded_associator(cap_psi_symbolic):
     assert all(certify_grt(cap_psi_symbolic).values())
 

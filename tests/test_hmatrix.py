@@ -10,6 +10,7 @@ truth that every coefficient through a reported known order must match.
 import random
 from fractions import Fraction as F
 from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,6 +66,14 @@ def random_matrix(rng, ring, n):
         full.append([p[0] for p in pairs])
         cut.append([p[1] for p in pairs])
     return full, HMatrix(cut)
+
+
+def nested(m):
+    """m's flat (power, row, col) terms viewed as {power: {(row, col): coefficient}}."""
+    view = {}
+    for (p, i, j), c in m.terms.items():
+        view.setdefault(p, {})[i, j] = c
+    return SimpleNamespace(terms=view)
 
 
 def fraction_convolve(a, b, ko):
@@ -152,9 +161,11 @@ def matrix_of(grid_terms, maxdeg, known_order):
 
 def assert_product_matches_fraction_oracle(a, b):
     got = a * b
-    want = a._like(fraction_convolve(a, b, got.known_order), got.known_order)
+    oracle = fraction_convolve(nested(a), nested(b), got.known_order)
+    want = a._like({(p, i, j): c for p, m in oracle.items() for (i, j), c in m.items()},
+                   got.known_order)
     assert got.terms == want.terms
-    assert all(type(c) is F for m in got.terms.values() for c in m.values())
+    assert all(type(c) is F for m in nested(got).terms.values() for c in m.values())
     return got
 
 
@@ -178,7 +189,7 @@ def test_integral_factors_multiply_over_denominator_one():
     b = matrix_of([[{0: 1}, {2: 7}], [{0: -4}, {1: 1}]], 4, 3)
     got = assert_product_matches_fraction_oracle(a, b)
     assert got.known_order == 3
-    assert all(c.denominator == 1 for m in got.terms.values() for c in m.values())
+    assert all(c.denominator == 1 for m in nested(got).terms.values() for c in m.values())
 
 
 def test_coprime_denominators_and_cancellation():
@@ -187,9 +198,10 @@ def test_coprime_denominators_and_cancellation():
     b = matrix_of([[{0: y}, {0: x}], [{0: -x, 1: -y}, {0: 3}]], 3, 2)
     got = assert_product_matches_fraction_oracle(a, b)
     # (0, 0) is x*y - y*x at h^0 and y*y - y*y at h^1: both cancel and are dropped
-    assert (0, 0) not in got.terms.get(0, {}) and (0, 0) not in got.terms.get(1, {})
-    assert got.terms[0][0, 1] == x * x + 3 * y
-    assert got.terms[1][1, 0] == -x * x
+    terms = nested(got).terms
+    assert (0, 0) not in terms.get(0, {}) and (0, 0) not in terms.get(1, {})
+    assert terms[0][0, 1] == x * x + 3 * y
+    assert terms[1][1, 0] == -x * x
 
 
 def test_mixed_known_orders_truncate_like_the_oracle():
@@ -210,3 +222,15 @@ def test_rows_must_share_one_variable_and_ring():
     with pytest.raises(ValueError):
         HMatrix([[q, ScalarSeries.one(3, var="t")], [q, q]])
     assert HMatrix([[p, p], [p, p]]).ring == ring
+
+
+def test_entries_and_factors_must_share_one_maxdeg():
+    with pytest.raises(ValueError, match="maxdeg"):
+        HMatrix([[ScalarSeries.one(4), ScalarSeries.zero(5)],
+                 [ScalarSeries.zero(4), ScalarSeries.one(4)]])
+    m = HMatrix.identity(2, 4)
+    for s in (ScalarSeries.gen(5), ScalarSeries.gen(3)):
+        with pytest.raises(ValueError, match="maxdeg"):
+            s * m
+        with pytest.raises(ValueError, match="maxdeg"):
+            m * s

@@ -116,7 +116,7 @@ def test_specialize_even(ring):
 
 def test_even_bridge_to_model_scalar(ring, phi0):
     for d in range(2, 7):
-        sp = specialize_even(b_even_ref(d, ring))
+        sp = specialize_even(b_even_ref(d, ring), 5)
         scaled = F(d, d + 1) * sp
         assert scaled.coefficient(0) == 1
         assert scaled.coefficient(2) == F(1, 6)

@@ -415,6 +415,26 @@ def test_product_known_order_rule(kind, seed):
     assert (zero * operands[0]).known_order == min(zero.known_order, operands[0].known_order)
 
 
+def test_substitution_that_cancels_stores_no_term():
+    """x y - y x at commuting images is zero, known through the least known order."""
+    _, x, y = letters(4)
+    bracket = x * y - y * x
+    h = ScalarSeries.gen(4, known_order=3)
+    images = {
+        "NCSeries": ((x, F(2) * x.truncated(4, known_order=2)), nc_substitute),
+        "HoloElt": ((T3.generator(1, 2, 3), T3.generator(1, 3, 2) + T3.generator(2, 3, 2)),
+                    lambda series, imgs: embed_free(series, T3, imgs)),
+        "HMatrix": ((h * HMatrix.from_const([[1, 0], [0, 2]], 4),
+                     h * HMatrix.from_const([[3, 0], [0, -1]], 4, known_order=1)),
+                    evaluate_series),
+    }
+    for (f, g), entry in images.values():
+        assert (f * g - g * f).terms == {}
+        got = entry(bracket, {"x": f, "y": g})
+        assert got.terms == {}
+        assert got.known_order == min(bracket.known_order, f.known_order, g.known_order) == 2
+
+
 def test_series_times_matrix_either_side():
     h = ScalarSeries.gen(4, known_order=3)
     s = ScalarSeries.one(4, known_order=3) * F(2) + h * h * F(-1, 3)

@@ -77,6 +77,13 @@ def test_variable_mismatch_rejected():
         a + b
 
 
+def test_maxdeg_mismatch_rejected():
+    a, b = ScalarSeries.one(4) + ScalarSeries.gen(4), ScalarSeries.one(5)
+    for op in (lambda: a + b, lambda: a * b, lambda: scalar_div(a, b)):
+        with pytest.raises(ValueError, match="maxdeg mismatch: 4 vs 5"):
+            op()
+
+
 def test_sqrt_of_a_monomial_keeps_the_known_order_of_its_unit():
     # 4h^2 + O(h^3) has root 2h + O(h^2): the unit 1 + O(h) is known through degree 0
     s = ScalarSeries(3, {2: F(4)}, known_order=2)

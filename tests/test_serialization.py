@@ -62,6 +62,9 @@ _MALFORMED = {
     "matrix-entry-out-of-range": (hmatrix_from, _MATRIX.replace("entry 1 1", "entry 1 2")),
     "matrix-repeated-entry": (hmatrix_from, _MATRIX.replace("entry 1 1", "entry 0 0")),
     "matrix-missing-entry": (hmatrix_from, _MATRIX[:_MATRIX.index("entry 1 1")]),
+    "matrix-entries-of-different-maxdeg": (hmatrix_from, _MATRIX[:_MATRIX.index("entry 1 1")]
+                                           + "entry 1 1\n"
+                                           + _SCALAR.replace("maxdeg=4", "maxdeg=5")),
 }
 
 
