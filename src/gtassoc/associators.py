@@ -42,7 +42,7 @@ from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .linalg import solve_affine
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
                        nc_exp, nc_log, nc_substitute, to_text)
-from .symcoef import as_fraction, common_denominator
+from .symcoef import as_fraction, numerators
 from .truncated import suffix_products
 from .wbasis import XY, all_words, w_coordinates, w_element
 
@@ -141,10 +141,10 @@ def pentagon_defect(series: NCSeries, algebra: HoloAlgebra):
     The faces F of D*Phi, D the series' common denominator, are integral, and
     D^3 times the defect is D (F3)(F1) - (F0)(F2)(F4).  Over a ring D = 1.
     """
-    d = common_denominator(series.terms.values())
-    if d != 1:
-        series = series.scaled_copy({w: c.numerator * (d // c.denominator)
-                                     for w, c in series.terms.items()})
+    d = 1
+    if series.ring is None:
+        d, ints = numerators(series.terms)
+        series = series.scaled_copy(ints)
     f = pentagon_faces(series, algebra)
     defect = d * (f["d3"] * f["d1"]) - f["d0"] * f["d2"] * f["d4"]
     if d != 1:
@@ -221,9 +221,7 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
     by its common denominator d, so the sums run in int and each column is
     divided by its d once, into Fractions.
     """
-    dens = [common_denominator(elt.terms.values()) for elt in elements]
-    scaled = [{w: c.numerator * (d // c.denominator) for w, c in elt.terms.items()}
-              for elt, d in zip(elements, dens)]
+    dens, scaled = zip(*(numerators(elt.terms) for elt in elements))
     sums = [{} for _ in elements]
     words = all_words(degree)
     for name, xs, ys in PENTAGON_FACES:

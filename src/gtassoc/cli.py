@@ -40,6 +40,10 @@ def _emit(reps, args):
 
 
 def cmd_verify(args):
+    if args.suite in ("gt", "braid", "all") and args.degree < 5:
+        # refused before any work: these suites check degree-5 coefficients
+        print("verify %s: --degree must be at least 5" % args.suite, file=sys.stderr)
+        return 2
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     reps = [VERIFY_SUITES[name](args.degree) for name in names]
     _emit(reps, args)

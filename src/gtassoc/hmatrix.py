@@ -6,11 +6,8 @@ maps a key ``(power, row, col)`` to a nonzero coefficient, no power exceeds
 the one ``known_order``, and the ``Truncated`` base gives it the sum,
 negation, scaling, order, h -> -h and the known order of every product.  A
 product is a row-indexed sparse convolution over the keys of both factors
-through that known order.  Over Q the product sums in int: each factor is
-scaled once by the common denominator of its coefficients, and each output
-entry is one Fraction over the product of the two denominators; Poly
-coefficients go through the same loop unscaled.  A ScalarSeries multiplies on
-either side as the diagonal matrix it stands for.
+through that known order.  A ScalarSeries multiplies on either side as the
+diagonal matrix it stands for.
 
 Inverses require an invertible constant-term matrix over Q; logs are only
 taken of matrices congruent to 1 mod h, which is all the braid-group images
@@ -25,7 +22,7 @@ from operator import itemgetter
 from .linalg import mat_inv
 from .ncseries import NCSeries
 from .scalar import ScalarSeries, from_text as scalar_from, to_text as scalar_text
-from .symcoef import as_fraction, common_denominator
+from .symcoef import as_fraction
 from .truncated import Truncated, neumann_inverse, substitute
 
 
@@ -91,28 +88,24 @@ class HMatrix(Truncated):
         return HMatrix.__new__(HMatrix)._fill(self.n, terms, self.var, ring, self.maxdeg,
                                               self.known_order)
 
-    _check = ScalarSeries._check  # the same variable, coefficient ring and maxdeg
+    def _check(self, other):
+        """Raises unless other is a matrix of self's size, variable, ring and maxdeg."""
+        if not isinstance(other, HMatrix) or other.n != self.n:
+            raise ValueError("%r and %r differ in size" % (self, other))
+        ScalarSeries._check(self, other)
+
     _coerce = NCSeries._coerce
     _scalars = (ScalarSeries,)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, ScalarSeries):
             return super().__rmul__(scalar)
-        self._check(scalar)
+        ScalarSeries._check(self, scalar)
         diagonal = {(p, i, i): c for p, c in scalar.terms.items() for i in range(self.n)}
         return self._like(diagonal, scalar.known_order) * self
 
-    def _convolve(self, other, ko):
-        """Each key of self against the row of other that its column indexes, through ko.
-
-        Over Q the factors are scaled to int numerators over their common
-        denominators d_a and d_b, the sums run in int, and each nonzero sum
-        becomes one Fraction over d_a * d_b.  Poly coefficients are summed as
-        they are.
-        """
-        a_terms, b_terms = self.terms, other.terms
-        if self.ring is None:
-            (d_a, a_terms), (d_b, b_terms) = _numerators(a_terms), _numerators(b_terms)
+    def _convolve(self, a_terms, b_terms, ko):
+        """Each key of a_terms against the row of b_terms that its column indexes, through ko."""
         rows = {}
         for (q, k, j), c in b_terms.items():
             rows.setdefault(k, []).append((q, j, c))
@@ -124,9 +117,6 @@ class HMatrix(Truncated):
                     key = (p + q, i, j)
                     cur = terms.get(key)
                     terms[key] = x * y if cur is None else cur + x * y
-        if self.ring is None:
-            d = d_a * d_b
-            terms = {key: Fraction(v, d) for key, v in terms.items() if v}
         return terms
 
     def constant_term(self):
@@ -146,12 +136,6 @@ class HMatrix(Truncated):
 
     def __repr__(self):
         return "<HMatrix %dx%d known<=%d>" % (self.n, self.n, self.known_order)
-
-
-def _numerators(terms):
-    """(d, terms times d as int coefficients), d the common denominator of every term."""
-    d = common_denominator(terms.values())
-    return d, {key: c.numerator * (d // c.denominator) for key, c in terms.items()}
 
 
 def to_text(matrix: HMatrix, extra=None) -> str:

@@ -273,26 +273,30 @@ class HoloElt(Truncated):
     def coefficient(self, word):
         return self.terms.get(word, Fraction(0))
 
-    def _convolve(self, other, ko):
+    def _convolve(self, a_terms, b_terms, ko):
         """Each pair of basis words is reduced by folding the left word onto
-        the right one, already normal."""
+        the right one, already normal.  The right words are bucketed by
+        length once, so a left word visits only the buckets that fit its room."""
         nf = self.algebra.normal_form
+        buckets = [[] for _ in range(ko + 1)]
+        for w2, c2 in b_terms.items():
+            if len(w2) <= ko:
+                buckets[len(w2)].append((w2, c2))
         out = {}
-        for w1, c1 in self.terms.items():
+        for w1, c1 in a_terms.items():
             room = ko - len(w1)
             if room < 0:
                 continue
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                c = c1 * c2
-                for mono, mult in nf(w1, w2).items():
-                    cur = out.get(mono)
-                    val = c * mult if cur is None else cur + c * mult
-                    if val:
-                        out[mono] = val
-                    elif cur is not None:
-                        del out[mono]
+            for bucket in buckets[:room + 1]:
+                for w2, c2 in bucket:
+                    c = c1 * c2
+                    for mono, mult in nf(w1, w2).items():
+                        cur = out.get(mono)
+                        val = c * mult if cur is None else cur + c * mult
+                        if val:
+                            out[mono] = val
+                        elif cur is not None:
+                            del out[mono]
         return out
 
     def __eq__(self, other):
@@ -414,11 +418,11 @@ class BnElt(Truncated):
     def order(self):
         return min((u.order() for u in self.terms.values()), default=None)
 
-    def _convolve(self, other, ko):
+    def _convolve(self, a_terms, b_terms, ko):
         """The twisted product (p, u)(q, v) = (pq, u . p(v)), summed by permutation."""
         parts = {}
-        for p, u in self.terms.items():
-            for q, v in other.terms.items():
+        for p, u in a_terms.items():
+            for q, v in b_terms.items():
                 pv = v.permuted(p)
                 pq = _perm_mul(p, q)
                 term = u * pv

@@ -30,6 +30,12 @@ def common_denominator(values) -> int:
     return lcm(*(v.denominator for v in values if isinstance(v, (int, Fraction))))
 
 
+def numerators(terms):
+    """(d, {key: d * c as an int}) for a dict of exact rationals, d their common denominator."""
+    d = common_denominator(terms.values())
+    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+
+
 class SymRing:
     """Polynomial ring Q[symbols], optionally with quadratic symbol relations."""
 

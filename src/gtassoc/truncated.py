@@ -6,12 +6,16 @@ BnElt.  It holds the one truncation contract: ``is_zero``, ``is_one`` and
 ValueError when asked past it.  It also holds the one product rule:
 ``__mul__`` gives a product of known orders K_a, K_b and orders w_a, w_b
 the known order min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a
-factor is zero, and asks the type's ``_convolve`` hook only for the terms
-through that degree.  Every type but BnElt has ``terms`` that map a key (a
-word, a power of h, or a (power, row, col) triple) to a nonzero
-coefficient; for those the base also holds the sum, negation, scaling,
-h -> -h, and a default convolution in which keys multiply by ``+``.
-Operands of different ``maxdeg`` are refused by every type's ``_check``.
+factor is zero, and asks the type's ``_convolve(a_terms, b_terms, ko)`` hook
+only for the terms through that degree.  Over Q (int and Fraction
+coefficients, one a Fraction) it hands the hook each factor scaled once to
+int numerators and builds one Fraction per term over the two common
+denominators; int factors stay int, Poly and HoloElt coefficients pass as
+they are.  Every type but BnElt has ``terms`` that map a key (a word, a
+power of h, or a (power, row, col) triple) to a nonzero coefficient; for
+those the base also holds the sum, negation, scaling, h -> -h, and a default
+convolution in which keys multiply by ``+``.  Operands of different
+``maxdeg`` are refused by every type's ``_check``.
 
 The series algorithms below (exp, log, Neumann inverse) need only
 ``order()`` (lowest degree present, None for zero), ``known_order``, and
@@ -31,7 +35,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symcoef import as_fraction
+from .symcoef import Poly, as_fraction, numerators
+
+# the exact rational coefficient types; products over them sum in int
+_RATIONAL = {int, Fraction}
 
 
 class Truncated:
@@ -46,7 +53,8 @@ class Truncated:
     - ``_check(other)``, which raises unless other has self's shape;
     - ``maxdeg``, the truncation degree no product goes past;
     - where scalars need converting, ``_coerce(scalar)``;
-    - and, where keys do not multiply by ``+`` alone, ``_convolve``.
+    - and, where keys do not multiply by ``+`` alone, ``_convolve(a_terms,
+      b_terms, ko)``, the product of two term dicts through degree ko.
     """
 
     __slots__ = ()
@@ -104,17 +112,23 @@ class Truncated:
         if wa is None or wb is None:
             return self._like({}, min(self.known_order, other.known_order))
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
-        return self._like(self._convolve(other, ko), ko)
+        a, b = self.terms, other.terms
+        types = set(map(type, a.values())) | set(map(type, b.values()))
+        if Fraction in types and types <= _RATIONAL:
+            (d_a, a), (d_b, b) = numerators(a), numerators(b)
+            d, sums = d_a * d_b, self._convolve(a, b, ko)
+            return self._like({k: Fraction(v, d) for k, v in sums.items() if v}, ko)
+        return self._like(self._convolve(a, b, ko), ko)
 
-    def _convolve(self, other, ko):
-        """The terms of self * other through degree ko."""
+    def _convolve(self, a_terms, b_terms, ko):
+        """The terms of the product of a_terms and b_terms through degree ko."""
         deg = self._degree
         out = {}
-        for k1, c1 in self.terms.items():
+        for k1, c1 in a_terms.items():
             room = ko - deg(k1)
             if room < 0:
                 continue
-            for k2, c2 in other.terms.items():
+            for k2, c2 in b_terms.items():
                 if deg(k2) > room:
                     continue
                 k = k1 + k2
@@ -243,15 +257,32 @@ def substitute(series, images, one, zero):
     in (length, lex) order, the product for each suffix is formed once, and
     words longer than zero.known_order are skipped.  Each word adds its
     coerced coefficient times its product's terms into one dict, which
-    zero._like cleans of zeros and truncates at zero's known order.
+    zero._like cleans of zeros and truncates at zero's known order.  A Poly
+    coefficient times a product with rational coefficients is summed instead
+    into one flat dict {(key, exponent vector): rational}, which becomes one
+    Poly per key at the end.
     """
     ko = zero.known_order
     product_for = suffix_products(images, series.alphabet, one)
-    acc = {}
+    acc, flat = {}, {}
     for word, coeff in series.rendered_words():
         if len(word) <= ko:
             c = zero._coerce(coeff)
-            for key, v in product_for(word).terms.items():
+            terms = product_for(word).terms
+            if isinstance(c, Poly) and set(map(type, terms.values())) <= _RATIONAL:
+                ring = c.ring
+                for key, v in terms.items():
+                    for e, x in c.terms.items():
+                        flat[key, e] = flat.get((key, e), 0) + x * v
+                continue
+            for key, v in terms.items():
                 cur = acc.get(key)
                 acc[key] = c * v if cur is None else cur + c * v
+    polys = {}
+    for (key, e), x in flat.items():
+        if x:
+            polys.setdefault(key, {})[e] = x
+    for key, poly_terms in polys.items():
+        p = Poly(ring, poly_terms)
+        acc[key] = acc[key] + p if key in acc else p
     return zero._like(acc)

@@ -121,6 +121,19 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["gt", "braid", "all"])
+def test_verify_below_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
+    from gtassoc import cli
+
+    def no_work(degree):
+        raise AssertionError("a suite ran")
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, no_work)
+    code, out, err = run(capsys, "verify", suite, "--degree", "4")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "--degree must be at least 5" in err
+
+
 def test_verify_all_out_holds_every_suite(capsys, tmp_path, monkeypatch):
     from gtassoc import cli
     # each suite runs once; both invocations print the same reports, durations included

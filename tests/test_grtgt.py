@@ -282,3 +282,25 @@ def test_gt_checks_reports_pentagon_failure(gab_symbolic, ab_ring):
     shifted = GtElt(nc_exp(nc_log(gab_symbolic.series) + a * w_element(4, 5, ab_ring)))
     rep = gt_checks(shifted, pentagon=True)
     assert rep["pentagon"] is False
+
+
+def test_gt_pentagon_faces_are_pinned(gab_symbolic, monkeypatch):
+    """The five Poly faces of the 4-strand push of the generic g_ab, each the
+    series at rational logs of the xi_ij, keep their exact terms."""
+    import hashlib
+    from gtassoc import grtgt
+    from gtassoc.symcoef import render_coeff
+    embed_free, faces = grtgt.embed_free, []
+
+    def recording_embed_free(*args):
+        faces.append(embed_free(*args))
+        return faces[-1]
+    monkeypatch.setattr(grtgt, "embed_free", recording_embed_free)
+    assert grtgt.gt_pentagon_defect(gab_symbolic.series).is_zero()
+    lines = []
+    for face in faces:
+        lines.append("face known<=%d" % face.known_order)
+        lines += ["%s\t%s" % (w.hex(), render_coeff(c)) for w, c in sorted(face.terms.items())]
+    assert [len(face.terms) for face in faces] == [211, 213, 58, 137, 29]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "0f58c66c09eb69d9413bbd8bce1acc8fb91c432f364570b3e096690efe26498f")

@@ -140,6 +140,17 @@ def test_product_of_positive_order_matrices_gains_an_order():
     assert (a * b).known_order == ko + 1
 
 
+def test_matrices_of_different_sizes_are_refused():
+    a, b = HMatrix.identity(2, 4), HMatrix.identity(3, 4)
+    for left, right in ((a, b), (b, a)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ValueError, match="differ in size"):
+                op(left, right)
+    # a series still multiplies a matrix of any size as the diagonal it stands for
+    two = ScalarSeries.const(2, 4)
+    assert (two * b).terms == (b * two).terms == (b + b).terms
+
+
 @pytest.mark.parametrize("kind", ["semi", "unitary"])
 def test_delta_by_recursion_equals_the_word_product(kind, phi0):
     shape = Partition((3, 2))

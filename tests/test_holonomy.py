@@ -8,6 +8,9 @@ import pytest
 from gtassoc.holonomy import (BnElt, HoloAlgebra, HoloElt, embed_free, hilbert_dimensions,
                               transposition, phi_tilde_eval, phi_tilde_generators)
 from gtassoc.ncseries import NCSeries, commutator
+from gtassoc.symcoef import Poly, SymRing
+
+XY = ("x", "y")
 
 
 def hilbert_oracle(n, maxdeg):
@@ -262,6 +265,90 @@ def test_product_folds_onto_normal_right_factor():
                 gens = gens + alg.generator(i, j)
             v = _random_element(rng, alg, ring)
             assert (gens * v).terms == _oracle_product(gens, v).terms
+
+
+def _plain_product(u, v, ko):
+    """The terms of u * v through ko by a plain double loop over word pairs, each
+    reduced by folding onto the right word, with no length buckets and no int
+    scaling: the oracle for the bucketed, fraction-free product."""
+    nf = u.algebra.normal_form
+    out = {}
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            if len(w1) + len(w2) <= ko:
+                for mono, mult in nf(w1, w2).items():
+                    out[mono] = out[mono] + c1 * c2 * mult if mono in out else c1 * c2 * mult
+    return {w: c for w, c in out.items() if c}
+
+
+AB_RING = SymRing(("a", "b"))
+QUADRATIC = SymRing(("s", "a"), {"s": 3})
+# coefficient kind -> a function (rng, left factor?) -> coefficient
+_COEFFS = {
+    "int": lambda rng, left: rng.randint(-4, 4),
+    "fraction": lambda rng, left: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))),
+    "mixed": lambda rng, left: rng.randint(-4, 4) if left or rng.random() < 0.5 else F(5, 6),
+    "poly": lambda rng, left: (F(rng.randint(-3, 3), 2) * AB_RING.one
+                               + rng.randint(-2, 2) * AB_RING.symbol(rng.choice("ab"))),
+    "quadratic": lambda rng, left: (rng.randint(-3, 3) * QUADRATIC.symbol("s")
+                                    + F(rng.randint(-3, 3), 5) * QUADRATIC.symbol("a")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+def test_product_matches_the_plain_double_loop(kind):
+    alg = HoloAlgebra(4, 5)
+    rng = random.Random(4057)
+    formed = 0
+    for _ in range(20):
+        pair = []
+        for left in (True, False):
+            low = rng.randint(0, 2)
+            terms = {rng.choice(alg.basis_words(rng.randint(low, 3))): _COEFFS[kind](rng, left)
+                     for _ in range(rng.randint(1, 10))}
+            pair.append(HoloElt(alg, terms, known_order=rng.randint(max(low, 1), 5)))
+        u, v = pair
+        for a, b in ((u, v), (v, u), (u, alg.zero(3)), (alg.zero(3), v)):
+            got = a * b
+            formed += len(got.terms)
+            assert got.known_order == _oracle_product(a, b).known_order
+            assert got.terms == _plain_product(a, b, got.known_order)
+            # int times int stays int, a Fraction operand gives Fractions
+            types = {type(c) for c in list(a.terms.values()) + list(b.terms.values())}
+            want = Poly if Poly in types else F if F in types else int
+            assert {type(c) for c in got.terms.values()} <= {want}
+    assert formed > 400
+    # a known order that truncates: words past it are never formed
+    short = HoloElt(alg, {bytes((0,)): F(1, 2), bytes((0, 1, 2)): F(2, 3)}, known_order=3)
+    got = short * short
+    assert got.known_order == 4 and got.terms == _plain_product(short, short, 4)
+
+
+def test_embed_free_of_a_poly_series_matches_the_per_word_sum():
+    a, b = AB_RING.symbol("a"), AB_RING.symbol("b")
+    alg = HoloAlgebra(4, 4)
+    x = NCSeries.letter(XY, "x", 4, AB_RING)
+    y = NCSeries.letter(XY, "y", 4, AB_RING)
+    images = {"x": F(1, 2) * alg.generator(1, 2) - F(2, 3) * alg.generator(3, 4),
+              "y": alg.generator(1, 3) + F(1, 5) * alg.generator(2, 4) * alg.generator(1, 2)}
+    series = (a * F(1, 3) + b) * x * y + (b - a) * y * x * x + a * y * y * y + F(3, 7) * x
+    got = embed_free(series, alg, images)
+    want = alg.zero()
+    for word, c in series.terms.items():
+        prod = alg.one()
+        for letter in word:
+            prod = prod * images[XY[letter]]
+        want = want + c * prod
+    assert got.terms == want.terms and got.known_order == want.known_order == 4
+    assert all(type(c) is Poly for c in got.terms.values())
+    # at commuting images, (a + b) x y - a y x keeps only b on t12.t34: the a cancels
+    got = embed_free((a + b) * x * y - a * y * x, alg,
+                     {"x": alg.generator(1, 2), "y": F(1, 2) * alg.generator(3, 4)})
+    assert len(got.terms) == 1
+    (coeff,) = got.terms.values()
+    assert coeff == F(1, 2) * b and len(coeff.terms) == 1
+    assert embed_free(a * x * y - a * y * x, alg,
+                      {"x": alg.generator(1, 2), "y": alg.generator(3, 4)}).terms == {}
 
 
 def test_registry_hands_racing_threads_one_algebra(monkeypatch):

@@ -435,6 +435,43 @@ def test_substitution_that_cancels_stores_no_term():
         assert got.known_order == min(bracket.known_order, f.known_order, g.known_order) == 2
 
 
+def _plain_series_product(a, b, ko):
+    """The terms of a * b through ko by a plain double loop over key pairs, keys
+    multiplying by +, with no int scaling: the oracle for the generic product."""
+    out = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            if a._degree(k1) + b._degree(k2) <= ko:
+                out[k1 + k2] = out[k1 + k2] + c1 * c2 if k1 + k2 in out else c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "poly"])
+def test_generic_product_matches_the_plain_double_loop(kind):
+    ring = SymRing(("a", "b")) if kind == "poly" else None
+    rng = random.Random(311)
+
+    def coeff():
+        if kind == "poly":
+            return F(rng.randint(-3, 3), 2) * ring.one + rng.randint(-2, 2) * ring.symbol("a")
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.randint(-4, 4)
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+
+    for _ in range(30):
+        ko = rng.randint(1, 6)
+        words = [bytes(rng.randrange(2) for _ in range(rng.randint(0, 3))) for _ in range(6)]
+        pair = [NCSeries(XY, 6, {w: coeff() for w in words}, ring, ko),
+                ScalarSeries(6, {rng.randint(0, 4): coeff() for _ in range(4)}, ring, ko)]
+        pair += [x._like({k: coeff() for k in x.terms}, rng.randint(1, 6)) for x in pair]
+        for a, b in ((pair[0], pair[2]), (pair[1], pair[3]), (pair[0], pair[0] - pair[0])):
+            got = a * b
+            assert got.terms == _plain_series_product(a, b, got.known_order)
+            types = {type(c) for c in list(a.terms.values()) + list(b.terms.values())}
+            want = type(ring.one) if ring else F if F in types else int
+            assert {type(c) for c in got.terms.values()} <= {want}
+
+
 def test_series_times_matrix_either_side():
     h = ScalarSeries.gen(4, known_order=3)
     s = ScalarSeries.one(4, known_order=3) * F(2) + h * h * F(-1, 3)
