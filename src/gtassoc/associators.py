@@ -42,7 +42,7 @@ from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .linalg import solve_affine
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
                        nc_exp, nc_log, nc_substitute, to_text)
-from .symcoef import as_fraction, numerators
+from .symcoef import as_fraction, layers
 from .truncated import suffix_products
 from .wbasis import XY, all_words, w_coordinates, w_element
 
@@ -143,8 +143,8 @@ def pentagon_defect(series: NCSeries, algebra: HoloAlgebra):
     """
     d = 1
     if series.ring is None:
-        d, ints = numerators(series.terms)
-        series = series.scaled_copy(ints)
+        d, ints = layers(series.terms)
+        series = series.scaled_copy(ints[()])
     f = pentagon_faces(series, algebra)
     defect = d * (f["d3"] * f["d1"]) - f["d0"] * f["d2"] * f["d4"]
     if d != 1:
@@ -221,7 +221,8 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
     by its common denominator d, so the sums run in int and each column is
     divided by its d once, into Fractions.
     """
-    dens, scaled = zip(*(numerators(elt.terms) for elt in elements))
+    dens, scaled = zip(*(layers(elt.terms) for elt in elements))
+    scaled = [ints[()] for ints in scaled]
     sums = [{} for _ in elements]
     words = all_words(degree)
     for name, xs, ys in PENTAGON_FACES:

@@ -45,7 +45,16 @@ def cmd_verify(args):
         print("verify %s: --degree must be at least 5" % args.suite, file=sys.stderr)
         return 2
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    reps = [VERIFY_SUITES[name](args.degree) for name in names]
+    hecke = {}
+    if args.nmax is not None:
+        if args.suite not in ("hecke", "all") or not 2 <= args.nmax <= 8:
+            # 8 is the largest n that resonance --n serves
+            print("verify %s: --nmax takes 2 to 8, for the hecke suite" % args.suite,
+                  file=sys.stderr)
+            return 2
+        hecke = {"nmax": args.nmax}
+    reps = [VERIFY_SUITES[name](args.degree, **(hecke if name == "hecke" else {}))
+            for name in names]
     _emit(reps, args)
     return 0 if all(rep.ok for rep in reps) else 1
 
@@ -133,6 +142,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES) + ["all"])
     p.add_argument("--degree", type=natural, default=5)
+    p.add_argument("--nmax", type=int, help="largest n of the hecke suite (2 to 8, default 6)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)

@@ -30,10 +30,30 @@ def common_denominator(values) -> int:
     return lcm(*(v.denominator for v in values if isinstance(v, (int, Fraction))))
 
 
-def numerators(terms):
-    """(d, {key: d * c as an int}) for a dict of exact rationals, d their common denominator."""
-    d = common_denominator(terms.values())
-    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+def layers(terms, ring=None):
+    """(d, {exps: {key: int}}): terms scaled by d and split by monomial.
+
+    The coefficients are exact rationals, or over a ring exact rationals and
+    Polys of it, and d is the common denominator of every rational among
+    them.  The layer of an exponent vector exps maps each key whose
+    coefficient has the monomial exps to d times that monomial's
+    coefficient.  A rational coefficient sits in the layer of the all-zero
+    vector, () over Q (ring None), so exact rationals give one layer.
+    """
+    if ring is None:
+        d = lcm(*(c.denominator for c in terms.values()))
+        return d, {(): {k: c.numerator * (d // c.denominator) for k, c in terms.items()}}
+    zero = (0,) * len(ring.symbols)
+    out = {}
+    for k, c in terms.items():
+        if type(c) is Poly:
+            for e, x in c.terms.items():
+                out.setdefault(e, {})[k] = x
+        else:
+            out.setdefault(zero, {})[k] = c
+    d = lcm(*{x.denominator for layer in out.values() for x in layer.values()})
+    return d, {e: {k: x.numerator * (d // x.denominator) for k, x in layer.items()}
+               for e, layer in out.items()}
 
 
 class SymRing:
@@ -277,12 +297,7 @@ def parse_coeff(text, ring):
     if ring is None:
         return Fraction(text)
     # split into signed terms at top level (no parentheses occur)
-    chunks = []
-    sign = 1
-    token = ""
-    for part in text.replace(" - ", " + -").split(" + "):
-        chunks.append(part.strip())
-    del sign, token
+    chunks = [part.strip() for part in text.replace(" - ", " + -").split(" + ")]
     terms = {}
     for chunk in chunks:
         if not chunk:

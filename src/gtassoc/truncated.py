@@ -7,15 +7,23 @@ ValueError when asked past it.  It also holds the one product rule:
 ``__mul__`` gives a product of known orders K_a, K_b and orders w_a, w_b
 the known order min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a
 factor is zero, and asks the type's ``_convolve(a_terms, b_terms, ko)`` hook
-only for the terms through that degree.  Over Q (int and Fraction
-coefficients, one a Fraction) it hands the hook each factor scaled once to
-int numerators and builds one Fraction per term over the two common
-denominators; int factors stay int, Poly and HoloElt coefficients pass as
-they are.  Every type but BnElt has ``terms`` that map a key (a word, a
-power of h, or a (power, row, col) triple) to a nonzero coefficient; for
-those the base also holds the sum, negation, scaling, h -> -h, and a default
-convolution in which keys multiply by ``+``.  Operands of different
-``maxdeg`` are refused by every type's ``_check``.
+only for the terms through that degree.  When the coefficients are exact
+(int, Fraction, or Poly of one ring) and one is a Fraction or a Poly, the
+hook sums in int: each factor is split once into monomial layers
+{exponent vector: {key: int}} over its common denominator (a rational
+coefficient in the all-zero layer, so over Q there is one layer), the hook
+convolves each pair of layers, and the sums are added per key and
+exponent vector e1 + e2.  Each sum becomes one Fraction over the two
+denominators, and over a ring each key one Poly, its quadratic symbols
+reduced once per output monomial; the reduction is linear, so reducing at
+the end gives the terms that reducing every product would.  int factors stay
+int, and other coefficients (BnElt's HoloElt values, Polys of different
+rings) pass to the hook as they are.  Every type but BnElt has ``terms``
+that map a key (a word, a power of h, or a (power, row, col) triple) to a
+nonzero coefficient; for those the base also holds the sum, negation,
+scaling, h -> -h, and a default convolution in which keys multiply by
+``+``.  Operands of different ``maxdeg`` are refused by every type's
+``_check``.
 
 The series algorithms below (exp, log, Neumann inverse) need only
 ``order()`` (lowest degree present, None for zero), ``known_order``, and
@@ -34,11 +42,17 @@ folds onto the normal right factor for the cost of one cached rewrite.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import add
 
-from .symcoef import Poly, as_fraction, numerators
+from .symcoef import Poly, _add_term, as_fraction, layers
 
-# the exact rational coefficient types; products over them sum in int
+# the exact rational coefficient types, and with Poly the exact ones;
+# products over exact coefficients with a Fraction or a Poly sum in int
 _RATIONAL = {int, Fraction}
+_LAYERED = {Fraction, Poly}
+_EXACT = _RATIONAL | _LAYERED
 
 
 class Truncated:
@@ -103,6 +117,12 @@ class Truncated:
         return self._like({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
+        """The product through min(K_a + w_b, K_b + w_a, maxdeg).
+
+        Over exact coefficients with a Fraction or a Poly the hook sees only
+        int layers, and a ring's quadratic symbols reduce once per output
+        monomial: exact, because the reduction is linear.
+        """
         if not isinstance(other, Truncated) or isinstance(other, self._scalars):
             return self.__rmul__(other)
         if not (isinstance(other, type(self)) or isinstance(self, type(other))):
@@ -114,11 +134,33 @@ class Truncated:
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
         a, b = self.terms, other.terms
         types = set(map(type, a.values())) | set(map(type, b.values()))
-        if Fraction in types and types <= _RATIONAL:
-            (d_a, a), (d_b, b) = numerators(a), numerators(b)
-            d, sums = d_a * d_b, self._convolve(a, b, ko)
-            return self._like({k: Fraction(v, d) for k, v in sums.items() if v}, ko)
-        return self._like(self._convolve(a, b, ko), ko)
+        # the layered rule needs exact coefficients, one Fraction or Poly, one ring
+        rings = [c.ring for c in chain(a.values(), b.values()) if type(c) is Poly] \
+            if Poly in types else [None]
+        ring = rings[0]
+        if not (types & _LAYERED and types <= _EXACT and all(r == ring for r in rings)):
+            return self._like(self._convolve(a, b, ko), ko)
+        (d_a, a), (d_b, b) = layers(a, ring), layers(b, ring)
+        d = d_a * d_b
+        by_exps = {}
+        for e1, x in a.items():
+            for e2, y in b.items():
+                sums = self._convolve(x, y, ko)
+                e = tuple(map(add, e1, e2))
+                acc = by_exps.get(e)
+                if acc is None:
+                    by_exps[e] = sums
+                else:
+                    for k, v in sums.items():
+                        acc[k] = acc.get(k, 0) + v
+        # _like drops the zero sums and zero Polys
+        if ring is None:
+            return self._like({k: Fraction(v, d) for k, v in by_exps[()].items()}, ko)
+        polys = {}
+        for e, sums in by_exps.items():
+            for k, v in sums.items():
+                _add_term(polys.setdefault(k, {}), ring, e, Fraction(v, d))
+        return self._like({k: Poly(ring, p) for k, p in polys.items()}, ko)
 
     def _convolve(self, a_terms, b_terms, ko):
         """The terms of the product of a_terms and b_terms through degree ko."""
@@ -259,8 +301,10 @@ def substitute(series, images, one, zero):
     coerced coefficient times its product's terms into one dict, which
     zero._like cleans of zeros and truncates at zero's known order.  A Poly
     coefficient times a product with rational coefficients is summed instead
-    into one flat dict {(key, exponent vector): rational}, which becomes one
-    Poly per key at the end.
+    in int: both are scaled to int layers, each pair adds into one flat dict
+    {(key, exponent vector): int} per denominator, and at the end the dicts
+    meet over the lcm of their denominators, one Fraction per term and one
+    Poly per key.
     """
     ko = zero.known_order
     product_for = suffix_products(images, series.alphabet, one)
@@ -271,17 +315,25 @@ def substitute(series, images, one, zero):
             terms = product_for(word).terms
             if isinstance(c, Poly) and set(map(type, terms.values())) <= _RATIONAL:
                 ring = c.ring
-                for key, v in terms.items():
-                    for e, x in c.terms.items():
-                        flat[key, e] = flat.get((key, e), 0) + x * v
+                (d_c, xs), (d_t, vs) = layers(c.terms), layers(terms)
+                sums = flat.setdefault(d_c * d_t, {})
+                for key, v in vs[()].items():
+                    for e, x in xs[()].items():
+                        sums[key, e] = sums.get((key, e), 0) + x * v
                 continue
             for key, v in terms.items():
                 cur = acc.get(key)
                 acc[key] = c * v if cur is None else cur + c * v
+    # one int sum per (key, exponent vector) over the lcm of the denominators
+    den, total = lcm(*flat), {}
+    for d, sums in flat.items():
+        m = den // d
+        for ke, x in sums.items():
+            total[ke] = total.get(ke, 0) + x * m
     polys = {}
-    for (key, e), x in flat.items():
+    for (key, e), x in total.items():
         if x:
-            polys.setdefault(key, {})[e] = x
+            polys.setdefault(key, {})[e] = Fraction(x, den)
     for key, poly_terms in polys.items():
         p = Poly(ring, poly_terms)
         acc[key] = acc[key] + p if key in acc else p

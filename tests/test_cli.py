@@ -134,6 +134,39 @@ def test_verify_below_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
     assert len(err.splitlines()) == 1 and "--degree must be at least 5" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hecke", "--nmax", "1"),
+    ("hecke", "--nmax", "9"),
+    ("all", "--nmax", "0"),
+    ("gt", "--nmax", "7"),
+], ids=" ".join)
+def test_verify_nmax_outside_two_to_eight_is_a_usage_error(capsys, monkeypatch, argv):
+    from gtassoc import cli
+
+    def no_work(degree, **kwargs):
+        raise AssertionError("a suite ran")
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, no_work)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "--nmax takes 2 to 8" in err
+
+
+def test_verify_hecke_passes_nmax_through(capsys, monkeypatch):
+    from gtassoc import cli
+    from gtassoc.report import Report
+    calls = []
+
+    def hecke(degree, **kwargs):
+        calls.append(kwargs)
+        return Report("hecke")
+    monkeypatch.setitem(cli.VERIFY_SUITES, "hecke", hecke)
+    for argv, want in ((("--nmax", "8"), {"nmax": 8}), ((), {})):
+        code, out, _ = run(capsys, "verify", "hecke", *argv)
+        assert code == 0 and out.startswith("suite hecke: PASS")
+        assert calls.pop() == want
+
+
 def test_verify_all_out_holds_every_suite(capsys, tmp_path, monkeypatch):
     from gtassoc import cli
     # each suite runs once; both invocations print the same reports, durations included

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from gtassoc.grtgt import act_grt, grt_cap_psi
 from gtassoc.hecke import (MatrixModel, a_entry, a_entry_prime, b_semi,
                            delta_eigenvalues_ok, hecke_infinitesimal, q_integer,
                            q_series, rep_build, semi_normal_block, unitarity_check)
-from gtassoc.hmatrix import HMatrix
+from gtassoc.hmatrix import HMatrix, to_text
 from gtassoc.scalar import ScalarSeries, scalar_div
 from gtassoc.symcoef import as_fraction
 from gtassoc.tableaux import Partition, partitions_of, tableaux, axial_distance
@@ -164,6 +165,20 @@ def test_unitary_model(phi0):
     assert not unitarity_check(rep_build(Partition((2, 1)), model))
     # one-dimensional: eps(q) q = 1
     assert unitarity_check(rep_build(Partition((4,)), um))
+
+
+def test_unitary_generators_are_pinned():
+    """The generator images of the unitary model for every shape with n <= 6
+    keep their exact entries over Q(s_2, ..., s_8)."""
+    um = MatrixModel("unitary", maxdeg=7)
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            rep = rep_build(shape, um)
+            for i in range(1, n):
+                digest.update(to_text(rep.sigma(i)).encode())
+    assert digest.hexdigest() == (
+        "16ab3eddeb8b0b6a87ded8bc7930407546fd1049ae16231692a3ec2e2a8690e3")
 
 
 def test_b_relation_by_squaring(phi0, semi_model):
