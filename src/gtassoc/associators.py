@@ -153,14 +153,34 @@ def pentagon_defect(series: NCSeries, algebra: HoloAlgebra):
     return defect
 
 
-def pentagon_check(phi: AssociatorCandidate, algebra: HoloAlgebra = None) -> bool:
+def _pentagon_algebra(algebra: HoloAlgebra, degree):
+    """U(T_4) through degree: the shared one by default, else algebra once checked.
+
+    An algebra of another n, or truncated below degree, would read the
+    pentagon only partly, so it is refused.
+    """
     if algebra is None:
-        algebra = holonomy_algebra(4, phi.series.known_order)
+        return holonomy_algebra(4, degree)
+    if algebra.n != 4 or algebra.maxdeg < degree:
+        raise ValueError("the pentagon through degree %d needs U(T_4) through degree %d, "
+                         "not U(T_%d) through degree %d" % (degree, degree, algebra.n,
+                                                           algebra.maxdeg))
+    return algebra
+
+
+def pentagon_check(phi: AssociatorCandidate, algebra: HoloAlgebra = None) -> bool:
+    """The pentagon defect vanishes through the known order; a given algebra
+    must be U(T_4) through it at least."""
+    algebra = _pentagon_algebra(algebra, phi.series.known_order)
     return pentagon_defect(phi.series, algebra).is_zero()
 
 
 def certify(phi: AssociatorCandidate, algebra: HoloAlgebra = None) -> dict:
-    """Run all four membership conditions; returns {check: bool}."""
+    """Run all four membership conditions; returns {check: bool}.
+
+    A given algebra must be U(T_4) through the known order at least.
+    """
+    algebra = _pentagon_algebra(algebra, phi.series.known_order)
     return {
         "grouplike": is_grouplike(phi.series),
         "duality": duality_check(phi),
@@ -210,33 +230,81 @@ def phi0_reference(maxdeg=5, ring=None) -> AssociatorCandidate:
     return AssociatorCandidate(phi, 1)
 
 
+def _first_letter_images(elements, substitutions):
+    """Each homogeneous element over (x, y) at each substitution, in int.
+
+    The elements are series over Q, homogeneous of one degree D >= 1.  A
+    substitution is a pair (heads, suffix_image): heads are the images of x
+    and y, and suffix_image maps a word of degree D-1 to its image; all have
+    int coefficients.  Writing psi = x T_x + y T_y, each element is scaled
+    once by its common denominator d, the image of each suffix, formed once
+    for all elements, is scattered in int into one tail T_a per element and
+    first letter a, and each tail is multiplied on the left by its head once.
+    Returns (dens, values), where values[s][i] is d_i times element i at
+    substitution s.
+    """
+    dens, scaled = zip(*(layers(elt.terms) for elt in elements))
+    uses_of = {}
+    for i, ints in enumerate(scaled):
+        for word, c in ints[()].items():
+            uses_of.setdefault(word[1:], []).append((i, word[0], c))
+    values = []
+    for heads, suffix_image in substitutions:
+        tails = [({}, {}) for _ in elements]
+        for suffix, uses in uses_of.items():
+            uses = [(tails[i][a], c) for i, a, c in uses]
+            for key, v in suffix_image(suffix).terms.items():
+                for tail, c in uses:
+                    tail[key] = tail.get(key, 0) + c * v
+        hx, hy = heads
+        values.append([hx * hx._like(tx) + hy * hy._like(ty) for tx, ty in tails])
+    return dens, values
+
+
+def _face_substitutions(algebra: HoloAlgebra):
+    """The five faces, in PENTAGON_FACES order, as substitutions for _first_letter_images."""
+    one = HoloElt(algebra, {EMPTY: 1})
+    return [((images["x"], images["y"]), suffix_products(images, XY, one))
+            for images in (_face_images(algebra, xs, ys) for _, xs, ys in PENTAGON_FACES)]
+
+
+def _hexagon_substitutions(degree):
+    """psi(z,x), psi(y,z) and psi(x,y), z = -x-y, as substitutions for _first_letter_images.
+
+    The images are int, and all three read one suffix cache over the letters
+    x, y, z through a relabelling of the suffix.
+    """
+    x, y = (NCSeries(XY, degree, {bytes((k,)): 1}) for k in range(2))
+    z = -x - y
+    cached = suffix_products({"x": x, "y": y, "z": z}, ("x", "y", "z"),
+                             NCSeries(XY, degree, {EMPTY: 1}))
+
+    def relabelled(heads, to):
+        table = bytes.maketrans(b"\0\1", to)
+        return heads, lambda suffix: cached(suffix.translate(table))
+
+    return [relabelled((z, x), b"\2\0"), relabelled((y, z), b"\1\2"), relabelled((x, y), b"\0\1")]
+
+
 def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
     """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) for homogeneous psi of one degree.
 
     Returns one coordinate list on algebra.basis_words(degree) per element.
-    One pass per face runs over the words of the degree: a word's image is
-    formed once, from the cached images of its suffixes (all of lower
-    degree), added into every element whose series has the word, and
-    dropped.  The word images are integral, and each element is scaled once
-    by its common denominator d, so the sums run in int and each column is
-    divided by its d once, into Fractions.
+    Each face evaluates every element at once, split by first letter
+    (_first_letter_images): the cached images of the degree-(D-1) suffixes
+    are scattered into one tail per element and first letter, and each tail
+    takes one product with its one- or two-letter head, whose letters fold
+    through the cached prepend rows.  The sums run in int over each
+    element's common denominator d, and each column is divided by its d
+    once, into Fractions.
     """
-    dens, scaled = zip(*(layers(elt.terms) for elt in elements))
-    scaled = [ints[()] for ints in scaled]
+    dens, faces = _first_letter_images(elements, _face_substitutions(algebra))
     sums = [{} for _ in elements]
-    words = all_words(degree)
-    for name, xs, ys in PENTAGON_FACES:
+    for (name, _, _), values in zip(PENTAGON_FACES, faces):
         sign = _FACE_SIGNS[name]
-        images = _face_images(algebra, xs, ys)
-        product_for = suffix_products(images, XY, HoloElt(algebra, {EMPTY: 1}))
-        for word in words:
-            uses = [(acc, sign * ints[word]) for acc, ints in zip(sums, scaled) if word in ints]
-            if not uses:
-                continue
-            image = images[XY[word[0]]] * product_for(word[1:])
-            for mono, mult in image.terms.items():
-                for acc, c in uses:
-                    acc[mono] = acc.get(mono, 0) + c * mult
+        for acc, value in zip(sums, values):
+            for mono, c in value.terms.items():
+                acc[mono] = acc.get(mono, 0) + sign * c
     basis = algebra.basis_words(degree)
     zero = Fraction(0)
     return [[Fraction(acc[w], d) if w in acc else zero for w in basis]
@@ -249,17 +317,19 @@ def _linear_residuals(elements, algebra: HoloAlgebra, degree):
     For psi of the given degree, with z = -x-y, L(psi) stacks the duality
     block swap(psi) + psi and the hexagon block psi(z,x) + psi(y,z) + psi(x,y)
     (both on all_words(degree)) over the pentagon block of _pentagon_linear.
+    The hexagon block, like the pentagon block, evaluates every element at
+    once, split by first letter, in int over each element's common
+    denominator.
     """
     words = all_words(degree)
-    x = NCSeries.letter(XY, "x", degree)
-    y = NCSeries.letter(XY, "y", degree)
-    z = -1 * x - y
+    dens, (at_zx, at_yz, at_xy) = _first_letter_images(elements, _hexagon_substitutions(degree))
     rows = []
-    for psi, pent in zip(elements, _pentagon_linear(elements, algebra, degree)):
+    for psi, d, zx, yz, xy, pent in zip(elements, dens, at_zx, at_yz, at_xy,
+                                        _pentagon_linear(elements, algebra, degree)):
         dual = letter_swap(psi, {"x": "y", "y": "x"}) + psi
-        hexa = nc_substitute(psi, {"x": z, "y": x}) + nc_substitute(psi, {"x": y, "y": z}) + psi
+        hexa = (zx + yz + xy).terms
         rows.append([dual.coefficient(w) for w in words]
-                    + [hexa.coefficient(w) for w in words] + pent)
+                    + [Fraction(hexa.get(w, 0), d) for w in words] + pent)
     return rows
 
 
@@ -272,7 +342,8 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     Returns (extended candidate, kernel) where kernel is a basis of the
     homogeneous solution space as series; the particular solution zeroes a
     fixed complement of the pivot coordinates.  With parity=True and D+1
-    odd, the zero (even) correction is selected when admissible.
+    odd, the zero (even) correction is selected when admissible.  A given
+    algebra must be U(T_4) through degree D+1 at least.
 
     The candidate is base + psi, where base is phi with known order D+1 and
     no degree-(D+1) terms, and psi = (Lie correction) - (degree-(D+1) part
@@ -287,8 +358,7 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     if s.ring is not None:
         raise ValueError("the extension solver works over Q")
     target = s.known_order + 1
-    if algebra is None:
-        algebra = holonomy_algebra(4, target)
+    algebra = _pentagon_algebra(algebra, target)
     base = s.truncated(target, known_order=target)
 
     log_tail = nc_log(base).homogeneous(target)

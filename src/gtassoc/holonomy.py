@@ -16,7 +16,9 @@ the Hilbert series prod_{i=1}^{n-1} 1/(1-i t), which the tests pin.
 
 A product never re-reduces its right factor: each pair of basis words is
 reduced by prepending the left word's letters, right to left, onto the
-right word, which is already normal.
+right word, which is already normal.  A one-letter left word, the common
+case of a word image built from the left, reads its row straight from the
+cached prepend table.
 
 The same file hosts the semidirect product kS_n |x U(T_n) needed to push
 braid words through a morphism built from an associator.
@@ -275,9 +277,10 @@ class HoloElt(Truncated):
 
     def _convolve(self, a_terms, b_terms, ko):
         """Each pair of basis words is reduced by folding the left word onto
-        the right one, already normal.  The right words are bucketed by
+        the right one, already normal; a one-letter left word reads its row
+        straight from the prepend cache.  The right words are bucketed by
         length once, so a left word visits only the buckets that fit its room."""
-        nf = self.algebra.normal_form
+        nf, prepend = self.algebra.normal_form, self.algebra.prepend
         buckets = [[] for _ in range(ko + 1)]
         for w2, c2 in b_terms.items():
             if len(w2) <= ko:
@@ -287,10 +290,12 @@ class HoloElt(Truncated):
             room = ko - len(w1)
             if room < 0:
                 continue
+            single = len(w1) == 1
             for bucket in buckets[:room + 1]:
                 for w2, c2 in bucket:
                     c = c1 * c2
-                    for mono, mult in nf(w1, w2).items():
+                    row = prepend(w1[0], w2) if single else nf(w1, w2)
+                    for mono, mult in row.items():
                         cur = out.get(mono)
                         val = c * mult if cur is None else cur + c * mult
                         if val:

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +9,9 @@ from gtassoc.associators import (AssociatorCandidate, bar, c_extract, certify,
                                  duality_check, extend_associator, hexagon_check,
                                  hexagon_product, is_even, pentagon_check,
                                  pentagon_defect, pentagon_faces, phi0_reference)
-from gtassoc.holonomy import holonomy_algebra
-from gtassoc.ncseries import NCSeries, is_grouplike, letter_swap, lyndon_basis, nc_log
+from gtassoc.holonomy import embed_free, holonomy_algebra
+from gtassoc.ncseries import (NCSeries, is_grouplike, letter_swap, lyndon_basis, nc_log,
+                              nc_substitute, to_text)
 from gtassoc.symcoef import common_denominator
 from gtassoc.wbasis import XY, all_words, w_coordinates, w_element
 
@@ -134,6 +137,11 @@ def test_extension_to_degree_six_is_unique(phi0):
     ext7, kernel = extend_associator(ext6)
     assert len(kernel) == 1 and not kernel[0].is_zero()
     assert all(certify(ext7).values())
+    # the extension and sigma_7 keep their exact text
+    assert hashlib.sha256(ext7.to_text().encode()).hexdigest() == (
+        "20f70b7907f604c64e44a8aed73ae308f4c4faf81df13f422cf5339cb4ed2544")
+    assert hashlib.sha256(to_text(kernel[0]).encode()).hexdigest() == (
+        "0d3d10bd4bc254744af92387cb079462b9f6b32ec22c4861c5f0cba55ccaa03d")
     # its pentagon linear part vanishes, computed face by face through embed_free
     # (on an integral multiple, which keeps the face products in int)
     d = common_denominator(kernel[0].terms.values())
@@ -141,6 +149,55 @@ def test_extension_to_degree_six_is_unique(phi0):
     faces = pentagon_faces(sigma7, holonomy_algebra(4, 7))
     linear = (faces["d3"] + faces["d1"]) - (faces["d0"] + faces["d2"] + faces["d4"])
     assert faces["d3"].order() == 7 and linear.is_zero()
+
+
+def test_undersized_algebra_is_refused(phi0):
+    # U(T_4) through degree 4 would read the degree-5 pentagon as empty: the
+    # extension then kept a second kernel direction, and a degree-5 defect passed
+    small = holonomy_algebra(4, 4)
+    cut = AssociatorCandidate(phi0.series.truncated(4), 1)
+    bad = AssociatorCandidate(phi0.series + F(1, 3) * w_element(9, 5), 1)
+    assert not pentagon_check(bad)
+    for call in (lambda: extend_associator(cut, algebra=small),
+                 lambda: pentagon_check(bad, small),
+                 lambda: certify(bad, small),
+                 lambda: pentagon_check(phi0, holonomy_algebra(3, 5))):
+        with pytest.raises(ValueError):
+            call()
+    # an algebra through the degree read, or past it, serves
+    assert len(extend_associator(cut, algebra=holonomy_algebra(4, 5))[1]) == 1
+    assert pentagon_check(phi0, holonomy_algebra(4, 6))
+
+
+def test_first_letter_images_match_face_and_hexagon_substitution():
+    """The batched evaluation against embed_free on the five faces and
+    nc_substitute at the hexagon images, element by element, in degree 6."""
+    rng = random.Random(6)
+    words = all_words(6)
+    mixed = NCSeries(XY, 6, {w: F(rng.randint(-9, 9), rng.randint(1, 9))
+                             for w in rng.sample(words, 20)})
+    # x.s + y.s at (z, x) gives (z + x).s' = -y.s': the x.s' coefficient cancels
+    s = bytes((1, 0, 0, 1, 1))
+    cancelling = NCSeries(XY, 6, {bytes((0,)) + s: F(2, 3), bytes((1,)) + s: F(2, 3),
+                                  words[5]: F(-1, 4)})
+    elements = [mixed, cancelling, NCSeries(XY, 6, {words[-1]: 1}), NCSeries.zero(XY, 6)]
+    algebra = holonomy_algebra(4, 6)
+    dens, values = associators._first_letter_images(
+        elements, associators._face_substitutions(algebra)
+        + associators._hexagon_substitutions(6))
+    assert dens[:3] == (common_denominator(mixed.terms.values()), 12, 1)
+    x, y = NCSeries.letter(XY, "x", 6), NCSeries.letter(XY, "y", 6)
+    z = -1 * x - y
+    hexagon = ({"x": z, "y": x}, {"x": y, "y": z}, {"x": x, "y": y})
+    for i, (elt, d) in enumerate(zip(elements, dens)):
+        for (_, xs, ys), value in zip(associators.PENTAGON_FACES, values):
+            face = embed_free(elt, algebra, associators._face_images(algebra, xs, ys))
+            assert F(1, d) * value[i] == face
+        for images, value in zip(hexagon, values[5:]):
+            assert F(1, d) * value[i] == nc_substitute(elt, images)
+    # d (x.s + y.s)(z, x) = -8 y.x.y.y.x.x + ..., and x.x.y.y.x.x is gone
+    zx = values[5][1].terms
+    assert zx[bytes((1, 0, 1, 1, 0, 0))] == -8 and bytes((0, 0, 1, 1, 0, 0)) not in zx
 
 
 @pytest.mark.parametrize("kind", ["twisted", "perturbed", "symbolic"])

@@ -181,6 +181,20 @@ def test_unitary_generators_are_pinned():
         "16ab3eddeb8b0b6a87ded8bc7930407546fd1049ae16231692a3ec2e2a8690e3")
 
 
+def test_unitary_generators_are_pinned_at_n7():
+    """Each generator image of the unitary model for the shape (4, 2, 1)."""
+    rep = rep_build(Partition((4, 2, 1)), MatrixModel("unitary", maxdeg=7))
+    digests = [hashlib.sha256(to_text(rep.sigma(i)).encode()).hexdigest() for i in range(1, 7)]
+    assert digests == [
+        "6ccbcba7e0205478375f9157c81d5abf3420f4a9ed7d99bb0d8c3988efa27c7a",
+        "fdb98bdddd149e552db60146b225aac76efd291ab1671113ed70616ae59d9afc",
+        "3061aed7ff6f4a94288eb313b5ac5df45f280a5b2ba54beeee59dfca6a968192",
+        "46bf369925b9f23bd0a847cc5255a2a740980e29a174e268b416da256e4d10ae",
+        "cb993a99c3752fc3a15dd7e5381a53877413fa452e7e20871701419b60cee49f",
+        "42d8545e14b682e652c42643612de4a22d5db674a7ba4400d233d68be09100cd",
+    ]
+
+
 def test_b_relation_by_squaring(phi0, semi_model):
     um = MatrixModel("unitary", maxdeg=7)
     for d in range(2, 7):
