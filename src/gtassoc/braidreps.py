@@ -161,9 +161,8 @@ class BraidRep:
 
     def braid_relations_ok(self) -> bool:
         for i in range(1, self.n - 1):
-            lhs = self.sigma(i) * self.sigma(i + 1) * self.sigma(i)
-            rhs = self.sigma(i + 1) * self.sigma(i) * self.sigma(i + 1)
-            if not lhs.equal_through(rhs):
+            pair = self.sigma(i) * self.sigma(i + 1)
+            if not (pair * self.sigma(i)).equal_through(self.sigma(i + 1) * pair):
                 return False
         for i in range(1, self.n):
             for j in range(i + 2, self.n):
@@ -183,9 +182,10 @@ class BraidRep:
             d = m - one
             if not (d.order() is None or d.order() >= 1):
                 return False
+        inverses = [m.inverse() for m in xis]
         for a in range(len(xis)):
             for b in range(a + 1, len(xis)):
-                comm = xis[a] * xis[b] * xis[a].inverse() * xis[b].inverse() - one
+                comm = xis[a] * xis[b] * inverses[a] * inverses[b] - one
                 if not (comm.order() is None or comm.order() >= 2):
                     return False
         return True
@@ -311,10 +311,10 @@ def _verify_conjugation(rep: BraidRep, twisted: BraidRep, diag):
 
 def b3_example(v) -> InfinitesimalRep:
     """The generic irreducible 3-dimensional representation of the 3-strand
-    infinitesimal braid algebra; v must be an exact rational outside {-3,0,3}.
+    infinitesimal braid algebra; v must be an exact rational outside {-3,-1,0,3}.
     """
     v = as_fraction(v)
-    if v in (-3, 0, 3):
+    if v in (-3, -1, 0, 3):
         raise ValueError("degenerate parameter v = %s" % v)
     s1 = [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(-1)]]
     q = Fraction(1, 4) / v

@@ -95,10 +95,14 @@ class MatrixModel:
             self.ring = None
             self.b_sequence = dict(b_sequence or {})
         self._blocks = {}
+        self._q = {}
 
     def q(self, m=1) -> ScalarSeries:
-        ko = self.phi.known_order if self.kind == "semi" else None
-        return ScalarSeries.exp_multiple(m, self.maxdeg, self.ring, ko)
+        got = self._q.get(m)
+        if got is None:
+            ko = self.phi.known_order if self.kind == "semi" else None
+            got = self._q[m] = ScalarSeries.exp_multiple(m, self.maxdeg, self.ring, ko)
+        return got
 
     def block(self, d) -> HMatrix:
         got = self._blocks.get(d)
@@ -172,54 +176,57 @@ def b_semi(phi, d, maxdeg=None) -> ScalarSeries:
 
 
 def rep_build(shape: Partition, model: MatrixModel) -> BraidRep:
-    """The braid representation on standard tableaux of one shape."""
+    """The braid representation on standard tableaux of one shape.
+
+    Each sigma_r is written as terms: q on a tableau whose r and r+1 share a
+    column, -q^{-1} where they share a row, and the block M_d on the plane of
+    a pair of tableaux that differ by swapping r and r+1.  Its known order is
+    the least of q's and of the blocks' it uses.
+    """
     n = shape.n
     if n < 2:
         raise ValueError("need at least two strands")
     tabs = tableaux(shape)
     index = {t: i for i, t in enumerate(tabs)}
     N = len(tabs)
-    maxdeg, ring = model.maxdeg, model.ring
     qq = model.q(1)
-    qinv = model.q(-1)
-    ko = qq.known_order
+    minus_qinv = {p: -c for p, c in model.q(-1).terms.items()}
     sigmas = []
     for r in range(1, n):
-        rows = [[ScalarSeries.zero(maxdeg, ring, ko) for _ in range(N)] for _ in range(N)]
+        terms = {}
+        ko = qq.known_order
         for t in tabs:
             i = index[t]
             if t.col(r) == t.col(r + 1):
-                rows[i][i] = rows[i][i] + qq
+                terms.update(((p, i, i), c) for p, c in qq.terms.items())
             elif t.line(r) == t.line(r + 1):
-                rows[i][i] = rows[i][i] - qinv
+                terms.update(((p, i, i), c) for p, c in minus_qinv.items())
             else:
-                other = t.swap_adjacent(r)
-                j = index[other]
+                j = index[t.swap_adjacent(r)]
                 if j < i:
                     continue  # handled from the smaller tableau
-                d = axial_distance(t, r)
-                block = model.block(d)
-                rows[i][i] = rows[i][i] + block.entry(0, 0)
-                rows[i][j] = rows[i][j] + block.entry(0, 1)
-                rows[j][i] = rows[j][i] + block.entry(1, 0)
-                rows[j][j] = rows[j][j] + block.entry(1, 1)
-        sigmas.append(HMatrix(rows))
-    rep = BraidRep(n, sigmas, provenance="rep_build(%r, %s)" % (shape, model.kind))
-    return rep
+                block = model.block(axial_distance(t, r))
+                ko = min(ko, block.known_order)
+                ij = (i, j)
+                terms.update(((p, ij[a], ij[b]), c) for (p, a, b), c in block.terms.items())
+        sigmas.append(HMatrix.from_terms(N, terms, model.maxdeg, model.ring, ko))
+    return BraidRep(n, sigmas, provenance="rep_build(%r, %s)" % (shape, model.kind))
 
 
 def delta_eigenvalues_ok(rep: BraidRep, shape: Partition, model: MatrixModel) -> bool:
-    """delta_r acts diagonally with eigenvalue q^{2 c_r(T)} on every tableau."""
+    """Each delta_r (2 <= r <= n) equals, through the lesser known order, the
+    diagonal matrix with entry q^{2 c_r(T)} at each tableau T, c_r(T) the
+    content of the box of r in T."""
     tabs = tableaux(shape)
     for r in range(2, shape.n + 1):
-        image = rep.delta(r)
+        diagonal, ko = {}, model.maxdeg
         for i, t in enumerate(tabs):
-            expect = model.q(2 * t.content(r))
-            for j in range(len(tabs)):
-                want = expect if i == j else ScalarSeries.zero(model.maxdeg, model.ring,
-                                                               expect.known_order)
-                if not image.entry(i, j).equal_through(want):
-                    return False
+            eigenvalue = model.q(2 * t.content(r))
+            ko = min(ko, eigenvalue.known_order)
+            diagonal.update(((p, i, i), c) for p, c in eigenvalue.terms.items())
+        expect = HMatrix.from_terms(len(tabs), diagonal, model.maxdeg, model.ring, ko)
+        if not rep.delta(r).equal_through(expect):
+            return False
     return True
 
 

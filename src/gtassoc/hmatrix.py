@@ -59,11 +59,17 @@ class HMatrix(Truncated):
             self.known_order if known_order is None else known_order)
 
     @classmethod
+    def from_terms(cls, n, terms, maxdeg, ring=None, known_order=None, var="h"):
+        """The n x n matrix of {(power, row, col): coefficient} terms, known
+        through known_order (maxdeg by default); zero and higher terms are dropped."""
+        ko = maxdeg if known_order is None else min(int(known_order), maxdeg)
+        return cls.__new__(cls)._fill(n, terms, var, ring, int(maxdeg), int(ko))
+
+    @classmethod
     def from_const(cls, matrix, maxdeg, ring=None, known_order=None, var="h"):
         coerce = as_fraction if ring is None else ring.coerce
         const = {(0, i, j): coerce(v) for i, row in enumerate(matrix) for j, v in enumerate(row)}
-        ko = maxdeg if known_order is None else min(int(known_order), maxdeg)
-        return cls.__new__(cls)._fill(len(matrix), const, var, ring, int(maxdeg), int(ko))
+        return cls.from_terms(len(matrix), const, maxdeg, ring, known_order, var)
 
     @classmethod
     def identity(cls, n, maxdeg, ring=None, known_order=None, var="h"):

@@ -3,7 +3,11 @@
 ``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries, HMatrix and
 BnElt.  It holds the one truncation contract: ``is_zero``, ``is_one`` and
 ``equal_through`` read through ``known_order`` by default and raise
-ValueError when asked past it.  It also holds the one product rule:
+ValueError when asked past it.  Two values of one type with exact
+coefficients (int, Fraction, or Poly of one ring) compare their terms key
+by key; BnElt (whose coefficients are HoloElt parts), mixed types and plain
+scalars are compared through their difference.  It also holds the one
+product rule:
 ``__mul__`` gives a product of known orders K_a, K_b and orders w_a, w_b
 the known order min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a
 factor is zero, and asks the type's ``_convolve(a_terms, b_terms, ko)`` hook
@@ -53,6 +57,8 @@ from .symcoef import Poly, _add_term, as_fraction, layers
 _RATIONAL = {int, Fraction}
 _LAYERED = {Fraction, Poly}
 _EXACT = _RATIONAL | _LAYERED
+# the ring _exact_ring gives coefficients that are not exact over one ring
+_INEXACT = object()
 
 
 class Truncated:
@@ -133,12 +139,9 @@ class Truncated:
             return self._like({}, min(self.known_order, other.known_order))
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
         a, b = self.terms, other.terms
-        types = set(map(type, a.values())) | set(map(type, b.values()))
+        types, ring = _exact_ring(a, b)
         # the layered rule needs exact coefficients, one Fraction or Poly, one ring
-        rings = [c.ring for c in chain(a.values(), b.values()) if type(c) is Poly] \
-            if Poly in types else [None]
-        ring = rings[0]
-        if not (types & _LAYERED and types <= _EXACT and all(r == ring for r in rings)):
+        if ring is _INEXACT or not types & _LAYERED:
             return self._like(self._convolve(a, b, ko), ko)
         (d_a, a), (d_b, b) = layers(a, ring), layers(b, ring)
         d = d_a * d_b
@@ -183,26 +186,36 @@ class Truncated:
                     del out[k]
         return out
 
-    def _through(self, order):
-        """The degree a comparison reads through: known_order, or an order not past it."""
-        if order is None:
-            return self.known_order
-        if order > self.known_order:
-            raise ValueError("comparison order %d exceeds known order %d"
-                             % (order, self.known_order))
-        return order
-
     def is_zero(self, order=None):
-        k = self._through(order)
+        k = _through(self.known_order, order)
         w = self.order()
         return w is None or w > k
 
     def is_one(self, order=None):
-        return (self - self._one()).is_zero(order)
+        return self.equal_through(self._one(), order)
 
     def equal_through(self, other, order=None):
-        """Equality through min(known orders), or through an order not past it."""
-        return (self - other).is_zero(order)
+        """Equality through min(known orders), or through an order not past it.
+
+        Two values of one type with exact coefficients over one ring compare
+        their terms key by key; any other pair (mixed types, a plain scalar,
+        BnElt's HoloElt parts, or two zeros, which have no coefficient to
+        tell their type by) is compared by its difference.
+        """
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))) \
+                or not (self.terms or other.terms) \
+                or _exact_ring(self.terms, other.terms)[1] is _INEXACT:
+            return (self - other).is_zero(order)
+        self._check(other)
+        k = _through(min(self.known_order, other.known_order), order)
+        a, b = self.terms, other.terms
+        deg = self._degree
+        for key, c in a.items():
+            if deg(key) <= k:
+                d = b.get(key)
+                if c if d is None else c != d:
+                    return False
+        return not any(d and key not in a and deg(key) <= k for key, d in b.items())
 
     def eps(self):
         """The involution h -> -h: the terms of odd degree change sign."""
@@ -221,6 +234,30 @@ class Truncated:
         if not c0:
             raise ValueError("series with zero constant term has no inverse")
         return neumann_inverse(self, 1 / c0, self._one())
+
+
+def _through(known_order, order):
+    """The degree a comparison reads through: known_order, or an order not past it."""
+    if order is None:
+        return known_order
+    if order > known_order:
+        raise ValueError("comparison order %d exceeds known order %d" % (order, known_order))
+    return order
+
+
+def _exact_ring(a, b):
+    """(types, ring) of the coefficients of two term dicts: the set of their
+    types, and the one ring of their Polys (None when there are none), or
+    _INEXACT unless every coefficient is exact over one ring."""
+    types = set(map(type, a.values())) | set(map(type, b.values()))
+    if not types <= _EXACT:
+        return types, _INEXACT
+    if Poly not in types:
+        return types, None
+    # SymRing == tests identity first; its hash would hash the Fraction squares
+    rings = [c.ring for c in chain(a.values(), b.values()) if type(c) is Poly]
+    ring = rings[0]
+    return types, ring if all(r == ring for r in rings) else _INEXACT
 
 
 def series_exp(f, one):

@@ -37,6 +37,9 @@ def test_b3_structure():
         b3_example(F(3))
     with pytest.raises(ValueError):
         b3_example(0)
+    # v = -1 zeroes the denominator 1 + v of one entry
+    with pytest.raises(ValueError, match="degenerate parameter"):
+        b3_example(-1)
 
 
 def test_invalid_rep_rejected():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.braidreps import phat
+from gtassoc.braidreps import BraidRep, phat
 from gtassoc.grtgt import act_grt, grt_cap_psi
 from gtassoc.hecke import (MatrixModel, a_entry, a_entry_prime, b_semi,
                            delta_eigenvalues_ok, hecke_infinitesimal, q_integer,
@@ -193,6 +193,38 @@ def test_unitary_generators_are_pinned_at_n7():
         "cb993a99c3752fc3a15dd7e5381a53877413fa452e7e20871701419b60cee49f",
         "42d8545e14b682e652c42643612de4a22d5db674a7ba4400d233d68be09100cd",
     ]
+
+
+def test_semi_generators_are_pinned(semi_model):
+    """The generator images of the semi-normal model of phi0, with their known
+    orders, for every shape with n <= 6."""
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            rep = rep_build(shape, semi_model)
+            for i in range(1, n):
+                digest.update(to_text(rep.sigma(i)).encode())
+                digest.update(b"known_order=%d\n" % rep.sigma(i).known_order)
+    assert digest.hexdigest() == (
+        "554be9d4fc69c5d585a28d9cca1fbf2f5a4c57fcf4d4a5c0c9d31f28d4e1da68")
+
+
+def test_checks_see_one_perturbed_top_degree_term(semi_model):
+    """One off-diagonal term of sigma_2 of (3, 2, 1), changed at the known
+    order, breaks the braid relations and the delta eigenvalues.  The entry
+    is that of the first block, whose h^5 term is zero before the change."""
+    shape = Partition((3, 2, 1))
+    rep = rep_build(shape, semi_model)
+    assert rep.braid_relations_ok() and delta_eigenvalues_ok(rep, shape, semi_model)
+    m = rep.sigma(2)
+    _, i, j = min(k for k in m.terms if k[1] != k[2])
+    key = (m.known_order, i, j)
+    terms = {**m.terms, key: m.terms.get(key, 0) + 1}
+    bent = HMatrix.from_terms(m.n, terms, m.maxdeg, m.ring, m.known_order)
+    sigmas = [bent if i == 2 else rep.sigma(i) for i in range(1, shape.n)]
+    bad = BraidRep(shape.n, sigmas)
+    assert not bad.braid_relations_ok()
+    assert not delta_eigenvalues_ok(bad, shape, semi_model)
 
 
 def test_b_relation_by_squaring(phi0, semi_model):

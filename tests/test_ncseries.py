@@ -385,6 +385,92 @@ def test_truncation_contract_past_known_order(kind):
             ask(3)
 
 
+# one key of each degree 0..4 and a constructor make(terms, known_order, ring) per
+# flat kind; HoloElt keys are normal-form words and carry no ring
+_KEYED = {
+    "NCSeries": ([bytes(w) for w in ([], [0], [1, 0], [0, 1, 1], [1, 1, 0, 1])],
+                 lambda terms, ko, ring: NCSeries(XY, 4, terms, ring, ko)),
+    "HoloElt": ([T3.basis_words(d)[-1] for d in range(5)],
+                lambda terms, ko, ring: T3.zero(ko)._like(terms)),
+    "ScalarSeries": (list(range(5)), lambda terms, ko, ring: ScalarSeries(4, terms, ring, ko)),
+    "HMatrix": ([(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1), (4, 0, 1)],
+                lambda terms, ko, ring: HMatrix.from_terms(2, terms, 4, ring, ko)),
+}
+# s^2 = 3: a ring with a quadratic symbol
+_QUAD = SymRing(("s",), {"s": 3})
+# coefficient kind -> (ring, the five coefficients of the base element, a replacement)
+_COEFFS = {
+    "int": (None, [1, -2, 3, 5, -1], 7),
+    "fraction": (None, [F(1), F(-1, 2), F(3, 7), F(5), F(-4, 3)], F(2, 9)),
+    # the replacement Fraction(1) of the int 1 in degree 0 leaves the value unchanged
+    "mixed": (None, [1, F(-1, 2), 3, F(5, 3), -1], F(1)),
+    "poly": (_QUAD, [_QUAD.one, _QUAD.symbol("s") + F(1, 2), _QUAD.const(3),
+                     _QUAD.symbol("s") * F(-2, 5), _QUAD.const(F(1, 4))], _QUAD.symbol("s")),
+}
+
+
+def _outcome(ask, order):
+    """ask(order), or the type of the ValueError it raises."""
+    try:
+        return ask(order)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _assert_like_the_difference(a, b, order):
+    """equal_through and is_one answer as the difference's is_zero does, or raise as it does."""
+    assert _outcome(lambda k: a.equal_through(b, k), order) == _outcome((a - b).is_zero, order)
+    assert _outcome(a.is_one, order) == _outcome((a - a._one()).is_zero, order)
+
+
+@pytest.mark.parametrize("coeffs", sorted(_COEFFS))
+@pytest.mark.parametrize("kind", sorted(_KEYED))
+def test_comparison_matches_the_difference(kind, coeffs):
+    keys, make = _KEYED[kind]
+    ring, values, other = _COEFFS[coeffs]
+    base = dict(zip(keys, values))
+    # the same terms (ints as Fractions), zero, and one coefficient replaced or
+    # dropped at each degree; swapping the operands adds one instead
+    variants = [base, {k: F(c) if type(c) is int else c for k, c in base.items()}, {}]
+    for key in keys:
+        variants += [{**base, key: other}, {k: c for k, c in base.items() if k != key}]
+    for ko_a, ko_b in ((4, 4), (3, 4), (4, 2), (0, 1)):
+        a = make(base, ko_a, ring)
+        for terms in variants:
+            b = make(terms, ko_b, ring)
+            for order in (None, 0, 1, 2, 3, 4, 5):
+                _assert_like_the_difference(a, b, order)
+                _assert_like_the_difference(b, a, order)
+    # a difference only above the comparison degree
+    top = make({**base, keys[4]: other}, 4, ring)
+    assert make(base, 4, ring).equal_through(top, 3) and not make(base, 4, ring).equal_through(top)
+
+
+def test_comparison_refuses_a_size_or_ring_mismatch():
+    ring = _COEFFS["poly"][0]
+    pairs = [(HMatrix.identity(2, 4), HMatrix.identity(3, 4)),
+             (ScalarSeries.one(4, ring), ScalarSeries.one(4)),
+             (NCSeries.one(XY, 4, ring), NCSeries.one(XY, 4))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                (x - y).is_zero()
+            with pytest.raises(ValueError):
+                x.equal_through(y)
+
+
+def test_bn_comparison_matches_the_difference():
+    _, gens = _bn_kind(3)
+    s = BnElt.from_perm(T3, transposition(3, 1))
+    a = s * (BnElt.unit(T3) + gens[0] * F(1, 2))
+    pairs = [(a, a), (a, s * (BnElt.unit(T3) + gens[0] * F(1, 2) + gens[1] * gens[2])),
+             (a, s), (BnElt.unit(T3) + gens[2] * gens[2] * gens[1], BnElt.unit(T3)),
+             (a - a, s - s)]
+    for x, y in pairs:
+        for order in (None, 0, 1, 2, 3, 4):
+            _assert_like_the_difference(x, y, order)
+
+
 def _product_rule(a, b):
     wa, wb = a.order(), b.order()
     if wa is None or wb is None:
