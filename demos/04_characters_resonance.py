@@ -4,14 +4,16 @@
 Twisting a representation rescales each block scalar: b_d goes to
 b_d chi_d(g).  On the reduced Burau family the chi_d arise as consecutive
 ratios of the diagonal conjugator, and a general tableau carries the
-monomial prod chi_{d_T(i,j)} over its column inversions.  A shape is
+monomial prod chi_{d_T(i,j)} over its column inversions, which the
+diagonal conjugator of any shape carries at T (up to the first tableau's
+monomial).  A shape is
 resonance-free when all its tableau monomials differ; the scan below
 recovers the classification: hooks and [2,2] only.
 """
 
-from gtassoc import (Partition, SymRing, chi_d, chi_tableau, diagonal_conjugator,
-                     g_ab, gt_act_on_rep, hook_identity, phat, phi0_reference,
-                     resonance_scan, tableaux, wedge_exponents)
+from gtassoc import (MatrixModel, Partition, SymRing, chi_d, chi_tableau,
+                     diagonal_conjugator, g_ab, gt_act_on_rep, hook_identity, phat,
+                     phi0_reference, rep_build, resonance_scan, tableaux, wedge_exponents)
 from gtassoc.characters import colliding_tableaux, tableau_diagonal
 from gtassoc.hecke import hecke_infinitesimal
 
@@ -34,6 +36,14 @@ diag = diagonal_conjugator(rep, gt_act_on_rep(rep, gab))
 for j, entry in enumerate(diag, start=1):
     print("  a_%d = 1 + (%s) h^3 + (%s) h^5 + ..." % (
         j, entry.coefficient(3), entry.coefficient(5)))
+
+print("\nthe conjugator on the non-hook shape [3,2,1], next to its tableau monomials:")
+shape = Partition((3, 2, 1))
+rep = rep_build(shape, MatrixModel("semi", phi0)).promote(ring)
+diag = diagonal_conjugator(rep, gt_act_on_rep(rep, gab))
+for t, entry in zip(tableaux(shape), diag):
+    print("  %-22s %-18r 1 + (%s) h^3 + ..." % (
+        t.rows(), chi_tableau(t), entry.coefficient(3)))
 
 print("\ntableau monomials down the diagonal of [3,2]:")
 print(" ", " ".join(repr(v) for v in tableau_diagonal(Partition((3, 2)))))

@@ -12,9 +12,10 @@ The functor substitutes h t for every t and sends
 
 so the image of delta_r is exp(lam h Y_r) and every pure braid generator
 lands in 1 + h M_N.  The filtered group twists a representation through
-sigma_r -> f(delta_r, sigma_r^2)^{-1} sigma_r f(delta_r, sigma_r^2), and a
-diagonal conjugator between a representation and its twist is read off one
-matrix row of a full-support probe element.
+sigma_r -> f(delta_r, sigma_r^2)^{-1} sigma_r f(delta_r, sigma_r^2).  A
+diagonal conjugator D between a representation and its twist is read along
+the nonzero off-diagonal entries of the sigma_i, starting from D_0 = 1: each
+entry sigma_i[j, k] gives D_k = D_j sigma'_i[j, k] / sigma_i[j, k].
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from fractions import Fraction
 from .braids import BraidWord
 from .hmatrix import HMatrix, evaluate_series
 from .linalg import mat_eq, mat_identity, mat_mul
-from .ncseries import NCSeries
 from .scalar import ScalarSeries, scalar_div
 from .symcoef import as_fraction
 
@@ -214,11 +214,6 @@ def phat(rho: InfinitesimalRep, phi, lam=None) -> BraidRep:
     return BraidRep(rho.n, sigmas, provenance="phat(lambda=%s)" % lam)
 
 
-def substitute_at_group_images(series: NCSeries, first: HMatrix, second: HMatrix) -> HMatrix:
-    """series(A, B) for group-like matrix arguments, via their logarithms."""
-    return evaluate_series(series, {"x": first.log(), "y": second.log()})
-
-
 def gt_act_on_rep(rep: BraidRep, g) -> BraidRep:
     """Twist: sigma_1 fixed, sigma_r conjugated by g(delta_r, sigma_r^2)."""
     series = g.series if hasattr(g, "series") else g
@@ -228,71 +223,43 @@ def gt_act_on_rep(rep: BraidRep, g) -> BraidRep:
     for r in range(2, rep.n):
         delta = rep.delta(r)
         sq = rep.sigma(r) * rep.sigma(r)
-        conj = substitute_at_group_images(series, delta, sq)
+        conj = evaluate_series(series, {"x": delta.log(), "y": sq.log()})
         sigmas.append(conj.inverse() * rep.sigma(r) * conj)
     return BraidRep(rep.n, sigmas, provenance=rep.provenance + "+twist")
 
 
-DEFAULT_PROBE_FALLBACKS = 4
+def diagonal_conjugator(rep: BraidRep, twisted: BraidRep):
+    """Diagonal entries (1, D_1, ..., D_{N-1}) with D sigma'_i = sigma_i D for every i.
 
-
-def default_probes(n):
-    """Deterministic probe combinations: formal sums of sigma_1...sigma_k words.
-
-    A probe is a list of (coefficient, letters) pairs; the first candidate is
-    1 + R(s1) + R(s1 s2) + ... and the fallbacks reweight the same words.
-    """
-    windows = [tuple(range(1, k + 1)) for k in range(0, n)]
-    yield [(Fraction(1), w) for w in windows]
-    for k in range(2, 2 + DEFAULT_PROBE_FALLBACKS):
-        yield [(Fraction(k) ** len(w), w) for w in windows]
-
-
-def apply_probe(rep: BraidRep, probe) -> HMatrix:
-    out = HMatrix.zero(rep.N, rep.maxdeg, rep.ring, rep.known_order)
-    unit = ScalarSeries.one(rep.maxdeg, rep.ring, rep.known_order)
-    for coeff, letters in probe:
-        out = out + (coeff * unit) * rep.image(tuple(letters))
-    return out
-
-
-def diagonal_conjugator(rep: BraidRep, twisted: BraidRep, probe=None):
-    """Diagonal entries (1, a_2, ..., a_N) conjugating the twist back.
-
-    Both representations must agree on every delta_r (those generate the
-    diagonal); a_j is the ratio of first-row entries of the probe images,
-    and the conjugation property is verified on all generators.
+    Both representations must agree on every delta_r, whose commutant is
+    diagonal.  From D_0 = 1, each nonzero off-diagonal entry sigma_i[j, k] of
+    rep leads from a known D_j to D_k = D_j sigma'_i[j, k] / sigma_i[j, k].
+    Raises ValueError if some D_k is never reached (rep is reducible, so D is
+    not unique) or if the conjugation fails on any entry.
     """
     for r in range(2, rep.n + 1):
         if not rep.delta(r).equal_through(twisted.delta(r)):
             raise ValueError("representations disagree on delta_%d" % r)
-    candidates = [probe] if probe is not None else default_probes(rep.n)
-    last_error = None
-    for pr in candidates:
-        x = apply_probe(rep, pr)
-        x_row = [x.entry(0, j) for j in range(rep.N)]
-        if any(e.order() is None for e in x_row):
-            last_error = ValueError("probe row has a zero entry; supply a better probe")
-            continue
-        if len({e.order() for e in x_row}) != 1:
-            last_error = ValueError("probe row entries have unequal h-orders")
-            continue
-        y = apply_probe(twisted, pr)
-        diag = []
-        ok = True
-        for j in range(rep.N):
-            yj, xj = y.entry(0, j), x_row[j]
-            if yj.order() is not None and yj.order() < xj.order():
-                ok = False
-                last_error = ValueError("probe ratio leaves the power series ring")
-                break
-            diag.append(scalar_div(yj, xj))
-        if not ok:
-            continue
-        if _verify_conjugation(rep, twisted, diag):
-            return diag
-        last_error = ValueError("conjugation verification failed")
-    raise last_error if last_error is not None else ValueError("no usable probe")
+    edges = {}
+    for i in range(1, rep.n):
+        for _, j, k in rep.sigma(i).terms:
+            if j != k:
+                edges.setdefault(j, {}).setdefault(k, i)
+    diag = {0: ScalarSeries.one(rep.maxdeg, rep.ring, rep.known_order)}
+    reached = [0]
+    for j in reached:
+        for k, i in edges.get(j, {}).items():
+            if k not in diag:
+                diag[k] = scalar_div(diag[j] * twisted.sigma(i).entry(j, k),
+                                     rep.sigma(i).entry(j, k))
+                reached.append(k)
+    if len(diag) < rep.N:
+        raise ValueError("the sigma_i entries reach %d of %d basis vectors: "
+                         "the representation is reducible" % (len(diag), rep.N))
+    diag = [diag[j] for j in range(rep.N)]
+    if not _verify_conjugation(rep, twisted, diag):
+        raise ValueError("conjugation verification failed")
+    return diag
 
 
 def _verify_conjugation(rep: BraidRep, twisted: BraidRep, diag):

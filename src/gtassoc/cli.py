@@ -44,6 +44,10 @@ def cmd_verify(args):
         # refused before any work: these suites check degree-5 coefficients
         print("verify %s: --degree must be at least 5" % args.suite, file=sys.stderr)
         return 2
+    if args.degree > 5:
+        # refused before any work: every suite checks through degree 5 only
+        print("verify %s: --degree must be at most 5" % args.suite, file=sys.stderr)
+        return 2
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     hecke = {}
     if args.nmax is not None:

@@ -323,7 +323,14 @@ def suffix_products(images, alphabet, one):
     def product_for(word):
         got = cache.get(word)
         if got is None:
-            got = cache[word] = images[alphabet[word[0]]] * product_for(word[1:])
+            # from the longest cached suffix leftwards; no recursion, so no
+            # reference cycle keeps the cache alive after the last call
+            k = len(word) - 1
+            while word[k:] in cache:
+                k -= 1
+            got = cache[word[k + 1:]]
+            for i in range(k, -1, -1):
+                got = cache[word[i:]] = images[alphabet[word[i]]] * got
         return got
 
     return product_for

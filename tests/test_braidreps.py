@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.braidreps import (InfinitesimalRep, b3_example, default_probes,
-                               diagonal_conjugator, gt_act_on_rep, phat)
+from gtassoc.braidreps import (BraidRep, InfinitesimalRep, b3_example, diagonal_conjugator,
+                               gt_act_on_rep, phat)
 from gtassoc.grtgt import act_gt, g_ab, grt_cap_psi, act_grt
 from gtassoc.hmatrix import HMatrix
 from gtassoc.linalg import mat_mul
@@ -173,10 +173,41 @@ def test_difference_formula(phi0, ab_ring):
             assert diff.entry(i, j).coefficient(3) == a * expect[i][j]
 
 
-def test_probe_family_deterministic():
-    probes = list(default_probes(3))
-    assert probes[0] == [(F(1), ()), (F(1), (1,)), (F(1), (1, 2))]
-    assert len(probes) == 5
+def _perturbed_sigma2(phi0, gab_rational):
+    R = phat(b3_example(F(5)), phi0)
+    Rt = gt_act_on_rep(R, gab_rational)
+    bump = HMatrix.from_terms(3, {(3, 0, 1): F(1)}, 5)
+    return R, BraidRep(3, [Rt.sigma(1), Rt.sigma(2) + bump])
+
+
+def _disagree_on_delta2(phi0, gab_rational):
+    R = phat(b3_example(F(5)), phi0)
+    return R, BraidRep(3, [(1 + ScalarSeries.gen(5)) * R.sigma(1), R.sigma(2)])
+
+
+def _same_deltas_not_conjugate(phi0, gab_rational):
+    # delta_2 = sigma_1^2 and delta_3 = sigma_2 delta_2 sigma_2 ignore the sign of sigma_1
+    R = phat(b3_example(F(5)), phi0)
+    return R, BraidRep(3, [-R.sigma(1), R.sigma(2)])
+
+
+def _reducible_identities(phi0, gab_rational):
+    one = HMatrix.identity(2, 5)
+    R = BraidRep(3, [one, one])
+    return R, R
+
+
+@pytest.mark.parametrize("pair, message", [
+    (_perturbed_sigma2, "delta_3"),
+    (_disagree_on_delta2, "delta_2"),
+    (_same_deltas_not_conjugate, "verification failed"),
+    (_reducible_identities, "reducible"),
+], ids=["perturbed-sigma2", "disagree-on-delta2", "same-deltas-not-conjugate",
+        "reducible-identities"])
+def test_diagonal_conjugator_refuses(pair, message, phi0, gab_rational):
+    rep, twisted = pair(phi0, gab_rational)
+    with pytest.raises(ValueError, match=message):
+        diagonal_conjugator(rep, twisted)
 
 
 def test_delta_gamma_relation_and_centrality(phi0):

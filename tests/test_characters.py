@@ -7,8 +7,8 @@ from gtassoc.characters import (ExponentVector, chi_d, chi_tableau, colliding_ta
                                 hook_identity, hook_vector, resonance, resonance_scan,
                                 tableau_diagonal, wedge_exponents, wedge_injective)
 from gtassoc.grtgt import act_grt, g_ab, grt_cap_psi, gt_mul
-from gtassoc.hecke import hecke_infinitesimal
-from gtassoc.scalar import scalar_div
+from gtassoc.hecke import hecke_infinitesimal, rep_build
+from gtassoc.scalar import ScalarSeries, scalar_div
 from gtassoc.tableaux import Partition, partitions_of, tableaux
 
 E = ExponentVector
@@ -101,6 +101,32 @@ def test_burau_diagonal_is_psi_ladder(phi0, gab_symbolic, ab_ring):
     a, b = ab_ring.symbol("a"), ab_ring.symbol("b")
     assert diag[1].coefficient(3) == a * (-32)
     assert diag[1].coefficient(5) == b * (-2304)
+
+
+@pytest.fixture(scope="module")
+def chi_values(phi0, gab_symbolic):
+    return {d: chi_d(gab_symbolic, d, phi0) for d in range(2, 7)}
+
+
+@pytest.mark.parametrize("shape", [s for n in range(3, 7) for s in partitions_of(n)], ids=str)
+def test_semi_normal_diagonal_is_tableau_monomials(shape, chi_values, semi_model,
+                                                   gab_symbolic, ab_ring):
+    # the matrix twist, the 2x2-block twist behind chi_d and the tableau
+    # combinatorics agree: D_j = chi^{e(T_j)} / chi^{e(T_0)}, resonant shapes included
+    def monomial(t):
+        out = ScalarSeries.one(5, ab_ring)
+        for d, e in chi_tableau(t).exps.items():
+            for _ in range(e):
+                out = out * chi_values[d]
+        return out
+    rep = rep_build(shape, semi_model).promote(ab_ring)
+    diag = diagonal_conjugator(rep, gt_act_on_rep(rep, gab_symbolic))
+    ts = tableaux(shape)
+    assert len(diag) == len(ts)
+    first = monomial(ts[0])
+    for entry, t in zip(diag, ts):
+        assert entry.known_order == rep.known_order
+        assert entry.equal_through(scalar_div(monomial(t), first), 5), t.rows()
 
 
 def test_hook_identity_all_shapes_through_7():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gtassoc.cli import main
+from gtassoc.cli import VERIFY_SUITES, main
 
 
 def run(capsys, *argv):
@@ -132,6 +132,19 @@ def test_verify_below_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
     code, out, err = run(capsys, "verify", suite, "--degree", "4")
     assert code == 2 and not out
     assert len(err.splitlines()) == 1 and "--degree must be at least 5" in err
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SUITES) + ["all"])
+def test_verify_above_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
+    from gtassoc import cli
+
+    def no_work(degree, **kwargs):
+        raise AssertionError("a suite ran")
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, no_work)
+    code, out, err = run(capsys, "verify", suite, "--degree", "9")
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "--degree must be at most 5" in err
 
 
 @pytest.mark.parametrize("argv", [

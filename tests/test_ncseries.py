@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ from gtassoc.ncseries import (AlgebraError, LieSeries, NCSeries, bch, commutator
                               nc_substitute, to_text)
 from gtassoc.scalar import ScalarSeries
 from gtassoc.symcoef import SymRing
-from gtassoc.truncated import substitute
+from gtassoc.truncated import substitute, suffix_products
 
 XY = ("x", "y")
 
@@ -519,6 +520,19 @@ def test_substitution_that_cancels_stores_no_term():
         got = entry(bracket, {"x": f, "y": g})
         assert got.terms == {}
         assert got.known_order == min(bracket.known_order, f.known_order, g.known_order) == 2
+
+
+def test_suffix_products_are_freed_without_the_cycle_collector():
+    """The word products agree with plain products, and dropping the function
+    leaves no reference cycle behind, so its cache is freed at once."""
+    one, x, y = letters(4)
+    gc.collect()
+    product_for = suffix_products({"x": x, "y": y}, XY, one)
+    assert product_for(b"\x01\x00\x01") == y * x * y
+    assert product_for(b"\x00\x01") == x * y
+    assert product_for(b"\x00\x00\x01") == x * x * y
+    del product_for
+    assert gc.collect() == 0
 
 
 def _plain_series_product(a, b, ko):
