@@ -263,17 +263,11 @@ def diagonal_conjugator(rep: BraidRep, twisted: BraidRep):
 
 
 def _verify_conjugation(rep: BraidRep, twisted: BraidRep, diag):
-    for i in range(1, rep.n):
-        lhs_rows = []
-        rhs_rows = []
-        a = rep.sigma(i)
-        b = twisted.sigma(i)
-        for r in range(rep.N):
-            lhs_rows.append([diag[r] * b.entry(r, c) for c in range(rep.N)])
-            rhs_rows.append([a.entry(r, c) * diag[c] for c in range(rep.N)])
-        if not HMatrix(lhs_rows).equal_through(HMatrix(rhs_rows)):
-            return False
-    return True
+    """D sigma'_i = sigma_i D for every i, D the diagonal matrix of diag."""
+    terms = {(p, j, j): c for j, e in enumerate(diag) for p, c in e.terms.items()}
+    d = HMatrix.from_terms(rep.N, terms, rep.maxdeg, rep.ring,
+                           min(e.known_order for e in diag), rep.sigma(1).var)
+    return all((d * twisted.sigma(i)).equal_through(rep.sigma(i) * d) for i in range(1, rep.n))
 
 
 def b3_example(v) -> InfinitesimalRep:

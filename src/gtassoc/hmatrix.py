@@ -193,10 +193,8 @@ def evaluate_series(series: NCSeries, images: dict) -> HMatrix:
         if name not in images:
             raise ValueError("no matrix image for letter %r" % name)
     ko = min([series.known_order] + [m.known_order for m in images.values()])
-    for m in images.values():
-        w = m.order()
-        if w is not None and w < 1:
-            raise ValueError("matrix substitution needs h-order >= 1 arguments")
+    if any(m.order() == 0 for m in images.values()):
+        raise ValueError("matrix substitution needs h-order >= 1 arguments")
     return substitute(series, images,
                       HMatrix.identity(sample.n, sample.maxdeg, sample.ring, ko, sample.var),
                       HMatrix.zero(sample.n, sample.maxdeg, sample.ring, ko, sample.var))

@@ -24,7 +24,10 @@ the cosine factor being It(1)/It(2).  The ratio identity reads
     Q_n(d) = (d+1)^{2n+1} + (d-1)^{2n+1} - 2 d^{2n+1},
 
 and h_tilde(d), its square root, satisfies b_kz(d,+-)/b_even_ref(d) =
-h_tilde(d)^{+-1}.  specialize_even sends a purely even series to Q[[h]] by
+h_tilde(d)^{+-1}.  Every scalar is one exp of one closed-form sum
+L = sum_j w_j log Gamma(1 + m_j hb) (loggamma_sum), with no series product,
+so b_kz(d, +-) = ((d+1)/2d) (exp(L_cos + L_Z1) + exp(L_cos + L_Z2)) takes
+two exps.  specialize_even sends a purely even series to Q[[h]] by
 the Bernoulli values zeta(2k) = (-1)^{k+1} B_2k (2 pi)^{2k} / (2 (2k)!),
 under which the powers of 2 i pi cancel rationally.
 """
@@ -74,20 +77,44 @@ def loggamma(z: ScalarSeries) -> ScalarSeries:
     return acc
 
 
-def _loggamma_multiple(ring, m, maxdeg):
-    """log Gamma(1 + m hb) directly from the defining expansion."""
-    z = hbar_series(ring, maxdeg, {1: ring.const(m)})
-    return loggamma(z)
+def loggamma_sum(ring, pairs, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
+    """sum_j w_j log Gamma(1 + m_j hb), (w_j, m_j) in pairs, over ring (kz_ring() for
+    None): -gamma sum_j w_j m_j at hb^1, (-1)^k zeta_k/k sum_j w_j m_j^k at hb^k.
+    Unless every m_j is 0, each zeta_k through maxdeg must be in the ring."""
+    ring = kz_ring() if ring is None else ring
+    zeta_max = max(k for k in range(2, 100) if "zeta%d" % k in ring.index)
+    if zeta_max < maxdeg and any(m for _, m in pairs):
+        raise ValueError("needs zeta_%d: raise the ring's zeta bound" % (zeta_max + 1))
+    terms = {}
+    for k in range(1, maxdeg + 1):
+        total = sum(Fraction(w) * m ** k for w, m in pairs)
+        if total:
+            terms[k] = (-ring.symbol("gamma") * total if k == 1
+                        else _zeta(ring, k) * Fraction((-1) ** k * total, k))
+    return hbar_series(ring, maxdeg, terms)
+
+
+def _gamma3_pairs(a, b):
+    """log F(a, b) as (w, m) pairs; w log J(2 m hb) is (w, 2m), (-w, -2m) and
+    w log I(2 m hb) is (w, 2m), (w, -2m)."""
+    disc = a * a + b * b - 4
+    s = math.isqrt(disc) if disc >= 0 else -1
+    if s < 0 or s * s != disc:
+        raise ValueError("a^2 + b^2 - 4 = %d is not a perfect square" % disc)
+    return [(1, -2 * a), (1, 2 * b), (-1, b - a + s), (-1, b - a - s)]
+
+
+_COS_PAIRS = [(1, 2), (1, -2), (-1, 4), (-1, -4)]
 
 
 def log_j_tilde(ring, m, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """log J(2 m hb); only gamma and odd zetas survive the cancellation."""
-    return _loggamma_multiple(ring, 2 * m, maxdeg) - _loggamma_multiple(ring, -2 * m, maxdeg)
+    return loggamma_sum(ring, [(1, 2 * m), (-1, -2 * m)], maxdeg)
 
 
 def log_i_tilde(ring, m, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """log I(2 m hb); only even zetas survive, no gamma."""
-    return _loggamma_multiple(ring, 2 * m, maxdeg) + _loggamma_multiple(ring, -2 * m, maxdeg)
+    return loggamma_sum(ring, [(1, 2 * m), (1, -2 * m)], maxdeg)
 
 
 def gamma3_F(a, b, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
@@ -96,58 +123,42 @@ def gamma3_F(a, b, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     Needs a^2 + b^2 - 4 to be a perfect square; the two square-root branches
     agree because the denominator pair is symmetric under delta -> -delta.
     """
-    ring = kz_ring() if ring is None else ring
-    disc = a * a + b * b - 4
-    s = math.isqrt(disc) if disc >= 0 else -1
-    if s < 0 or s * s != disc:
-        raise ValueError("a^2 + b^2 - 4 = %d is not a perfect square" % disc)
-    log_f = (_loggamma_multiple(ring, -2 * a, maxdeg)
-             + _loggamma_multiple(ring, 2 * b, maxdeg)
-             - _loggamma_multiple(ring, b - a + s, maxdeg)
-             - _loggamma_multiple(ring, b - a - s, maxdeg))
-    return log_f.exp()
+    return loggamma_sum(ring, _gamma3_pairs(a, b), maxdeg).exp()
 
 
 def z_pair(a, b, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """Z(a,b) = F(a,b) F(b,-a)."""
-    ring = kz_ring() if ring is None else ring
-    return gamma3_F(a, b, ring, maxdeg) * gamma3_F(b, -a, ring, maxdeg)
+    return loggamma_sum(ring, _gamma3_pairs(a, b) + _gamma3_pairs(b, -a), maxdeg).exp()
 
 
 def cos_factor(ring, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """(q + q^{-1})/2 expressed as It(1)/It(2)."""
-    return (log_i_tilde(ring, 1, maxdeg) - log_i_tilde(ring, 2, maxdeg)).exp()
+    return loggamma_sum(ring, _COS_PAIRS, maxdeg).exp()
 
 
 def b_kz(d, sign, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
-    """The KZ-side scalars; sign +1 for the original, -1 for the conjugate."""
-    ring = kz_ring() if ring is None else ring
+    """The KZ-side scalars, two exps; sign +1 for the original, -1 for the conjugate."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sign == 1:
-        zsum = z_pair(d, 2, ring, maxdeg) + z_pair(d, -2, ring, maxdeg)
-    else:
-        zsum = z_pair(-d, -2, ring, maxdeg) + z_pair(-d, 2, ring, maxdeg)
-    pref = ScalarSeries.const(Fraction(d + 1, 2 * d), maxdeg, ring, var=HBAR)
-    return pref * cos_factor(ring, maxdeg) * zsum
+    e = sign * d
+    z1, z2 = (loggamma_sum(ring, _COS_PAIRS + _gamma3_pairs(e, c) + _gamma3_pairs(c, -e),
+                           maxdeg).exp() for c in (2 * sign, -2 * sign))
+    return Fraction(d + 1, 2 * d) * (z1 + z2)
 
 
 def b_even_ref(d, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """((d+1)/d) It(d)/sqrt(It(d+1) It(d-1)) for the even reference model."""
-    ring = kz_ring() if ring is None else ring
-    exponent = (log_i_tilde(ring, d, maxdeg)
-                - Fraction(1, 2) * (log_i_tilde(ring, d + 1, maxdeg)
-                                    + log_i_tilde(ring, d - 1, maxdeg)))
-    return ScalarSeries.const(Fraction(d + 1, d), maxdeg, ring, var=HBAR) * exponent.exp()
+    half = Fraction(1, 2)
+    pairs = [(w, s * 2 * m) for w, m in ((1, d), (-half, d + 1), (-half, d - 1)) for s in (1, -1)]
+    return Fraction(d + 1, d) * loggamma_sum(ring, pairs, maxdeg).exp()
 
 
 def h_tilde(d, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """sqrt(Jt(d-1) Jt(d+1))/Jt(d)."""
-    ring = kz_ring() if ring is None else ring
-    exponent = (Fraction(1, 2) * (log_j_tilde(ring, d - 1, maxdeg)
-                                  + log_j_tilde(ring, d + 1, maxdeg))
-                - log_j_tilde(ring, d, maxdeg))
-    return exponent.exp()
+    half = Fraction(1, 2)
+    pairs = [(s * w, s * 2 * m) for w, m in ((half, d - 1), (half, d + 1), (-1, d))
+             for s in (1, -1)]
+    return loggamma_sum(ring, pairs, maxdeg).exp()
 
 
 def q_n(n, d):
@@ -157,12 +168,8 @@ def q_n(n, d):
 def ratio_formula_rhs(d, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """exp(-2 sum_n zeta_{2n+1}/(2n+1) 2^{2n+1} hb^{2n+1} Q_n(d))."""
     ring = kz_ring() if ring is None else ring
-    terms = {}
-    n = 1
-    while 2 * n + 1 <= maxdeg:
-        k = 2 * n + 1
-        terms[k] = _zeta(ring, k) * Fraction(-2 * 2 ** k * q_n(n, d), k)
-        n += 1
+    terms = {k: _zeta(ring, k) * Fraction(-2 * 2 ** k * q_n(k // 2, d), k)
+             for k in range(3, maxdeg + 1, 2)}
     return ScalarSeries(maxdeg, terms, ring, var=HBAR).exp()
 
 
@@ -190,12 +197,10 @@ def specialize_even(s: ScalarSeries, maxdeg=None) -> ScalarSeries:
             raise ValueError("odd hb-power %d cannot specialize" % power)
         total = Fraction(0)
         for exps, c in coeff.terms.items():
-            weight = 0
-            factor = Fraction(1)
-            for i, e in enumerate(exps):
+            weight, factor = 0, c * (-1) ** (power // 2)
+            for name, e in zip(ring.symbols, exps):
                 if not e:
                     continue
-                name = ring.symbols[i]
                 if not name.startswith("zeta"):
                     raise ValueError("symbol %s survives specialization" % name)
                 k = int(name[4:])
@@ -205,7 +210,7 @@ def specialize_even(s: ScalarSeries, maxdeg=None) -> ScalarSeries:
                 factor *= euler_zeta_factor(k // 2) ** e
             if weight != power:
                 raise ValueError("zeta weight %d differs from hb-power %d" % (weight, power))
-            total += c * factor * Fraction((-1) ** (power // 2))
+            total += factor
         if total:
             out[power] = total
     return ScalarSeries(maxdeg, out, None, s.known_order, "h")

@@ -179,20 +179,16 @@ def nc_substitute(f: NCSeries, images: dict, grouplike: bool = False) -> NCSerie
     if missing:
         raise AlgebraError("no image for letters %r" % missing)
     vals = {}
-    ko = f.known_order
-    sample = None
     for name in f.alphabet:
         img = images[name]
         if grouplike:
             if not is_grouplike(img):
                 raise ValueError("image of %r is not grouplike" % name)
             img = nc_log(img)
-        else:
-            if img.coefficient(EMPTY):
-                raise ValueError("image of %r has nonzero constant term" % name)
-        vals[name] = img
-        ko = min(ko, img.known_order)
-        sample = img
+        elif img.coefficient(EMPTY):
+            raise ValueError("image of %r has nonzero constant term" % name)
+        vals[name] = sample = img
+    ko = min([f.known_order] + [img.known_order for img in vals.values()])
     return substitute(f, vals, NCSeries.one(sample.alphabet, sample.maxdeg, sample.ring, ko),
                       NCSeries.zero(sample.alphabet, sample.maxdeg, sample.ring, ko))
 

@@ -279,40 +279,32 @@ def verify_hecke(degree=5, nmax=6) -> Report:
 def verify_kz(order=7) -> Report:
     rep = Report("kz")
     ring = kz.kz_ring()
+    # each scalar once per d: (b_kz(d, +1), b_kz(d, -1), b_even_ref(d), h_tilde(d))
+    scalars = {d: (kz.b_kz(d, +1, ring), kz.b_kz(d, -1, ring), kz.b_even_ref(d, ring),
+                   kz.h_tilde(d, ring)) for d in range(2, 7)}
     star_ok = all(
-        scalar_div(kz.b_kz(d, +1, ring), kz.b_kz(d, -1, ring)).equal_through(
-            kz.ratio_formula_rhs(d, ring), order)
-        for d in range(2, 7))
+        scalar_div(plus, minus).equal_through(kz.ratio_formula_rhs(d, ring), order)
+        for d, (plus, minus, _, _) in scalars.items())
     rep.add("ratio-formula", "odd-zeta exponential ratio", star_ok)
-    ht_ok = True
-    clean_ok = True
-    for d in range(2, 7):
-        ht = kz.h_tilde(d, ring)
-        if not scalar_div(kz.b_kz(d, +1, ring), kz.b_even_ref(d, ring)).equal_through(ht):
-            ht_ok = False
-        if not (scalar_div(kz.b_kz(d, -1, ring), kz.b_even_ref(d, ring)) * ht).is_one():
-            ht_ok = False
+    ht_ok = clean_ok = True
+    for d, (plus, minus, even, ht) in scalars.items():
         L = ht.log()
-        if L.coefficient(3) != ring.symbol("zeta3") * (-16 * d):
+        if not (scalar_div(plus, even).equal_through(ht)
+                and (scalar_div(minus, even) * ht).is_one()
+                and L.coefficient(3) == ring.symbol("zeta3") * (-16 * d)
+                and L.coefficient(5) == ring.symbol("zeta5") * (-64 * d * (2 * d * d + 1))
+                and L.coefficient(7) == ring.symbol("zeta7")
+                * (-256 * d * (3 * d ** 4 + 5 * d * d + 1))):
             ht_ok = False
-        if L.coefficient(5) != ring.symbol("zeta5") * (-64 * d * (2 * d * d + 1)):
-            ht_ok = False
-        if L.coefficient(7) != ring.symbol("zeta7") * (-256 * d * (3 * d ** 4 + 5 * d * d + 1)):
-            ht_ok = False
-        for k in range(0, L.known_order + 1):
-            c = L.coefficient(k)
-            if c and (c.coefficient({"gamma": 1}) or any(
-                    c.coefficient({"zeta%d" % z: 1}) for z in (2, 4, 6, 8))):
-                clean_ok = False
+        if any(c.coefficient({"gamma": 1}) or any(c.coefficient({"zeta%d" % z: 1})
+                                                   for z in (2, 4, 6, 8))
+               for c in L.terms.values()):
+            clean_ok = False
     rep.add("h-tilde", "square-root ratio identities", ht_ok)
     rep.add("no-gamma-even-zeta", "transcendental bookkeeping", clean_ok)
-    bridge_ok = True
     phi0 = phi0_reference(5)
-    for d in range(2, 7):
-        sp = kz.specialize_even(kz.b_even_ref(d, ring), 5)
-        bs = hecke.b_semi(phi0, d)
-        if not sp.equal_through(bs, 4):
-            bridge_ok = False
+    bridge_ok = all(kz.specialize_even(even, 5).equal_through(hecke.b_semi(phi0, d), 4)
+                    for d, (_, _, even, _) in scalars.items())
     rep.add("even-bridge", "specialization matches the model scalar", bridge_ok)
     pkz = kz.phi_kz_symbolic(5)
     zr = pkz.series.ring

@@ -41,6 +41,8 @@ key-to-coefficient ``terms``, ``_coerce`` and ``_like``.
 Word images are built from the left, image(first letter) * image(rest),
 so the single-generator factor sits on the left, which a holonomy product
 folds onto the normal right factor for the cost of one cached rewrite.
+Every image has order >= 1: a word of L letters wanted through K uses
+images cut to degree K - L + 1, its suffix behind i letters through K - i.
 """
 
 from __future__ import annotations
@@ -314,23 +316,35 @@ def suffix_products(images, alphabet, one):
     """A function word -> product of the images of its letters, built from the left.
 
     Words are bytes of indices into alphabet; images maps letter names to
-    values.  Every word asked for, and each of its suffixes, is formed once
-    and kept, so callers that must not keep a word ask for its suffix and
-    multiply the first letter's image on the left themselves.
+    values of positive order known through one's known order K.  A word of L
+    letters is exact through K and its suffix behind i letters through K - i,
+    from images cut to degree K - L + 1 (one copy per letter and degree).
+    Each product is kept with that degree (a zero image leaves its products
+    exact past their known order) and rebuilt when a later request needs
+    more, which (length, lex) order never does.  Callers that must not keep
+    a word ask for its suffix and multiply its first image on the left.
     """
-    cache = {b"": one}
+    ko = one.known_order
+    cache, cut = {b"": (one, ko)}, {}  # word -> (product, degree it is exact through)
+
+    def image(letter, n):
+        if (letter, n) not in cut:
+            img = images[alphabet[letter]]
+            cut[letter, n] = img if n >= img.known_order else img._like(img.terms, n)
+        return cut[letter, n]
 
     def product_for(word):
-        got = cache.get(word)
-        if got is None:
-            # from the longest cached suffix leftwards; no recursion, so no
-            # reference cycle keeps the cache alive after the last call
+        got, exact = cache.get(word, (None, -1))
+        if exact < ko:
+            # leftwards from the longest suffix cached through the degree its
+            # position needs; no recursion, so no cycle keeps the cache alive
             k = len(word) - 1
-            while word[k:] in cache:
+            while cache.get(word[k:], (None, -1))[1] >= ko - k:
                 k -= 1
-            got = cache[word[k + 1:]]
+            got = cache[word[k + 1:]][0]
             for i in range(k, -1, -1):
-                got = cache[word[i:]] = images[alphabet[word[i]]] * got
+                got = image(word[i], ko - len(word) + 1) * got
+                cache[word[i:]] = got, ko - i
         return got
 
     return product_for
@@ -339,9 +353,10 @@ def suffix_products(images, alphabet, one):
 def substitute(series, images, one, zero):
     """series evaluated at images: sum over words of coefficient * product of images.
 
-    images maps letter names to values of positive order.  Words are taken
-    in (length, lex) order, the product for each suffix is formed once, and
-    words longer than zero.known_order are skipped.  Each word adds its
+    images maps letter names to values of positive order known through K,
+    the known order of one and zero.  Words are taken in (length, lex) order,
+    words longer than K are skipped, and suffix_products forms each suffix
+    once, cut to the degree its position leaves.  Each word adds its
     coerced coefficient times its product's terms into one dict, which
     zero._like cleans of zeros and truncates at zero's known order.  A Poly
     coefficient times a product with rational coefficients is summed instead

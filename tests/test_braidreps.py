@@ -2,14 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.braidreps import (BraidRep, InfinitesimalRep, b3_example, diagonal_conjugator,
-                               gt_act_on_rep, phat)
+from gtassoc.braidreps import (BraidRep, InfinitesimalRep, _verify_conjugation, b3_example,
+                               diagonal_conjugator, gt_act_on_rep, phat)
 from gtassoc.grtgt import act_gt, g_ab, grt_cap_psi, act_grt
 from gtassoc.hmatrix import HMatrix
 from gtassoc.linalg import mat_mul
 from gtassoc.scalar import ScalarSeries, scalar_div
-from gtassoc.tableaux import Partition
-from gtassoc.hecke import hecke_infinitesimal
+from gtassoc.tableaux import Partition, partitions_of
+from gtassoc.hecke import hecke_infinitesimal, rep_build
 
 
 def test_hmatrix_log_exp():
@@ -208,6 +208,46 @@ def test_diagonal_conjugator_refuses(pair, message, phi0, gab_rational):
     rep, twisted = pair(phi0, gab_rational)
     with pytest.raises(ValueError, match=message):
         diagonal_conjugator(rep, twisted)
+
+
+def _grid_conjugation(rep, twisted, diag):
+    """D sigma'_i = sigma_i D compared as two N x N grids of entry products,
+    zeros included: the oracle for the diagonal-matrix check."""
+    for i in range(1, rep.n):
+        a, b = rep.sigma(i), twisted.sigma(i)
+        lhs = HMatrix([[diag[r] * b.entry(r, c) for c in range(rep.N)] for r in range(rep.N)])
+        rhs = HMatrix([[a.entry(r, c) * diag[c] for c in range(rep.N)] for r in range(rep.N)])
+        if not lhs.equal_through(rhs):
+            return False
+    return True
+
+
+_CONJUGATION_CASES = ([("b3", v) for v in (F(5), F(1, 2), F(-2))]
+                      + [("semi", s) for n in range(3, 6) for s in partitions_of(n)])
+
+
+@pytest.mark.parametrize("case", _CONJUGATION_CASES, ids=str)
+def test_conjugation_check_reads_as_the_grids_do(case, phi0, semi_model, gab_symbolic,
+                                                 ab_ring):
+    """The diagonal-matrix check gives the grid oracle's verdict through the
+    same order: with D cut to known order k, a bump of sigma'_1 at h^k fails
+    both and a bump at h^(k+1) passes both."""
+    kind, arg = case
+    rho = phat(b3_example(arg), phi0) if kind == "b3" else rep_build(arg, semi_model)
+    rep = rho.promote(ab_ring)
+    twisted = gt_act_on_rep(rep, gab_symbolic)
+    diag = diagonal_conjugator(rep, twisted)
+    for k in (rep.known_order, rep.known_order - 2):
+        cut = [e._like(e.terms, k) for e in diag]
+        for power in (None, k, k + 1):
+            bumped = twisted
+            if power is not None and power <= rep.maxdeg:
+                bump = HMatrix.from_terms(rep.N, {(power, 0, 0): ab_ring.one}, rep.maxdeg, ab_ring)
+                bumped = BraidRep(rep.n, [twisted.sigma(1) + bump]
+                                  + [twisted.sigma(i) for i in range(2, rep.n)])
+            want = _grid_conjugation(rep, bumped, cut)
+            assert want == (power is None or power > k)
+            assert _verify_conjugation(rep, bumped, cut) == want
 
 
 def test_delta_gamma_relation_and_centrality(phi0):

@@ -1,4 +1,6 @@
+import functools
 import gc
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -13,7 +15,7 @@ from gtassoc.ncseries import (AlgebraError, LieSeries, NCSeries, bch, commutator
                               nc_substitute, to_text)
 from gtassoc.scalar import ScalarSeries
 from gtassoc.symcoef import SymRing
-from gtassoc.truncated import substitute, suffix_products
+from gtassoc.truncated import Truncated, substitute, suffix_products
 
 XY = ("x", "y")
 
@@ -533,6 +535,117 @@ def test_suffix_products_are_freed_without_the_cycle_collector():
     assert product_for(b"\x00\x00\x01") == x * x * y
     del product_for
     assert gc.collect() == 0
+
+
+# -- degree-cut word products against whole products --------------------
+
+T3_5 = HoloAlgebra(3, 5)
+AB = SymRing(("a", "b"))
+
+
+def _whole_products(series, images, one, zero):
+    """Each word's whole product of the uncut images, from a unit known through
+    maxdeg, times its coefficient, summed into one dict and truncated only at
+    the end by zero._like."""
+    acc = {}
+    for word, coeff in series.terms.items():
+        prod = one
+        for b in word:
+            prod = prod * images[series.alphabet[b]]
+        c = zero._coerce(coeff)
+        for key, v in prod.terms.items():
+            acc[key] = acc.get(key, 0) + c * v
+    return zero._like(acc)
+
+
+def _cut_case(kind, ring, ko):
+    """(one at maxdeg, zero at ko, order-1 generators, entry point) for one kind;
+    HoloElt images keep rational coefficients (substitute's flat Poly branch)."""
+    if kind == "NCSeries":
+        one, x, y = letters(6, ring)
+        return one, NCSeries.zero(XY, 6, ring, ko), [x, y], nc_substitute
+    if kind == "HoloElt":
+        gens = [T3_5.generator(1, 2), T3_5.generator(2, 3), T3_5.generator(1, 3)]
+        return (T3_5.one(), T3_5.zero(ko), gens,
+                lambda series, images: embed_free(series, T3_5, images))
+    h = ScalarSeries.gen(6, ring)
+    return (HMatrix.identity(2, 6, ring), HMatrix.zero(2, 6, ring, ko),
+            [h * HMatrix.from_const([[0, 1], [1, 0]], 6, ring),
+             h * HMatrix.from_const([[1, 0], [2, -1]], 6, ring)], evaluate_series)
+
+
+@pytest.mark.parametrize("kind", ["NCSeries", "HoloElt", "HMatrix"])
+@pytest.mark.parametrize("coeffs", ["Fraction", "Poly"])
+@pytest.mark.parametrize("orders", [(1, 1), (1, 2), (2, 2), (1, None)], ids=str)
+@pytest.mark.parametrize("below", ["series", "images"])
+def test_cut_word_products_equal_whole_products(kind, coeffs, orders, below):
+    """nc_substitute, embed_free and evaluate_series build each suffix only through
+    the degree its position leaves; the sum equals that of whole word products."""
+    rng = random.Random("%s %s %s %s" % (kind, coeffs, orders, below))
+    ring = AB if coeffs == "Poly" and kind != "HoloElt" else None
+    series_ring = AB if coeffs == "Poly" else None
+    ko = 5 if below == "series" else 4
+    one, zero, gens, entry = _cut_case(kind, ring, ko)
+
+    def coefficient():
+        c = F(rng.randint(-4, 4), rng.randint(1, 3))
+        if series_ring is None:
+            return c
+        return AB.symbol("a") * c + AB.symbol("b") * F(rng.randint(-3, 3)) + 1
+
+    def word_of(length):
+        out = one
+        for _ in range(length):
+            out = out * gens[rng.randrange(len(gens))]
+        return out
+
+    images = {}
+    for name, order in zip(XY, orders):
+        # not homogeneous, so a cut image differs from the whole one; None for zero
+        img = (one - one if order is None else
+               word_of(order) + word_of(order + 1) * F(1, 2) + word_of(order + 2) * F(-3))
+        if ring is not None and order is not None:
+            img = img * AB.symbol("a") + word_of(order + 1) * AB.symbol("b")
+        images[name] = img._like(img.terms, 5 if below == "series" else ko)
+    terms = {bytes(rng.randrange(2) for _ in range(rng.randint(0, 6))): coefficient()
+             for _ in range(40)}
+    series = NCSeries(XY, 6, terms, series_ring, 5 if below == "series" else 6)
+    got = entry(series, images)
+    want = _whole_products(series, images, one, zero)
+    assert got.known_order == want.known_order == ko
+    assert got.terms == want.terms
+    assert got.terms, "the case tests nothing"
+
+
+def test_suffix_products_rebuild_a_suffix_cut_too_low():
+    """A suffix first formed behind a letter is known one degree less; asked for
+    on its own later, it is rebuilt through the full known order."""
+    one, x, y = letters(4)
+    images = {"x": x + y * y * y, "y": y + x * x}
+    product_for = suffix_products(images, XY, one)
+    xyx = product_for(b"\x00\x01\x00")
+    assert xyx.equal_through(images["x"] * images["y"] * images["x"])
+    yx = product_for(b"\x01\x00")
+    assert yx.known_order == 4
+    assert yx.equal_through(images["y"] * images["x"])
+    assert yx.coefficient("yyyy") == 1
+
+
+def test_suffix_products_form_each_word_once_with_a_zero_image(monkeypatch):
+    """A zero image makes products of short known order; they are still kept as
+    exact through the degree their position needs, so no word is formed twice."""
+    one, x, y = letters(4)
+    images = [x + x * y, one - one]
+    words = sorted((bytes(w) for n in range(1, 5) for w in itertools.product(range(2), repeat=n)),
+                   key=lambda w: (len(w), w))
+    whole = {w: functools.reduce(lambda p, b: p * images[b], w, one).terms for w in words}
+    calls = []
+    monkeypatch.setattr(NCSeries, "__mul__",
+                        lambda a, b: calls.append(1) or Truncated.__mul__(a, b))
+    product_for = suffix_products(dict(zip(XY, images)), XY, one)
+    for word in words:
+        assert product_for(word).terms == whole[word]
+    assert len(calls) == len(words)
 
 
 def _plain_series_product(a, b, ko):
