@@ -39,12 +39,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
-from .linalg import solve_affine
+from .linalg import solve_columns
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
                        nc_exp, nc_log, nc_substitute, to_text)
 from .symcoef import as_fraction, layers
 from .truncated import suffix_products
-from .wbasis import XY, all_words, w_coordinates, w_element
+from .wbasis import XY, w_coordinates, w_element
 
 
 class AssociatorCandidate:
@@ -257,7 +257,14 @@ def _first_letter_images(elements, substitutions):
                 for tail, c in uses:
                     tail[key] = tail.get(key, 0) + c * v
         hx, hy = heads
-        values.append([hx * hx._like(tx) + hy * hy._like(ty) for tx, ty in tails])
+        # int terms and heads of order 1: the product hook directly, summed in place
+        value = []
+        for tx, ty in tails:
+            out = hx._convolve(hx.terms, tx, hx.maxdeg)
+            for key, v in hy._convolve(hy.terms, ty, hy.maxdeg).items():
+                out[key] = out.get(key, 0) + v
+            value.append(hx._like(out))
+        values.append(value)
     return dens, values
 
 
@@ -286,17 +293,15 @@ def _hexagon_substitutions(degree):
     return [relabelled((z, x), b"\2\0"), relabelled((y, z), b"\1\2"), relabelled((x, y), b"\0\1")]
 
 
-def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
+def _pentagon_linear(elements, algebra: HoloAlgebra):
     """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) for homogeneous psi of one degree.
 
-    Returns one coordinate list on algebra.basis_words(degree) per element.
-    Each face evaluates every element at once, split by first letter
-    (_first_letter_images): the cached images of the degree-(D-1) suffixes
-    are scattered into one tail per element and first letter, and each tail
-    takes one product with its one- or two-letter head, whose letters fold
-    through the cached prepend rows.  The sums run in int over each
-    element's common denominator d, and each column is divided by its d
-    once, into Fractions.
+    Returns (d, {basis word: int}) per element: d, the element's common
+    denominator, times its value.  Each face evaluates every element at once,
+    split by first letter (_first_letter_images): the cached images of the
+    degree-(D-1) suffixes are scattered into one tail per element and first
+    letter, and each tail takes one product with its one- or two-letter head,
+    whose letters fold through the cached prepend rows.
     """
     dens, faces = _first_letter_images(elements, _face_substitutions(algebra))
     sums = [{} for _ in elements]
@@ -305,32 +310,29 @@ def _pentagon_linear(elements, algebra: HoloAlgebra, degree):
         for acc, value in zip(sums, values):
             for mono, c in value.terms.items():
                 acc[mono] = acc.get(mono, 0) + sign * c
-    basis = algebra.basis_words(degree)
-    zero = Fraction(0)
-    return [[Fraction(acc[w], d) if w in acc else zero for w in basis]
-            for acc, d in zip(sums, dens)]
+    return list(zip(dens, sums))
 
 
 def _linear_residuals(elements, algebra: HoloAlgebra, degree):
     """The linear part L of the defining equations on homogeneous Lie elements.
 
-    For psi of the given degree, with z = -x-y, L(psi) stacks the duality
-    block swap(psi) + psi and the hexagon block psi(z,x) + psi(y,z) + psi(x,y)
-    (both on all_words(degree)) over the pentagon block of _pentagon_linear.
-    The hexagon block, like the pentagon block, evaluates every element at
-    once, split by first letter, in int over each element's common
-    denominator.
+    One sparse int column (d, {key: int}) per element psi of the given degree:
+    d times L(psi), d its common denominator.  With z = -x-y, the keys
+    (0, word) hold swap(psi) + psi, (1, word) psi(z,x) + psi(y,z) + psi(x,y)
+    and (2, basis word) the pentagon block of _pentagon_linear; the hexagon
+    block, like the pentagon block, evaluates every element at once.
     """
-    words = all_words(degree)
     dens, (at_zx, at_yz, at_xy) = _first_letter_images(elements, _hexagon_substitutions(degree))
-    rows = []
-    for psi, d, zx, yz, xy, pent in zip(elements, dens, at_zx, at_yz, at_xy,
-                                        _pentagon_linear(elements, algebra, degree)):
-        dual = letter_swap(psi, {"x": "y", "y": "x"}) + psi
-        hexa = (zx + yz + xy).terms
-        rows.append([dual.coefficient(w) for w in words]
-                    + [Fraction(hexa.get(w, 0), d) for w in words] + pent)
-    return rows
+    columns = []
+    for psi, zx, yz, xy, (d, pent) in zip(elements, at_zx, at_yz, at_xy,
+                                          _pentagon_linear(elements, algebra)):
+        scaled = psi.scaled_copy(layers(psi.terms)[1][()])
+        dual = letter_swap(scaled, {"x": "y", "y": "x"}) + scaled
+        column = {(0, w): c for w, c in dual.terms.items()}
+        column.update(((1, w), c) for w, c in (zx + yz + xy).terms.items())
+        column.update(((2, w), c) for w, c in pent.items())
+        columns.append((d, column))
+    return columns
 
 
 def extend_associator(phi: AssociatorCandidate, parity: bool = False,
@@ -351,8 +353,8 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     base + psi is exactly R(base) + L(psi): every product of psi with a term
     of positive degree lies past the known order, so only psi times the
     constant terms survives.  The nonlinear part R(base) is evaluated once;
-    the matrix columns are L of the Lyndon basis elements and the right-hand
-    side is -(R(base) + L(-log tail)).
+    linalg.solve_columns takes the sparse int columns L of the Lyndon basis
+    elements and the right-hand side -(R(base) + L(-log tail)) as one dict.
     """
     s = phi.series
     if s.ring is not None:
@@ -363,7 +365,6 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
 
     log_tail = nc_log(base).homogeneous(target)
     lyndon = lyndon_basis(XY, target, maxdeg=target)
-    words = all_words(target)
 
     def candidate(coords):
         corr = NCSeries.zero(XY, target)
@@ -372,16 +373,17 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
                 corr = corr + c * elt
         return base + (corr - log_tail)
 
-    # the nonlinear part, once: the residual of base itself
+    # the right-hand side -(R(base) + L(-log tail)), nonlinear part evaluated once
     dual = (letter_swap(base, {"x": "y", "y": "x"}) * base).homogeneous(target)
     hexa = hexagon_product(base, phi.lam).homogeneous(target)
     pent = pentagon_defect(base, algebra).homogeneous(target)
-    r_base = ([dual.coefficient(w) for w in words] + [hexa.coefficient(w) for w in words]
-              + [pent.coefficient(w) for w in algebra.basis_words(target)])
-    *columns, tail = _linear_residuals([elt for _, elt in lyndon] + [-log_tail], algebra, target)
-    r0 = [a + b for a, b in zip(r_base, tail)]
-    matrix = [list(row) for row in zip(*columns)]
-    particular, kernel = solve_affine(matrix, [-v for v in r0])
+    rhs = {(block, w): -c for block, part in enumerate((dual, hexa, pent))
+           for w, c in part.terms.items()}
+    *columns, (d, tail) = _linear_residuals([elt for _, elt in lyndon] + [-log_tail],
+                                            algebra, target)
+    for key, c in tail.items():
+        rhs[key] = rhs.get(key, 0) - Fraction(c, d)
+    particular, kernel = solve_columns(columns, rhs)
     kernel_series = []
     for vec in kernel:
         elt = NCSeries.zero(XY, target)
@@ -390,7 +392,7 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
                 elt = elt + c * b
         kernel_series.append(elt)
     if (parity and target % 2 == 1 and log_tail.is_zero()
-            and all(not v for v in r0)):
+            and not any(rhs.values())):
         # the even extension: keep the degree-(D+1) component zero
         particular = [Fraction(0)] * len(lyndon)
     return AssociatorCandidate(candidate(particular), phi.lam), kernel_series

@@ -81,10 +81,10 @@ class InfinitesimalRep:
             for j in range(i + 2, self.n):
                 if not mat_eq(mat_mul(self.s[i], self.s[j]), mat_mul(self.s[j], self.s[i])):
                     problems.append("s_%d and s_%d do not commute" % (i, j))
-        # holonomy relations
+        # holonomy relations; [t_ij, t_kl] = 0 iff [t_kl, t_ij] = 0, so once per disjoint pair
         pairs = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
-        for (i, j) in pairs:
-            for (k, l) in pairs:
+        for a, (i, j) in enumerate(pairs):
+            for (k, l) in pairs[a + 1:]:
                 if len({i, j, k, l}) == 4:
                     z = comm(self.t_matrix(i, j), self.t_matrix(k, l))
                     if any(any(v for v in row) for row in z):

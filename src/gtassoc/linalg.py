@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over Q, with one Gauss-Jordan elimination.
+"""Exact linear algebra over Q, eliminating in int and building Fractions at the end.
 
-The systems are narrow: Lie-coordinate extraction (<= 32 columns), the
-associator solver (one column per Lyndon word of the new degree: 9 at
-degree 6, over 3153 rows, 638 of them nonzero) and constant-matrix
-inverses.  ``rref`` eliminates in int and builds Fractions only at the end.
+``rref`` reduces dense rows: Lie-coordinate extraction (<= 32 columns) and
+constant-matrix inverses.  ``solve_columns`` solves an affine system on its
+sparse int columns, one per unknown: the associator solver's 9 at degree 6
+(638 of 3153 rows nonzero) and 30 at degree 8 (29 013 rows).
 """
 
 from __future__ import annotations
@@ -51,31 +51,58 @@ def rref(rows):
     return pivots
 
 
-def solve_affine(matrix, rhs):
-    """Solve M c = rhs exactly.
+def _int_column(values):
+    """(d, {key: d v}) for a {key: rational v} dict, d the common denominator, zeros dropped."""
+    d = common_denominator(values.values())
+    return d, {k: v.numerator * (d // v.denominator) for k, v in values.items() if v}
 
-    Returns (particular, kernel_basis) where the particular solution zeroes
-    every free variable (deterministic pivoting in column order), or raises
-    ValueError when the system is inconsistent.
+
+def solve_columns(columns, rhs):
+    """Solve sum_j c_j v_j / d_j = rhs exactly, for sparse columns (d_j, {key: int}).
+
+    rhs maps keys to rationals.  Returns (particular, kernel): the particular
+    solution zeroes every free variable, and each kernel vector is 1 at its
+    free column and 0 at the others; raises ValueError when inconsistent.
+    The columns, then rhs, are reduced in int against the earlier pivot
+    vectors (v <- a v - b p, a/b = pivot/entry in lowest terms), carrying
+    their combinations of the inputs: a vector reducing to zero gives its
+    kernel vector or the particular solution, as Gauss-Jordan's would.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(m)]
-    pivots = rref(aug)
-    if n in pivots:
-        raise ValueError("inconsistent linear system")
-    particular = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        particular[c] = aug[r][n]
-    free = [c for c in range(n) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -aug[r][fc]
-        kernel.append(vec)
+    n = len(columns)
+    rd, rhs = _int_column(rhs)
+    dens = [d for d, _ in columns] + [rd]
+    pivots, solutions = [], []
+    for j, vector in enumerate([v for _, v in columns] + [rhs]):
+        row, comb = dict(vector), [int(i == j) for i in range(n + 1)]
+        for key, prow, pcomb in pivots:
+            f = row.get(key)
+            if f:
+                g = gcd(prow[key], f)
+                a, b = prow[key] // g, f // g
+                if a != 1:
+                    row = {k: a * x for k, x in row.items()}
+                comb = [a * x - b * y for x, y in zip(comb, pcomb)]
+                for k, y in prow.items():
+                    row[k] = row.get(k, 0) - b * y
+        row = {k: x for k, x in row.items() if x}
+        if not row:
+            scale = comb[j] * dens[j] * (1 if j < n else -1)
+            solutions.append([Fraction(x * d, scale) for x, d in zip(comb, dens[:n])])
+        elif j == n:
+            raise ValueError("inconsistent linear system")
+        else:
+            # the least pivot, made positive, keeps later multipliers a at 1 where it can
+            key = min(row, key=lambda k: abs(row[k]))
+            g = gcd(*row.values(), *comb) * (1 if row[key] > 0 else -1)
+            pivots.append((key, {k: x // g for k, x in row.items()}, [x // g for x in comb]))
+    *kernel, particular = solutions
     return particular, kernel
+
+
+def solve_affine(matrix, rhs):
+    """Solve M c = rhs exactly for a dense rational matrix: solve_columns on its columns."""
+    columns = [_int_column(dict(enumerate(col))) for col in zip(*matrix)]
+    return solve_columns(columns, dict(enumerate(rhs)))
 
 
 class CoordSolver:

@@ -15,6 +15,8 @@ from gtassoc.ncseries import (NCSeries, is_grouplike, letter_swap, lyndon_basis,
 from gtassoc.symcoef import common_denominator
 from gtassoc.wbasis import XY, all_words, w_coordinates, w_element
 
+from test_linalg import rref_solve_affine
+
 
 def test_phi0_coefficients(phi0):
     assert phi0.lam == 1
@@ -252,20 +254,33 @@ def brute_force_system(phi):
 
 
 def test_linearized_system_matches_brute_force(monkeypatch):
+    """The sparse columns and right-hand side handed to the solver, densified
+    on the rows (duality words, hexagon words, U(T_4) basis words), equal the
+    brute-force system, and the solution equals the rref oracle's."""
     captured = []
-    solve = associators.solve_affine
+    solve = associators.solve_columns
 
-    def capture(matrix, rhs):
-        captured.append((matrix, rhs))
-        return solve(matrix, rhs)
+    def capture(columns, rhs):
+        result = solve(columns, rhs)
+        captured.append((columns, rhs, result))
+        return result
 
-    monkeypatch.setattr(associators, "solve_affine", capture)
+    monkeypatch.setattr(associators, "solve_columns", capture)
 
     def check(cand, parity=False):
-        oracle = brute_force_system(cand)
+        matrix, rhs = brute_force_system(cand)
         captured.clear()
         extended, _ = extend_associator(cand, parity=parity)
-        assert captured == [oracle]
+        [(columns, sparse_rhs, result)] = captured
+        target = cand.series.known_order + 1
+        words = all_words(target)
+        keys = ([(0, w) for w in words] + [(1, w) for w in words]
+                + [(2, w) for w in holonomy_algebra(4, target).basis_words(target)])
+        assert set(sparse_rhs).union(*(v for _, v in columns)) <= set(keys)
+        dense = [[F(v.get(key, 0), d) for d, v in columns] for key in keys]
+        assert dense == matrix
+        assert [sparse_rhs.get(key, 0) for key in keys] == rhs
+        assert result == rref_solve_affine(matrix, rhs)
         return extended
 
     for parity in (False, True):

@@ -51,6 +51,24 @@ def test_invalid_rep_rejected():
         InfinitesimalRep(3, s, bad_t)
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (2, 2)])
+def test_perturbed_disjoint_t_raises_its_first_commutator(shape):
+    """A perturbed t_ij no longer commutes with its disjoint t_kl; the first
+    problem is [t_ab, t_cd] != 0 with ab before cd in (12, 13, 14, 23, 24, 34)."""
+    rho = hecke_infinitesimal(Partition(shape))
+    s = [rho.s[i] for i in range(1, 4)]
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    for ij in pairs:
+        kl = next(p for p in pairs if not set(p) & set(ij))
+        t = {p: [list(row) for row in m] for p, m in rho.t.items()}
+        t[ij][0][-1] += F(1, 3)
+        first, second = sorted((ij, kl))
+        message = "invalid infinitesimal representation: [t_%d%d, t_%d%d] != 0" % (first + second)
+        with pytest.raises(ValueError) as info:
+            InfinitesimalRep(4, s, t)
+        assert str(info.value) == message
+
+
 def test_phat_b3(phi0):
     rho = b3_example(F(5))
     R = phat(rho, phi0)

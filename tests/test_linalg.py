@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.linalg import CoordSolver, mat_identity, mat_inv, mat_mul, rref, solve_affine
+from gtassoc.linalg import (CoordSolver, mat_identity, mat_inv, mat_mul, rref, solve_affine,
+                            solve_columns)
 from gtassoc.symcoef import SymRing
 
 
@@ -27,6 +28,31 @@ def fraction_rref(rows):
         r += 1
     del rows[r:]
     return pivots
+
+
+def rref_solve_affine(matrix, rhs):
+    """Solve M c = rhs by rref on [M | rhs]: the oracle for solve_columns.
+
+    The particular solution zeroes every free variable, and each kernel
+    vector is 1 at its free column and 0 at the other free columns.
+    """
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    aug = [list(matrix[i]) + [rhs[i]] for i in range(m)]
+    pivots = rref(aug)
+    if n in pivots:
+        raise ValueError("inconsistent linear system")
+    particular = [F(0)] * n
+    for r, c in enumerate(pivots):
+        particular[c] = aug[r][n]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [F(0)] * n
+        vec[fc] = F(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -aug[r][fc]
+        kernel.append(vec)
+    return particular, kernel
 
 
 def dense_mat_mul(a, b):
@@ -158,6 +184,87 @@ def test_solve_affine_rank_deficient_kernel():
     assert kernel == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
     for vec in kernel:
         assert mat_mul(matrix, [[v] for v in vec]) == [[F(0)], [F(0)]]
+
+
+def random_columns(rng):
+    """Sparse int columns, each over its own (not always reduced) denominator.
+
+    Zero columns, repeated columns and combinations of earlier columns are
+    mixed in, so the system is often rank-deficient; the right-hand side is
+    zero, in the span, or random (often inconsistent).
+    """
+    nrows, ncols = rng.randint(1, 9), rng.randint(0, 8)
+    ints = []
+    for _ in range(ncols):
+        kind = rng.random()
+        if kind < 0.1:
+            ints.append({})
+        elif ints and kind < 0.2:
+            ints.append(dict(rng.choice(ints)))
+        elif len(ints) > 1 and kind < 0.45:
+            a, b = rng.sample(ints, 2)
+            s, t = rng.randint(-4, 4), rng.randint(-4, 4)
+            ints.append({k: s * a.get(k, 0) + t * b.get(k, 0) for k in set(a) | set(b)})
+        else:
+            ints.append({i: rng.randint(-9, 9) for i in range(nrows) if rng.random() < 0.6})
+    columns = [(rng.choice((1, 1, 2, 3, 4, 6, 12)), v) for v in ints]
+    kind = rng.random()
+    if kind < 0.15 or not columns:
+        rhs = {}
+    elif kind < 0.6:
+        rhs = {}
+        for d, v in columns:
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            for k, x in v.items():
+                rhs[k] = rhs.get(k, 0) + c * F(x, d)
+    else:
+        rhs = {i: F(rng.randint(-9, 9), rng.randint(1, 5)) for i in range(nrows)
+               if rng.random() < 0.5}
+    matrix = [[F(v.get(i, 0), d) for d, v in columns] for i in range(nrows)]
+    return columns, rhs, matrix, [F(rhs.get(i, 0)) for i in range(nrows)]
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+def test_solve_columns_matches_rref_oracle():
+    kinds = dict.fromkeys(("inconsistent", "rank-deficient", "zero rhs", "zero column",
+                           "duplicate column"), 0)
+    for seed in range(400):
+        columns, rhs, matrix, dense_rhs = random_columns(random.Random(seed))
+        want = outcome(rref_solve_affine, matrix, dense_rhs)
+        got = outcome(solve_columns, columns, rhs)
+        assert got == want, seed
+        assert outcome(solve_affine, matrix, dense_rhs) == want, seed
+        if isinstance(got, tuple):
+            assert all(type(v) is F for vec in [got[0]] + got[1] for v in vec)
+        kinds["inconsistent"] += isinstance(want, str)
+        kinds["rank-deficient"] += isinstance(want, tuple) and bool(want[1])
+        kinds["zero rhs"] += not any(rhs.values())
+        kinds["zero column"] += any(not any(v.values()) for _, v in columns)
+        kinds["duplicate column"] += len({tuple(sorted(v.items())) for _, v in columns}) < len(columns)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_solve_columns_negative_pivots_and_mixed_denominators():
+    # column 1 is column 0 over another denominator, so free, as is the zero column 3;
+    # the pivots of column 0 (-6 at "a") and column 2 (-4 at "c") are negative
+    columns = [(3, {"a": -6, "b": 9}), (1, {"a": -2, "b": 3}), (4, {"b": 8, "c": -4}), (1, {})]
+    rhs = {"a": F(-4), "b": F(8), "c": F(-1)}
+    matrix = [[F(v.get(k, 0), d) for d, v in columns] for k in "abc"]
+    dense = [rhs[k] for k in "abc"]
+    expected = rref_solve_affine(matrix, dense)
+    assert solve_columns(columns, rhs) == expected == (
+        [F(2), F(0), F(1), F(0)], [[F(-1), F(1), F(0), F(0)], [F(0), F(0), F(0), F(1)]])
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_columns(columns, {"a": F(1)})
+    assert solve_columns([], {}) == ([], [])
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_columns([], {"a": F(1, 2)})
 
 
 @pytest.mark.parametrize("kind", ["fraction", "int", "poly"])
