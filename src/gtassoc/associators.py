@@ -383,7 +383,7 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
                                             algebra, target)
     for key, c in tail.items():
         rhs[key] = rhs.get(key, 0) - Fraction(c, d)
-    particular, kernel = solve_columns(columns, rhs)
+    [particular], kernel = solve_columns(columns, rhs)
     kernel_series = []
     for vec in kernel:
         elt = NCSeries.zero(XY, target)

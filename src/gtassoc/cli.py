@@ -64,6 +64,10 @@ def cmd_verify(args):
 
 
 def cmd_chars(args):
+    if args.order > 5:
+        # refused before any work: the reference associator stops at degree 5
+        print("chars: invalid --order %d: must be at most 5" % args.order, file=sys.stderr)
+        return 2
     rep = report.chars_report(args.partition, args.g, args.order)
     _emit([rep], args)
     return 0 if rep.ok else 1

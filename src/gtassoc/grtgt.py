@@ -19,7 +19,8 @@ psi2 = -2w9 - 4w10 - 4w11 - 2w12 - w13 - 3w14 in degree 5.
 
 The Ihara projection works in the other classical convention, embedding
 the free group by x -> 1+x: it forms f(log(1+x), log(1+y)), keeps the
-constant-plus-(...)x part, and abelianizes.
+constant-plus-(...)x part, and abelianizes.  The exp-sum form it is matched
+against is one nc_exp over the same two logs, abelianized the same way.
 """
 
 from __future__ import annotations
@@ -344,23 +345,11 @@ def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) ->
 # -- Ihara projection ----------------------------------------------------
 
 
-def ihara_projection(f: NCSeries) -> dict:
-    """pi_ab . p_x of f(log(1+x), log(1+y)) as {(deg_x, deg_y): coeff}.
-
-    p_x keeps the constant term and the words ending in x; the abelianization
-    then counts letters.  This is the one place where the 1+x embedding of
-    the free group is used instead of the exponential one.
-    """
-    if f.coefficient(b"") != 1:
-        raise ValueError("the projection expects constant term 1")
-    one = NCSeries.one(XY, f.maxdeg, f.ring)
-    subs = nc_substitute(f, {name: nc_log(one + NCSeries.letter(XY, name, f.maxdeg, f.ring))
-                             for name in XY})
+def _abelianized(terms) -> dict:
+    """pi_ab: {(deg_x, deg_y): coeff} summed over the given (word, coeff) pairs."""
     out = {}
-    for word, coeff in subs.terms.items():
-        if word and word[-1] != 0:
-            continue
-        key = (sum(1 for b in word if b == 0), sum(1 for b in word if b == 1))
+    for word, coeff in terms:
+        key = (word.count(0), word.count(1))
         cur = out.get(key)
         val = coeff if cur is None else cur + coeff
         if val:
@@ -370,71 +359,42 @@ def ihara_projection(f: NCSeries) -> dict:
     return out
 
 
-def comm_mul(p, q, maxdeg):
-    out = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            if a1 + a2 + b1 + b2 > maxdeg:
-                continue
-            key = (a1 + a2, b1 + b2)
-            cur = out.get(key)
-            val = c1 * c2 if cur is None else cur + c1 * c2
-            if val:
-                out[key] = val
-            elif cur is not None:
-                del out[key]
-    return out
+def _log_one_plus_letters(maxdeg, ring):
+    """{name: log(1 + name)} for the letters x, y."""
+    one = NCSeries.one(XY, maxdeg, ring)
+    return {name: nc_log(one + NCSeries.letter(XY, name, maxdeg, ring)) for name in XY}
 
 
-def comm_exp(p, maxdeg, one_coeff):
-    out = {(0, 0): one_coeff}
-    term = {(0, 0): one_coeff}
-    for k in range(1, maxdeg + 1):
-        term = comm_mul(term, p, maxdeg)
-        term = {key: c * Fraction(1, k) for key, c in term.items()}
-        if not term:
-            break
-        for key, c in term.items():
-            cur = out.get(key)
-            val = c if cur is None else cur + c
-            if val:
-                out[key] = val
-            elif cur is not None:
-                del out[key]
-    return out
+def ihara_projection(f: NCSeries) -> dict:
+    """pi_ab . p_x of f(log(1+x), log(1+y)) as {(deg_x, deg_y): coeff}.
+
+    p_x keeps the constant term and the words ending in x; the abelianization
+    then counts letters.  This and ihara_psi_ab are the only places where the
+    1+x embedding of the free group is used instead of the exponential one.
+    """
+    if f.coefficient(b"") != 1:
+        raise ValueError("the projection expects constant term 1")
+    subs = nc_substitute(f, _log_one_plus_letters(f.maxdeg, f.ring))
+    return _abelianized((w, c) for w, c in subs.terms.items() if not w or w[-1] == 0)
 
 
 def ihara_psi_ab(ring: SymRing, kappa3="kappa3", kappa5="kappa5", maxdeg=5) -> dict:
-    """exp(sum_m kappa*_m/m! ((X+Y)^m - X^m - Y^m)), X = log(1+x), Y = log(1+y),
-    in commutative variables, truncated at total degree maxdeg."""
-    def logs(var_index):
-        out = {}
-        for k in range(1, maxdeg + 1):
-            key = (k, 0) if var_index == 0 else (0, k)
-            out[key] = ring.const(Fraction((-1) ** (k + 1), k))
-        return out
+    """pi_ab of exp(sum_m kappa*_m/m! ((X+Y)^m - X^m - Y^m)), X = log(1+x),
+    Y = log(1+y), through degree maxdeg.
 
-    X = logs(0)
-    Y = logs(1)
-    XY_sum = dict(X)
-    for key, c in Y.items():
-        XY_sum[key] = XY_sum.get(key, ring.zero) + c
-    arg = {}
+    The exp is taken in the free algebra; abelianization is a ring map onto
+    the commutative polynomials, so this is the commutative expansion.
+    """
+    X, Y = _log_one_plus_letters(maxdeg, ring).values()
+    S = X + Y
+    arg = NCSeries.zero(XY, maxdeg, ring)
     for m, kname in ((3, kappa3), (5, kappa5)):
+        power_s, power_x, power_y = S, X, Y
+        for _ in range(m - 1):
+            power_s, power_x, power_y = power_s * S, power_x * X, power_y * Y
         kc = ring.symbol(kname) * Fraction(1, math.factorial(m))
-        power_sum = {(0, 0): ring.one}
-        power_x = {(0, 0): ring.one}
-        power_y = {(0, 0): ring.one}
-        for _ in range(m):
-            power_sum = comm_mul(power_sum, XY_sum, maxdeg)
-            power_x = comm_mul(power_x, X, maxdeg)
-            power_y = comm_mul(power_y, Y, maxdeg)
-        for key in set(power_sum) | set(power_x) | set(power_y):
-            val = (power_sum.get(key, ring.zero) - power_x.get(key, ring.zero)
-                   - power_y.get(key, ring.zero))
-            if val:
-                arg[key] = arg.get(key, ring.zero) + kc * val
-    return comm_exp(arg, maxdeg, ring.one)
+        arg = arg + kc * (power_s - power_x - power_y)
+    return _abelianized(nc_exp(arg).terms.items())
 
 
 def kappa_identification(g_series: NCSeries, a_name="a", b_name="b",

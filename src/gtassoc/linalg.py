@@ -1,9 +1,10 @@
 """Exact linear algebra over Q, eliminating in int and building Fractions at the end.
 
-``rref`` reduces dense rows: Lie-coordinate extraction (<= 32 columns) and
-constant-matrix inverses.  ``solve_columns`` solves an affine system on its
-sparse int columns, one per unknown: the associator solver's 9 at degree 6
-(638 of 3153 rows nonzero) and 30 at degree 8 (29 013 rows).
+``solve_columns`` is the one elimination: it solves an affine system on its
+sparse int columns, one per unknown, against any number of right-hand sides
+at once.  It serves the associator solver (9 unknowns at degree 6, with 638
+of 3153 rows nonzero; 30 at degree 8, with 29 013 rows), the w-basis
+coordinates of ``wbasis`` and the constant-term inverses of ``mat_inv``.
 """
 
 from __future__ import annotations
@@ -14,66 +15,31 @@ from math import gcd
 from .symcoef import common_denominator
 
 
-def rref(rows):
-    """Row-reduce rational rows in place; return the pivot column list.
-
-    Zero rows are dropped and each row is cleared of denominators.  Row i
-    becomes a row_i - b row_r, with a/b = p/f in lowest terms for the pivot
-    p and the entry f, divided by the gcd of its entries.  Each pivot row is
-    divided by its pivot once, into Fractions; the reduced row echelon form
-    is unique, so the rows equal those of Gauss-Jordan in Fractions.
-    """
-    ncols = len(rows[0]) if rows else 0
-    work = []
-    for row in rows:
-        d = common_denominator(row)
-        ints = [v.numerator * (d // v.denominator) for v in row]
-        if any(ints):
-            work.append(ints)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow, p = work[r], work[r][c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = gcd(*row) or 1
-                work[i] = [x // g for x in row]
-        pivots.append(c)
-    rows[:] = [[Fraction(x, row[c]) for x in row] for row, c in zip(work, pivots)]
-    return pivots
-
-
 def _int_column(values):
     """(d, {key: d v}) for a {key: rational v} dict, d the common denominator, zeros dropped."""
     d = common_denominator(values.values())
     return d, {k: v.numerator * (d // v.denominator) for k, v in values.items() if v}
 
 
-def solve_columns(columns, rhs):
-    """Solve sum_j c_j v_j / d_j = rhs exactly, for sparse columns (d_j, {key: int}).
+def solve_columns(columns, *rhs):
+    """Solve sum_j c_j v_j / d_j = b exactly for sparse columns (d_j, {key: int}),
+    for each right-hand side b, all in one elimination of the columns.
 
-    rhs maps keys to rationals.  Returns (particular, kernel): the particular
-    solution zeroes every free variable, and each kernel vector is 1 at its
-    free column and 0 at the others; raises ValueError when inconsistent.
-    The columns, then rhs, are reduced in int against the earlier pivot
-    vectors (v <- a v - b p, a/b = pivot/entry in lowest terms), carrying
-    their combinations of the inputs: a vector reducing to zero gives its
-    kernel vector or the particular solution, as Gauss-Jordan's would.
+    Each b maps keys to rationals.  Returns (particulars, kernel): one
+    particular solution per b, zero at every free variable, and the kernel
+    vectors, each 1 at its free column and 0 at the others; raises
+    ValueError when some b is inconsistent.  The columns, then each b, are
+    reduced in int against the pivot vectors of the earlier columns
+    (v <- a v - b p, a/b = pivot/entry in lowest terms), carrying their
+    combinations of the inputs: a column reducing to zero gives its kernel
+    vector and a b its particular solution, as Gauss-Jordan on [A | B] would.
     """
     n = len(columns)
-    rd, rhs = _int_column(rhs)
-    dens = [d for d, _ in columns] + [rd]
-    pivots, solutions = [], []
-    for j, vector in enumerate([v for _, v in columns] + [rhs]):
-        row, comb = dict(vector), [int(i == j) for i in range(n + 1)]
+    pivots, kernel, particulars = [], [], []
+    for j, (d, vector) in enumerate(list(columns) + [_int_column(b) for b in rhs]):
+        # a right-hand side is reduced alone: its own coefficient sits at n
+        own = min(j, n)
+        row, comb = dict(vector), [int(i == own) for i in range(n + 1)]
         for key, prow, pcomb in pivots:
             f = row.get(key)
             if f:
@@ -86,70 +52,24 @@ def solve_columns(columns, rhs):
                     row[k] = row.get(k, 0) - b * y
         row = {k: x for k, x in row.items() if x}
         if not row:
-            scale = comb[j] * dens[j] * (1 if j < n else -1)
-            solutions.append([Fraction(x * d, scale) for x, d in zip(comb, dens[:n])])
-        elif j == n:
+            scale = comb[own] * d * (1 if j < n else -1)
+            (kernel if j < n else particulars).append(
+                [Fraction(x * dc, scale) for x, (dc, _) in zip(comb, columns)])
+        elif j >= n:
             raise ValueError("inconsistent linear system")
         else:
             # the least pivot, made positive, keeps later multipliers a at 1 where it can
             key = min(row, key=lambda k: abs(row[k]))
             g = gcd(*row.values(), *comb) * (1 if row[key] > 0 else -1)
             pivots.append((key, {k: x // g for k, x in row.items()}, [x // g for x in comb]))
-    *kernel, particular = solutions
-    return particular, kernel
+    return particulars, kernel
 
 
 def solve_affine(matrix, rhs):
     """Solve M c = rhs exactly for a dense rational matrix: solve_columns on its columns."""
     columns = [_int_column(dict(enumerate(col))) for col in zip(*matrix)]
-    return solve_columns(columns, dict(enumerate(rhs)))
-
-
-class CoordSolver:
-    """Express vectors in a fixed rational basis given by rows.
-
-    The elimination is done once over Q; coordinates can then be extracted
-    from targets whose entries live in any coefficient ring (the multipliers
-    are rational).
-    """
-
-    def __init__(self, basis_rows):
-        self.nbasis = len(basis_rows)
-        self.ncols = len(basis_rows[0])
-        # augment with identity to track the expressing combination; rref
-        # pivots inside that block exactly when the basis rows are dependent
-        self.rows = [
-            list(map(Fraction, row)) + [Fraction(i == j) for j in range(self.nbasis)]
-            for i, row in enumerate(basis_rows)
-        ]
-        self.pivots = rref(self.rows)
-        if self.pivots[-1] >= self.ncols:
-            raise ValueError("basis rows are linearly dependent")
-
-    def coordinates(self, target):
-        """Coordinates of target in the basis; raises if outside the span.
-
-        target entries may be Fractions or ring elements supporting +,*,-.
-        """
-        residual = list(target)
-        coords = []
-        for row, c in zip(self.rows, self.pivots):
-            f = residual[c]
-            coords.append(f)
-            if f:
-                for j, m in enumerate(row[:self.ncols]):
-                    if m:
-                        residual[j] = residual[j] - f * m
-        if any(residual):
-            raise ValueError("target is not in the span of the basis")
-        # back out the combination on original basis rows
-        out = [Fraction(0)] * self.nbasis
-        for row, f in zip(self.rows, coords):
-            if f:
-                for i, m in enumerate(row[self.ncols:]):
-                    if m:
-                        out[i] = out[i] + f * m
-        return out
+    [particular], kernel = solve_columns(columns, dict(enumerate(rhs)))
+    return particular, kernel
 
 
 def mat_mul(a, b):
@@ -177,12 +97,15 @@ def mat_identity(n):
 
 
 def mat_inv(a):
-    """Inverse of a Fraction matrix by Gauss-Jordan on [a | 1]."""
-    n = len(a)
-    work = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
-    if rref(work) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in work]
+    """Inverse of a square rational matrix: its columns solved against the n unit
+    vectors in one elimination.  A singular a leaves some unit vector outside
+    its column span."""
+    columns = [_int_column(dict(enumerate(col))) for col in zip(*a)]
+    try:
+        inverse, _ = solve_columns(columns, *({i: 1} for i in range(len(a))))
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+    return [list(row) for row in zip(*inverse)]
 
 
 def mat_eq(a, b):

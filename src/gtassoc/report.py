@@ -324,7 +324,7 @@ def chars_report(partition_text="3,2", g_symbols=("a", "b"), order=5) -> Report:
     rep.add("diagonal", "tableau monomials for %s" % shape, True,
             " ".join(repr(v) for v in diag))
     ring = SymRing(tuple(g_symbols))
-    phi0 = phi0_reference(min(order, 5))
+    phi0 = phi0_reference(order)
     gab = grtgt.g_ab(ring.symbol(g_symbols[0]), ring.symbol(g_symbols[1]), phi0)
     seen = {}
     for vec in diag:

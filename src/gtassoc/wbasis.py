@@ -6,12 +6,17 @@
     w12 = [y,[y,[y,[x,y]]]]   w13 = [[x,y],[x,[x,y]]]   w14 = [[x,y],[y,[x,y]]]
 
 Degrees 2/3/4/5 are spanned by {w3}, {w4,w5}, {w6,w7,w8}, {w9..w14}.
+``w_coordinates`` reads a series' coordinates on them with
+``linalg.solve_columns``, over Q or over a ring of symbols.
 """
 
 from __future__ import annotations
 
-from .linalg import CoordSolver
+from fractions import Fraction
+
+from .linalg import solve_columns
 from .ncseries import NCSeries, commutator
+from .symcoef import Poly, layers
 
 XY = ("x", "y")
 
@@ -53,36 +58,30 @@ def all_words(degree):
     return sorted(out)
 
 
-class WBasis:
-    """Coordinate extraction on the w-basis of one homogeneous degree."""
-
-    def __init__(self, degree, maxdeg=5, ring=None):
-        self.degree = degree
-        self.indices = DEGREE_SPANS[degree]
-        self.words = all_words(degree)
-        self.ring = ring
-        rows = []
-        for k in self.indices:
-            elt = w_element(k, maxdeg, None)
-            rows.append([elt.terms.get(w, 0) for w in self.words])
-        self.solver = CoordSolver(rows)
-
-    def coordinates(self, series: NCSeries):
-        """Coordinates of the homogeneous degree component on (w_k)."""
-        comp = series.homogeneous(self.degree)
-        zero = 0 if series.ring is None else series.ring.zero
-        target = [comp.terms.get(w, zero) for w in self.words]
-        return dict(zip(self.indices, self.solver.coordinates(target)))
-
-
 _CACHE = {}
 
 
 def w_coordinates(series: NCSeries, degree):
-    """Coordinates of the degree-d part of series in the w-basis (d in 2..5)."""
-    key = degree
-    basis = _CACHE.get(key)
-    if basis is None:
-        basis = WBasis(degree)
-        _CACHE[key] = basis
-    return basis.coordinates(series)
+    """Coordinates {k: c} of the degree-d part of series on the w_k (d in 2..5).
+
+    The w_k of the degree are int columns, built once; symcoef.layers splits
+    the target into one right-hand side per monomial of its coefficient ring,
+    all solved in one elimination and put back together.  A coordinate is
+    Fraction(0) when zero, else a Fraction over Q or a Poly over a ring;
+    a target outside the span raises ValueError.
+    """
+    columns = _CACHE.get(degree)
+    if columns is None:
+        columns = _CACHE[degree] = [(d, by_exps[()]) for d, by_exps in
+                                    (layers(w_element(k).terms) for k in DEGREE_SPANS[degree])]
+    ring = series.ring
+    d, by_exps = layers(series.homogeneous(degree).terms, ring)
+    solutions, _ = solve_columns(columns, *by_exps.values())
+    coords = {}
+    for i, k in enumerate(DEGREE_SPANS[degree]):
+        parts = {e: sol[i] / d for e, sol in zip(by_exps, solutions) if sol[i]}
+        if not parts:
+            coords[k] = Fraction(0)
+        else:
+            coords[k] = parts[()] if ring is None else Poly(ring, parts)
+    return coords

@@ -256,12 +256,12 @@ def brute_force_system(phi):
 def test_linearized_system_matches_brute_force(monkeypatch):
     """The sparse columns and right-hand side handed to the solver, densified
     on the rows (duality words, hexagon words, U(T_4) basis words), equal the
-    brute-force system, and the solution equals the rref oracle's."""
+    brute-force system, and the solution equals the Gauss-Jordan oracle's."""
     captured = []
     solve = associators.solve_columns
 
-    def capture(columns, rhs):
-        result = solve(columns, rhs)
+    def capture(columns, *rhs):
+        result = solve(columns, *rhs)
         captured.append((columns, rhs, result))
         return result
 
@@ -271,7 +271,7 @@ def test_linearized_system_matches_brute_force(monkeypatch):
         matrix, rhs = brute_force_system(cand)
         captured.clear()
         extended, _ = extend_associator(cand, parity=parity)
-        [(columns, sparse_rhs, result)] = captured
+        [(columns, (sparse_rhs,), ([particular], kernel))] = captured
         target = cand.series.known_order + 1
         words = all_words(target)
         keys = ([(0, w) for w in words] + [(1, w) for w in words]
@@ -280,7 +280,7 @@ def test_linearized_system_matches_brute_force(monkeypatch):
         dense = [[F(v.get(key, 0), d) for d, v in columns] for key in keys]
         assert dense == matrix
         assert [sparse_rhs.get(key, 0) for key in keys] == rhs
-        assert result == rref_solve_affine(matrix, rhs)
+        assert (particular, kernel) == rref_solve_affine(matrix, rhs)
         return extended
 
     for parity in (False, True):

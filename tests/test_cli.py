@@ -204,6 +204,7 @@ def test_no_cache_subcommand(capsys):
     ("chars", "--partition", "3,x"),
     ("chars", "--partition", "1,2"),
     ("chars", "--partition", "3,2", "--order", "-1"),
+    ("chars", "--partition", "2,1", "--order", "7"),
     ("verify", "associator", "--degree", "-2"),
     ("kz-report", "--order", "-1"),
     ("kz-report", "--dmax", "-1"),

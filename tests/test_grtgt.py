@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from gtassoc.associators import c_extract, certify
 from gtassoc.grtgt import (GrtElt, GtElt, act_grt, act_gt, certify_grt, exp_s, g_ab,
                            grt_cap_psi, grt_exp, grt_inverse, grt_mul, gt_checks,
-                           gt_inverse, gt_mul, ihara_projection, iota,
+                           gt_inverse, gt_mul, ihara_projection, ihara_psi_ab, iota,
                            kappa_identification, psi1, psi2, psi_ab)
 from gtassoc.ncseries import NCSeries, commutator, is_grouplike, nc_log, nc_substitute
 from gtassoc.symcoef import SymRing
@@ -240,6 +241,74 @@ def test_kappa_identification(gab_symbolic):
     assert ok
     assert a_val == K.symbol("kappa3") * F(1, 2)
     assert b_val == K.symbol("kappa5") * F(1, 48)
+
+
+def comm_mul(p, q, maxdeg):
+    """Product of two {(deg_x, deg_y): coeff} polynomials through total degree maxdeg."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            if a1 + a2 + b1 + b2 > maxdeg:
+                continue
+            key = (a1 + a2, b1 + b2)
+            cur = out.get(key)
+            val = c1 * c2 if cur is None else cur + c1 * c2
+            if val:
+                out[key] = val
+            elif cur is not None:
+                del out[key]
+    return out
+
+
+def comm_exp(p, maxdeg, one_coeff):
+    """sum_k p^k / k! in commutative x, y through total degree maxdeg."""
+    out = {(0, 0): one_coeff}
+    term = {(0, 0): one_coeff}
+    for k in range(1, maxdeg + 1):
+        term = comm_mul(term, p, maxdeg)
+        term = {key: c * F(1, k) for key, c in term.items()}
+        if not term:
+            break
+        for key, c in term.items():
+            cur = out.get(key)
+            val = c if cur is None else cur + c
+            if val:
+                out[key] = val
+            elif cur is not None:
+                del out[key]
+    return out
+
+
+def commutative_psi_ab(ring, kappa3, kappa5, maxdeg):
+    """exp(sum_m kappa*_m/m! ((X+Y)^m - X^m - Y^m)) expanded in commutative
+    variables from X = log(1+x), Y = log(1+y): the oracle for ihara_psi_ab."""
+    X = {(k, 0): ring.const(F((-1) ** (k + 1), k)) for k in range(1, maxdeg + 1)}
+    Y = {(0, k): ring.const(F((-1) ** (k + 1), k)) for k in range(1, maxdeg + 1)}
+    XY_sum = {**X, **Y}
+    arg = {}
+    for m, kname in ((3, kappa3), (5, kappa5)):
+        kc = ring.symbol(kname) * F(1, math.factorial(m))
+        power_sum = power_x = power_y = {(0, 0): ring.one}
+        for _ in range(m):
+            power_sum = comm_mul(power_sum, XY_sum, maxdeg)
+            power_x = comm_mul(power_x, X, maxdeg)
+            power_y = comm_mul(power_y, Y, maxdeg)
+        for key in set(power_sum) | set(power_x) | set(power_y):
+            val = (power_sum.get(key, ring.zero) - power_x.get(key, ring.zero)
+                   - power_y.get(key, ring.zero))
+            if val:
+                arg[key] = arg.get(key, ring.zero) + kc * val
+    return comm_exp(arg, maxdeg, ring.one)
+
+
+@pytest.mark.parametrize("maxdeg", [5, 7])
+@pytest.mark.parametrize("kappas", [("kappa3", "kappa5"), ("k3", "k5")], ids=",".join)
+def test_ihara_psi_ab_matches_the_commutative_expansion(maxdeg, kappas):
+    ring = SymRing(kappas)
+    got = ihara_psi_ab(ring, *kappas, maxdeg=maxdeg)
+    assert got == commutative_psi_ab(ring, *kappas, maxdeg)
+    assert got[(0, 0)] == 1 and all(got.values())
+    assert max(a + b for a, b in got) == maxdeg
 
 
 def _promoted_reference_defect(series, reference):

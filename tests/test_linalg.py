@@ -4,13 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.linalg import (CoordSolver, mat_identity, mat_inv, mat_mul, rref, solve_affine,
-                            solve_columns)
+from gtassoc.linalg import mat_identity, mat_inv, mat_mul, solve_affine, solve_columns
 from gtassoc.symcoef import SymRing
 
 
 def fraction_rref(rows):
-    """Gauss-Jordan in Fraction arithmetic, in place: the oracle for rref."""
+    """Gauss-Jordan in Fraction arithmetic, in place; returns the pivot columns."""
     pivots = []
     r = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -31,7 +30,7 @@ def fraction_rref(rows):
 
 
 def rref_solve_affine(matrix, rhs):
-    """Solve M c = rhs by rref on [M | rhs]: the oracle for solve_columns.
+    """Solve M c = rhs by fraction_rref on [M | rhs]: the oracle for solve_columns.
 
     The particular solution zeroes every free variable, and each kernel
     vector is 1 at its free column and 0 at the other free columns.
@@ -39,7 +38,7 @@ def rref_solve_affine(matrix, rhs):
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     aug = [list(matrix[i]) + [rhs[i]] for i in range(m)]
-    pivots = rref(aug)
+    pivots = fraction_rref(aug)
     if n in pivots:
         raise ValueError("inconsistent linear system")
     particular = [F(0)] * n
@@ -69,20 +68,19 @@ def dense_mat_mul(a, b):
     return out
 
 
-def random_matrix(rng):
-    """A rational matrix with zero rows, repeated rows and row combinations mixed in."""
-    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
-
+def random_matrix(rng, n):
+    """An n x n rational matrix with zero rows, repeated rows and row combinations
+    mixed in, so often singular."""
     def entry():
         if rng.random() < 0.4:
             return F(0)
         return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7, 12)))
 
     rows = []
-    for _ in range(nrows):
+    for _ in range(n):
         kind = rng.random()
         if rows and kind < 0.15:
-            rows.append([F(0)] * ncols)
+            rows.append([F(0)] * n)
         elif rows and kind < 0.3:
             rows.append(list(rng.choice(rows)))
         elif len(rows) > 1 and kind < 0.5:
@@ -90,29 +88,9 @@ def random_matrix(rng):
             s, t = F(rng.randint(-5, 5), rng.randint(1, 5)), F(rng.randint(-5, 5), rng.randint(1, 5))
             rows.append([s * u + t * v for u, v in zip(a, b)])
         else:
-            rows.append([entry() for _ in range(ncols)])
+            rows.append([entry() for _ in range(n)])
     rng.shuffle(rows)
     return rows
-
-
-def test_rref_matches_fraction_oracle():
-    for seed in range(300):
-        rows = random_matrix(random.Random(seed))
-        expected = copy.deepcopy(rows)
-        expected_pivots = fraction_rref(expected)
-        pivots = rref(rows)
-        assert (pivots, rows) == (expected_pivots, expected), seed
-        assert all(type(v) is F for row in rows for v in row)
-
-
-def test_rref_negative_fractional_pivots_and_zero_rows():
-    rows = [[F(0), F(0), F(0)], [F(-3, 4), F(1, 2), F(5, 6)], [F(0), F(0), F(0)],
-            [F(-3, 2), F(1), F(-7, 3)], [F(-3, 4), F(1, 2), F(5, 6)]]
-    expected = copy.deepcopy(rows)
-    assert rref(rows) == fraction_rref(expected) == [0, 2]
-    assert rows == expected == [[F(1), F(-2, 3), F(0)], [F(0), F(0), F(1)]]
-    empty = [[F(0), F(0)], [F(0), F(0)]]
-    assert rref(empty) == [] and empty == []
 
 
 def test_mat_inv_with_row_swap():
@@ -144,32 +122,6 @@ def test_mat_inv_leaves_its_argument_untouched():
             continue
         assert a == kept
         assert mat_mul(a, inv) == mat_identity(4)
-
-
-def test_coord_solver_coordinates_and_span():
-    solver = CoordSolver([[0, 1, 1], [1, 0, 2]])
-    assert solver.coordinates([F(3), F(2), F(8)]) == [F(2), F(3)]
-    with pytest.raises(ValueError):
-        solver.coordinates([F(1), F(0), F(0)])
-
-
-def test_coord_solver_leaves_its_arguments_untouched():
-    basis = [[F(0), F(1, 2), F(1)], [F(-3, 4), F(0), F(2)]]
-    target = [F(-3, 2), F(1), F(6)]
-    kept_basis, kept_target = copy.deepcopy(basis), list(target)
-    solver = CoordSolver(basis)
-    assert solver.coordinates(target) == [F(2), F(2)]
-    assert basis == kept_basis and target == kept_target
-
-
-def test_coord_solver_rejects_dependent_rows():
-    # elimination on [rows | 1] would find a second pivot inside the identity block
-    dependent = [[1, 2], [2, 4]]
-    with pytest.raises(ValueError):
-        CoordSolver(dependent)
-    assert dependent == [[1, 2], [2, 4]]
-    with pytest.raises(ValueError):
-        CoordSolver([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
 
 
 def test_solve_affine_inconsistent():
@@ -231,13 +183,19 @@ def outcome(solve, *args):
         return "ValueError: %s" % exc
 
 
+def solve_one(columns, rhs):
+    """solve_columns on one right-hand side, as (particular, kernel)."""
+    [particular], kernel = solve_columns(columns, rhs)
+    return particular, kernel
+
+
 def test_solve_columns_matches_rref_oracle():
     kinds = dict.fromkeys(("inconsistent", "rank-deficient", "zero rhs", "zero column",
                            "duplicate column"), 0)
     for seed in range(400):
         columns, rhs, matrix, dense_rhs = random_columns(random.Random(seed))
         want = outcome(rref_solve_affine, matrix, dense_rhs)
-        got = outcome(solve_columns, columns, rhs)
+        got = outcome(solve_one, columns, rhs)
         assert got == want, seed
         assert outcome(solve_affine, matrix, dense_rhs) == want, seed
         if isinstance(got, tuple):
@@ -258,13 +216,68 @@ def test_solve_columns_negative_pivots_and_mixed_denominators():
     matrix = [[F(v.get(k, 0), d) for d, v in columns] for k in "abc"]
     dense = [rhs[k] for k in "abc"]
     expected = rref_solve_affine(matrix, dense)
-    assert solve_columns(columns, rhs) == expected == (
+    assert solve_one(columns, rhs) == expected == (
         [F(2), F(0), F(1), F(0)], [[F(-1), F(1), F(0), F(0)], [F(0), F(0), F(0), F(1)]])
     with pytest.raises(ValueError, match="inconsistent"):
         solve_columns(columns, {"a": F(1)})
-    assert solve_columns([], {}) == ([], [])
+    assert solve_columns([], {}) == ([[]], [])
+    assert solve_columns(columns) == ([], expected[1])
     with pytest.raises(ValueError, match="inconsistent"):
         solve_columns([], {"a": F(1, 2)})
+
+
+def test_solve_columns_shares_one_elimination_across_right_hand_sides():
+    """Right-hand sides solved together each equal their own solve and the
+    oracle's, with one kernel; an inconsistent one among them raises."""
+    kinds = dict.fromkeys(("inconsistent", "rank-deficient", "several"), 0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        columns, extra, matrix, dense_extra = random_columns(rng)
+        nrows = len(matrix)
+        rhss = []
+        for _ in range(rng.randint(0, 4)):
+            rhs = {}
+            for d, v in columns:
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                for k, x in v.items():
+                    rhs[k] = rhs.get(k, 0) + c * F(x, d)
+            rhss.append(rhs)
+        want = [rref_solve_affine(matrix, [F(rhs.get(i, 0)) for i in range(nrows)])
+                for rhs in rhss]
+        kernel = rref_solve_affine(matrix, [F(0)] * nrows)[1]
+        assert solve_columns(columns, *rhss) == ([p for p, _ in want], kernel), seed
+        assert [solve_one(columns, rhs) for rhs in rhss] == want, seed
+        if isinstance(outcome(rref_solve_affine, matrix, dense_extra), str):
+            at = rng.randint(0, len(rhss))
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve_columns(columns, *rhss[:at], extra, *rhss[at:])
+            kinds["inconsistent"] += 1
+        kinds["rank-deficient"] += bool(kernel)
+        kinds["several"] += len(rhss) > 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_mat_inv_matches_fraction_oracle():
+    """mat_inv against Gauss-Jordan in Fractions on [a | 1]: the inverse, or
+    "matrix is singular" when the reduced left block is not the identity."""
+    kinds = {"invertible": 0, "singular": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        a = random_matrix(rng, n)
+        kept = copy.deepcopy(a)
+        aug = [row + [F(i == j) for j in range(n)] for i, row in enumerate(a)]
+        if fraction_rref(aug) == list(range(n)):
+            want = [row[n:] for row in aug]
+            assert mat_inv(a) == want, seed
+            assert all(type(v) is F for row in want for v in row)
+            kinds["invertible"] += 1
+        else:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                mat_inv(a)
+            kinds["singular"] += 1
+        assert a == kept, seed
+    assert min(kinds.values()) >= 50, kinds
 
 
 @pytest.mark.parametrize("kind", ["fraction", "int", "poly"])
