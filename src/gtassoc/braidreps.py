@@ -191,6 +191,13 @@ class BraidRep:
         return True
 
 
+def sigma_image(series, lam, t, y, s) -> HMatrix:
+    """Phi(t, y) . s . exp(lam t/2) . Phi(y, t) for matrices t, y of positive h-order."""
+    left = evaluate_series(series, {"x": t, "y": y})
+    right = evaluate_series(series, {"x": y, "y": t})
+    return left * s * (Fraction(lam, 2) * t).exp() * right
+
+
 def phat(rho: InfinitesimalRep, phi, lam=None) -> BraidRep:
     """The braid representation attached to rho by an associator candidate."""
     series = phi.series
@@ -199,18 +206,13 @@ def phat(rho: InfinitesimalRep, phi, lam=None) -> BraidRep:
     ring = series.ring
     if ring != rho.ring and rho.ring is not None:
         raise ValueError("coefficient ring mismatch between rho and the associator")
-    sigmas = []
-    h = ScalarSeries.gen(maxdeg, ring, series.known_order)
-    for i in range(1, rho.n):
-        t_mat = HMatrix.from_const(rho.t_matrix(i, i + 1), maxdeg, ring, series.known_order)
-        y_mat = HMatrix.from_const(rho.y_matrix(i), maxdeg, ring, series.known_order)
-        u = h * t_mat
-        v = h * y_mat
-        left = evaluate_series(series, {"x": u, "y": v})
-        right = evaluate_series(series, {"x": v, "y": u})
-        s_mat = HMatrix.from_const(rho.perm_matrix(i), maxdeg, ring, series.known_order)
-        mid = (Fraction(lam, 2) * ScalarSeries.one(maxdeg, ring, series.known_order)) * u
-        sigmas.append(left * s_mat * mid.exp() * right)
+    ko = series.known_order
+    h = ScalarSeries.gen(maxdeg, ring, ko)
+    sigmas = [sigma_image(series, lam,
+                          h * HMatrix.from_const(rho.t_matrix(i, i + 1), maxdeg, ring, ko),
+                          h * HMatrix.from_const(rho.y_matrix(i), maxdeg, ring, ko),
+                          HMatrix.from_const(rho.perm_matrix(i), maxdeg, ring, ko))
+              for i in range(1, rho.n)]
     return BraidRep(rho.n, sigmas, provenance="phat(lambda=%s)" % lam)
 
 

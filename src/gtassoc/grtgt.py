@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .associators import AssociatorCandidate, duality_check, hexagon_check, pentagon_check
 from .braids import xi_word
-from .holonomy import embed_free, holonomy_algebra, phi_tilde_eval, phi_tilde_generators
+from .holonomy import braid_image, embed_free, holonomy_algebra, sigma_images
 from .ncseries import (NCSeries, bch, commutator, is_grouplike, is_lie, letter_swap,
                        nc_exp, nc_log, nc_substitute)
 from .symcoef import Poly, SymRing
@@ -317,11 +317,10 @@ def gt_pentagon_defect(series: NCSeries, reference: AssociatorCandidate = None):
     from .associators import phi0_reference  # local to avoid cycles at import time
     ref = phi0_reference(min(series.maxdeg, 5)) if reference is None else reference
     algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
-    gens = phi_tilde_generators(ref.series, ref.lam, algebra)
-    xi = {}
-    for (i, j) in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
-        word = xi_word(4, i, j)
-        xi[(i, j)] = phi_tilde_eval(gens, algebra, word).pure_part()
+    images = sigma_images(ref.series, ref.lam, algebra)
+    # a pure braid lands on the identity permutation
+    xi = {p: braid_image(images, algebra, xi_word(4, *p))[0]
+          for p in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))}
 
     # xi_12, xi_23 and xi_34 each enter two faces: take each log once
     l12, l23, l34 = (xi[p].log() for p in ((1, 2), (2, 3), (3, 4)))

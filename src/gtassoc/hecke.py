@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .braidreps import BraidRep, InfinitesimalRep
-from .hmatrix import HMatrix, evaluate_series
+from .braidreps import BraidRep, InfinitesimalRep, sigma_image
+from .hmatrix import HMatrix
 from .linalg import mat_mul
 from .scalar import ScalarSeries, scalar_div, scalar_sqrt
 from .symcoef import SymRing
@@ -150,24 +150,18 @@ class MatrixModel:
 def hecke_block_from_candidate(phi, d, maxdeg=None) -> HMatrix:
     """The 2x2 image of sigma_r on an axial-distance-d pair.
 
-    Phi(2h M^1, h eta) . M^1 exp(h M^1) . Phi(h eta, 2h M^1) with
+    sigma_image at t = 2h M^1, y = h eta and s = M^1, that is
+    Phi(2h M^1, h eta) . M^1 exp(lam h M^1) . Phi(h eta, 2h M^1) with
     eta = diag(d, -d) and M^1 the semi-normal reflection.
     """
     series = phi.series
     maxdeg = series.maxdeg if maxdeg is None else maxdeg
     ring = series.ring
     ko = series.known_order
-    m1 = semi_normal_block(d)
     h = ScalarSeries.gen(maxdeg, ring, ko)
-    u = (2 * ScalarSeries.one(maxdeg, ring, ko)) * (h * HMatrix.from_const(m1, maxdeg, ring, ko))
+    m1 = HMatrix.from_const(semi_normal_block(d), maxdeg, ring, ko)
     eta = HMatrix.from_const([[Fraction(d), 0], [0, Fraction(-d)]], maxdeg, ring, ko)
-    v = h * eta
-    left = evaluate_series(series, {"x": u, "y": v})
-    right = evaluate_series(series, {"x": v, "y": u})
-    m1h = HMatrix.from_const(m1, maxdeg, ring, ko)
-    # exp(lam t/2) with t acting by 2 M^1
-    mid = m1h * (phi.lam * (h * m1h)).exp()
-    return left * mid * right
+    return sigma_image(series, phi.lam, 2 * (h * m1), h * eta, m1)
 
 
 def b_semi(phi, d, maxdeg=None) -> ScalarSeries:

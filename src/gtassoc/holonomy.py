@@ -20,8 +20,9 @@ right word, which is already normal.  A one-letter left word, the common
 case of a word image built from the left, reads its row straight from the
 cached prepend table.
 
-The same file hosts the semidirect product kS_n |x U(T_n) needed to push
-braid words through a morphism built from an associator.
+A braid word goes through the morphism attached to an associator into
+kS_n |x U(T_n) as one pair (u, p), an element u of U(T_n) and a permutation
+p, standing for u . p.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from . import ncseries
 from .ncseries import EMPTY, NCSeries
 from .symcoef import as_fraction
-from .truncated import Truncated, neumann_inverse, substitute
+from .truncated import Truncated, substitute
 
 # dim U(T_n) in the top degree, which sizes the reduction tables and every
 # product there: admits U(T_4) through degree 7 (9330) but not 8 (28501)
@@ -359,19 +360,12 @@ def holonomy_algebra(n, maxdeg) -> HoloAlgebra:
     return _REGISTRY.setdefault(key, HoloAlgebra(n, maxdeg))
 
 
-# -- semidirect product kS_n |x U(T_n) ---------------------------------
+# -- braid words through kS_n |x U(T_n) ----------------------------------
 
 
 def _perm_mul(p, q):
     # (p q)(i) = p(q(i))
     return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def _perm_inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
 
 
 def transposition(n, r):
@@ -381,87 +375,14 @@ def transposition(n, r):
     return tuple(perm)
 
 
-class BnElt(Truncated):
-    """Element of the completed infinitesimal braid algebra kS_n |x U(T_n).
+def sigma_images(series: NCSeries, lam, algebra: HoloAlgebra) -> dict:
+    """The braid generators' images under the morphism attached to an associator.
 
-    Its known order is the least of its parts', zero parts included, and of
-    the bound a sum or product passes in.
-    """
-
-    __slots__ = ("algebra", "terms", "known_order")
-
-    def __init__(self, algebra, terms, known_order=None):
-        """terms maps a permutation to its U(T_n) part; zero parts are dropped."""
-        self.algebra = algebra
-        bound = algebra.maxdeg if known_order is None else min(known_order, algebra.maxdeg)
-        self.known_order = min([bound] + [u.known_order for u in terms.values()])
-        self.terms = {p: u for p, u in terms.items() if u.terms}
-
-    @classmethod
-    def unit(cls, algebra):
-        n = algebra.n
-        return cls(algebra, {tuple(range(1, n + 1)): algebra.one()})
-
-    @classmethod
-    def from_holo(cls, u: HoloElt):
-        n = u.algebra.n
-        return cls(u.algebra, {tuple(range(1, n + 1)): u})
-
-    @classmethod
-    def from_perm(cls, algebra, perm):
-        return cls(algebra, {tuple(perm): algebra.one()})
-
-    def _like(self, terms, known_order=None):
-        return BnElt(self.algebra, terms, self.known_order if known_order is None else known_order)
-
-    def _one(self):
-        return BnElt.unit(self.algebra)
-
-    maxdeg = HoloElt.maxdeg
-    _check = HoloElt._check
-
-    def order(self):
-        return min((u.order() for u in self.terms.values()), default=None)
-
-    def _convolve(self, a_terms, b_terms, ko):
-        """The twisted product (p, u)(q, v) = (pq, u . p(v)), summed by permutation."""
-        parts = {}
-        for p, u in a_terms.items():
-            for q, v in b_terms.items():
-                pv = v.permuted(p)
-                pq = _perm_mul(p, q)
-                term = u * pv
-                parts[pq] = parts[pq] + term if pq in parts else term
-        return parts
-
-    def inverse(self):
-        """Inverse of an element whose leading part is a single permutation."""
-        degree0 = {p: u.coefficient(EMPTY) for p, u in self.terms.items() if u.coefficient(EMPTY)}
-        if len(degree0) != 1:
-            raise ValueError("inverse implemented for single-permutation leading part")
-        p0, c0 = next(iter(degree0.items()))
-        c0 = as_fraction(c0)
-        lead_inv = BnElt(self.algebra, {_perm_inv(p0): (1 / c0) * self.algebra.one().permuted(_perm_inv(p0))})
-        return neumann_inverse(self, lead_inv, self._one())
-
-    def pure_part(self):
-        """The U(T_n) component on the identity permutation; errors otherwise."""
-        n = self.algebra.n
-        ident = tuple(range(1, n + 1))
-        for p in self.terms:
-            if p != ident:
-                raise ValueError("element has non-trivial symmetric part")
-        return self.terms.get(ident, self.algebra.zero(self.known_order))
-
-    def __eq__(self, other):
-        return isinstance(other, BnElt) and self.algebra is other.algebra and self.terms == other.terms
-
-
-def phi_tilde_generators(phi_series: NCSeries, lam, algebra: HoloAlgebra):
-    """Images of the braid generators under the morphism attached to an associator.
-
-    sigma_i maps to Phi(t_{i,i+1}, Y_i) . s_i . exp(lam t_{i,i+1}/2) . Phi(Y_i, t_{i,i+1}).
-    Returns a list indexed 1..n-1 of (image, inverse image) pairs.
+    sigma_i maps to a . s_i . b with t = t_{i,i+1}, a = Phi(t, Y_i) and
+    b = exp(lam t/2) Phi(Y_i, t).  Moving s_i to the right, s_i . v = (s_i v) . s_i
+    with s_i v = v.permuted(s_i), gives sigma_i = u_i . s_i and
+    sigma_i^-1 = b^-1 . s_i . a^-1 = u'_i . s_i.  Returns {i: (s_i, u_i, u'_i)}
+    for i = 1..n-1.
     """
     n = algebra.n
     lam = as_fraction(lam)
@@ -469,20 +390,20 @@ def phi_tilde_generators(phi_series: NCSeries, lam, algebra: HoloAlgebra):
     for i in range(1, n):
         t = algebra.generator(i, i + 1)
         y = algebra.y_element(i)  # Y_1 = 0, so Phi(t, Y_1) collapses to 1 by itself
-        left = embed_free(phi_series, algebra, {"x": t, "y": y})
-        right = embed_free(phi_series, algebra, {"x": y, "y": t})
-        mid = (Fraction(lam, 2) * t).exp()
-        s = BnElt.from_perm(algebra, transposition(n, i))
-        image = BnElt.from_holo(left) * s * BnElt.from_holo(mid) * BnElt.from_holo(right)
-        out[i] = (image, image.inverse())
+        a = embed_free(series, algebra, {"x": t, "y": y})
+        b = (Fraction(lam, 2) * t).exp() * embed_free(series, algebra, {"x": y, "y": t})
+        s = transposition(n, i)
+        out[i] = (s, a * b.permuted(s), b.inverse() * a.inverse().permuted(s))
     return out
 
 
-def phi_tilde_eval(generators, algebra, braid_letters):
-    """Evaluate a braid word (sequence of signed generator indices) through the images."""
-    acc = BnElt.unit(algebra)
-    for idx in braid_letters:
-        image, inverse = generators[abs(idx)]
-        acc = acc * (image if idx > 0 else inverse)
-    return acc
-
+def braid_image(images, algebra: HoloAlgebra, letters):
+    """The image u . p of a braid word (signed generator indices) under
+    sigma_images, as the pair (u, p): each letter folds in as
+    (u, p)(v, s) = (u . p v, p s)."""
+    u, p = algebra.one(), tuple(range(1, algebra.n + 1))
+    for v in letters:
+        s, image, inverse = images[abs(v)]
+        u = u * (image if v > 0 else inverse).permuted(p)
+        p = _perm_mul(p, s)
+    return u, p

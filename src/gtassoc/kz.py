@@ -68,7 +68,8 @@ def loggamma(z: ScalarSeries) -> ScalarSeries:
     ring = z.ring
     acc = (-ring.symbol("gamma")) * z
     power = z
-    zeta_max = max(k for k in range(2, 100) if "zeta%d" % k in ring.index)
+    # 1 when the ring has no zeta_k: then only the hb^1 term can be formed
+    zeta_max = max((k for k in range(2, 100) if "zeta%d" % k in ring.index), default=1)
     for k in range(2, z.known_order + 1):
         power = power * z
         if k > zeta_max:
@@ -82,7 +83,8 @@ def loggamma_sum(ring, pairs, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     None): -gamma sum_j w_j m_j at hb^1, (-1)^k zeta_k/k sum_j w_j m_j^k at hb^k.
     Unless every m_j is 0, each zeta_k through maxdeg must be in the ring."""
     ring = kz_ring() if ring is None else ring
-    zeta_max = max(k for k in range(2, 100) if "zeta%d" % k in ring.index)
+    # 1 when the ring has no zeta_k: then only the hb^1 term can be formed
+    zeta_max = max((k for k in range(2, 100) if "zeta%d" % k in ring.index), default=1)
     if zeta_max < maxdeg and any(m for _, m in pairs):
         raise ValueError("needs zeta_%d: raise the ring's zeta bound" % (zeta_max + 1))
     terms = {}

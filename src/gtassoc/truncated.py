@@ -1,13 +1,12 @@
 """Series code written once for every truncated type in the package.
 
-``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries, HMatrix and
-BnElt.  It holds the one truncation contract: ``is_zero``, ``is_one`` and
+``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries and HMatrix.
+It holds the one truncation contract: ``is_zero``, ``is_one`` and
 ``equal_through`` read through ``known_order`` by default and raise
 ValueError when asked past it.  Two values of one type with exact
 coefficients (int, Fraction, or Poly of one ring) compare their terms key
-by key; BnElt (whose coefficients are HoloElt parts), mixed types and plain
-scalars are compared through their difference.  It also holds the one
-product rule:
+by key; mixed types, plain scalars and Polys of different rings are
+compared through their difference.  It also holds the one product rule:
 ``__mul__`` gives a product of known orders K_a, K_b and orders w_a, w_b
 the known order min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a
 factor is zero, and asks the type's ``_convolve(a_terms, b_terms, ko)`` hook
@@ -21,12 +20,11 @@ exponent vector e1 + e2.  Each sum becomes one Fraction over the two
 denominators, and over a ring each key one Poly, its quadratic symbols
 reduced once per output monomial; the reduction is linear, so reducing at
 the end gives the terms that reducing every product would.  int factors stay
-int, and other coefficients (BnElt's HoloElt values, Polys of different
-rings) pass to the hook as they are.  Every type but BnElt has ``terms``
-that map a key (a word, a power of h, or a (power, row, col) triple) to a
-nonzero coefficient; for those the base also holds the sum, negation,
-scaling, h -> -h, and a default convolution in which keys multiply by
-``+``.  Operands of different ``maxdeg`` are refused by every type's
+int, and Polys of different rings pass to the hook as they are.  Every
+type has ``terms`` that map a key (a word, a power of h, or a
+(power, row, col) triple) to a nonzero coefficient, so the base also
+holds the sum, negation, scaling, h -> -h, and a default convolution in
+which keys multiply by ``+``.  Operands of different ``maxdeg`` are refused by every type's
 ``_check``.
 
 The series algorithms below (exp, log, Neumann inverse) need only
@@ -201,7 +199,7 @@ class Truncated:
 
         Two values of one type with exact coefficients over one ring compare
         their terms key by key; any other pair (mixed types, a plain scalar,
-        BnElt's HoloElt parts, or two zeros, which have no coefficient to
+        Polys of different rings, or two zeros, which have no coefficient to
         tell their type by) is compared by its difference.
         """
         if not (isinstance(other, type(self)) or isinstance(self, type(other))) \

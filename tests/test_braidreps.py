@@ -6,7 +6,8 @@ from gtassoc.braidreps import (BraidRep, InfinitesimalRep, _verify_conjugation, 
                                diagonal_conjugator, gt_act_on_rep, phat)
 from gtassoc.grtgt import act_gt, g_ab, grt_cap_psi, act_grt
 from gtassoc.hmatrix import HMatrix
-from gtassoc.linalg import mat_mul
+from gtassoc.holonomy import braid_image, holonomy_algebra, sigma_images
+from gtassoc.linalg import mat_identity, mat_mul
 from gtassoc.scalar import ScalarSeries, scalar_div
 from gtassoc.tableaux import Partition, partitions_of
 from gtassoc.hecke import hecke_infinitesimal, rep_build
@@ -79,6 +80,47 @@ def test_phat_b3(phi0):
         L = R.delta(r).log()
         hY = h * HMatrix.from_const(rho.y_matrix(r), R.maxdeg, R.ring, R.known_order)
         assert L.equal_through(hY)
+
+
+def _rho_of_perm(rho, p):
+    """rho(p), with p written as s_{i_k} ... s_{i_1} by sorting it with adjacent swaps."""
+    p, out = list(p), mat_identity(rho.N)
+    while p != sorted(p):
+        i = next(i for i in range(1, rho.n) if p[i - 1] > p[i])
+        p[i - 1], p[i] = p[i], p[i - 1]
+        out = mat_mul(rho.perm_matrix(i), out)
+    return out
+
+
+def _rho_of_pair(rho, u, p, maxdeg):
+    """u . p through rho: each normal-form word of u becomes the product of the
+    h rho(t_ij) along it, and p its permutation matrix."""
+    terms = {}
+    for word, c in u.terms.items():
+        m = mat_identity(rho.N)
+        for letter in word:
+            m = mat_mul(m, rho.t_matrix(*u.algebra.pair_of[letter]))
+        for i, row in enumerate(m):
+            for j, v in enumerate(row):
+                key = (len(word), i, j)
+                terms[key] = terms.get(key, 0) + c * v
+    image = HMatrix.from_terms(rho.N, terms, maxdeg, known_order=u.known_order)
+    return image * HMatrix.from_const(_rho_of_perm(rho, p), maxdeg, known_order=u.known_order)
+
+
+@pytest.mark.parametrize("rho, words", [
+    (b3_example(F(5)), [(1,), (-2,), (1, 2, -1), (2, -1, -1, 2), (1, 2, 1, 1, 2, 1)]),
+    (hecke_infinitesimal(Partition((3, 1))), [(-2,), (1, 2, -1), (2, 3, -1, 2), (-3, 1, -2)]),
+], ids=["b3-v5", "hecke-3,1"])
+def test_braid_image_through_rho_is_phat(rho, words, phi0):
+    """sigma_images and braid_image, pushed through rho, give phat's images,
+    inverses and non-pure words included."""
+    algebra = holonomy_algebra(rho.n, phi0.maxdeg)
+    images = sigma_images(phi0.series, phi0.lam, algebra)
+    R = phat(rho, phi0)
+    for word in words:
+        u, p = braid_image(images, algebra, word)
+        assert _rho_of_pair(rho, u, p, R.maxdeg).equal_through(R.image(word)), word
 
 
 def test_phat_one_dimensional(phi0):

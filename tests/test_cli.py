@@ -147,6 +147,19 @@ def test_verify_above_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
     assert len(err.splitlines()) == 1 and "--degree must be at most 5" in err
 
 
+@pytest.mark.parametrize("suite", ["associator", "grt", "gt", "braid", "hecke"])
+def test_suite_past_the_reference_degree_raises_before_any_work(monkeypatch, suite):
+    """A library call at degree 6 is refused as phi0_reference refuses it,
+    not run at degree 5."""
+    from gtassoc import grtgt, report
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(grtgt, "grt_cap_psi", no_work)
+    with pytest.raises(ValueError, match="reference data stops at degree 5"):
+        getattr(report, "verify_" + suite)(6)
+
+
 @pytest.mark.parametrize("argv", [
     ("hecke", "--nmax", "1"),
     ("hecke", "--nmax", "9"),

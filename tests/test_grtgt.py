@@ -314,12 +314,15 @@ def test_ihara_psi_ab_matches_the_commutative_expansion(maxdeg, kappas):
 def _promoted_reference_defect(series, reference):
     """The 4-strand defect with the reference promoted to the series ring first."""
     from gtassoc.braids import xi_word
-    from gtassoc.holonomy import embed_free, holonomy_algebra, phi_tilde_eval, phi_tilde_generators
+    from gtassoc.holonomy import braid_image, embed_free, holonomy_algebra, sigma_images
     ref = reference.promote(series.ring)
     algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
-    gens = phi_tilde_generators(ref.series, ref.lam, algebra)
-    xi = {p: phi_tilde_eval(gens, algebra, xi_word(4, *p)).pure_part()
-          for p in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))}
+    images = sigma_images(ref.series, ref.lam, algebra)
+    xi = {}
+    for p in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
+        u, perm = braid_image(images, algebra, xi_word(4, *p))
+        assert perm == (1, 2, 3, 4)
+        xi[p] = u
 
     def f_at(u, v):
         return embed_free(series, algebra, {"x": u.log(), "y": v.log()})

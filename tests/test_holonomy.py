@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.holonomy import (BnElt, HoloAlgebra, HoloElt, embed_free, hilbert_dimensions,
-                              transposition, phi_tilde_eval, phi_tilde_generators)
+from gtassoc.holonomy import (HoloAlgebra, HoloElt, braid_image, embed_free, hilbert_dimensions,
+                              sigma_images, transposition)
 from gtassoc.ncseries import NCSeries, commutator
 from gtassoc.symcoef import Poly, SymRing
 
@@ -178,27 +178,16 @@ def test_permutation_action():
     assert back == prod
 
 
-def test_bn_elt_group_structure():
-    alg = HoloAlgebra(4, 3)
-    s = BnElt.from_perm(alg, transposition(4, 2))
-    assert (s * s) == BnElt.unit(alg)
-    g = s * BnElt.from_holo(alg.one() + alg.generator(1, 2))
-    assert (g * g.inverse()).equal_through(BnElt.unit(alg))
-    with pytest.raises(ValueError):
-        (s + BnElt.unit(alg)).inverse()
-
-
 def test_phi_tilde_delta_images(phi0):
     # the delta_r images are exp(lam Y_r), verified symbolically in the
     # 4-strand braid algebra
     from gtassoc.braids import delta_word
     alg = HoloAlgebra(4, 4)
     series = phi0.series.truncated(4)
-    gens = phi_tilde_generators(series, 1, alg)
+    images = sigma_images(series, 1, alg)
     for r in (2, 3, 4):
-        img = phi_tilde_eval(gens, alg, delta_word(4, r))
-        expect = BnElt.from_holo(alg.y_element(r).exp())
-        assert img.equal_through(expect), r
+        u, p = braid_image(images, alg, delta_word(4, r))
+        assert p == (1, 2, 3, 4) and u.equal_through(alg.y_element(r).exp()), r
 
 
 def test_resource_bound():
@@ -427,18 +416,6 @@ def test_algebras_are_shared_freely_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert all(alg is got[0][0] for alg, _ in got)
     assert [results for _, results in got] == expected
-
-
-def test_bn_known_order_is_the_least_of_its_parts():
-    T3 = HoloAlgebra(3, 4)
-    assert BnElt.from_holo(T3.generator(1, 2, known_order=2)).known_order == 2
-    zero = BnElt.from_holo(T3.zero(2))
-    assert zero.known_order == 2 and zero.is_zero(2)
-    with pytest.raises(ValueError):
-        zero.is_zero(3)
-    # a part that cancels keeps its known order in the sum
-    g = BnElt.from_holo(T3.generator(1, 2, known_order=2))
-    assert (g - g + BnElt.unit(T3)).known_order == 2
 
 
 def test_algebras_on_n_strands_share_one_row_table(monkeypatch):

@@ -11,6 +11,7 @@ from gtassoc.kz import (b_even_ref, b_kz, cos_factor, euler_zeta_factor, gamma3_
                         loggamma, loggamma_sum, phi_kz_symbolic, q_n, ratio_formula_rhs,
                         specialize_even, z_pair)
 from gtassoc.scalar import ScalarSeries, scalar_div, to_text
+from gtassoc.symcoef import SymRing
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +241,25 @@ def test_missing_zeta_is_refused_as_loggamma_refuses(zeta_max):
                 with pytest.raises(ValueError) as info:
                     call(small, maxdeg)
                 assert str(info.value) == refusal, (name, maxdeg)
+
+
+def test_a_ring_without_zetas_gives_the_zero_series_for_zero_pairs():
+    bare = SymRing(("gamma",))
+    got = loggamma_sum(bare, [(1, 0), (-2, 0)], 4)
+    assert got.known_order == 4 and got.is_zero()
+    assert loggamma(hbar_series(bare, 4)).is_zero()
+
+
+def test_a_ring_without_zetas_forms_the_gamma_term_alone():
+    bare = SymRing(("gamma",))
+    want = {1: -2 * bare.symbol("gamma")}
+    assert loggamma_sum(bare, [(1, 2)], 1).terms == want
+    assert loggamma(hbar_series(bare, 1, {1: bare.const(2)})).terms == want
+
+
+def test_a_ring_without_zetas_refuses_a_needed_zeta():
+    bare = SymRing(("gamma",))
+    with pytest.raises(ValueError, match="^needs zeta_2: "):
+        loggamma_sum(bare, [(1, 2)], 4)
+    with pytest.raises(ValueError, match="^needs zeta_2: "):
+        loggamma(hbar_series(bare, 4, {1: bare.const(2)}))

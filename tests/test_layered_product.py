@@ -127,7 +127,7 @@ def test_poly_factor_times_rational_factor_either_side():
              _matrix(rng, ring, lambda: _rational(rng)), ring),
             (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b"))),
              _holo(rng, alg, lambda: _rational(rng)), AB_RING),
-            # the Q unit of the holonomy algebra, as in phi_tilde_generators
+            # the Q unit of the holonomy algebra, which braid_image folds a word onto
             (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b"))),
              HoloElt(alg, {b"": F(1)}), AB_RING),
         ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtassoc.hmatrix import HMatrix, evaluate_series
-from gtassoc.holonomy import BnElt, HoloAlgebra, embed_free, transposition
+from gtassoc.holonomy import HoloAlgebra, embed_free
 from gtassoc.ncseries import (AlgebraError, LieSeries, NCSeries, bch, commutator,
                               dynkin, from_text, is_grouplike, is_lie, letter_swap,
                               lie_project, lyndon_basis, lyndon_words, nc_exp, nc_log,
@@ -306,19 +306,14 @@ def _hmatrix_kind(ko):
              h * HMatrix.from_const([[1, 0], [2, -1]], 4, known_order=ko)])
 
 
-def _bn_kind(ko):
-    return BnElt.unit(T3), [BnElt.from_holo(g) for g in _holo_kind(ko)[1]]
-
-
 # kind -> (build, exp, log, has inverse, substitution entry point); None where
-# a type has no such method.  ScalarSeries divides by scalar_div instead.
+# a type has no such entry point.  ScalarSeries divides by scalar_div instead.
 KINDS = {
     "NCSeries": (_nc_kind, nc_exp, nc_log, True, nc_substitute),
     "HoloElt": (_holo_kind, lambda f: f.exp(), lambda g: g.log(), True,
                 lambda series, images: embed_free(series, T3, images)),
     "ScalarSeries": (_scalar_kind, lambda f: f.exp(), lambda g: g.log(), False, None),
     "HMatrix": (_hmatrix_kind, lambda f: f.exp(), lambda g: g.log(), True, evaluate_series),
-    "BnElt": (_bn_kind, None, None, True, None),
 }
 
 _SPEC = st.lists(st.tuples(st.integers(-3, 3).filter(bool),
@@ -355,14 +350,11 @@ def test_truncation_contract(kind, spec_f, spec_g, spec_s, c0, ko):
     build, exp, log, has_inverse, entry = KINDS[kind]
     one, gens = build(ko)
     f, g = _build(spec_f, one, gens), _build(spec_g, one, gens)
-    if exp is not None:
-        round_trip = exp(log(one + f))
-        assert round_trip.known_order == ko and round_trip.equal_through(one + f)
-        assert log(exp(f)).equal_through(f)
+    round_trip = exp(log(one + f))
+    assert round_trip.known_order == ko and round_trip.equal_through(one + f)
+    assert log(exp(f)).equal_through(f)
     if has_inverse:
         x = one * F(c0) + f
-        if kind == "BnElt":
-            x = BnElt.from_perm(T3, transposition(3, 1)) * x
         assert (x * x.inverse()).equal_through(one)
     n_one, letter_x, letter_y = letters(4)
     series = _build(spec_s, n_one, [letter_x, letter_y]) + n_one * F(c0)
@@ -462,18 +454,6 @@ def test_comparison_refuses_a_size_or_ring_mismatch():
                 x.equal_through(y)
 
 
-def test_bn_comparison_matches_the_difference():
-    _, gens = _bn_kind(3)
-    s = BnElt.from_perm(T3, transposition(3, 1))
-    a = s * (BnElt.unit(T3) + gens[0] * F(1, 2))
-    pairs = [(a, a), (a, s * (BnElt.unit(T3) + gens[0] * F(1, 2) + gens[1] * gens[2])),
-             (a, s), (BnElt.unit(T3) + gens[2] * gens[2] * gens[1], BnElt.unit(T3)),
-             (a - a, s - s)]
-    for x, y in pairs:
-        for order in (None, 0, 1, 2, 3, 4):
-            _assert_like_the_difference(x, y, order)
-
-
 def _product_rule(a, b):
     wa, wb = a.order(), b.order()
     if wa is None or wb is None:
@@ -494,8 +474,6 @@ def test_product_known_order_rule(kind, seed):
         x = _build(spec, one, gens)
         if rng.random() < 0.5:
             x = x + one * F(rng.randint(1, 3))
-        if kind == "BnElt" and rng.random() < 0.5:
-            x = BnElt.from_perm(T3, transposition(3, rng.randint(1, 2))) * x
         operands += [x, x - x]
     for a in operands:
         for b in operands:
