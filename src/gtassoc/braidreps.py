@@ -1,11 +1,13 @@
 """Representations of the infinitesimal braid algebra and the functor to
 braid-group representations over k[[h]].
 
-An InfinitesimalRep carries matrices for the symmetric-group generators s_i
-and the generators t_ij; validity means the s-relations, the holonomy
-relations on the t_ij, and the equivariance s t_ij s^{-1} = t_{s(i)s(j)}.
+An InfinitesimalRep carries constant matrices (HMatrix values of maxdeg 0)
+for the symmetric-group generators s_i and the generators t_ij; validity
+means the s-relations, the holonomy relations on the t_ij, and the
+equivariance s t_ij s^{-1} = t_{s(i)s(j)}, each checked by HMatrix products.
 
-The functor substitutes h t for every t and sends
+The functor lifts the matrices to the associator's maxdeg and ring,
+substitutes h t for every t and sends
 
     sigma_i -> Phi(h t_{i,i+1}, h Y_i) . s_i . exp(lam h t_{i,i+1}/2)
                . Phi(h Y_i, h t_{i,i+1}),
@@ -24,91 +26,71 @@ from fractions import Fraction
 
 from .braids import BraidWord
 from .hmatrix import HMatrix, evaluate_series
-from .linalg import mat_eq, mat_identity, mat_mul
 from .scalar import ScalarSeries, scalar_div
 from .symcoef import as_fraction
 
 
 class InfinitesimalRep:
-    """Matrices for s_1..s_{n-1} and t_ij over an exact coefficient ring."""
+    """Constant matrices (HMatrix, maxdeg 0) for s_1..s_{n-1} and t_ij."""
 
-    def __init__(self, n, s_matrices, t_matrices, ring=None, check=True):
+    def __init__(self, n, s_matrices, t_matrices, check=True):
         self.n = n
-        self.ring = ring
-        self.N = len(s_matrices[0])
-        self.s = {i + 1: s_matrices[i] for i in range(len(s_matrices))}
-        self.t = dict(t_matrices)
-        for (i, j) in list(self.t):
-            if i > j:
-                self.t[(j, i)] = self.t.pop((i, j))
+        self.N = s_matrices[0].n
+        self.ring = s_matrices[0].ring
+        self.s = {i + 1: m for i, m in enumerate(s_matrices)}
+        self.t = {(min(i, j), max(i, j)): m for (i, j), m in t_matrices.items()}
+        if any(m.maxdeg for m in [*self.s.values(), *self.t.values()]):
+            raise ValueError("an infinitesimal representation takes constant matrices (maxdeg 0)")
         if check:
             problems = self.validate()
             if problems:
                 raise ValueError("invalid infinitesimal representation: %s" % problems[0])
 
-    def perm_matrix(self, i):
+    def perm_matrix(self, i) -> HMatrix:
         return self.s[i]
 
-    def t_matrix(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.t[(i, j)]
+    def t_matrix(self, i, j) -> HMatrix:
+        return self.t[min(i, j), max(i, j)]
 
-    def y_matrix(self, r):
-        out = [[Fraction(0)] * self.N for _ in range(self.N)]
-        for i in range(1, r):
-            tm = self.t_matrix(i, r)
-            out = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, tm)]
-        return out
+    def y_matrix(self, r) -> HMatrix:
+        """Y_r = t_1r + ... + t_{r-1,r}."""
+        return sum((self.t_matrix(i, r) for i in range(1, r)), HMatrix.zero(self.N, 0, self.ring))
 
     def validate(self):
         problems = []
-        ident = mat_identity(self.N)
-
-        def comm(a, b):
-            return [[x - y for x, y in zip(ra, rb)]
-                    for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
-
+        s, t = self.s, self.t_matrix
         for i in range(1, self.n):
-            if not mat_eq(mat_mul(self.s[i], self.s[i]), ident):
+            if not (s[i] * s[i]).is_one():
                 problems.append("s_%d is not an involution" % i)
         for i in range(1, self.n - 1):
-            lhs = mat_mul(self.s[i], mat_mul(self.s[i + 1], self.s[i]))
-            rhs = mat_mul(self.s[i + 1], mat_mul(self.s[i], self.s[i + 1]))
-            if not mat_eq(lhs, rhs):
+            if not (s[i] * s[i + 1] * s[i]).equal_through(s[i + 1] * s[i] * s[i + 1]):
                 problems.append("braid relation fails for s_%d" % i)
         for i in range(1, self.n):
             for j in range(i + 2, self.n):
-                if not mat_eq(mat_mul(self.s[i], self.s[j]), mat_mul(self.s[j], self.s[i])):
+                if not (s[i] * s[j]).equal_through(s[j] * s[i]):
                     problems.append("s_%d and s_%d do not commute" % (i, j))
         # holonomy relations; [t_ij, t_kl] = 0 iff [t_kl, t_ij] = 0, so once per disjoint pair
         pairs = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
         for a, (i, j) in enumerate(pairs):
             for (k, l) in pairs[a + 1:]:
-                if len({i, j, k, l}) == 4:
-                    z = comm(self.t_matrix(i, j), self.t_matrix(k, l))
-                    if any(any(v for v in row) for row in z):
-                        problems.append("[t_%d%d, t_%d%d] != 0" % (i, j, k, l))
+                if len({i, j, k, l}) == 4 and not _commute(t(i, j), t(k, l)):
+                    problems.append("[t_%d%d, t_%d%d] != 0" % (i, j, k, l))
         for (i, j) in pairs:
             for k in range(1, self.n + 1):
-                if k in (i, j):
-                    continue
-                tik = self.t_matrix(min(i, k), max(i, k))
-                tkj = self.t_matrix(min(k, j), max(k, j))
-                s = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(tik, tkj)]
-                z = comm(self.t_matrix(i, j), s)
-                if any(any(v for v in row) for row in z):
+                if k not in (i, j) and not _commute(t(i, j), t(i, k) + t(k, j)):
                     problems.append("[t_%d%d, t_%d%d + t_%d%d] != 0" % (i, j, i, k, k, j))
         # equivariance under adjacent transpositions
         for r in range(1, self.n):
             perm = list(range(1, self.n + 1))
             perm[r - 1], perm[r] = perm[r], perm[r - 1]
             for (i, j) in pairs:
-                ii, jj = perm[i - 1], perm[j - 1]
-                lhs = mat_mul(self.s[r], mat_mul(self.t_matrix(i, j), self.s[r]))
-                if not mat_eq(lhs, self.t_matrix(min(ii, jj), max(ii, jj))):
+                if not (s[r] * t(i, j) * s[r]).equal_through(t(perm[i - 1], perm[j - 1])):
                     problems.append("equivariance fails: s_%d . t_%d%d" % (r, i, j))
         return problems
+
+
+def _commute(a, b):
+    return (a * b).equal_through(b * a)
 
 
 class BraidRep:
@@ -209,9 +191,9 @@ def phat(rho: InfinitesimalRep, phi, lam=None) -> BraidRep:
     ko = series.known_order
     h = ScalarSeries.gen(maxdeg, ring, ko)
     sigmas = [sigma_image(series, lam,
-                          h * HMatrix.from_const(rho.t_matrix(i, i + 1), maxdeg, ring, ko),
-                          h * HMatrix.from_const(rho.y_matrix(i), maxdeg, ring, ko),
-                          HMatrix.from_const(rho.perm_matrix(i), maxdeg, ring, ko))
+                          h * rho.t_matrix(i, i + 1).lift(maxdeg, ring, ko),
+                          h * rho.y_matrix(i).lift(maxdeg, ring, ko),
+                          rho.perm_matrix(i).lift(maxdeg, ring, ko))
               for i in range(1, rho.n)]
     return BraidRep(rho.n, sigmas, provenance="phat(lambda=%s)" % lam)
 
@@ -279,15 +261,13 @@ def b3_example(v) -> InfinitesimalRep:
     v = as_fraction(v)
     if v in (-3, -1, 0, 3):
         raise ValueError("degenerate parameter v = %s" % v)
-    s1 = [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(-1)]]
     q = Fraction(1, 4) / v
-    s2 = [
+    s1 = HMatrix.from_const([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 0)
+    s2 = HMatrix.from_const([
         [q * (v - 3), q * 3 * (v - 1), q * 3 * (v + 1)],
         [q * 3 * (v + 1), q * (3 + v), q * (-3) * (v + 1)],
         [q * 2 * v, q * 2 * v * (1 - v) / (1 + v), q * 2 * v],
-    ]
-    t12 = [[Fraction(3 + v, 2), 0, 0], [0, Fraction(3 - v, 2), 0], [0, 0, Fraction(0)]]
-    t13 = mat_mul(s2, mat_mul(t12, s2))
-    t23 = mat_mul(s1, mat_mul(t13, s1))
-    rho = InfinitesimalRep(3, [s1, s2], {(1, 2): t12, (1, 3): t13, (2, 3): t23})
-    return rho
+    ], 0)
+    t12 = HMatrix.from_const([[Fraction(3 + v, 2), 0, 0], [0, Fraction(3 - v, 2), 0], [0, 0, 0]], 0)
+    t13 = s2 * t12 * s2
+    return InfinitesimalRep(3, [s1, s2], {(1, 2): t12, (1, 3): t13, (2, 3): s1 * t13 * s1})

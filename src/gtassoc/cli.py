@@ -2,7 +2,8 @@
 
 Subcommands: verify {associator|grt|gt|braid|hecke|kz|all}, chars,
 resonance, extend, kz-report.  Exit codes: 0 all-pass, 1 check failure,
-2 usage error, 3 resource error.
+2 usage error, 3 resource error.  verify takes a --degree from the least
+one its suites are written for (MIN_DEGREE) to 5.
 """
 
 from __future__ import annotations
@@ -22,8 +23,13 @@ VERIFY_SUITES = {
     "gt": report.verify_gt,
     "braid": report.verify_braid,
     "hecke": report.verify_hecke,
-    "kz": lambda degree: report.verify_kz(order=7),
+    "kz": report.verify_kz,
 }
+
+# the least --degree each suite's checks are written for: associator, grt and
+# kz read a degree-3 coefficient, hecke the h^4 term of b_d, gt and braid
+# degree-5 coefficients; none reads past 5, where the reference data stops
+MIN_DEGREE = {"associator": 3, "grt": 3, "gt": 5, "braid": 5, "hecke": 4, "kz": 3}
 
 
 def _emit(reps, args):
@@ -40,15 +46,15 @@ def _emit(reps, args):
 
 
 def cmd_verify(args):
-    if args.suite in ("gt", "braid", "all") and args.degree < 5:
-        # refused before any work: these suites check degree-5 coefficients
-        print("verify %s: --degree must be at least 5" % args.suite, file=sys.stderr)
+    names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
+    # both bounds are refused before any work
+    least = max(MIN_DEGREE[name] for name in names)
+    if args.degree < least:
+        print("verify %s: --degree must be at least %d" % (args.suite, least), file=sys.stderr)
         return 2
     if args.degree > 5:
-        # refused before any work: every suite checks through degree 5 only
         print("verify %s: --degree must be at most 5" % args.suite, file=sys.stderr)
         return 2
-    names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     hecke = {}
     if args.nmax is not None:
         if args.suite not in ("hecke", "all") or not 2 <= args.nmax <= 8:

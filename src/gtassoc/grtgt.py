@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .associators import AssociatorCandidate, duality_check, hexagon_check, pentagon_check
+from .associators import AssociatorCandidate, certify
 from .braids import xi_word
 from .holonomy import braid_image, embed_free, holonomy_algebra, sigma_images
 from .ncseries import (NCSeries, bch, commutator, is_grouplike, is_lie, letter_swap,
@@ -91,13 +91,7 @@ def element_from_text(text: str):
 
 def certify_grt(f, algebra=None) -> dict:
     """Membership checks for the graded group: the lambda=0 associator equations."""
-    cand = AssociatorCandidate(_series_of(f), 0)
-    return {
-        "grouplike": is_grouplike(cand.series),
-        "duality": duality_check(cand),
-        "hexagon": hexagon_check(cand),
-        "pentagon": pentagon_check(cand, algebra),
-    }
+    return certify(AssociatorCandidate(_series_of(f), 0), algebra)
 
 
 # -- derivation exponentials -------------------------------------------

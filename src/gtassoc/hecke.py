@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .braidreps import BraidRep, InfinitesimalRep, sigma_image
 from .hmatrix import HMatrix
-from .linalg import mat_mul
 from .scalar import ScalarSeries, scalar_div, scalar_sqrt
 from .symcoef import SymRing
 from .tableaux import Partition, axial_distance, tableaux
@@ -169,42 +168,44 @@ def b_semi(phi, d, maxdeg=None) -> ScalarSeries:
     return hecke_block_from_candidate(phi, d, maxdeg).entry(0, 1)
 
 
-def rep_build(shape: Partition, model: MatrixModel) -> BraidRep:
-    """The braid representation on standard tableaux of one shape.
+def tableau_sigmas(shape: Partition, column, line, block) -> list:
+    """sigma_1..sigma_{n-1} on the standard tableaux of one shape, written as terms.
 
-    Each sigma_r is written as terms: q on a tableau whose r and r+1 share a
-    column, -q^{-1} where they share a row, and the block M_d on the plane of
-    a pair of tableaux that differ by swapping r and r+1.  Its known order is
-    the least of q's and of the blocks' it uses.
+    sigma_r is the scalar series column on a tableau whose r and r+1 share a
+    column, line where they share a row, and the 2x2 HMatrix block(d) on the
+    plane of a pair of tableaux that differ by swapping r and r+1, d their
+    axial distance.  It is known through the least known order of column,
+    line and the blocks it uses, with column's maxdeg and ring.
     """
-    n = shape.n
-    if n < 2:
+    if shape.n < 2:
         raise ValueError("need at least two strands")
     tabs = tableaux(shape)
     index = {t: i for i, t in enumerate(tabs)}
-    N = len(tabs)
-    qq = model.q(1)
-    minus_qinv = {p: -c for p, c in model.q(-1).terms.items()}
     sigmas = []
-    for r in range(1, n):
-        terms = {}
-        ko = qq.known_order
-        for t in tabs:
-            i = index[t]
+    for r in range(1, shape.n):
+        terms, ko = {}, min(column.known_order, line.known_order)
+        for i, t in enumerate(tabs):
             if t.col(r) == t.col(r + 1):
-                terms.update(((p, i, i), c) for p, c in qq.terms.items())
+                terms.update(((p, i, i), c) for p, c in column.terms.items())
             elif t.line(r) == t.line(r + 1):
-                terms.update(((p, i, i), c) for p, c in minus_qinv.items())
+                terms.update(((p, i, i), c) for p, c in line.terms.items())
             else:
                 j = index[t.swap_adjacent(r)]
                 if j < i:
                     continue  # handled from the smaller tableau
-                block = model.block(axial_distance(t, r))
-                ko = min(ko, block.known_order)
+                m = block(axial_distance(t, r))
+                ko = min(ko, m.known_order)
                 ij = (i, j)
-                terms.update(((p, ij[a], ij[b]), c) for (p, a, b), c in block.terms.items())
-        sigmas.append(HMatrix.from_terms(N, terms, model.maxdeg, model.ring, ko))
-    return BraidRep(n, sigmas, provenance="rep_build(%r, %s)" % (shape, model.kind))
+                terms.update(((p, ij[a], ij[b]), c) for (p, a, b), c in m.terms.items())
+        sigmas.append(HMatrix.from_terms(len(tabs), terms, column.maxdeg, column.ring, ko))
+    return sigmas
+
+
+def rep_build(shape: Partition, model: MatrixModel) -> BraidRep:
+    """The braid representation on standard tableaux of one shape: the
+    tableau walk with q, -q^{-1} and the model's blocks M_d."""
+    sigmas = tableau_sigmas(shape, model.q(1), -model.q(-1), model.block)
+    return BraidRep(shape.n, sigmas, provenance="rep_build(%r, %s)" % (shape, model.kind))
 
 
 def delta_eigenvalues_ok(rep: BraidRep, shape: Partition, model: MatrixModel) -> bool:
@@ -235,42 +236,15 @@ def unitarity_check(rep: BraidRep) -> bool:
 
 def hecke_infinitesimal(shape: Partition) -> InfinitesimalRep:
     """The infinitesimal representation with t_ij = 2 rho((i j)) on the
-    semi-normal tableau basis of one shape."""
-    tabs = tableaux(shape)
-    index = {t: i for i, t in enumerate(tabs)}
-    N = len(tabs)
-    n = shape.n
-    s_mats = []
-    for r in range(1, n):
-        m = [[Fraction(0)] * N for _ in range(N)]
-        for t in tabs:
-            i = index[t]
-            if t.col(r) == t.col(r + 1):
-                m[i][i] += 1
-            elif t.line(r) == t.line(r + 1):
-                m[i][i] -= 1
-            else:
-                other = t.swap_adjacent(r)
-                j = index[other]
-                if j < i:
-                    continue
-                d = axial_distance(t, r)
-                blk = semi_normal_block(d)
-                m[i][i] += blk[0][0]
-                m[i][j] += blk[0][1]
-                m[j][i] += blk[1][0]
-                m[j][j] += blk[1][1]
-        s_mats.append(m)
-    # transpositions (i j) via conjugation words
-    def transposition_matrix(i, j):
-        if j == i + 1:
-            return s_mats[i - 1]
-        inner = transposition_matrix(i, j - 1)
-        return mat_mul(s_mats[j - 2], mat_mul(inner, s_mats[j - 2]))
-
-    t_mats = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            tm = transposition_matrix(i, j)
-            t_mats[(i, j)] = [[2 * v for v in row] for row in tm]
-    return InfinitesimalRep(n, s_mats, t_mats)
+    semi-normal tableau basis of one shape: s_r is the tableau walk with 1, -1
+    and the blocks M^1_d, and (i j) = s_{j-1} (i j-1) s_{j-1}."""
+    one = ScalarSeries.one(0)
+    s = tableau_sigmas(shape, one, -one, lambda d: HMatrix.from_const(semi_normal_block(d), 0))
+    t = {}
+    for i in range(1, shape.n):
+        m = s[i - 1]
+        for j in range(i + 1, shape.n + 1):
+            if j > i + 1:
+                m = s[j - 2] * m * s[j - 2]
+            t[i, j] = 2 * m
+    return InfinitesimalRep(shape.n, s, t)

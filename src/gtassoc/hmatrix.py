@@ -7,7 +7,8 @@ the one ``known_order``, and the ``Truncated`` base gives it the sum,
 negation, scaling, order, h -> -h and the known order of every product.  A
 product is a row-indexed sparse convolution over the keys of both factors
 through that known order.  A ScalarSeries multiplies on either side as the
-diagonal matrix it stands for.
+diagonal matrix it stands for.  A constant matrix is an HMatrix of maxdeg 0,
+which ``lift`` carries to any maxdeg and ring.
 
 Inverses require an invertible constant-term matrix over Q; logs are only
 taken of matrices congruent to 1 mod h, which is all the braid-group images
@@ -70,6 +71,12 @@ class HMatrix(Truncated):
         coerce = as_fraction if ring is None else ring.coerce
         const = {(0, i, j): coerce(v) for i, row in enumerate(matrix) for j, v in enumerate(row)}
         return cls.from_terms(len(matrix), const, maxdeg, ring, known_order, var)
+
+    def lift(self, maxdeg, ring=None, known_order=None):
+        """This matrix at maxdeg over ring, each entry coerced as from_const coerces it."""
+        coerce = as_fraction if ring is None else ring.coerce
+        return HMatrix.from_terms(self.n, {key: coerce(c) for key, c in self.terms.items()},
+                                  maxdeg, ring, known_order, self.var)
 
     @classmethod
     def identity(cls, n, maxdeg, ring=None, known_order=None, var="h"):

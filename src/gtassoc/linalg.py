@@ -5,6 +5,9 @@ sparse int columns, one per unknown, against any number of right-hand sides
 at once.  It serves the associator solver (9 unknowns at degree 6, with 638
 of 3153 rows nonzero; 30 at degree 8, with 29 013 rows), the w-basis
 coordinates of ``wbasis`` and the constant-term inverses of ``mat_inv``.
+Matrix products live in ``HMatrix`` alone; ``mat_inv`` on the dense grid of
+``HMatrix.constant_term`` is the one dense boundary, that of the inverse's
+leading term.
 """
 
 from __future__ import annotations
@@ -72,30 +75,6 @@ def solve_affine(matrix, rhs):
     return particular, kernel
 
 
-def mat_mul(a, b):
-    """The product a b, skipping the zero entries of a.
-
-    An entry whose row of a has no nonzero entry is a[i][0] * b[0][j], so the
-    output has the type the dense sum would have.
-    """
-    out = []
-    for ai in a:
-        terms = [(x, b[t]) for t, x in enumerate(ai) if x]
-        if not terms:
-            out.append([ai[0] * y for y in b[0]])
-            continue
-        x, bt = terms[0]
-        row = [x * y for y in bt]
-        for x, bt in terms[1:]:
-            row = [r + x * y for r, y in zip(row, bt)]
-        out.append(row)
-    return out
-
-
-def mat_identity(n):
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
 def mat_inv(a):
     """Inverse of a square rational matrix: its columns solved against the n unit
     vectors in one elimination.  A singular a leaves some unit vector outside
@@ -107,6 +86,3 @@ def mat_inv(a):
         raise ValueError("matrix is singular") from None
     return [list(row) for row in zip(*inverse)]
 
-
-def mat_eq(a, b):
-    return all(all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))

@@ -7,10 +7,11 @@ from gtassoc.braidreps import (BraidRep, InfinitesimalRep, _verify_conjugation, 
 from gtassoc.grtgt import act_gt, g_ab, grt_cap_psi, act_grt
 from gtassoc.hmatrix import HMatrix
 from gtassoc.holonomy import braid_image, holonomy_algebra, sigma_images
-from gtassoc.linalg import mat_identity, mat_mul
 from gtassoc.scalar import ScalarSeries, scalar_div
 from gtassoc.tableaux import Partition, partitions_of
 from gtassoc.hecke import hecke_infinitesimal, rep_build
+
+import _dense_oracle as dense
 
 
 def test_hmatrix_log_exp():
@@ -28,12 +29,10 @@ def test_hmatrix_log_exp():
 def test_b3_structure():
     for v in (F(5), F(7), F(1, 2)):
         rho = b3_example(v)
-        t13, t23 = rho.t_matrix(1, 3), rho.t_matrix(2, 3)
-        s = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(t13, t23)]
+        s = rho.t_matrix(1, 3) + rho.t_matrix(2, 3)
         expect = [(3 - v) / 2, (3 + v) / 2, F(3)]
-        for i in range(3):
-            for j in range(3):
-                assert s[i][j] == (expect[i] if i == j else 0)
+        assert s.constant_term() == [[expect[i] if i == j else 0 for j in range(3)]
+                                     for i in range(3)]
     with pytest.raises(ValueError):
         b3_example(F(3))
     with pytest.raises(ValueError):
@@ -43,13 +42,19 @@ def test_b3_structure():
         b3_example(-1)
 
 
+def _const(grid):
+    return HMatrix.from_const(grid, 0)
+
+
 def test_invalid_rep_rejected():
-    bad_t = {(1, 2): [[F(1), F(0)], [F(0), F(0)]],
-             (1, 3): [[F(0), F(1)], [F(1), F(0)]],
-             (2, 3): [[F(0), F(0)], [F(0), F(1)]]}
-    s = [[[F(0), F(1)], [F(1), F(0)]], [[F(1), F(0)], [F(0), F(-1)]]]
+    bad_t = {(1, 2): _const([[1, 0], [0, 0]]),
+             (1, 3): _const([[0, 1], [1, 0]]),
+             (2, 3): _const([[0, 0], [0, 1]])}
+    s = [_const([[0, 1], [1, 0]]), _const([[1, 0], [0, -1]])]
     with pytest.raises(ValueError):
         InfinitesimalRep(3, s, bad_t)
+    with pytest.raises(ValueError, match="constant matrices"):
+        InfinitesimalRep(3, [HMatrix.from_const([[1, 0], [0, 1]], 2)] * 2, bad_t)
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (2, 2)])
@@ -58,16 +63,79 @@ def test_perturbed_disjoint_t_raises_its_first_commutator(shape):
     problem is [t_ab, t_cd] != 0 with ab before cd in (12, 13, 14, 23, 24, 34)."""
     rho = hecke_infinitesimal(Partition(shape))
     s = [rho.s[i] for i in range(1, 4)]
+    bump = HMatrix.from_terms(rho.N, {(0, 0, rho.N - 1): F(1, 3)}, 0)
     pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     for ij in pairs:
         kl = next(p for p in pairs if not set(p) & set(ij))
-        t = {p: [list(row) for row in m] for p, m in rho.t.items()}
-        t[ij][0][-1] += F(1, 3)
+        t = dict(rho.t)
+        t[ij] = t[ij] + bump
         first, second = sorted((ij, kl))
         message = "invalid infinitesimal representation: [t_%d%d, t_%d%d] != 0" % (first + second)
         with pytest.raises(ValueError) as info:
             InfinitesimalRep(4, s, t)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("shape", [s for n in range(2, 6) for s in partitions_of(n)],
+                         ids=lambda s: ",".join(map(str, s.parts)))
+def test_hecke_infinitesimal_equals_the_grid_oracle(shape):
+    """The sparse tableau walk and conjugations give the dense grids entry for entry."""
+    rho = hecke_infinitesimal(shape)
+    s, t = dense.hecke_grids(shape)
+    assert [rho.perm_matrix(i).constant_term() for i in range(1, shape.n)] == s
+    assert {p: m.constant_term() for p, m in rho.t.items()} == t
+    assert all(m.maxdeg == m.known_order == 0 for m in [*rho.s.values(), *rho.t.values()])
+
+
+@pytest.mark.parametrize("v", [F(5), F(1, 2), F(-2)], ids=str)
+def test_b3_example_equals_the_grid_oracle(v):
+    rho = b3_example(v)
+    s, t = dense.b3_grids(v)
+    assert [rho.perm_matrix(i).constant_term() for i in (1, 2)] == s
+    assert {p: m.constant_term() for p, m in rho.t.items()} == t
+
+
+def _scaled(grid, c):
+    return [[c * x for x in row] for row in grid]
+
+
+def _bumped(grid, i, j, c=F(1, 3)):
+    out = [list(row) for row in grid]
+    out[i][j] += c
+    return out
+
+
+# each perturbation of the (2, 1, 1) grids breaks the relation kind it names
+_PERTURBATIONS = {
+    "involution": lambda s, t: ([_scaled(s[0], 2), s[1], s[2]], t),
+    "braid": lambda s, t: ([s[0], _scaled(s[1], -1), s[2]], t),
+    "commute": lambda s, t: ([s[0], s[1], _bumped(s[2], 0, 1)], t),
+    "disjoint": lambda s, t: (s, {**t, (1, 2): _bumped(t[1, 2], 0, 2)}),
+    "four-term": lambda s, t: (s, {**t, (1, 3): _bumped(t[1, 3], 1, 0)}),
+    "equivariance": lambda s, t: (s, {**t, (1, 2): dense.mat_add(t[1, 2], dense.mat_identity(3))}),
+}
+
+
+def _kind(problem):
+    for kind, mark in (("involution", "involution"), ("braid", "braid relation"),
+                       ("commute", "do not commute"), ("four-term", " + t_"),
+                       ("equivariance", "equivariance"), ("disjoint", "] != 0")):
+        if mark in problem:
+            return kind
+
+
+@pytest.mark.parametrize("kind", [None, *_PERTURBATIONS])
+def test_validate_lists_the_grid_oracles_problems(kind):
+    """validate's HMatrix products give the grid oracle's problem list, in its order."""
+    shape = Partition((2, 1, 1))
+    s, t = dense.hecke_grids(shape)
+    if kind is not None:
+        s, t = _PERTURBATIONS[kind](s, t)
+    rho = InfinitesimalRep(4, [_const(m) for m in s], {p: _const(m) for p, m in t.items()},
+                           check=False)
+    problems = rho.validate()
+    assert problems == dense.grid_problems(4, s, t)
+    assert (kind in map(_kind, problems)) if kind else not problems
 
 
 def test_phat_b3(phi0):
@@ -78,17 +146,17 @@ def test_phat_b3(phi0):
     h = ScalarSeries.gen(R.maxdeg, R.ring, R.known_order)
     for r in (2, 3):
         L = R.delta(r).log()
-        hY = h * HMatrix.from_const(rho.y_matrix(r), R.maxdeg, R.ring, R.known_order)
+        hY = h * rho.y_matrix(r).lift(R.maxdeg, R.ring, R.known_order)
         assert L.equal_through(hY)
 
 
 def _rho_of_perm(rho, p):
     """rho(p), with p written as s_{i_k} ... s_{i_1} by sorting it with adjacent swaps."""
-    p, out = list(p), mat_identity(rho.N)
+    p, out = list(p), HMatrix.identity(rho.N, 0)
     while p != sorted(p):
         i = next(i for i in range(1, rho.n) if p[i - 1] > p[i])
         p[i - 1], p[i] = p[i], p[i - 1]
-        out = mat_mul(rho.perm_matrix(i), out)
+        out = rho.perm_matrix(i) * out
     return out
 
 
@@ -97,15 +165,14 @@ def _rho_of_pair(rho, u, p, maxdeg):
     h rho(t_ij) along it, and p its permutation matrix."""
     terms = {}
     for word, c in u.terms.items():
-        m = mat_identity(rho.N)
+        m = HMatrix.identity(rho.N, 0)
         for letter in word:
-            m = mat_mul(m, rho.t_matrix(*u.algebra.pair_of[letter]))
-        for i, row in enumerate(m):
-            for j, v in enumerate(row):
-                key = (len(word), i, j)
-                terms[key] = terms.get(key, 0) + c * v
+            m = m * rho.t_matrix(*u.algebra.pair_of[letter])
+        for (_, i, j), v in m.terms.items():
+            key = (len(word), i, j)
+            terms[key] = terms.get(key, 0) + c * v
     image = HMatrix.from_terms(rho.N, terms, maxdeg, known_order=u.known_order)
-    return image * HMatrix.from_const(_rho_of_perm(rho, p), maxdeg, known_order=u.known_order)
+    return image * _rho_of_perm(rho, p).lift(maxdeg, known_order=u.known_order)
 
 
 @pytest.mark.parametrize("rho, words", [
@@ -124,7 +191,7 @@ def test_braid_image_through_rho_is_phat(rho, words, phi0):
 
 
 def test_phat_one_dimensional(phi0):
-    rho = InfinitesimalRep(2, [[[F(1)]]], {(1, 2): [[F(2)]]})
+    rho = InfinitesimalRep(2, [_const([[1]])], {(1, 2): _const([[2]])})
     R = phat(rho, phi0)
     assert R.sigma(1).entry(0, 0).equal_through(ScalarSeries.exp_multiple(1, 5))
 
@@ -222,12 +289,10 @@ def test_difference_formula(phi0, ab_ring):
             for j in range(diff.n):
                 assert not diff.entry(i, j).coefficient(k)
 
-    def comm(x, y):
-        return [[p - q for p, q in zip(rp, rq)]
-                for rp, rq in zip(mat_mul(x, y), mat_mul(y, x))]
-
-    w = comm(rho.t_matrix(2, 3), comm(rho.t_matrix(2, 3), rho.t_matrix(1, 2)))
-    expect = mat_mul(rho.perm_matrix(2), w)
+    # the grid oracle, independent of the HMatrix commutators of report.verify_braid
+    t12, t23, s2 = (m.constant_term()
+                    for m in (rho.t_matrix(1, 2), rho.t_matrix(2, 3), rho.perm_matrix(2)))
+    expect = dense.mat_mul(s2, dense.commutator(t23, dense.commutator(t23, t12)))
     for i in range(diff.n):
         for j in range(diff.n):
             assert diff.entry(i, j).coefficient(3) == a * expect[i][j]

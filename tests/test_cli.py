@@ -134,6 +134,49 @@ def test_verify_below_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
     assert len(err.splitlines()) == 1 and "--degree must be at least 5" in err
 
 
+@pytest.mark.parametrize("suite, degree, least", [
+    ("hecke", 3, 4), ("kz", 2, 3), ("associator", 2, 3), ("grt", 0, 3), ("all", 4, 5),
+], ids=str)
+def test_verify_below_the_suites_least_degree_is_a_usage_error(capsys, monkeypatch, suite,
+                                                                degree, least):
+    """hecke at degree 3 would read the h^4 term of b_d past its known order
+    and report a false FAIL; kz would drop the degree."""
+    from gtassoc import cli
+
+    def no_work(degree, **kwargs):
+        raise AssertionError("a suite ran")
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, no_work)
+    code, out, err = run(capsys, "verify", suite, "--degree", str(degree))
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "--degree must be at least %d" % least in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hecke", "--degree", "4", "--nmax", "3"),
+    ("kz", "--degree", "3"),
+], ids=" ".join)
+def test_verify_at_the_suites_least_degree_passes(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0 and out.startswith("suite %s: PASS" % argv[0])
+
+
+def test_verify_kz_builds_its_associators_at_the_degree(capsys, monkeypatch):
+    from gtassoc import kz, report
+    degrees = []
+
+    def recorded(build):
+        def wrapper(degree, *args, **kwargs):
+            degrees.append((build.__name__, degree))
+            return build(degree, *args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(kz, "phi_kz_symbolic", recorded(kz.phi_kz_symbolic))
+    monkeypatch.setattr(report, "phi0_reference", recorded(report.phi0_reference))
+    code, out, _ = run(capsys, "verify", "kz", "--degree", "4")
+    assert code == 0 and out.startswith("suite kz: PASS")
+    assert sorted(degrees) == [("phi0_reference", 4), ("phi_kz_symbolic", 4)]
+
+
 @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES) + ["all"])
 def test_verify_above_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
     from gtassoc import cli
@@ -147,7 +190,7 @@ def test_verify_above_degree_five_is_a_usage_error(capsys, monkeypatch, suite):
     assert len(err.splitlines()) == 1 and "--degree must be at most 5" in err
 
 
-@pytest.mark.parametrize("suite", ["associator", "grt", "gt", "braid", "hecke"])
+@pytest.mark.parametrize("suite", ["associator", "grt", "gt", "braid", "hecke", "kz"])
 def test_suite_past_the_reference_degree_raises_before_any_work(monkeypatch, suite):
     """A library call at degree 6 is refused as phi0_reference refuses it,
     not run at degree 5."""

@@ -239,13 +239,12 @@ def test_b_relation_by_squaring(phi0, semi_model):
 
 
 def test_phat_equals_rep_build(phi0, semi_model):
-    for parts in ((2, 1), (2, 2), (3, 2)):
-        shape = Partition(parts)
-        rho = hecke_infinitesimal(shape)
-        r1 = phat(rho, phi0)
-        r2 = rep_build(shape, semi_model)
-        for i in range(1, shape.n):
-            assert r1.sigma(i).equal_through(r2.sigma(i)), (parts, i)
+    for n in range(2, 7):
+        for shape in partitions_of(n):
+            r1 = phat(hecke_infinitesimal(shape), phi0)
+            r2 = rep_build(shape, semi_model)
+            for i in range(1, n):
+                assert r1.sigma(i).equal_through(r2.sigma(i)), (shape.parts, i)
 
 
 def test_custom_model_guard():
