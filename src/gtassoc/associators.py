@@ -31,7 +31,9 @@ unchanged candidate plus a linear map L(psi), with z = -x-y,
 
 Its kernel on Lie elements is the degree-(D+1) part of grt_1 (Drinfeld;
 Furusho, "Pentagon and hexagon equations"): dimensions 1, 0, 1, 0, 1 in
-degrees 3 to 7, spanned by sigma_3, sigma_5 and sigma_7.
+degrees 3 to 7, spanned by sigma_3, sigma_5 and sigma_7.  L is evaluated on
+every unknown at once: each is scaled to int, and truncated.substitute
+takes the whole list at each pentagon face and at psi(z,x) and psi(y,z).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .linalg import solve_columns
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
                        nc_exp, nc_log, nc_substitute, to_text)
 from .symcoef import as_fraction, layers
-from .truncated import suffix_products
+from .truncated import substitute
 from .wbasis import XY, w_coordinates, w_element
 
 
@@ -204,9 +206,7 @@ def c_extract(phi):
 
 def bar(phi: AssociatorCandidate) -> AssociatorCandidate:
     """Phi(-x, -y): sign-flip every odd-degree component."""
-    s = phi.series
-    flipped = {w: (c if len(w) % 2 == 0 else -c) for w, c in s.terms.items()}
-    return AssociatorCandidate(s.scaled_copy(flipped), phi.lam)
+    return AssociatorCandidate(phi.series.eps(), phi.lam)
 
 
 def is_even(phi: AssociatorCandidate) -> bool:
@@ -230,87 +230,20 @@ def phi0_reference(maxdeg=5, ring=None) -> AssociatorCandidate:
     return AssociatorCandidate(phi, 1)
 
 
-def _first_letter_images(elements, substitutions):
-    """Each homogeneous element over (x, y) at each substitution, in int.
-
-    The elements are series over Q, homogeneous of one degree D >= 1.  A
-    substitution is a pair (heads, suffix_image): heads are the images of x
-    and y, and suffix_image maps a word of degree D-1 to its image; all have
-    int coefficients.  Writing psi = x T_x + y T_y, each element is scaled
-    once by its common denominator d, the image of each suffix, formed once
-    for all elements, is scattered in int into one tail T_a per element and
-    first letter a, and each tail is multiplied on the left by its head once.
-    Returns (dens, values), where values[s][i] is d_i times element i at
-    substitution s.
-    """
-    dens, scaled = zip(*(layers(elt.terms) for elt in elements))
-    uses_of = {}
-    for i, ints in enumerate(scaled):
-        for word, c in ints[()].items():
-            uses_of.setdefault(word[1:], []).append((i, word[0], c))
-    values = []
-    for heads, suffix_image in substitutions:
-        tails = [({}, {}) for _ in elements]
-        for suffix, uses in uses_of.items():
-            uses = [(tails[i][a], c) for i, a, c in uses]
-            for key, v in suffix_image(suffix).terms.items():
-                for tail, c in uses:
-                    tail[key] = tail.get(key, 0) + c * v
-        hx, hy = heads
-        # int terms and heads of order 1: the product hook directly, summed in place
-        value = []
-        for tx, ty in tails:
-            out = hx._convolve(hx.terms, tx, hx.maxdeg)
-            for key, v in hy._convolve(hy.terms, ty, hy.maxdeg).items():
-                out[key] = out.get(key, 0) + v
-            value.append(hx._like(out))
-        values.append(value)
-    return dens, values
-
-
-def _face_substitutions(algebra: HoloAlgebra):
-    """The five faces, in PENTAGON_FACES order, as substitutions for _first_letter_images."""
-    one = HoloElt(algebra, {EMPTY: 1})
-    return [((images["x"], images["y"]), suffix_products(images, XY, one))
-            for images in (_face_images(algebra, xs, ys) for _, xs, ys in PENTAGON_FACES)]
-
-
-def _hexagon_substitutions(degree):
-    """psi(z,x), psi(y,z) and psi(x,y), z = -x-y, as substitutions for _first_letter_images.
-
-    The images are int, and all three read one suffix cache over the letters
-    x, y, z through a relabelling of the suffix.
-    """
-    x, y = (NCSeries(XY, degree, {bytes((k,)): 1}) for k in range(2))
-    z = -x - y
-    cached = suffix_products({"x": x, "y": y, "z": z}, ("x", "y", "z"),
-                             NCSeries(XY, degree, {EMPTY: 1}))
-
-    def relabelled(heads, to):
-        table = bytes.maketrans(b"\0\1", to)
-        return heads, lambda suffix: cached(suffix.translate(table))
-
-    return [relabelled((z, x), b"\2\0"), relabelled((y, z), b"\1\2"), relabelled((x, y), b"\0\1")]
-
-
 def _pentagon_linear(elements, algebra: HoloAlgebra):
     """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) for homogeneous psi of one degree.
 
-    Returns (d, {basis word: int}) per element: d, the element's common
-    denominator, times its value.  Each face evaluates every element at once,
-    split by first letter (_first_letter_images): the cached images of the
-    degree-(D-1) suffixes are scattered into one tail per element and first
-    letter, and each tail takes one product with its one- or two-letter head,
-    whose letters fold through the cached prepend rows.
+    The elements have int coefficients, and each face evaluates all of them
+    in one int substitution; returns one {basis word: int} per element.
     """
-    dens, faces = _first_letter_images(elements, _face_substitutions(algebra))
+    one, zero = HoloElt(algebra, {EMPTY: 1}), algebra.zero()
     sums = [{} for _ in elements]
-    for (name, _, _), values in zip(PENTAGON_FACES, faces):
+    for name, xs, ys in PENTAGON_FACES:
         sign = _FACE_SIGNS[name]
-        for acc, value in zip(sums, values):
+        for acc, value in zip(sums, substitute(elements, _face_images(algebra, xs, ys), one, zero)):
             for mono, c in value.terms.items():
                 acc[mono] = acc.get(mono, 0) + sign * c
-    return list(zip(dens, sums))
+    return sums
 
 
 def _linear_residuals(elements, algebra: HoloAlgebra, degree):
@@ -319,17 +252,23 @@ def _linear_residuals(elements, algebra: HoloAlgebra, degree):
     One sparse int column (d, {key: int}) per element psi of the given degree:
     d times L(psi), d its common denominator.  With z = -x-y, the keys
     (0, word) hold swap(psi) + psi, (1, word) psi(z,x) + psi(y,z) + psi(x,y)
-    and (2, basis word) the pentagon block of _pentagon_linear; the hexagon
-    block, like the pentagon block, evaluates every element at once.
+    and (2, basis word) the pentagon block of _pentagon_linear.  Each
+    element is scaled to int once, and each face and hexagon substitution
+    evaluates all of them in one call, in int.
     """
-    dens, (at_zx, at_yz, at_xy) = _first_letter_images(elements, _hexagon_substitutions(degree))
+    dens, ints = zip(*(layers(psi.terms) for psi in elements))
+    scaled = [psi.scaled_copy(layer[()]) for psi, layer in zip(elements, ints)]
+    x, y = (NCSeries(XY, degree, {bytes((k,)): 1}) for k in range(2))
+    z = -x - y
+    one, zero = NCSeries(XY, degree, {EMPTY: 1}), NCSeries.zero(XY, degree)
+    at_zx = substitute(scaled, {"x": z, "y": x}, one, zero)
+    at_yz = substitute(scaled, {"x": y, "y": z}, one, zero)
     columns = []
-    for psi, zx, yz, xy, (d, pent) in zip(elements, at_zx, at_yz, at_xy,
-                                          _pentagon_linear(elements, algebra)):
-        scaled = psi.scaled_copy(layers(psi.terms)[1][()])
-        dual = letter_swap(scaled, {"x": "y", "y": "x"}) + scaled
+    for d, psi, zx, yz, pent in zip(dens, scaled, at_zx, at_yz,
+                                    _pentagon_linear(scaled, algebra)):
+        dual = letter_swap(psi, {"x": "y", "y": "x"}) + psi
         column = {(0, w): c for w, c in dual.terms.items()}
-        column.update(((1, w), c) for w, c in (zx + yz + xy).terms.items())
+        column.update(((1, w), c) for w, c in (zx + yz + psi).terms.items())
         column.update(((2, w), c) for w, c in pent.items())
         columns.append((d, column))
     return columns

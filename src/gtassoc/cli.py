@@ -3,7 +3,7 @@
 Subcommands: verify {associator|grt|gt|braid|hecke|kz|all}, chars,
 resonance, extend, kz-report.  Exit codes: 0 all-pass, 1 check failure,
 2 usage error, 3 resource error.  verify takes a --degree from the least
-one its suites are written for (MIN_DEGREE) to 5.
+one its suites are written for (report.MIN_DEGREE) to 5.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from . import holonomy, kz, report
 from .associators import AssociatorCandidate, extend_associator, phi0_reference
-from .ncseries import NCSeries, to_text
+from .ncseries import NCSeries
 from .symcoef import render_coeff
 from .tableaux import Partition
 
@@ -25,11 +25,6 @@ VERIFY_SUITES = {
     "hecke": report.verify_hecke,
     "kz": report.verify_kz,
 }
-
-# the least --degree each suite's checks are written for: associator, grt and
-# kz read a degree-3 coefficient, hecke the h^4 term of b_d, gt and braid
-# degree-5 coefficients; none reads past 5, where the reference data stops
-MIN_DEGREE = {"associator": 3, "grt": 3, "gt": 5, "braid": 5, "hecke": 4, "kz": 3}
 
 
 def _emit(reps, args):
@@ -48,7 +43,7 @@ def _emit(reps, args):
 def cmd_verify(args):
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
     # both bounds are refused before any work
-    least = max(MIN_DEGREE[name] for name in names)
+    least = max(report.MIN_DEGREE[name] for name in names)
     if args.degree < least:
         print("verify %s: --degree must be at least %d" % (args.suite, least), file=sys.stderr)
         return 2
@@ -100,8 +95,7 @@ def cmd_extend(args):
     while start.known_order < args.degree:
         start, _ = extend_associator(start, parity=args.parity)
     extended, kernel = extend_associator(start, parity=args.parity)
-    out = to_text(extended.series, extra={"lambda": extended.lam})
-    sys.stdout.write(out)
+    sys.stdout.write(extended.to_text())
     sys.stdout.write("# kernel dimension at degree %d: %d\n"
                      % (extended.known_order, len(kernel)))
     return 0

@@ -202,6 +202,7 @@ def evaluate_series(series: NCSeries, images: dict) -> HMatrix:
     ko = min([series.known_order] + [m.known_order for m in images.values()])
     if any(m.order() == 0 for m in images.values()):
         raise ValueError("matrix substitution needs h-order >= 1 arguments")
-    return substitute(series, images,
-                      HMatrix.identity(sample.n, sample.maxdeg, sample.ring, ko, sample.var),
-                      HMatrix.zero(sample.n, sample.maxdeg, sample.ring, ko, sample.var))
+    [value] = substitute([series], images,
+                         HMatrix.identity(sample.n, sample.maxdeg, sample.ring, ko, sample.var),
+                         HMatrix.zero(sample.n, sample.maxdeg, sample.ring, ko, sample.var))
+    return value

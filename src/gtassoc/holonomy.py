@@ -273,9 +273,6 @@ class HoloElt(Truncated):
         if self.algebra is not other.algebra:
             raise ValueError("elements of different holonomy algebras")
 
-    def coefficient(self, word):
-        return self.terms.get(word, Fraction(0))
-
     def _convolve(self, a_terms, b_terms, ko):
         """Each pair of basis words is reduced by folding the left word onto
         the right one, already normal; a one-letter left word reads its row
@@ -344,7 +341,8 @@ def embed_free(series: NCSeries, algebra: HoloAlgebra, images: dict) -> HoloElt:
             raise ValueError("holonomy images must have order >= 1")
         ko = min(ko, img.known_order)
     # an int unit keeps integral images (the pentagon faces) in int arithmetic
-    return substitute(series, images, HoloElt(algebra, {EMPTY: 1}, ko), algebra.zero(ko))
+    [value] = substitute([series], images, HoloElt(algebra, {EMPTY: 1}, ko), algebra.zero(ko))
+    return value
 
 
 def holonomy_algebra(n, maxdeg) -> HoloAlgebra:

@@ -37,10 +37,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ncseries import NCSeries
 from .scalar import ScalarSeries
 from .symcoef import SymRing
-from .wbasis import XY, w_element
+from .wbasis import w_element
 
 DEFAULT_HBAR_ORDER = 8
 DEFAULT_ZETA_MAX = 9
@@ -229,20 +228,16 @@ def phi_kz_symbolic(maxdeg=5):
     the twisted reference; it is the unique degree-5 completion of the lower
     data in the lambda=1 family with these zt3/zt5 coordinates.
     """
-    from .associators import AssociatorCandidate
+    from .associators import AssociatorCandidate, phi0_reference
     from .grtgt import psi1, psi2
     ring = SymRing(("zt3", "zt5"))
     zt3, zt5 = ring.symbol("zt3"), ring.symbol("zt5")
-    w3 = w_element(3, maxdeg, ring)
-    series = NCSeries.one(XY, maxdeg, ring) + Fraction(1, 24) * w3
-    if maxdeg >= 4:
-        phi4 = (-1 * w_element(7, maxdeg, ring) - 4 * w_element(6, maxdeg, ring)
-                - 4 * w_element(8, maxdeg, ring) + 5 * (w3 * w3))
-        series = series + Fraction(1, 5760) * phi4
+    series = phi0_reference(maxdeg, ring).series
     if maxdeg >= 3:
         series = series + zt3 * psi1(maxdeg, ring)
     if maxdeg >= 5:
         series = series + (zt5 * Fraction(1, 2)) * psi2(maxdeg, ring)
-        corr = w_element(10, maxdeg, ring) + w_element(11, maxdeg, ring) - w3 * psi1(maxdeg, ring)
+        corr = (w_element(10, maxdeg, ring) + w_element(11, maxdeg, ring)
+                - w_element(3, maxdeg, ring) * psi1(maxdeg, ring))
         series = series - (zt3 * Fraction(1, 24)) * corr
     return AssociatorCandidate(series, 1)

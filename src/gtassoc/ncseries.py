@@ -85,10 +85,7 @@ class NCSeries(Truncated):
         """Coefficient of a word given as bytes or an iterable of letter names."""
         if not isinstance(word, bytes):
             word = self.word_index(tuple(word))
-        c = self.terms.get(word)
-        if c is None:
-            return Fraction(0) if self.ring is None else self.ring.zero
-        return c
+        return super().coefficient(word)
 
     def max_stored_degree(self):
         return max((len(w) for w in self.terms), default=0)
@@ -167,30 +164,21 @@ def nc_log(g: NCSeries) -> NCSeries:
     return g.log()
 
 
-def nc_substitute(f: NCSeries, images: dict, grouplike: bool = False) -> NCSeries:
-    """Substitute letters of f by series.
-
-    Mode (i), ``grouplike=False``: every image must have order >= 1 and is
-    substituted directly.  Mode (ii), ``grouplike=True``: every image must be
-    grouplike and its logarithm is substituted, following the convention
-    f(u, v) = f(log u, log v) for group elements.
-    """
+def nc_substitute(f: NCSeries, images: dict) -> NCSeries:
+    """Substitute the letters of f by series of order >= 1."""
     missing = [a for a in f.alphabet if a not in images]
     if missing:
         raise AlgebraError("no image for letters %r" % missing)
     vals = {}
     for name in f.alphabet:
-        img = images[name]
-        if grouplike:
-            if not is_grouplike(img):
-                raise ValueError("image of %r is not grouplike" % name)
-            img = nc_log(img)
-        elif img.coefficient(EMPTY):
+        vals[name] = sample = images[name]
+        if sample.coefficient(EMPTY):
             raise ValueError("image of %r has nonzero constant term" % name)
-        vals[name] = sample = img
     ko = min([f.known_order] + [img.known_order for img in vals.values()])
-    return substitute(f, vals, NCSeries.one(sample.alphabet, sample.maxdeg, sample.ring, ko),
-                      NCSeries.zero(sample.alphabet, sample.maxdeg, sample.ring, ko))
+    [value] = substitute([f], vals,
+                         NCSeries.one(sample.alphabet, sample.maxdeg, sample.ring, ko),
+                         NCSeries.zero(sample.alphabet, sample.maxdeg, sample.ring, ko))
+    return value
 
 
 def letter_swap(f: NCSeries, mapping: dict) -> NCSeries:

@@ -77,6 +77,20 @@ class Report:
         }, indent=2, sort_keys=True)
 
 
+# the least degree each suite's checks are written for: associator, grt and
+# kz read a degree-3 coefficient, hecke the h^4 term of b_d, gt and braid
+# degree-5 coefficients; none reads past 5, where the reference data stops
+MIN_DEGREE = {"associator": 3, "grt": 3, "gt": 5, "braid": 5, "hecke": 4, "kz": 3}
+
+
+def _suite_report(suite, degree):
+    """The empty Report of a suite, or ValueError for a degree below its least."""
+    if degree < MIN_DEGREE[suite]:
+        raise ValueError("the %s suite needs degree %d or more, not %d"
+                         % (suite, MIN_DEGREE[suite], degree))
+    return Report(suite)
+
+
 def _timed(fn):
     def wrapper(*args, **kwargs):
         t0 = time.monotonic()
@@ -88,7 +102,7 @@ def _timed(fn):
 
 @_timed
 def verify_associator(degree=5) -> Report:
-    rep = Report("associator")
+    rep = _suite_report("associator", degree)
     phi0 = phi0_reference(degree)
     # the equations of certify, each run just before its add so that it carries its own time
     rep.add("phi0-grouplike", "defining equation: grouplike",
@@ -124,7 +138,7 @@ def verify_associator(degree=5) -> Report:
 
 @_timed
 def verify_grt(degree=5) -> Report:
-    rep = Report("grt")
+    rep = _suite_report("grt", degree)
     ring = SymRing(("a", "b"))
     a, b = ring.symbol("a"), ring.symbol("b")
     # refuses a degree past the reference data before any work
@@ -147,7 +161,7 @@ def verify_grt(degree=5) -> Report:
 
 @_timed
 def verify_gt(degree=5) -> Report:
-    rep = Report("gt")
+    rep = _suite_report("gt", degree)
     ring = SymRing(("a", "b"))
     a, b = ring.symbol("a"), ring.symbol("b")
     phi0 = phi0_reference(degree)
@@ -181,7 +195,7 @@ def verify_gt(degree=5) -> Report:
 
 @_timed
 def verify_braid(degree=5) -> Report:
-    rep = Report("braid")
+    rep = _suite_report("braid", degree)
     ring = SymRing(("a", "b"))
     a, b = ring.symbol("a"), ring.symbol("b")
     phi0 = phi0_reference(degree)
@@ -219,7 +233,7 @@ def verify_braid(degree=5) -> Report:
 
 @_timed
 def verify_hecke(degree=5, nmax=6) -> Report:
-    rep = Report("hecke")
+    rep = _suite_report("hecke", degree)
     phi0 = phi0_reference(degree)
     model = hecke.MatrixModel("semi", phi0)
     unitary = hecke.MatrixModel("unitary", maxdeg=7)
@@ -254,7 +268,7 @@ def verify_hecke(degree=5, nmax=6) -> Report:
         if not (scaled.coefficient(0) == 1 and not scaled.coefficient(1)
                 and scaled.coefficient(2) == Fraction(1, 6) and not scaled.coefficient(3)
                 and scaled.coefficient(4) == Fraction(-(4 * d * d - 1), 120)
-                and not scaled.coefficient(5)):
+                and (scaled.known_order < 5 or not scaled.coefficient(5))):
             exp_ok = False
         if (Fraction(d, d + 1) * model_tw.b(d)).coefficient(3) != a * (-16 * d):
             exp_ok = False
@@ -275,7 +289,7 @@ def verify_hecke(degree=5, nmax=6) -> Report:
 def verify_kz(degree=5, order=7) -> Report:
     """The kz scalars through h^order; phi0, the even bridge and the symbolic
     KZ truncation at degree."""
-    rep = Report("kz")
+    rep = _suite_report("kz", degree)
     # refuses a degree past the reference data before any work
     phi0 = phi0_reference(degree)
     ring = kz.kz_ring()

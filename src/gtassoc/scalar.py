@@ -77,12 +77,6 @@ class ScalarSeries(Truncated):
 
     # -- access -----------------------------------------------------------
 
-    def coefficient(self, k):
-        c = self.terms.get(k)
-        if c is None:
-            return Fraction(0) if self.ring is None else self.ring.zero
-        return c
-
     def promote(self, ring):
         if ring == self.ring:
             return self

@@ -3,7 +3,7 @@
 ``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries and HMatrix.
 It holds the one truncation contract: ``is_zero``, ``is_one`` and
 ``equal_through`` read through ``known_order`` by default and raise
-ValueError when asked past it.  Two values of one type with exact
+ValueError when asked past it, and so does ``coefficient``.  Two values of one type with exact
 coefficients (int, Fraction, or Poly of one ring) compare their terms key
 by key; mixed types, plain scalars and Polys of different rings are
 compared through their difference.  It also holds the one product rule:
@@ -33,14 +33,18 @@ The series algorithms below (exp, log, Neumann inverse) need only
 Fraction, or a Poly of the series ring).  The caller passes the unit (and
 zero) built with the known order the result must carry; they read no
 coefficient, so Fraction and Poly coefficients work alike.  Substitution
-sums ``coefficient * image`` into one dict of terms, so it also needs the
-key-to-coefficient ``terms``, ``_coerce`` and ``_like``.
+evaluates a list of series at once and sums ``coefficient * image`` into
+one dict of terms per series, so it also needs the key-to-coefficient
+``terms``, ``_coerce`` and ``_like``.
 
-Word images are built from the left, image(first letter) * image(rest),
-so the single-generator factor sits on the left, which a holonomy product
-folds onto the normal right factor for the cost of one cached rewrite.
-Every image has order >= 1: a word of L letters wanted through K uses
-images cut to degree K - L + 1, its suffix behind i letters through K - i.
+Substitution writes each series as c + sum_a a * T_a over the first letter
+a of its words: the image of each suffix behind a first letter is formed
+once for all the series, and each tail T_a takes one product with the
+image of a on the left, which a holonomy product folds onto the normal
+right factor for the cost of one cached rewrite.  Suffix images are built
+from the left the same way.  Every image has order >= 1: a word of L
+letters wanted through K has its suffix known through K - 1, built from
+images cut to degree K - L + 1.
 """
 
 from __future__ import annotations
@@ -87,6 +91,14 @@ class Truncated:
     def order(self):
         """Degree of the lowest stored term, or None for zero."""
         return min(map(self._degree, self.terms)) if self.terms else None
+
+    def coefficient(self, key):
+        """The coefficient of key, zero when absent; raises ValueError past the known order."""
+        if self._degree(key) > self.known_order:
+            raise ValueError("coefficient of degree %d exceeds known order %d"
+                             % (self._degree(key), self.known_order))
+        c = self.terms.get(key)
+        return self._coerce(0) if c is None else c
 
     def homogeneous(self, degree):
         deg = self._degree
@@ -319,8 +331,9 @@ def suffix_products(images, alphabet, one):
     from images cut to degree K - L + 1 (one copy per letter and degree).
     Each product is kept with that degree (a zero image leaves its products
     exact past their known order) and rebuilt when a later request needs
-    more, which (length, lex) order never does.  Callers that must not keep
-    a word ask for its suffix and multiply its first image on the left.
+    more, which (length, lex) order never does.  substitute asks only for
+    the suffixes behind first letters and multiplies each tail by its first
+    letter's image on the left.
     """
     ko = one.known_order
     cache, cut = {b"": (one, ko)}, {}  # word -> (product, degree it is exact through)
@@ -348,40 +361,75 @@ def suffix_products(images, alphabet, one):
     return product_for
 
 
-def substitute(series, images, one, zero):
-    """series evaluated at images: sum over words of coefficient * product of images.
+def substitute(elements, images, one, zero):
+    """Each series of elements, all over one alphabet, evaluated at images.
 
     images maps letter names to values of positive order known through K,
-    the known order of one and zero.  Words are taken in (length, lex) order,
-    words longer than K are skipped, and suffix_products forms each suffix
-    once, cut to the degree its position leaves.  Each word adds its
-    coerced coefficient times its product's terms into one dict, which
-    zero._like cleans of zeros and truncates at zero's known order.  A Poly
-    coefficient times a product with rational coefficients is summed instead
-    in int: both are scaled to int layers, each pair adds into one flat dict
-    {(key, exponent vector): int} per denominator, and at the end the dicts
-    meet over the lcm of their denominators, one Fraction per term and one
-    Poly per key.
+    the known order of one and zero; words longer than K are skipped.  The
+    words of every element are visited together in (length, lex) order, and
+    a word a.s is split at its first letter: suffix_products, built with one
+    cut to known order K - 1, forms the image of each suffix s once for all
+    the elements, and each element scatters its coefficient (coerced unless
+    an int, so that int series at int images stay in int) times that image
+    into one tail T_a per first letter a.  Each nonzero tail then
+    takes one product image(a) * T_a, and the empty word adds its
+    coefficient times one.  The products' terms go into one plain dict per
+    element, which zero._like cleans of zeros and truncates at K: a zero
+    tail's product carries a known order below K, which a sum by ``+`` would
+    keep.  A Poly coefficient times a suffix image with rational
+    coefficients is scattered in int instead: both are scaled to int layers,
+    each pair adds into one flat dict {(key, exponent vector): int} per tail
+    and denominator, and at the end the dicts meet over the lcm of their
+    denominators, one Fraction per term and one Poly per key.
     """
     ko = zero.known_order
-    product_for = suffix_products(images, series.alphabet, one)
-    acc, flat = {}, {}
-    for word, coeff in series.rendered_words():
-        if len(word) <= ko:
-            c = zero._coerce(coeff)
-            terms = product_for(word).terms
-            if isinstance(c, Poly) and set(map(type, terms.values())) <= _RATIONAL:
-                ring = c.ring
-                (d_c, xs), (d_t, vs) = layers(c.terms), layers(terms)
-                sums = flat.setdefault(d_c * d_t, {})
-                for key, v in vs[()].items():
-                    for e, x in xs[()].items():
-                        sums[key, e] = sums.get((key, e), 0) + x * v
+    uses = {}  # word -> [(element index, coefficient)]
+    for i, series in enumerate(elements):
+        for word, coeff in series.terms.items():
+            if len(word) <= ko:
+                c = coeff if type(coeff) is int else zero._coerce(coeff)
+                uses.setdefault(word, []).append((i, c))
+    alphabet, cut = elements[0].alphabet, one._like(one.terms, ko - 1)
+    product_for = suffix_products(images, alphabet, cut)
+    accs = [{} for _ in elements]
+    tails, flats = {}, {}  # (element index, first letter) -> terms, and -> {den: flat dict}
+    for word in sorted(uses, key=lambda w: (len(w), w)):
+        if not word:
+            for i, c in uses[word]:
+                _scatter(accs[i], one.terms, c)
+            continue
+        terms = product_for(word[1:]).terms
+        ints = (layers(terms) if any(type(c) is Poly for _, c in uses[word])
+                and set(map(type, terms.values())) <= _RATIONAL else None)
+        for i, c in uses[word]:
+            tail = i, word[0]
+            if ints is None or type(c) is not Poly:
+                _scatter(tails.setdefault(tail, {}), terms, c)
                 continue
-            for key, v in terms.items():
-                cur = acc.get(key)
-                acc[key] = c * v if cur is None else cur + c * v
-    # one int sum per (key, exponent vector) over the lcm of the denominators
+            (d_c, xs), (d_t, vs) = layers(c.terms), ints
+            sums = flats.setdefault(tail, (c.ring, {}))[1].setdefault(d_c * d_t, {})
+            for key, v in vs[()].items():
+                for e, x in xs[()].items():
+                    sums[key, e] = sums.get((key, e), 0) + x * v
+    for tail, (ring, flat) in flats.items():
+        _scatter(tails.setdefault(tail, {}), _flat_polys(ring, flat))
+    for (i, letter), terms in tails.items():
+        _scatter(accs[i], (images[alphabet[letter]] * cut._like(terms)).terms)
+    return [zero._like(acc) for acc in accs]
+
+
+def _scatter(acc, terms, c=None):
+    """acc[key] += v, or c * v, for each term v of terms."""
+    for key, v in terms.items():
+        if c is not None:
+            v = c * v
+        cur = acc.get(key)
+        acc[key] = v if cur is None else cur + v
+
+
+def _flat_polys(ring, flat):
+    """{key: Poly} from {den: {(key, exponent vector): int}}, one int sum per
+    (key, exponent vector) over the lcm of the denominators."""
     den, total = lcm(*flat), {}
     for d, sums in flat.items():
         m = den // d
@@ -391,7 +439,4 @@ def substitute(series, images, one, zero):
     for (key, e), x in total.items():
         if x:
             polys.setdefault(key, {})[e] = Fraction(x, den)
-    for key, poly_terms in polys.items():
-        p = Poly(ring, poly_terms)
-        acc[key] = acc[key] + p if key in acc else p
-    return zero._like(acc)
+    return {key: Poly(ring, poly_terms) for key, poly_terms in polys.items()}

@@ -9,10 +9,11 @@ from gtassoc.associators import (AssociatorCandidate, bar, c_extract, certify,
                                  duality_check, extend_associator, hexagon_check,
                                  hexagon_product, is_even, pentagon_check,
                                  pentagon_defect, pentagon_faces, phi0_reference)
-from gtassoc.holonomy import embed_free, holonomy_algebra
+from gtassoc.holonomy import HoloElt, embed_free, holonomy_algebra
 from gtassoc.ncseries import (NCSeries, is_grouplike, letter_swap, lyndon_basis, nc_log,
                               nc_substitute, to_text)
-from gtassoc.symcoef import common_denominator
+from gtassoc.symcoef import SymRing, common_denominator
+from gtassoc.truncated import substitute
 from gtassoc.wbasis import XY, all_words, w_coordinates, w_element
 
 from test_linalg import rref_solve_affine
@@ -171,9 +172,12 @@ def test_undersized_algebra_is_refused(phi0):
     assert pentagon_check(phi0, holonomy_algebra(4, 6))
 
 
-def test_first_letter_images_match_face_and_hexagon_substitution():
-    """The batched evaluation against embed_free on the five faces and
-    nc_substitute at the hexagon images, element by element, in degree 6."""
+def test_substitute_on_a_list_matches_each_series_alone():
+    """substitute on a list of series against embed_free on the five faces and
+    nc_substitute at the hexagon images, one series at a time, through degree 6:
+    mixed words, a first-letter pair that cancels, one word, zero, words of
+    every length from 0 to 6 (suffixes of several lengths), and Poly
+    coefficients at the rational faces (the flat int branch)."""
     rng = random.Random(6)
     words = all_words(6)
     mixed = NCSeries(XY, 6, {w: F(rng.randint(-9, 9), rng.randint(1, 9))
@@ -182,24 +186,36 @@ def test_first_letter_images_match_face_and_hexagon_substitution():
     s = bytes((1, 0, 0, 1, 1))
     cancelling = NCSeries(XY, 6, {bytes((0,)) + s: F(2, 3), bytes((1,)) + s: F(2, 3),
                                   words[5]: F(-1, 4)})
-    elements = [mixed, cancelling, NCSeries(XY, 6, {words[-1]: 1}), NCSeries.zero(XY, 6)]
+    lengths = NCSeries(XY, 6, {rng.choice(all_words(n)) if n else b"": F(n - 3, n + 1)
+                               for n in range(7)})
+    ring = SymRing(("a", "b"))
+    a, b = ring.symbol("a"), ring.symbol("b")
+    poly = NCSeries(XY, 6, {w: a * F(rng.randint(1, 5), 3) + b * rng.randint(-2, 2) + 1
+                            for w in rng.sample(words, 8) + [bytes((1, 0, 1))]}, ring)
+    elements = [mixed, cancelling, NCSeries(XY, 6, {words[-1]: 1}), NCSeries.zero(XY, 6),
+                lengths]
     algebra = holonomy_algebra(4, 6)
-    dens, values = associators._first_letter_images(
-        elements, associators._face_substitutions(algebra)
-        + associators._hexagon_substitutions(6))
-    assert dens[:3] == (common_denominator(mixed.terms.values()), 12, 1)
+    one = HoloElt(algebra, {b"": 1})
+    for _, xs, ys in associators.PENTAGON_FACES:
+        images = associators._face_images(algebra, xs, ys)
+        for batch in (elements, elements + [poly]):
+            values = substitute(batch, images, one, algebra.zero())
+            assert [v.terms for v in values] == [embed_free(e, algebra, images).terms
+                                                 for e in batch]
+            assert [v.known_order for v in values] == [6] * len(batch)
     x, y = NCSeries.letter(XY, "x", 6), NCSeries.letter(XY, "y", 6)
     z = -1 * x - y
-    hexagon = ({"x": z, "y": x}, {"x": y, "y": z}, {"x": x, "y": y})
-    for i, (elt, d) in enumerate(zip(elements, dens)):
-        for (_, xs, ys), value in zip(associators.PENTAGON_FACES, values):
-            face = embed_free(elt, algebra, associators._face_images(algebra, xs, ys))
-            assert F(1, d) * value[i] == face
-        for images, value in zip(hexagon, values[5:]):
-            assert F(1, d) * value[i] == nc_substitute(elt, images)
-    # d (x.s + y.s)(z, x) = -8 y.x.y.y.x.x + ..., and x.x.y.y.x.x is gone
-    zx = values[5][1].terms
-    assert zx[bytes((1, 0, 1, 1, 0, 0))] == -8 and bytes((0, 0, 1, 1, 0, 0)) not in zx
+    for images in ({"x": z, "y": x}, {"x": y, "y": z}, {"x": x, "y": y}):
+        values = substitute(elements, images, NCSeries.one(XY, 6), NCSeries.zero(XY, 6))
+        assert values == [nc_substitute(e, images) for e in elements]
+        # through K = 0 only the constant terms are read
+        cut = substitute(elements, images, NCSeries.one(XY, 6, None, 0),
+                         NCSeries.zero(XY, 6, None, 0))
+        assert [(v.terms, v.known_order) for v in cut] == [({}, 0)] * 4 + [({b"": F(-3)}, 0)]
+    # (x.s + y.s)(z, x) = -y.s'(z, x): -2/3 y.x.y.y.x.x + ..., and x.x.y.y.x.x is gone
+    zx = substitute(elements, {"x": z, "y": x}, NCSeries.one(XY, 6), NCSeries.zero(XY, 6))
+    assert zx[1].terms[bytes((1, 0, 1, 1, 0, 0))] == F(-2, 3)
+    assert bytes((0, 0, 1, 1, 0, 0)) not in zx[1].terms
 
 
 @pytest.mark.parametrize("kind", ["twisted", "perturbed", "symbolic"])

@@ -203,6 +203,21 @@ def test_suite_past_the_reference_degree_raises_before_any_work(monkeypatch, sui
         getattr(report, "verify_" + suite)(6)
 
 
+@pytest.mark.parametrize("suite", ["associator", "grt", "gt", "braid", "hecke", "kz"])
+def test_suite_below_its_least_degree_raises_before_any_work(monkeypatch, suite):
+    """verify_gt(4) used to raise a bare KeyError, verify_braid(2) a ValueError
+    from deep inside a check, and verify_associator(0) passed vacuously."""
+    from gtassoc import report
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(report, "phi0_reference", no_work)
+    for degree in range(report.MIN_DEGREE[suite]):
+        with pytest.raises(ValueError, match="the %s suite needs degree %d or more, not %d$"
+                           % (suite, report.MIN_DEGREE[suite], degree)):
+            getattr(report, "verify_" + suite)(degree)
+
+
 @pytest.mark.parametrize("argv", [
     ("hecke", "--nmax", "1"),
     ("hecke", "--nmax", "9"),
