@@ -102,7 +102,8 @@ def derivation_x(psi: NCSeries, g: NCSeries) -> NCSeries:
     x = NCSeries.letter(XY, "x", g.maxdeg, g.ring, g.known_order)
     dx = commutator(psi, x)
     x_idx = 0
-    out = NCSeries.zero(XY, g.maxdeg, g.ring, min(g.known_order, psi.known_order))
+    ko = min(g.known_order, psi.known_order)
+    out = {}
     for word, coeff in g.terms.items():
         for pos, letter in enumerate(word):
             if letter != x_idx:
@@ -111,15 +112,15 @@ def derivation_x(psi: NCSeries, g: NCSeries) -> NCSeries:
             right = word[pos + 1:]
             for mid, c2 in dx.terms.items():
                 w = left + mid + right
-                if len(w) > out.known_order:
+                if len(w) > ko:
                     continue
-                cur = out.terms.get(w)
+                cur = out.get(w)
                 val = coeff * c2 if cur is None else cur + coeff * c2
                 if val:
-                    out.terms[w] = val
+                    out[w] = val
                 elif cur is not None:
-                    del out.terms[w]
-    return out
+                    del out[w]
+    return NCSeries(XY, g.maxdeg, out, g.ring, ko)
 
 
 def s_map(psi: NCSeries, g: NCSeries) -> NCSeries:
@@ -311,10 +312,7 @@ def gt_pentagon_defect(series: NCSeries, reference: AssociatorCandidate = None):
     from .associators import phi0_reference  # local to avoid cycles at import time
     ref = phi0_reference(min(series.maxdeg, 5)) if reference is None else reference
     algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
-    images = sigma_images(ref.series, ref.lam, algebra)
-    # a pure braid lands on the identity permutation
-    xi = {p: braid_image(images, algebra, xi_word(4, *p))[0]
-          for p in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))}
+    xi = xi_images(sigma_images(ref.series, ref.lam, algebra), algebra)
 
     # xi_12, xi_23 and xi_34 each enter two faces: take each log once
     l12, l23, l34 = (xi[p].log() for p in ((1, 2), (2, 3), (3, 4)))
@@ -327,6 +325,22 @@ def gt_pentagon_defect(series: NCSeries, reference: AssociatorCandidate = None):
            * f_at((xi[(1, 2)] * xi[(1, 3)]).log(), (xi[(2, 4)] * xi[(3, 4)]).log())
            * f_at(l12, l23))
     return lhs - rhs
+
+
+def xi_images(images, algebra):
+    """The U(T_4) parts of xi_12, xi_13, xi_23, xi_24 and xi_34 under sigma_images.
+
+    A pure braid lands on the identity permutation.  xi_12, xi_23 and xi_34
+    are folded from their words; xi_13 = sigma_2 xi_12 sigma_2^-1 and
+    xi_24 = sigma_3 xi_23 sigma_3^-1 reuse them, since by the pair rule
+    (u, s)(v, 1)(u', s) = (u . s(v) . s(u'), 1): two products and two
+    permuted factors, where the fold of the word takes three of each.
+    """
+    xi = {p: braid_image(images, algebra, xi_word(4, *p))[0] for p in ((1, 2), (2, 3), (3, 4))}
+    for i, inner, outer in ((2, (1, 2), (1, 3)), (3, (2, 3), (2, 4))):
+        s, image, inverse = images[i]
+        xi[outer] = image * xi[inner].permuted(s) * inverse.permuted(s)
+    return xi
 
 
 def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) -> bool:

@@ -28,7 +28,7 @@ from .truncated import Truncated, neumann_inverse, substitute
 
 
 class HMatrix(Truncated):
-    __slots__ = ("n", "terms", "var", "ring", "maxdeg", "known_order")
+    __slots__ = ("n", "var", "ring", "maxdeg", "known_order")
     _degree = itemgetter(0)
 
     def __init__(self, rows):
@@ -50,7 +50,8 @@ class HMatrix(Truncated):
 
     def _fill(self, n, terms, var, ring, maxdeg, known_order):
         self.n, self.var, self.ring, self.maxdeg, self.known_order = n, var, ring, maxdeg, known_order
-        self.terms = {key: c for key, c in terms.items() if c and key[0] <= known_order}
+        self._terms = {key: c for key, c in terms.items() if c and key[0] <= known_order}
+        self._cache = None
         return self
 
     def _like(self, terms, known_order=None):

@@ -249,14 +249,14 @@ def _compositions(total, parts):
 class HoloElt(Truncated):
     """Element of a HoloAlgebra as coordinates on the normal-form basis."""
 
-    __slots__ = ("algebra", "terms", "known_order")
+    __slots__ = ("algebra", "known_order")
     _degree = staticmethod(len)
 
     def __init__(self, algebra, terms, known_order=None):
         self.algebra = algebra
         ko = algebra.maxdeg if known_order is None else min(known_order, algebra.maxdeg)
         self.known_order = ko
-        self.terms = {w: c for w, c in terms.items() if c and len(w) <= ko}
+        self._terms, self._cache = {w: c for w, c in terms.items() if c and len(w) <= ko}, None
 
     def _like(self, terms, known_order=None):
         return HoloElt(self.algebra, terms,
@@ -398,10 +398,12 @@ def sigma_images(series: NCSeries, lam, algebra: HoloAlgebra) -> dict:
 def braid_image(images, algebra: HoloAlgebra, letters):
     """The image u . p of a braid word (signed generator indices) under
     sigma_images, as the pair (u, p): each letter folds in as
-    (u, p)(v, s) = (u . p v, p s)."""
-    u, p = algebra.one(), tuple(range(1, algebra.n + 1))
+    (u, p)(v, s) = (u . p v, p s), where p v is v itself while p is the identity."""
+    identity = tuple(range(1, algebra.n + 1))
+    u, p = algebra.one(), identity
     for v in letters:
         s, image, inverse = images[abs(v)]
-        u = u * (image if v > 0 else inverse).permuted(p)
+        factor = image if v > 0 else inverse
+        u = u * (factor if p == identity else factor.permuted(p))
         p = _perm_mul(p, s)
     return u, p

@@ -27,7 +27,7 @@ class AlgebraError(ValueError):
 
 
 class NCSeries(Truncated):
-    __slots__ = ("alphabet", "maxdeg", "known_order", "ring", "terms")
+    __slots__ = ("alphabet", "maxdeg", "known_order", "ring")
     _degree = staticmethod(len)
 
     def __init__(self, alphabet, maxdeg, terms=None, ring=None, known_order=None):
@@ -43,7 +43,7 @@ class NCSeries(Truncated):
                     continue
                 if coeff:
                     clean[bytes(word)] = coeff
-        self.terms = clean
+        self._terms, self._cache = clean, None
 
     # -- constructors -------------------------------------------------
 

@@ -20,7 +20,7 @@ class ScalarSeries(Truncated):
     """A series in one variable.  Operands of a sum, product or quotient must
     share the variable, the coefficient ring and ``maxdeg``."""
 
-    __slots__ = ("var", "maxdeg", "known_order", "ring", "terms")
+    __slots__ = ("var", "maxdeg", "known_order", "ring")
     _degree = staticmethod(int)
 
     def __init__(self, maxdeg, terms=None, ring=None, known_order=None, var="h"):
@@ -33,7 +33,7 @@ class ScalarSeries(Truncated):
             for k, c in terms.items():
                 if 0 <= k <= self.known_order and c:
                     clean[int(k)] = c
-        self.terms = clean
+        self._terms, self._cache = clean, None
 
     # -- constructors ---------------------------------------------------
 

@@ -5,27 +5,32 @@ It holds the one truncation contract: ``is_zero``, ``is_one`` and
 ``equal_through`` read through ``known_order`` by default and raise
 ValueError when asked past it, and so does ``coefficient``.  Two values of one type with exact
 coefficients (int, Fraction, or Poly of one ring) compare their terms key
-by key; mixed types, plain scalars and Polys of different rings are
-compared through their difference.  It also holds the one product rule:
-``__mul__`` gives a product of known orders K_a, K_b and orders w_a, w_b
-the known order min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a
-factor is zero, and asks the type's ``_convolve(a_terms, b_terms, ko)`` hook
-only for the terms through that degree.  When the coefficients are exact
-(int, Fraction, or Poly of one ring) and one is a Fraction or a Poly, the
-hook sums in int: each factor is split once into monomial layers
-{exponent vector: {key: int}} over its common denominator (a rational
-coefficient in the all-zero layer, so over Q there is one layer), the hook
-convolves each pair of layers, and the sums are added per key and
-exponent vector e1 + e2.  Each sum becomes one Fraction over the two
-denominators, and over a ring each key one Poly, its quadratic symbols
-reduced once per output monomial; the reduction is linear, so reducing at
-the end gives the terms that reducing every product would.  int factors stay
-int, and Polys of different rings pass to the hook as they are.  Every
-type has ``terms`` that map a key (a word, a power of h, or a
-(power, row, col) triple) to a nonzero coefficient, so the base also
-holds the sum, negation, scaling, h -> -h, and a default convolution in
-which keys multiply by ``+``.  Operands of different ``maxdeg`` are refused by every type's
-``_check``.
+by key, over Q their int splits (below); mixed types, plain scalars and
+Polys of different rings are compared through their difference.  It also
+holds the one product rule: ``__mul__`` gives a product of known orders
+K_a, K_b and orders w_a, w_b the known order min(K_a + w_b, K_b + w_a,
+maxdeg), or min(K_a, K_b) when a factor is zero, and asks the type's
+``_convolve(a_terms, b_terms, ko)`` hook only for the terms through that
+degree.  When the coefficients are exact (int, Fraction, or Poly of one
+ring) and one is a Fraction or a Poly, the hook sums in int: each factor
+is split into monomial layers {exponent vector: {key: int}} over its least
+common denominator (a rational coefficient in the all-zero layer, so over
+Q there is one layer), the hook convolves each pair of layers, and the
+sums are added per key and exponent vector e1 + e2.  Values are
+immutable (``terms`` is read-only), so each keeps its split, formed at
+most once.  Over Q the product of denominator d and int sums is born in
+int: (d/g, {key: sum/g}) with g = gcd(d, *sums), which is its own least
+common denominator and so its split.  No Fraction is built until its
+``terms`` are first read; ``order`` and ``equal_through`` read the int
+form.  Over a ring each key becomes one Poly of Fractions over d, its
+quadratic symbols reduced once per output monomial; the reduction is
+linear, so reducing at the end gives the terms that reducing every
+product would.  int factors stay int, and Polys of different rings pass
+to the hook as they are.  Every type has ``terms`` that map a key (a
+word, a power of h, or a (power, row, col) triple) to a nonzero
+coefficient, so the base also holds the sum, negation, scaling, h -> -h,
+and a default convolution in which keys multiply by ``+``.  Operands of
+different ``maxdeg`` are refused by every type's ``_check``.
 
 The series algorithms below (exp, log, Neumann inverse) need only
 ``order()`` (lowest degree present, None for zero), ``known_order``, and
@@ -50,8 +55,7 @@ images cut to degree K - L + 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .symcoef import Poly, _add_term, as_fraction, layers
@@ -61,14 +65,17 @@ from .symcoef import Poly, _add_term, as_fraction, layers
 _RATIONAL = {int, Fraction}
 _LAYERED = {Fraction, Poly}
 _EXACT = _RATIONAL | _LAYERED
-# the ring _exact_ring gives coefficients that are not exact over one ring
+# the ring _ring_of gives coefficients that are not exact over one ring
 _INEXACT = object()
+# the coefficient types of a product born over Q
+_BORN = frozenset({Fraction})
 
 
 class Truncated:
     """Base of the truncated types.  A subclass provides
 
-    - ``terms`` and ``known_order``;
+    - ``_terms`` (set by its constructor, with ``_cache = None``) and
+      ``known_order``;
     - ``_degree(key)``, the degree of a key of ``terms``;
     - ``_like(terms, known_order=None)``, a value of the plain type (never a
       subclass) with self's shape, built from raw terms, which it cleans of
@@ -79,18 +86,73 @@ class Truncated:
     - where scalars need converting, ``_coerce(scalar)``;
     - and, where keys do not multiply by ``+`` alone, ``_convolve(a_terms,
       b_terms, ko)``, the product of two term dicts through degree ko.
+
+    Values are immutable.  ``_cache`` holds (types, ring, split): the
+    coefficient types, their one ring (None over Q, _INEXACT when there is
+    none) and, once a product or a comparison has asked for it, the
+    ``layers`` split over that ring.  A product over Q is born with
+    ``_terms`` None and only its split, its least denominator and int
+    numerators; ``terms`` builds its Fractions on first read.
     """
 
-    __slots__ = ()
+    __slots__ = ("_terms", "_cache")
     # Truncated types that multiply as coefficients, c * x
     _scalars = ()
+
+    @property
+    def terms(self):
+        """{key: nonzero coefficient}, read-only; a born product builds its Fractions here once."""
+        terms = self._terms
+        if terms is None:
+            d, ints = self._cache[2]
+            terms = self._terms = {k: Fraction(v, d) for k, v in ints[()].items()}
+        return terms
+
+    def _keys(self):
+        """The stored keys, from whichever form of the terms exists."""
+        terms = self._terms
+        return self._cache[2][1][()] if terms is None else terms
+
+    def _kind(self):
+        """(types, ring, split) of the coefficients, the split None until _split forms it."""
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = _ring_of(self._terms) + (None,)
+        return cache
+
+    def _split(self):
+        """layers(terms, ring) over the value's own ring, formed at most once."""
+        types, ring, split = self._kind()
+        if split is None:
+            split = layers(self._terms, ring)
+            self._cache = types, ring, split
+        return split
+
+    def _layers(self, ring):
+        """The split over ring, the product's ring: a rational value's one
+        layer moves to ring's all-zero exponent vector."""
+        d, split = self._split()
+        if ring is not None and self._cache[1] is None:
+            split = {(0,) * len(ring.symbols): split[()]}
+        return d, split
+
+    def _born(self, d, sums, ko):
+        """The value {key: v / d} of int sums, kept as its layered split over
+        the least denominator d / gcd(d, *sums); its terms are built when read."""
+        g = gcd(d, *sums.values())
+        ints = {k: v // g for k, v in sums.items() if v}
+        out = self._like({}, ko)
+        if ints:
+            out._terms, out._cache = None, (_BORN, None, (d // g, {(): ints}))
+        return out
 
     def _coerce(self, scalar):
         return scalar
 
     def order(self):
         """Degree of the lowest stored term, or None for zero."""
-        return min(map(self._degree, self.terms)) if self.terms else None
+        keys = self._keys()
+        return min(map(self._degree, keys)) if keys else None
 
     def coefficient(self, key):
         """The coefficient of key, zero when absent; raises ValueError past the known order."""
@@ -138,8 +200,9 @@ class Truncated:
         """The product through min(K_a + w_b, K_b + w_a, maxdeg).
 
         Over exact coefficients with a Fraction or a Poly the hook sees only
-        int layers, and a ring's quadratic symbols reduce once per output
-        monomial: exact, because the reduction is linear.
+        int layers.  Over Q the product is born in int; over a ring its
+        quadratic symbols reduce once per output monomial: exact, because
+        the reduction is linear.
         """
         if not isinstance(other, Truncated) or isinstance(other, self._scalars):
             return self.__rmul__(other)
@@ -150,13 +213,14 @@ class Truncated:
         if wa is None or wb is None:
             return self._like({}, min(self.known_order, other.known_order))
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
-        a, b = self.terms, other.terms
-        types, ring = _exact_ring(a, b)
+        types, ring = _joint(self, other)
         # the layered rule needs exact coefficients, one Fraction or Poly, one ring
         if ring is _INEXACT or not types & _LAYERED:
-            return self._like(self._convolve(a, b, ko), ko)
-        (d_a, a), (d_b, b) = layers(a, ring), layers(b, ring)
+            return self._like(self._convolve(self.terms, other.terms, ko), ko)
+        (d_a, a), (d_b, b) = self._layers(ring), other._layers(ring)
         d = d_a * d_b
+        if ring is None:
+            return self._born(d, self._convolve(a[()], b[()], ko), ko)
         by_exps = {}
         for e1, x in a.items():
             for e2, y in b.items():
@@ -168,9 +232,7 @@ class Truncated:
                 else:
                     for k, v in sums.items():
                         acc[k] = acc.get(k, 0) + v
-        # _like drops the zero sums and zero Polys
-        if ring is None:
-            return self._like({k: Fraction(v, d) for k, v in by_exps[()].items()}, ko)
+        # _like drops the zero Polys
         polys = {}
         for e, sums in by_exps.items():
             for k, v in sums.items():
@@ -210,18 +272,30 @@ class Truncated:
         """Equality through min(known orders), or through an order not past it.
 
         Two values of one type with exact coefficients over one ring compare
-        their terms key by key; any other pair (mixed types, a plain scalar,
+        their terms key by key, and over Q their int splits: the whole splits
+        when the comparison reads every stored degree (the split over the
+        least denominator is unique), else numerators cross-multiplied by
+        the other denominator.  Any other pair (mixed types, a plain scalar,
         Polys of different rings, or two zeros, which have no coefficient to
         tell their type by) is compared by its difference.
         """
         if not (isinstance(other, type(self)) or isinstance(self, type(other))) \
-                or not (self.terms or other.terms) \
-                or _exact_ring(self.terms, other.terms)[1] is _INEXACT:
+                or not (self._keys() or other._keys()):
+            return (self - other).is_zero(order)
+        ring = _joint(self, other)[1]
+        if ring is _INEXACT:
             return (self - other).is_zero(order)
         self._check(other)
         k = _through(min(self.known_order, other.known_order), order)
-        a, b = self.terms, other.terms
         deg = self._degree
+        if ring is None:
+            (d_a, a), (d_b, b) = self._split(), other._split()
+            a, b = a[()], b[()]
+            if k == self.known_order == other.known_order:
+                return d_a == d_b and a == b
+            return all(x * d_b == b.get(key, 0) * d_a for key, x in a.items() if deg(key) <= k) \
+                and not any(key not in a and deg(key) <= k for key in b)
+        a, b = self.terms, other.terms
         for key, c in a.items():
             if deg(key) <= k:
                 d = b.get(key)
@@ -257,19 +331,31 @@ def _through(known_order, order):
     return order
 
 
-def _exact_ring(a, b):
-    """(types, ring) of the coefficients of two term dicts: the set of their
-    types, and the one ring of their Polys (None when there are none), or
-    _INEXACT unless every coefficient is exact over one ring."""
-    types = set(map(type, a.values())) | set(map(type, b.values()))
+def _ring_of(terms):
+    """(types, ring) of a term dict's coefficients: the set of their types,
+    and the one ring of their Polys (None when there are none), or _INEXACT
+    unless every coefficient is exact over one ring."""
+    types = set(map(type, terms.values()))
     if not types <= _EXACT:
         return types, _INEXACT
     if Poly not in types:
         return types, None
     # SymRing == tests identity first; its hash would hash the Fraction squares
-    rings = [c.ring for c in chain(a.values(), b.values()) if type(c) is Poly]
+    rings = [c.ring for c in terms.values() if type(c) is Poly]
     ring = rings[0]
     return types, ring if all(r == ring for r in rings) else _INEXACT
+
+
+def _joint(x, y):
+    """(types, ring) of the coefficients of two values together, as _ring_of
+    gives them for one."""
+    (types_x, ring_x, _), (types_y, ring_y, _) = x._kind(), y._kind()
+    types = types_x | types_y
+    if ring_x is _INEXACT or ring_y is None:
+        return types, ring_x
+    if ring_x is None or ring_y is _INEXACT or ring_x == ring_y:
+        return types, ring_y
+    return types, _INEXACT
 
 
 def series_exp(f, one):
@@ -398,9 +484,10 @@ def substitute(elements, images, one, zero):
             for i, c in uses[word]:
                 _scatter(accs[i], one.terms, c)
             continue
-        terms = product_for(word[1:]).terms
-        ints = (layers(terms) if any(type(c) is Poly for _, c in uses[word])
-                and set(map(type, terms.values())) <= _RATIONAL else None)
+        image = product_for(word[1:])
+        terms = image.terms
+        ints = (image._split() if any(type(c) is Poly for _, c in uses[word])
+                and image._kind()[1] is None else None)
         for i, c in uses[word]:
             tail = i, word[0]
             if ints is None or type(c) is not Poly:

@@ -333,6 +333,30 @@ def _promoted_reference_defect(series, reference):
     return lhs - rhs
 
 
+@pytest.mark.parametrize("over", ["Q", "Q[a,b]"])
+def test_xi_images_equal_the_plain_word_folds(phi0, ab_ring, over):
+    """xi_13 and xi_24, formed by conjugating xi_12 and xi_23, are the folds of their words."""
+    from gtassoc.braids import xi_word
+    from gtassoc.grtgt import xi_images
+    from gtassoc.holonomy import braid_image, holonomy_algebra, sigma_images
+    ref = phi0 if over == "Q" else phi0.promote(ab_ring)
+    algebra = holonomy_algebra(4, 5)
+    images = sigma_images(ref.series, ref.lam, algebra)
+    got = xi_images(images, algebra)
+    assert sorted(got) == [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+    for p, xi in got.items():
+        u, perm = braid_image(images, algebra, xi_word(4, *p))
+        assert perm == (1, 2, 3, 4)
+        assert xi.terms == u.terms and xi.known_order == u.known_order == 5
+        # braid_image skips the identity permutation; this fold permutes at every letter
+        plain, perm = algebra.one(), (1, 2, 3, 4)
+        for v in xi_word(4, *p):
+            s, image, inverse = images[abs(v)]
+            plain = plain * (image if v > 0 else inverse).permuted(perm)
+            perm = tuple(perm[s[i] - 1] for i in range(4))
+        assert perm == (1, 2, 3, 4) and plain.terms == u.terms
+
+
 def test_gt_pentagon_defect_matches_promoted_reference(phi0, gab_symbolic, ab_ring):
     from gtassoc.grtgt import gt_pentagon_defect, gt_pentagon_push
     from gtassoc.ncseries import nc_exp

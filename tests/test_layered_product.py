@@ -1,20 +1,26 @@
-"""The one Truncated product rule over Poly coefficients, against a plain double loop.
+"""The one Truncated product rule, against plain products.
 
 The rule splits each factor into int monomial layers over one common
-denominator, convolves layer pairs in int and builds one Poly per output
-key, reducing quadratic symbols at the end.  The oracle below multiplies
-key pairs with Poly arithmetic, coefficient by coefficient.
+denominator and convolves layer pairs in int.  Over a ring it builds one
+Poly per output key, reducing quadratic symbols at the end; the oracle
+below multiplies key pairs with Poly arithmetic, coefficient by
+coefficient.  Over Q the product is born in int, its least denominator and
+int numerators, and builds its Fractions when its terms are first read; the
+oracle there is the type's own convolution of the Fraction terms.
 """
 
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from gtassoc.hecke import unitary_ring
 from gtassoc.hmatrix import HMatrix
 from gtassoc.holonomy import HoloAlgebra, HoloElt
 from gtassoc.kz import kz_ring
+from gtassoc.ncseries import NCSeries
 from gtassoc.scalar import ScalarSeries
-from gtassoc.symcoef import Poly, SymRing
+from gtassoc.symcoef import Poly, SymRing, layers
 
 AB_RING = SymRing(("a", "b"))
 
@@ -173,3 +179,165 @@ def test_quadratic_reduction_folds_into_the_constant_layer_and_cancels():
     got = assert_matches_plain(z, w, ring)
     assert 1 not in got.terms and got.terms[0] == t * s
 
+
+
+# -- products over Q, born in int ---------------------------------------------
+
+
+def _known_order(a, b):
+    wa, wb = a.order(), b.order()
+    if wa is None or wb is None:
+        return min(a.known_order, b.known_order)
+    return min(a.known_order + wb, b.known_order + wa, a.maxdeg)
+
+
+def _fraction_product(a, b):
+    """a * b from the type's convolution of the Fraction terms, as products were formed eagerly."""
+    ko = _known_order(a, b)
+    return a._like(a._convolve(a.terms, b.terms, ko), ko)
+
+
+def _nc(rng, coeff, maxdeg=5):
+    ko = rng.randint(2, maxdeg)
+    words = [bytes(rng.randrange(3) for _ in range(rng.randint(0, 3))) for _ in range(8)]
+    return NCSeries(("x", "y", "z"), maxdeg, {w: coeff() for w in words}, None, ko)
+
+
+def _int(rng):
+    return rng.randint(-6, 6)
+
+
+ALG = HoloAlgebra(4, 4)
+RATIONAL_MAKERS = {
+    "ncseries": lambda rng, coeff: _nc(rng, coeff),
+    "holonomy": lambda rng, coeff: _holo(rng, ALG, coeff),
+    "scalar": lambda rng, coeff: _scalar(rng, None, coeff),
+    "hmatrix": lambda rng, coeff: _matrix(rng, None, coeff),
+}
+
+
+def _born_copy(x):
+    """x as a born product: x times its Fraction unit."""
+    got = x * x._one()
+    assert got._terms is None or not got._keys()
+    return got
+
+
+def assert_matches_fractions(a, b):
+    got = a * b
+    want = _fraction_product(a, b)
+    assert got.known_order == want.known_order
+    # the same values in the same insertion order as the eager Fraction build
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got._split() == layers(got.terms)
+    return got
+
+
+@pytest.mark.parametrize("kind", sorted(RATIONAL_MAKERS))
+def test_rational_products_are_born_in_int_and_match_the_fraction_product(kind):
+    make, rng = RATIONAL_MAKERS[kind], random.Random(len(kind))
+    for _ in range(15):
+        a, b = make(rng, lambda: _rational(rng)), make(rng, lambda: _rational(rng))
+        got = a * b
+        # born: no Fraction term is built until the terms are read
+        assert got._terms is None or not got._keys()
+        assert_matches_fractions(a, b)
+        assert_matches_fractions(b, a)
+
+
+@pytest.mark.parametrize("kind", sorted(RATIONAL_MAKERS))
+def test_an_all_int_factor_meets_a_fraction_factor(kind):
+    make, rng = RATIONAL_MAKERS[kind], random.Random(3 + len(kind))
+    for _ in range(10):
+        ints, fracs = make(rng, lambda: _int(rng)), make(rng, lambda: _rational(rng))
+        assert_matches_fractions(ints, fracs)
+        assert_matches_fractions(fracs, ints)
+        # two int factors stay int
+        got = ints * ints
+        assert got.terms == _fraction_product(ints, ints).terms
+        assert all(type(c) is int for c in got.terms.values())
+
+
+@pytest.mark.parametrize("kind", sorted(RATIONAL_MAKERS))
+def test_chains_of_born_values(kind):
+    """born * born, born * eager and eager * born, each against the Fraction chain."""
+    make, rng = RATIONAL_MAKERS[kind], random.Random(11 * len(kind))
+    for _ in range(5):
+        factors = [make(rng, lambda: _rational(rng)) for _ in range(4)]
+        got, want = factors[0], factors[0]
+        for f in factors[1:]:
+            got, want = assert_matches_fractions(got, f), _fraction_product(want, f)
+            assert got.terms == want.terms and got.known_order == want.known_order
+        left = assert_matches_fractions(factors[0], _born_copy(factors[1]))
+        both = assert_matches_fractions(_born_copy(factors[0]), _born_copy(factors[1]))
+        assert left.terms == both.terms
+
+
+def test_truncation_and_cancellation_leave_a_zero_with_the_product_known_order():
+    # orders 2 and 2 past maxdeg 3: every pair falls past the known order
+    x = NCSeries(("x", "y"), 3, {b"\x00\x01": F(1, 2)})
+    y = NCSeries(("x", "y"), 3, {b"\x01\x01": F(2, 3), b"\x00\x00\x00": F(5, 7)})
+    got = assert_matches_fractions(x, y)
+    assert got.terms == {} and got.known_order == 3 and got.order() is None
+    # (1/2, 1/3) times the column (2/3, -1): one term, which cancels
+    row = HMatrix.from_terms(2, {(0, 0, 0): F(1, 2), (0, 0, 1): F(1, 3)}, 4)
+    col = HMatrix.from_terms(2, {(0, 0, 0): F(2, 3), (0, 1, 0): F(-1)}, 4, known_order=3)
+    got = assert_matches_fractions(row, col)
+    assert got.terms == {} and got.known_order == 3 and got.is_zero()
+    # a scalar product cut at the factors' known orders: h^3 and past drop out
+    a = ScalarSeries(8, {0: F(1, 2), 1: F(1, 3), 2: F(1, 5)}, None, 2)
+    b = ScalarSeries(8, {1: F(3, 4), 3: F(1, 9)}, None, 4)
+    got = assert_matches_fractions(a, b)
+    assert got.known_order == 3 and got.terms == {1: F(3, 8), 2: F(1, 4), 3: F(37, 180)}
+
+
+@pytest.mark.parametrize("kind", sorted(RATIONAL_MAKERS))
+def test_equal_through_on_born_values_agrees_with_the_difference(kind):
+    make, rng = RATIONAL_MAKERS[kind], random.Random(5 * len(kind))
+    for _ in range(10):
+        a, b = make(rng, lambda: _rational(rng)), make(rng, lambda: _rational(rng))
+        x = a * b
+        for y in (b * a, _born_copy(x), _fraction_product(a, b), x * x._one() + x._one() - x._one()):
+            for order in [None] + list(range(min(x.known_order, y.known_order) + 1)):
+                assert x.equal_through(y, order) == (x - y).is_zero(order)
+                assert y.equal_through(x, order) == (y - x).is_zero(order)
+        assert x.equal_through(_fraction_product(a, b))
+
+
+def test_equal_through_below_the_known_order_where_denominators_differ_above_it():
+    """Equal through h^1, the least denominators 30 and 42 differ only at h^2."""
+    a = _born_copy(ScalarSeries(4, {0: F(1, 2), 1: F(1, 3), 2: F(1, 5)}, None, 2))
+    b = _born_copy(ScalarSeries(4, {0: F(1, 2), 1: F(1, 3), 2: F(1, 7)}, None, 2))
+    assert a._split()[0] == 30 and b._split()[0] == 42
+    for order in (0, 1):
+        assert a.equal_through(b, order) and (a - b).is_zero(order)
+    assert not a.equal_through(b) and not a.equal_through(b, 2)
+    # one denominator, numerators that differ only past the order read
+    c = _born_copy(ScalarSeries(4, {0: F(1, 2), 1: F(1, 3), 2: F(-1, 5)}, None, 2))
+    assert a._split()[0] == c._split()[0]
+    assert a.equal_through(c, 1) and not a.equal_through(c)
+    # the same numerators over different denominators
+    half, third = (_born_copy(ScalarSeries(4, {0: F(1, n), 1: F(1, n)})) for n in (2, 3))
+    assert half._split()[1] == third._split()[1] and not half.equal_through(third)
+    assert not half.equal_through(third, 0)
+    # past the known order the comparison raises, as every comparison does
+    with pytest.raises(ValueError):
+        a.equal_through(b, 3)
+
+
+def test_a_fraction_built_operand_is_split_once():
+    a = ScalarSeries(6, {0: F(1, 2), 1: F(2, 3)})
+    b = ScalarSeries(6, {0: F(3, 5), 2: F(1, 7)})
+    first = a * b
+    split = a._split()
+    assert split == layers(a.terms) and a._split() is split
+    assert (a * b).terms == first.terms and a._split() is split
+
+
+@pytest.mark.parametrize("kind", sorted(RATIONAL_MAKERS))
+def test_terms_are_read_only(kind):
+    rng = random.Random(1)
+    x = RATIONAL_MAKERS[kind](rng, lambda: _rational(rng))
+    for value in (x, x * x):
+        with pytest.raises(AttributeError):
+            value.terms = {}
