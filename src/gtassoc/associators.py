@@ -102,10 +102,9 @@ def hexagon_product(series: NCSeries, lam) -> NCSeries:
     return prod
 
 
-def hexagon_check(phi: AssociatorCandidate, lam=None) -> bool:
+def hexagon_check(phi: AssociatorCandidate) -> bool:
     """The six-factor hexagon product reduces to 1 through the known order."""
-    lam = phi.lam if lam is None else lam
-    return hexagon_product(phi.series, lam).is_one()
+    return hexagon_product(phi.series, phi.lam).is_one()
 
 
 PENTAGON_FACES = (

@@ -180,10 +180,9 @@ def sigma_image(series, lam, t, y, s) -> HMatrix:
     return left * s * (Fraction(lam, 2) * t).exp() * right
 
 
-def phat(rho: InfinitesimalRep, phi, lam=None) -> BraidRep:
+def phat(rho: InfinitesimalRep, phi) -> BraidRep:
     """The braid representation attached to rho by an associator candidate."""
-    series = phi.series
-    lam = phi.lam if lam is None else as_fraction(lam)
+    series, lam = phi.series, phi.lam
     maxdeg = series.maxdeg
     ring = series.ring
     if ring != rho.ring and rho.ring is not None:

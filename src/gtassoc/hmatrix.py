@@ -29,7 +29,10 @@ from .truncated import Truncated, neumann_inverse, substitute
 
 class HMatrix(Truncated):
     __slots__ = ("n", "var", "ring", "maxdeg", "known_order")
+    _shape = (("n", "matrices differ in size"), ("var", "series variable mismatch"),
+              ("ring", "coefficient ring mismatch"), ("maxdeg", "maxdeg mismatch"))
     _degree = itemgetter(0)
+    _scalars = (ScalarSeries,)
 
     def __init__(self, rows):
         """The matrix of an n x n grid of ScalarSeries, known to the least entry's order.
@@ -45,27 +48,16 @@ class HMatrix(Truncated):
                 sample._check(e)
                 for p, c in e.terms.items():
                     terms[p, i, j] = c
-        self._fill(len(rows), terms, sample.var, sample.ring, sample.maxdeg,
-                   min(e.known_order for row in rows for e in row))
-
-    def _fill(self, n, terms, var, ring, maxdeg, known_order):
-        self.n, self.var, self.ring, self.maxdeg, self.known_order = n, var, ring, maxdeg, known_order
-        self._terms = {key: c for key, c in terms.items() if c and key[0] <= known_order}
-        self._cache = None
-        return self
-
-    def _like(self, terms, known_order=None):
-        """A matrix with self's shape and ring from raw terms, cleaned and truncated."""
-        return HMatrix.__new__(HMatrix)._fill(
-            self.n, terms, self.var, self.ring, self.maxdeg,
-            self.known_order if known_order is None else known_order)
+        self.n, self.var, self.ring, self.maxdeg = len(rows), sample.var, sample.ring, sample.maxdeg
+        self._set(terms, min(e.known_order for row in rows for e in row))
 
     @classmethod
     def from_terms(cls, n, terms, maxdeg, ring=None, known_order=None, var="h"):
         """The n x n matrix of {(power, row, col): coefficient} terms, known
         through known_order (maxdeg by default); zero and higher terms are dropped."""
-        ko = maxdeg if known_order is None else min(int(known_order), maxdeg)
-        return cls.__new__(cls)._fill(n, terms, var, ring, int(maxdeg), int(ko))
+        out = cls.__new__(cls)
+        out.n, out.var, out.ring, out.maxdeg = n, var, ring, int(maxdeg)
+        return out._set(terms, out.maxdeg if known_order is None else int(known_order))
 
     @classmethod
     def from_const(cls, matrix, maxdeg, ring=None, known_order=None, var="h"):
@@ -81,42 +73,24 @@ class HMatrix(Truncated):
 
     @classmethod
     def identity(cls, n, maxdeg, ring=None, known_order=None, var="h"):
-        return cls.from_const([[Fraction(i == j) for j in range(n)] for i in range(n)],
-                              maxdeg, ring, known_order, var)
+        one = Fraction(1) if ring is None else ring.one
+        return cls.from_terms(n, {(0, i, i): one for i in range(n)}, maxdeg, ring, known_order, var)
 
     @classmethod
     def zero(cls, n, maxdeg, ring=None, known_order=None, var="h"):
-        return cls.from_const([[0] * n for _ in range(n)], maxdeg, ring, known_order, var)
+        return cls.from_terms(n, {}, maxdeg, ring, known_order, var)
 
     def entry(self, i, j) -> ScalarSeries:
         get = self.terms.get
         return ScalarSeries(self.maxdeg, {p: get((p, i, j)) for p in range(self.known_order + 1)},
                             self.ring, self.known_order, self.var)
 
-    def promote(self, ring):
-        if ring == self.ring:
-            return self
-        if ring is None:
-            raise ValueError("cannot demote coefficients to Q")
-        terms = {key: ring.coerce(c) for key, c in self.terms.items()}
-        return HMatrix.__new__(HMatrix)._fill(self.n, terms, self.var, ring, self.maxdeg,
-                                              self.known_order)
-
-    def _check(self, other):
-        """Raises unless other is a matrix of self's size, variable, ring and maxdeg."""
-        if not isinstance(other, HMatrix) or other.n != self.n:
-            raise ValueError("%r and %r differ in size" % (self, other))
-        ScalarSeries._check(self, other)
-
-    _coerce = NCSeries._coerce
-    _scalars = (ScalarSeries,)
-
     def __rmul__(self, scalar):
         if not isinstance(scalar, ScalarSeries):
             return super().__rmul__(scalar)
-        ScalarSeries._check(self, scalar)
         diagonal = {(p, i, i): c for p, c in scalar.terms.items() for i in range(self.n)}
-        return self._like(diagonal, scalar.known_order) * self
+        return HMatrix.from_terms(self.n, diagonal, scalar.maxdeg, scalar.ring,
+                                  scalar.known_order, scalar.var) * self
 
     def _convolve(self, a_terms, b_terms, ko):
         """Each key of a_terms against the row of b_terms that its column indexes, through ko."""

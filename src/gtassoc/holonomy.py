@@ -250,28 +250,23 @@ class HoloElt(Truncated):
     """Element of a HoloAlgebra as coordinates on the normal-form basis."""
 
     __slots__ = ("algebra", "known_order")
+    _shape = (("algebra", "elements of different holonomy algebras"),)
     _degree = staticmethod(len)
 
     def __init__(self, algebra, terms, known_order=None):
         self.algebra = algebra
-        ko = algebra.maxdeg if known_order is None else min(known_order, algebra.maxdeg)
-        self.known_order = ko
-        self._terms, self._cache = {w: c for w, c in terms.items() if c and len(w) <= ko}, None
-
-    def _like(self, terms, known_order=None):
-        return HoloElt(self.algebra, terms,
-                       self.known_order if known_order is None else known_order)
+        self._set(terms, algebra.maxdeg if known_order is None else known_order)
 
     def _one(self):
         return self.algebra.one(self.known_order)
 
+    def _coerce(self, scalar):
+        """Scalars, Poly ones included, multiply unconverted."""
+        return scalar
+
     @property
     def maxdeg(self):
         return self.algebra.maxdeg
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements of different holonomy algebras")
 
     def _convolve(self, a_terms, b_terms, ko):
         """Each pair of basis words is reduced by folding the left word onto
@@ -301,10 +296,6 @@ class HoloElt(Truncated):
                         elif cur is not None:
                             del out[mono]
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, HoloElt) and self.algebra is other.algebra
-                and self.terms == other.terms)
 
     def commutator(self, other):
         return self * other - other * self

@@ -16,34 +16,26 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .symcoef import as_fraction, parse_coeff, parse_ring_tag, render_coeff, ring_tag
+from .symcoef import parse_coeff, parse_ring_tag, render_coeff, ring_tag
 from .truncated import Truncated, substitute
 
 EMPTY = b""
 
 
 class AlgebraError(ValueError):
-    """Alphabet or coefficient-ring mismatch between operands."""
+    """A series operand of another type, alphabet, coefficient ring or maxdeg."""
 
 
 class NCSeries(Truncated):
     __slots__ = ("alphabet", "maxdeg", "known_order", "ring")
+    _shape = (("alphabet", "alphabet mismatch"), ("ring", "coefficient ring mismatch"),
+              ("maxdeg", "maxdeg mismatch"))
+    _error = AlgebraError
     _degree = staticmethod(len)
 
     def __init__(self, alphabet, maxdeg, terms=None, ring=None, known_order=None):
-        self.alphabet = tuple(alphabet)
-        self.maxdeg = int(maxdeg)
-        self.ring = ring
-        ko = self.maxdeg if known_order is None else min(int(known_order), self.maxdeg)
-        self.known_order = ko
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                if len(word) > ko:
-                    continue
-                if coeff:
-                    clean[bytes(word)] = coeff
-        self._terms, self._cache = clean, None
+        self.alphabet, self.maxdeg, self.ring = tuple(alphabet), int(maxdeg), ring
+        self._set(terms or {}, self.maxdeg if known_order is None else int(known_order))
 
     # -- constructors -------------------------------------------------
 
@@ -63,17 +55,10 @@ class NCSeries(Truncated):
         unit = Fraction(1) if ring is None else ring.one
         return cls(alphabet, maxdeg, {bytes([idx]): unit}, ring, known_order)
 
-    def _like(self, terms, known_order=None):
-        return NCSeries(self.alphabet, self.maxdeg, terms, self.ring,
-                        self.known_order if known_order is None else known_order)
-
-    scaled_copy = _like  # public name of _like
+    scaled_copy = Truncated._like  # public name of _like
 
     def _one(self):
         return NCSeries.one(self.alphabet, self.maxdeg, self.ring, self.known_order)
-
-    def _coerce(self, scalar):
-        return as_fraction(scalar) if self.ring is None else self.ring.coerce(scalar)
 
     # -- basic access -------------------------------------------------
 
@@ -92,36 +77,7 @@ class NCSeries(Truncated):
 
     def truncated(self, maxdeg, known_order=None):
         ko = min(self.known_order, maxdeg) if known_order is None else known_order
-        return NCSeries(self.alphabet, maxdeg,
-                        {w: c for w, c in self.terms.items() if len(w) <= maxdeg},
-                        self.ring, ko)
-
-    def promote(self, ring):
-        if ring == self.ring:
-            return self
-        if self.ring is not None and ring is not None:
-            missing = set(self.ring.symbols) - set(ring.symbols)
-            if missing:
-                raise AlgebraError("cannot promote series: target ring lacks %r" % sorted(missing))
-        if ring is None:
-            raise AlgebraError("cannot demote series coefficients to Q")
-        return NCSeries(self.alphabet, self.maxdeg,
-                        {w: ring.coerce(c) for w, c in self.terms.items()},
-                        ring, self.known_order)
-
-    def _check(self, other):
-        if self.alphabet != other.alphabet:
-            raise AlgebraError("alphabet mismatch: %r vs %r" % (self.alphabet, other.alphabet))
-        if not (self.ring == other.ring):
-            raise AlgebraError("coefficient ring mismatch: %r vs %r" % (self.ring, other.ring))
-        if self.maxdeg != other.maxdeg:
-            raise AlgebraError("maxdeg mismatch: %d vs %d" % (self.maxdeg, other.maxdeg))
-
-    def __eq__(self, other):
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        return (self.alphabet == other.alphabet and self.ring == other.ring
-                and self.terms == other.terms)
+        return NCSeries(self.alphabet, maxdeg, self.terms, self.ring, ko)
 
     def rendered_words(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):

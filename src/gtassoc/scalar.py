@@ -21,19 +21,13 @@ class ScalarSeries(Truncated):
     share the variable, the coefficient ring and ``maxdeg``."""
 
     __slots__ = ("var", "maxdeg", "known_order", "ring")
+    _shape = (("var", "series variable mismatch"), ("ring", "coefficient ring mismatch"),
+              ("maxdeg", "maxdeg mismatch"))
     _degree = staticmethod(int)
 
     def __init__(self, maxdeg, terms=None, ring=None, known_order=None, var="h"):
-        self.var = var
-        self.maxdeg = int(maxdeg)
-        self.ring = ring
-        self.known_order = self.maxdeg if known_order is None else min(int(known_order), self.maxdeg)
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                if 0 <= k <= self.known_order and c:
-                    clean[int(k)] = c
-        self._terms, self._cache = clean, None
+        self.var, self.maxdeg, self.ring = var, int(maxdeg), ring
+        self._set(terms or {}, self.maxdeg if known_order is None else int(known_order))
 
     # -- constructors ---------------------------------------------------
 
@@ -66,43 +60,12 @@ class ScalarSeries(Truncated):
             terms[k] = c if ring is None else ring.const(c)
         return cls(maxdeg, terms, ring, known_order, var)
 
-    def _like(self, terms, known_order=None):
-        return ScalarSeries(self.maxdeg, terms, self.ring,
-                            self.known_order if known_order is None else known_order, self.var)
-
     def _one(self):
         return ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)
 
-    _coerce = NCSeries._coerce
-
-    # -- access -----------------------------------------------------------
-
-    def promote(self, ring):
-        if ring == self.ring:
-            return self
-        if ring is None:
-            raise ValueError("cannot demote coefficients to Q")
-        return ScalarSeries(self.maxdeg, {k: ring.coerce(c) for k, c in self.terms.items()},
-                            ring, self.known_order, self.var)
-
-    def _check(self, other):
-        if self.var != other.var:
-            raise ValueError("series variable mismatch: %r vs %r" % (self.var, other.var))
-        if not (self.ring == other.ring):
-            raise ValueError("coefficient ring mismatch")
-        if self.maxdeg != other.maxdeg:
-            raise ValueError("maxdeg mismatch: %d vs %d" % (self.maxdeg, other.maxdeg))
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return (self.var == other.var and self.ring == other.ring
-                and self.terms == other.terms)
-
     def shift(self, m):
         """Multiply by h^m."""
-        return ScalarSeries(self.maxdeg, {k + m: c for k, c in self.terms.items()},
-                            self.ring, min(self.known_order + m, self.maxdeg), self.var)
+        return self._like({k + m: c for k, c in self.terms.items()}, self.known_order + m)
 
     def __repr__(self):
         bits = []
@@ -149,7 +112,7 @@ def scalar_div(num: ScalarSeries, den: ScalarSeries) -> ScalarSeries:
                 rem[t] = val
             elif cur is not None:
                 del rem[t]
-    return ScalarSeries(num.maxdeg, out, num.ring, ko, num.var)
+    return num._like(out, ko)
 
 
 def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
@@ -160,7 +123,7 @@ def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
     """
     w = s.order()
     if w is None:
-        return ScalarSeries.zero(s.maxdeg, s.ring, s.known_order, s.var)
+        return s._like({})
     if w % 2:
         raise ValueError("square root of odd order series")
     lead = as_fraction(s.coefficient(w))

@@ -30,7 +30,8 @@ to the hook as they are.  Every type has ``terms`` that map a key (a
 word, a power of h, or a (power, row, col) triple) to a nonzero
 coefficient, so the base also holds the sum, negation, scaling, h -> -h,
 and a default convolution in which keys multiply by ``+``.  Operands of
-different ``maxdeg`` are refused by every type's ``_check``.
+different types or shapes (``maxdeg`` among them) are refused by the one
+``_check``.
 
 The series algorithms below (exp, log, Neumann inverse) need only
 ``order()`` (lowest degree present, None for zero), ``known_order``, and
@@ -74,18 +75,26 @@ _BORN = frozenset({Fraction})
 class Truncated:
     """Base of the truncated types.  A subclass provides
 
-    - ``_terms`` (set by its constructor, with ``_cache = None``) and
-      ``known_order``;
-    - ``_degree(key)``, the degree of a key of ``terms``;
-    - ``_like(terms, known_order=None)``, a value of the plain type (never a
-      subclass) with self's shape, built from raw terms, which it cleans of
-      zeros and truncates at the known order (self's by default);
-    - ``_one()``, the unit at self's known order;
-    - ``_check(other)``, which raises unless other has self's shape;
+    - ``_shape``, one (slot, mismatch message) pair per attribute that two
+      operands must share; the class that declares it is the plain type
+      that ``_like`` builds, so a subclass of it (LieSeries) is never built;
     - ``maxdeg``, the truncation degree no product goes past;
-    - where scalars need converting, ``_coerce(scalar)``;
+    - ``_degree(key)``, the degree of a key of ``terms``;
+    - ``_one()``, the unit at self's known order;
+    - public constructors, which set the shape slots and call
+      ``_set(terms, known_order)``;
+    - ``_error``, when a mismatch raises a subclass of ValueError;
+    - ``ring``, which ``_coerce`` and ``promote`` read, or its own
+      ``_coerce(scalar)``;
     - and, where keys do not multiply by ``+`` alone, ``_convolve(a_terms,
       b_terms, ko)``, the product of two term dicts through degree ko.
+
+    From these the base writes once: ``_like(terms, known_order=None)``,
+    ``_check(other)``, which raises ``_error`` unless other is of self's
+    type family and shape, ``==`` (type family, shape apart from maxdeg,
+    terms), ``promote(ring)`` and the ring-based ``_coerce``.  Operands of
+    different types or shapes are refused with ``_error``; a type in
+    ``_scalars`` multiplies as a coefficient.
 
     Values are immutable.  ``_cache`` holds (types, ring, split): the
     coefficient types, their one ring (None over Q, _INEXACT when there is
@@ -98,6 +107,62 @@ class Truncated:
     __slots__ = ("_terms", "_cache")
     # Truncated types that multiply as coefficients, c * x
     _scalars = ()
+    _error = ValueError
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_shape" in cls.__dict__:
+            cls._plain = cls
+
+    def _set(self, terms, known_order):
+        """Sets known_order, clamped to maxdeg, and keeps the nonzero terms of
+        degree 0 through it; returns self."""
+        ko = self.known_order = min(known_order, self.maxdeg)
+        deg = self._degree
+        self._terms, self._cache = {k: c for k, c in terms.items() if c and 0 <= deg(k) <= ko}, None
+        return self
+
+    def _like(self, terms, known_order=None):
+        """A value of the plain type with self's shape, from raw terms known
+        through known_order (self's by default)."""
+        out = object.__new__(self._plain)
+        for slot, _ in self._shape:
+            setattr(out, slot, getattr(self, slot))
+        return out._set(terms, self.known_order if known_order is None else known_order)
+
+    def _check(self, other):
+        """Raises _error unless other is of self's type family and shape."""
+        if not isinstance(other, self._plain):
+            raise self._error("cannot combine %s with %s"
+                              % (type(self).__name__, type(other).__name__))
+        for slot, message in self._shape:
+            a, b = getattr(self, slot), getattr(other, slot)
+            if a != b:
+                raise self._error("%s: %r vs %r" % (message, a, b))
+
+    def __eq__(self, other):
+        if not isinstance(other, self._plain):
+            return NotImplemented
+        return all(getattr(self, slot) == getattr(other, slot)
+                   for slot, _ in self._shape if slot != "maxdeg") and self.terms == other.terms
+
+    def promote(self, ring):
+        """This value over ring, which must hold every symbol of self's ring;
+        nothing demotes to Q."""
+        if ring == self.ring:
+            return self
+        if ring is None:
+            raise self._error("cannot demote coefficients to Q")
+        if self.ring is not None:
+            missing = set(self.ring.symbols) - set(ring.symbols)
+            if missing:
+                raise self._error("cannot promote: target ring lacks %r" % sorted(missing))
+        out = self._like({})
+        out.ring = ring
+        return out._set({k: ring.coerce(c) for k, c in self.terms.items()}, self.known_order)
+
+    def _coerce(self, scalar):
+        return as_fraction(scalar) if self.ring is None else self.ring.coerce(scalar)
 
     @property
     def terms(self):
@@ -146,9 +211,6 @@ class Truncated:
             out._terms, out._cache = None, (_BORN, None, (d // g, {(): ints}))
         return out
 
-    def _coerce(self, scalar):
-        return scalar
-
     def order(self):
         """Degree of the lowest stored term, or None for zero."""
         keys = self._keys()
@@ -193,6 +255,8 @@ class Truncated:
         return (-self) + other
 
     def __rmul__(self, scalar):
+        if isinstance(scalar, Truncated):
+            self._check(scalar)  # raises: a value of self's family multiplies in __mul__
         c = self._coerce(scalar)
         return self._like({k: c * v for k, v in self.terms.items()})
 
@@ -206,7 +270,7 @@ class Truncated:
         """
         if not isinstance(other, Truncated) or isinstance(other, self._scalars):
             return self.__rmul__(other)
-        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
+        if not isinstance(other, self._plain):
             return NotImplemented
         self._check(other)
         wa, wb = self.order(), other.order()
@@ -279,8 +343,7 @@ class Truncated:
         Polys of different rings, or two zeros, which have no coefficient to
         tell their type by) is compared by its difference.
         """
-        if not (isinstance(other, type(self)) or isinstance(self, type(other))) \
-                or not (self._keys() or other._keys()):
+        if not isinstance(other, self._plain) or not (self._keys() or other._keys()):
             return (self - other).is_zero(order)
         ring = _joint(self, other)[1]
         if ring is _INEXACT:

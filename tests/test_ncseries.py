@@ -455,6 +455,38 @@ def test_comparison_refuses_a_size_or_ring_mismatch():
                 x.equal_through(y)
 
 
+def test_operands_of_different_types_are_refused():
+    values = {"NCSeries": NCSeries.one(XY, 4) + NCSeries.letter(XY, "x", 4),
+              "HoloElt": T3.one() + T3.generator(1, 2),
+              "ScalarSeries": ScalarSeries.one(4) + ScalarSeries.gen(4),
+              "HMatrix": HMatrix.identity(2, 4) + HMatrix.from_terms(2, {(1, 0, 1): F(1, 2)}, 4)}
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+           "equal_through": lambda a, b: a.equal_through(b)}
+    for (left, a), (right, b) in itertools.permutations(values.items(), 2):
+        for name, op in ops.items():
+            if name == "*" and {left, right} == {"ScalarSeries", "HMatrix"}:
+                # a series multiplies a matrix as the diagonal it stands for
+                assert type(op(a, b)) is HMatrix
+                continue
+            with pytest.raises(ValueError, match="^cannot combine "):
+                op(a, b)
+
+
+def test_promote_checks_the_target_ring():
+    ab, a_only, abc = SymRing(("a", "b")), SymRing(("a",)), SymRing(("a", "b", "c"))
+    for make in (lambda ring: NCSeries.one(XY, 4, ring) + NCSeries.letter(XY, "y", 4, ring),
+                 lambda ring: ScalarSeries.one(4, ring) + ScalarSeries.gen(4, ring),
+                 lambda ring: HMatrix.identity(2, 4, ring)):
+        value = make(ab) * ab.symbol("b")
+        with pytest.raises(ValueError, match=r"target ring lacks \['b'\]$"):
+            value.promote(a_only)
+        with pytest.raises(ValueError, match="demote"):
+            value.promote(None)
+        assert value.promote(ab) is value
+        assert value.promote(abc) == make(abc) * abc.symbol("b")
+        assert make(None).promote(ab) == make(ab) != make(None)
+
+
 def _product_rule(a, b):
     wa, wb = a.order(), b.order()
     if wa is None or wb is None:
