@@ -96,14 +96,13 @@ def _commute(a, b):
 class BraidRep:
     """Images of the Artin generators as invertible matrices over k[[h]]."""
 
-    def __init__(self, n, sigmas, provenance=""):
+    def __init__(self, n, sigmas):
         self.n = n
         self.sigma_images = {i + 1: m for i, m in enumerate(sigmas)}
         self.N = sigmas[0].n
         self.maxdeg = sigmas[0].maxdeg
         self.known_order = min(m.known_order for m in sigmas)
         self.ring = sigmas[0].ring
-        self.provenance = provenance
         self._inverses = {}
         self._words = {}
 
@@ -138,8 +137,7 @@ class BraidRep:
     def promote(self, ring):
         if ring == self.ring:
             return self
-        return BraidRep(self.n, [self.sigma_images[i].promote(ring)
-                                 for i in range(1, self.n)], self.provenance)
+        return BraidRep(self.n, [self.sigma_images[i].promote(ring) for i in range(1, self.n)])
 
     def braid_relations_ok(self) -> bool:
         for i in range(1, self.n - 1):
@@ -183,18 +181,16 @@ def sigma_image(series, lam, t, y, s) -> HMatrix:
 def phat(rho: InfinitesimalRep, phi) -> BraidRep:
     """The braid representation attached to rho by an associator candidate."""
     series, lam = phi.series, phi.lam
-    maxdeg = series.maxdeg
-    ring = series.ring
+    maxdeg, ring, ko = series.maxdeg, series.ring, series.known_order
     if ring != rho.ring and rho.ring is not None:
         raise ValueError("coefficient ring mismatch between rho and the associator")
-    ko = series.known_order
     h = ScalarSeries.gen(maxdeg, ring, ko)
     sigmas = [sigma_image(series, lam,
-                          h * rho.t_matrix(i, i + 1).lift(maxdeg, ring, ko),
-                          h * rho.y_matrix(i).lift(maxdeg, ring, ko),
-                          rho.perm_matrix(i).lift(maxdeg, ring, ko))
+                          h * rho.t_matrix(i, i + 1).truncated(maxdeg, ko).promote(ring),
+                          h * rho.y_matrix(i).truncated(maxdeg, ko).promote(ring),
+                          rho.perm_matrix(i).truncated(maxdeg, ko).promote(ring))
               for i in range(1, rho.n)]
-    return BraidRep(rho.n, sigmas, provenance="phat(lambda=%s)" % lam)
+    return BraidRep(rho.n, sigmas)
 
 
 def gt_act_on_rep(rep: BraidRep, g) -> BraidRep:
@@ -208,7 +204,7 @@ def gt_act_on_rep(rep: BraidRep, g) -> BraidRep:
         sq = rep.sigma(r) * rep.sigma(r)
         conj = evaluate_series(series, {"x": delta.log(), "y": sq.log()})
         sigmas.append(conj.inverse() * rep.sigma(r) * conj)
-    return BraidRep(rep.n, sigmas, provenance=rep.provenance + "+twist")
+    return BraidRep(rep.n, sigmas)
 
 
 def diagonal_conjugator(rep: BraidRep, twisted: BraidRep):

@@ -27,17 +27,17 @@ VERIFY_SUITES = {
 }
 
 
-def _emit(reps, args):
-    """Write the reports to --out in one go, or else to stdout."""
-    texts = []
-    for rep in reps:
-        text = rep.to_json() if args.format == "json" else rep.to_text()
-        texts.append(text if text.endswith("\n") else text + "\n")
+def _write(args, text):
+    """text to stdout, or to --out, which main opened before any work but empties only now."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("".join(texts))
-    else:
-        sys.stdout.write("".join(texts))
+        args.out.truncate(0)
+    (args.out or sys.stdout).write(text)
+
+
+def _emit(reps, args):
+    """Write the reports in one go."""
+    texts = (rep.to_json() if args.format == "json" else rep.to_text() for rep in reps)
+    _write(args, "".join(text if text.endswith("\n") else text + "\n" for text in texts))
 
 
 def cmd_verify(args):
@@ -102,6 +102,10 @@ def cmd_extend(args):
 
 
 def cmd_kz_report(args):
+    if args.order > kz.DEFAULT_ZETA_MAX:
+        print("kz-report: invalid --order %d: the default ring stops at zeta_%d"
+              % (args.order, kz.DEFAULT_ZETA_MAX), file=sys.stderr)
+        return 2
     ring = kz.kz_ring()
     lines = []
     for d in range(2, args.dmax + 1):
@@ -110,12 +114,7 @@ def cmd_kz_report(args):
             c = series.coefficient(k)
             if c:
                 lines.append("log_h_tilde d=%d hbar^%d\t%s" % (d, k, render_coeff(c)))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -134,7 +133,7 @@ def partition(text):
 
 def symbol_pair(text):
     symbols = tuple(s.strip() for s in text.split(","))
-    if len(symbols) != 2:
+    if len(symbols) != 2 or symbols[0] == symbols[1]:
         raise ValueError(text)
     return symbols
 
@@ -189,7 +188,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.fn(args)
+    if not getattr(args, "out", None):
+        return args.fn(args)
+    # opened before any work: a path that cannot be written is a usage error
+    try:
+        args.out = open(args.out, "a")
+    except OSError as exc:
+        print("%s: cannot write --out: %s" % (args.command, exc), file=sys.stderr)
+        return 2
+    with args.out:
+        return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -281,9 +281,9 @@ def g_ab(a, b, phi0: AssociatorCandidate) -> GtElt:
 # -- membership report for the filtered group ---------------------------
 
 
-def gt_checks(g, pentagon=True, reference: AssociatorCandidate = None) -> dict:
+def gt_checks(g, pentagon=True) -> dict:
     """Per-equation report: duality, hexagon (m=0), grouplike, and the
-    4-strand relation pushed through a reference associator morphism."""
+    4-strand relation pushed through the reference associator's morphism."""
     s = _series_of(g)
     report = {}
     report["grouplike"] = is_grouplike(s)
@@ -296,21 +296,21 @@ def gt_checks(g, pentagon=True, reference: AssociatorCandidate = None) -> dict:
             * s)
     report["hexagon"] = prod.is_one()
     if pentagon:
-        report["pentagon"] = gt_pentagon_push(s, reference)
+        report["pentagon"] = gt_pentagon_push(s)
     return report
 
 
-def gt_pentagon_defect(series: NCSeries, reference: AssociatorCandidate = None):
+def gt_pentagon_defect(series: NCSeries):
     """The 4-strand equation, lhs - rhs in U(T_4), on the images of the pure
     braid generators.
 
-    The generators xi_ij go through the braid-algebra morphism attached to a
-    reference lambda=1 associator.  The reference is used over its own ring:
-    the xi_ij and their logs stay rational when it is, and only the
-    coefficients of series meet its images.
+    The generators xi_ij go through the braid-algebra morphism attached to
+    the rational reference associator phi0 (through degree 5): the xi_ij and
+    their logs stay rational, and only the coefficients of series meet its
+    images.
     """
     from .associators import phi0_reference  # local to avoid cycles at import time
-    ref = phi0_reference(min(series.maxdeg, 5)) if reference is None else reference
+    ref = phi0_reference(min(series.maxdeg, 5))
     algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
     xi = xi_images(sigma_images(ref.series, ref.lam, algebra), algebra)
 
@@ -343,10 +343,10 @@ def xi_images(images, algebra):
     return xi
 
 
-def gt_pentagon_push(series: NCSeries, reference: AssociatorCandidate = None) -> bool:
+def gt_pentagon_push(series: NCSeries) -> bool:
     """The 4-strand equation holds through the known order; a necessary
     condition for membership, sufficient for every computation done here."""
-    return gt_pentagon_defect(series, reference).is_zero()
+    return gt_pentagon_defect(series).is_zero()
 
 
 # -- Ihara projection ----------------------------------------------------
@@ -404,22 +404,20 @@ def ihara_psi_ab(ring: SymRing, kappa3="kappa3", kappa5="kappa5", maxdeg=5) -> d
     return _abelianized(nc_exp(arg).terms.items())
 
 
-def kappa_identification(g_series: NCSeries, a_name="a", b_name="b",
-                         kappa3="kappa3", kappa5="kappa5"):
-    """Match the projection of a generic filtered element against the
-    classical exp-sum form with formal kappa symbols.
+def kappa_identification(g_series: NCSeries):
+    """Match the projection of a generic filtered element, over symbols a and
+    b, against the classical exp-sum form with formal symbols kappa3, kappa5.
 
     Returns (a_value, b_value, exact_match) where the values are polynomials
     in the kappa symbols and exact_match reports whether substituting them
     reproduces every coefficient through the truncation.
     """
     lhs = ihara_projection(g_series)
-    kring = SymRing((kappa3, kappa5))
-    rhs = ihara_psi_ab(kring, kappa3, kappa5, g_series.known_order)
+    kring = SymRing(("kappa3", "kappa5"))
+    rhs = ihara_psi_ab(kring, maxdeg=g_series.known_order)
 
     def lin(poly):
-        return (poly.coefficient({a_name: 1}), poly.coefficient({b_name: 1}),
-                poly.coefficient({}))
+        return poly.coefficient({"a": 1}), poly.coefficient({"b": 1}), poly.coefficient({})
 
     # two independent coefficients pin (a, b)
     eq1 = lin(lhs[(2, 1)])   # x^2 y
@@ -431,7 +429,7 @@ def kappa_identification(g_series: NCSeries, a_name="a", b_name="b",
         raise ValueError("pinning coefficients are degenerate")
     a_val = (r1 * eq2[1] - r2 * eq1[1]) / det
     b_val = (r2 * eq1[0] - r1 * eq2[0]) / det
-    mapping = {a_name: a_val, b_name: b_val}
+    mapping = {"a": a_val, "b": b_val}
     ok = True
     keys = set(lhs) | set(rhs)
     for key in keys:

@@ -76,19 +76,19 @@ def unitary_ring(dmax) -> SymRing:
 class MatrixModel:
     """A block family; kind 'semi' (from an associator), 'unitary', or 'custom'."""
 
-    def __init__(self, kind, phi=None, maxdeg=None, dmax=8, b_sequence=None):
+    def __init__(self, kind, phi=None, maxdeg=None, b_sequence=None):
         if kind not in ("semi", "unitary", "custom"):
             raise ValueError("unknown model kind %r" % kind)
         self.kind = kind
         self.phi = phi
         if kind == "semi":
-            if phi is None:
-                raise ValueError("the semi-normal model needs an associator candidate")
-            self.maxdeg = phi.maxdeg if maxdeg is None else maxdeg
+            if phi is None or maxdeg not in (None, phi.maxdeg):
+                raise ValueError("the semi-normal model takes an associator and its maxdeg")
+            self.maxdeg = phi.maxdeg
             self.ring = phi.series.ring
         elif kind == "unitary":
             self.maxdeg = DEFAULT_MAXDEG if maxdeg is None else maxdeg
-            self.ring = unitary_ring(dmax)
+            self.ring = unitary_ring(8)
         else:
             self.maxdeg = DEFAULT_MAXDEG if maxdeg is None else maxdeg
             self.ring = None
@@ -124,7 +124,7 @@ class MatrixModel:
 
     def _build_block(self, d) -> HMatrix:
         if self.kind == "semi":
-            return hecke_block_from_candidate(self.phi, d, self.maxdeg)
+            return hecke_block_from_candidate(self.phi, d)
         if self.kind == "unitary":
             dq = q_integer(d, self.maxdeg, self.ring)
             s = ScalarSeries.const(self.ring.symbol("s%d" % d), self.maxdeg, self.ring)
@@ -146,7 +146,7 @@ class MatrixModel:
         return HMatrix([[a, b], [scalar_div(one + a * ap, b), ap]])
 
 
-def hecke_block_from_candidate(phi, d, maxdeg=None) -> HMatrix:
+def hecke_block_from_candidate(phi, d) -> HMatrix:
     """The 2x2 image of sigma_r on an axial-distance-d pair.
 
     sigma_image at t = 2h M^1, y = h eta and s = M^1, that is
@@ -154,18 +154,16 @@ def hecke_block_from_candidate(phi, d, maxdeg=None) -> HMatrix:
     eta = diag(d, -d) and M^1 the semi-normal reflection.
     """
     series = phi.series
-    maxdeg = series.maxdeg if maxdeg is None else maxdeg
-    ring = series.ring
-    ko = series.known_order
+    maxdeg, ring, ko = series.maxdeg, series.ring, series.known_order
     h = ScalarSeries.gen(maxdeg, ring, ko)
     m1 = HMatrix.from_const(semi_normal_block(d), maxdeg, ring, ko)
     eta = HMatrix.from_const([[Fraction(d), 0], [0, Fraction(-d)]], maxdeg, ring, ko)
     return sigma_image(series, phi.lam, 2 * (h * m1), h * eta, m1)
 
 
-def b_semi(phi, d, maxdeg=None) -> ScalarSeries:
+def b_semi(phi, d) -> ScalarSeries:
     """The b_d scalar of the semi-normal model attached to an associator."""
-    return hecke_block_from_candidate(phi, d, maxdeg).entry(0, 1)
+    return hecke_block_from_candidate(phi, d).entry(0, 1)
 
 
 def tableau_sigmas(shape: Partition, column, line, block) -> list:
@@ -205,7 +203,7 @@ def rep_build(shape: Partition, model: MatrixModel) -> BraidRep:
     """The braid representation on standard tableaux of one shape: the
     tableau walk with q, -q^{-1} and the model's blocks M_d."""
     sigmas = tableau_sigmas(shape, model.q(1), -model.q(-1), model.block)
-    return BraidRep(shape.n, sigmas, provenance="rep_build(%r, %s)" % (shape, model.kind))
+    return BraidRep(shape.n, sigmas)
 
 
 def delta_eigenvalues_ok(rep: BraidRep, shape: Partition, model: MatrixModel) -> bool:

@@ -8,7 +8,7 @@ negation, scaling, order, h -> -h and the known order of every product.  A
 product is a row-indexed sparse convolution over the keys of both factors
 through that known order.  A ScalarSeries multiplies on either side as the
 diagonal matrix it stands for.  A constant matrix is an HMatrix of maxdeg 0,
-which ``lift`` carries to any maxdeg and ring.
+which ``truncated`` and ``promote`` carry to any maxdeg and ring.
 
 Inverses require an invertible constant-term matrix over Q; logs are only
 taken of matrices congruent to 1 mod h, which is all the braid-group images
@@ -24,7 +24,7 @@ from .linalg import mat_inv
 from .ncseries import NCSeries
 from .scalar import ScalarSeries, from_text as scalar_from, to_text as scalar_text
 from .symcoef import as_fraction
-from .truncated import Truncated, neumann_inverse, substitute
+from .truncated import Truncated, evaluate, neumann_inverse
 
 
 class HMatrix(Truncated):
@@ -64,12 +64,6 @@ class HMatrix(Truncated):
         coerce = as_fraction if ring is None else ring.coerce
         const = {(0, i, j): coerce(v) for i, row in enumerate(matrix) for j, v in enumerate(row)}
         return cls.from_terms(len(matrix), const, maxdeg, ring, known_order, var)
-
-    def lift(self, maxdeg, ring=None, known_order=None):
-        """This matrix at maxdeg over ring, each entry coerced as from_const coerces it."""
-        coerce = as_fraction if ring is None else ring.coerce
-        return HMatrix.from_terms(self.n, {key: coerce(c) for key, c in self.terms.items()},
-                                  maxdeg, ring, known_order, self.var)
 
     @classmethod
     def identity(cls, n, maxdeg, ring=None, known_order=None, var="h"):
@@ -170,14 +164,4 @@ def from_text(text: str):
 
 def evaluate_series(series: NCSeries, images: dict) -> HMatrix:
     """Evaluate an NCSeries at matrix arguments of positive h-order."""
-    sample = next(iter(images.values()))
-    for name in series.alphabet:
-        if name not in images:
-            raise ValueError("no matrix image for letter %r" % name)
-    ko = min([series.known_order] + [m.known_order for m in images.values()])
-    if any(m.order() == 0 for m in images.values()):
-        raise ValueError("matrix substitution needs h-order >= 1 arguments")
-    [value] = substitute([series], images,
-                         HMatrix.identity(sample.n, sample.maxdeg, sample.ring, ko, sample.var),
-                         HMatrix.zero(sample.n, sample.maxdeg, sample.ring, ko, sample.var))
-    return value
+    return evaluate(series, images)

@@ -30,10 +30,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import ncseries
 from .ncseries import EMPTY, NCSeries
 from .symcoef import as_fraction
-from .truncated import Truncated, substitute
+from .truncated import Truncated, evaluate
 
 # dim U(T_n) in the top degree, which sizes the reduction tables and every
 # product there: admits U(T_4) through degree 7 (9330) but not 8 (28501)
@@ -268,6 +267,18 @@ class HoloElt(Truncated):
     def maxdeg(self):
         return self.algebra.maxdeg
 
+    @maxdeg.setter
+    def maxdeg(self, maxdeg):
+        """A change of degree moves the terms onto the registered U(T_n) of that degree."""
+        if maxdeg != self.algebra.maxdeg:
+            self.algebra = holonomy_algebra(self.algebra.n, maxdeg)
+
+    def promote(self, ring):
+        raise ValueError("holonomy elements have no ring: they take Poly scalars as they are")
+
+    def _over(self, ring, terms):
+        return self._like(terms)
+
     def _convolve(self, a_terms, b_terms, ko):
         """Each pair of basis words is reduced by folding the left word onto
         the right one, already normal; a one-letter left word reads its row
@@ -323,17 +334,8 @@ class HoloElt(Truncated):
 
 def embed_free(series: NCSeries, algebra: HoloAlgebra, images: dict) -> HoloElt:
     """Evaluate an NCSeries with letters mapped to order->=1 HoloElts."""
-    missing = [a for a in series.alphabet if a not in images]
-    if missing:
-        raise ncseries.AlgebraError("no holonomy image for letters %r" % missing)
-    ko = series.known_order
-    for img in images.values():
-        if img.coefficient(EMPTY):
-            raise ValueError("holonomy images must have order >= 1")
-        ko = min(ko, img.known_order)
     # an int unit keeps integral images (the pentagon faces) in int arithmetic
-    [value] = substitute([series], images, HoloElt(algebra, {EMPTY: 1}, ko), algebra.zero(ko))
-    return value
+    return evaluate(series, images, HoloElt(algebra, {EMPTY: 1}))
 
 
 def holonomy_algebra(n, maxdeg) -> HoloAlgebra:

@@ -188,17 +188,15 @@ def specialize_even(s: ScalarSeries, maxdeg=None) -> ScalarSeries:
 
     Every monomial must carry only even zetas with total weight equal to its
     hb-power (so the transcendental factors cancel); gamma or odd zetas, or
-    a weight mismatch, raise.
+    a weight mismatch, raise.  Then zeta_2k goes to (-1)^k euler_zeta_factor(k),
+    whose signs multiply to the (-1)^(power/2) of hb^power, weight = power.
     """
     ring = s.ring
-    maxdeg = s.maxdeg if maxdeg is None else maxdeg
-    out = {}
     for power, coeff in s.terms.items():
         if power % 2:
             raise ValueError("odd hb-power %d cannot specialize" % power)
-        total = Fraction(0)
-        for exps, c in coeff.terms.items():
-            weight, factor = 0, c * (-1) ** (power // 2)
+        for exps in coeff.terms:
+            weight = 0
             for name, e in zip(ring.symbols, exps):
                 if not e:
                     continue
@@ -208,13 +206,12 @@ def specialize_even(s: ScalarSeries, maxdeg=None) -> ScalarSeries:
                 if k % 2:
                     raise ValueError("odd zeta_%d survives specialization" % k)
                 weight += k * e
-                factor *= euler_zeta_factor(k // 2) ** e
             if weight != power:
                 raise ValueError("zeta weight %d differs from hb-power %d" % (weight, power))
-            total += factor
-        if total:
-            out[power] = total
-    return ScalarSeries(maxdeg, out, None, s.known_order, "h")
+    out = s.specialize(None, {"zeta%d" % b: (-1) ** (b // 2) * euler_zeta_factor(b // 2)
+                              for b in BERNOULLI})
+    return ScalarSeries(s.maxdeg if maxdeg is None else maxdeg, out.terms, None,
+                        out.known_order, "h")
 
 
 def phi_kz_symbolic(maxdeg=5):

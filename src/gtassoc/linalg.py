@@ -68,13 +68,6 @@ def solve_columns(columns, *rhs):
     return particulars, kernel
 
 
-def solve_affine(matrix, rhs):
-    """Solve M c = rhs exactly for a dense rational matrix: solve_columns on its columns."""
-    columns = [_int_column(dict(enumerate(col))) for col in zip(*matrix)]
-    [particular], kernel = solve_columns(columns, dict(enumerate(rhs)))
-    return particular, kernel
-
-
 def mat_inv(a):
     """Inverse of a square rational matrix: its columns solved against the n unit
     vectors in one elimination.  A singular a leaves some unit vector outside

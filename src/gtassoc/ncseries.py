@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .symcoef import parse_coeff, parse_ring_tag, render_coeff, ring_tag
-from .truncated import Truncated, substitute
+from .truncated import Truncated, evaluate
 
 EMPTY = b""
 
@@ -75,10 +75,6 @@ class NCSeries(Truncated):
     def max_stored_degree(self):
         return max((len(w) for w in self.terms), default=0)
 
-    def truncated(self, maxdeg, known_order=None):
-        ko = min(self.known_order, maxdeg) if known_order is None else known_order
-        return NCSeries(self.alphabet, maxdeg, self.terms, self.ring, ko)
-
     def rendered_words(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             yield word, self.terms[word]
@@ -122,19 +118,7 @@ def nc_log(g: NCSeries) -> NCSeries:
 
 def nc_substitute(f: NCSeries, images: dict) -> NCSeries:
     """Substitute the letters of f by series of order >= 1."""
-    missing = [a for a in f.alphabet if a not in images]
-    if missing:
-        raise AlgebraError("no image for letters %r" % missing)
-    vals = {}
-    for name in f.alphabet:
-        vals[name] = sample = images[name]
-        if sample.coefficient(EMPTY):
-            raise ValueError("image of %r has nonzero constant term" % name)
-    ko = min([f.known_order] + [img.known_order for img in vals.values()])
-    [value] = substitute([f], vals,
-                         NCSeries.one(sample.alphabet, sample.maxdeg, sample.ring, ko),
-                         NCSeries.zero(sample.alphabet, sample.maxdeg, sample.ring, ko))
-    return value
+    return evaluate(f, images)
 
 
 def letter_swap(f: NCSeries, mapping: dict) -> NCSeries:

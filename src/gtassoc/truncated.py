@@ -1,56 +1,38 @@
 """Series code written once for every truncated type in the package.
 
 ``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries and HMatrix.
-It holds the one truncation contract: ``is_zero``, ``is_one`` and
-``equal_through`` read through ``known_order`` by default and raise
-ValueError when asked past it, and so does ``coefficient``.  Two values of one type with exact
-coefficients (int, Fraction, or Poly of one ring) compare their terms key
-by key, over Q their int splits (below); mixed types, plain scalars and
-Polys of different rings are compared through their difference.  It also
-holds the one product rule: ``__mul__`` gives a product of known orders
-K_a, K_b and orders w_a, w_b the known order min(K_a + w_b, K_b + w_a,
-maxdeg), or min(K_a, K_b) when a factor is zero, and asks the type's
-``_convolve(a_terms, b_terms, ko)`` hook only for the terms through that
-degree.  When the coefficients are exact (int, Fraction, or Poly of one
-ring) and one is a Fraction or a Poly, the hook sums in int: each factor
-is split into monomial layers {exponent vector: {key: int}} over its least
-common denominator (a rational coefficient in the all-zero layer, so over
-Q there is one layer), the hook convolves each pair of layers, and the
-sums are added per key and exponent vector e1 + e2.  Values are
-immutable (``terms`` is read-only), so each keeps its split, formed at
-most once.  Over Q the product of denominator d and int sums is born in
-int: (d/g, {key: sum/g}) with g = gcd(d, *sums), which is its own least
-common denominator and so its split.  No Fraction is built until its
-``terms`` are first read; ``order`` and ``equal_through`` read the int
-form.  Over a ring each key becomes one Poly of Fractions over d, its
-quadratic symbols reduced once per output monomial; the reduction is
-linear, so reducing at the end gives the terms that reducing every
-product would.  int factors stay int, and Polys of different rings pass
-to the hook as they are.  Every type has ``terms`` that map a key (a
-word, a power of h, or a (power, row, col) triple) to a nonzero
-coefficient, so the base also holds the sum, negation, scaling, h -> -h,
-and a default convolution in which keys multiply by ``+``.  Operands of
-different types or shapes (``maxdeg`` among them) are refused by the one
-``_check``.
+Every type has ``terms`` that map a key (a word, a power of h, or a (power,
+row, col) triple) to a nonzero coefficient, exact through ``known_order``.
+The base holds the one truncation contract (``is_zero``, ``is_one``,
+``equal_through`` and ``coefficient`` read through the known order and
+raise ValueError past it), the one shape check ``_check``, the sum,
+negation, scaling and h -> -h, and the one product rule: ``__mul__`` gives
+factors of known orders K_a, K_b and orders w_a, w_b the known order
+min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a factor is zero,
+and asks the type's ``_convolve`` hook only for the terms through that
+degree, summed in int over each factor's least common denominator.
 
-The series algorithms below (exp, log, Neumann inverse) need only
-``order()`` (lowest degree present, None for zero), ``known_order``, and
-``+``, ``-`` and ``*``, including ``c * x`` for a coefficient c (a
-Fraction, or a Poly of the series ring).  The caller passes the unit (and
-zero) built with the known order the result must carry; they read no
-coefficient, so Fraction and Poly coefficients work alike.  Substitution
-evaluates a list of series at once and sums ``coefficient * image`` into
-one dict of terms per series, so it also needs the key-to-coefficient
-``terms``, ``_coerce`` and ``_like``.
+Coefficients are exact: int, Fraction, or Poly of one ring.  Any other
+coefficient (a float), or Polys of two rings, raises ValueError as soon as
+a product or a comparison asks for their ring.
 
-Substitution writes each series as c + sum_a a * T_a over the first letter
-a of its words: the image of each suffix behind a first letter is formed
-once for all the series, and each tail T_a takes one product with the
-image of a on the left, which a holonomy product folds onto the normal
-right factor for the cost of one cached rewrite.  Suffix images are built
-from the left the same way.  Every image has order >= 1: a word of L
-letters wanted through K has its suffix known through K - 1, built from
-images cut to degree K - L + 1.
+The value maps are written here once, and every construction commutes
+with them:
+
+- ``truncated(maxdeg, known_order=None)`` changes the truncation degree and
+  keeps min(known order, maxdeg), or an explicit known order;
+- ``specialize(ring, mapping)`` sends each Poly coefficient through
+  ``Poly.subs`` into ring (Q for None), at a rational point for instance;
+- ``promote(ring)`` coerces each coefficient into a larger ring;
+- ``evaluate(series, images, one)`` evaluates an NCSeries at images of
+  order >= 1, through the least known order.
+
+The series algorithms (exp, log, Neumann inverse) need only ``order()``,
+``known_order``, ``+``, ``-`` and ``*`` (``c * x`` for a coefficient c
+included), so Fraction and Poly coefficients work alike; the caller passes
+the unit built with the known order the result must carry.  Substitution
+evaluates a list of series at once, each word split at its first letter so
+that the image of each suffix is formed once for all the series.
 """
 
 from __future__ import annotations
@@ -61,13 +43,10 @@ from operator import add
 
 from .symcoef import Poly, _add_term, as_fraction, layers
 
-# the exact rational coefficient types, and with Poly the exact ones;
-# products over exact coefficients with a Fraction or a Poly sum in int
-_RATIONAL = {int, Fraction}
+# the exact coefficient types, the only ones a value may hold; a product
+# with a Fraction or a Poly among them sums in int
 _LAYERED = {Fraction, Poly}
-_EXACT = _RATIONAL | _LAYERED
-# the ring _ring_of gives coefficients that are not exact over one ring
-_INEXACT = object()
+_EXACT = {int} | _LAYERED
 # the coefficient types of a product born over Q
 _BORN = frozenset({Fraction})
 
@@ -92,16 +71,17 @@ class Truncated:
     From these the base writes once: ``_like(terms, known_order=None)``,
     ``_check(other)``, which raises ``_error`` unless other is of self's
     type family and shape, ``==`` (type family, shape apart from maxdeg,
-    terms), ``promote(ring)`` and the ring-based ``_coerce``.  Operands of
-    different types or shapes are refused with ``_error``; a type in
-    ``_scalars`` multiplies as a coefficient.
+    terms), the value maps ``truncated``, ``specialize`` and ``promote``,
+    and the ring-based ``_coerce``.  Operands of different types or shapes
+    are refused with ``_error``; a type in ``_scalars`` multiplies as a
+    coefficient.
 
     Values are immutable.  ``_cache`` holds (types, ring, split): the
-    coefficient types, their one ring (None over Q, _INEXACT when there is
-    none) and, once a product or a comparison has asked for it, the
-    ``layers`` split over that ring.  A product over Q is born with
-    ``_terms`` None and only its split, its least denominator and int
-    numerators; ``terms`` builds its Fractions on first read.
+    coefficient types, their one ring (None over Q) and, once a product or a
+    comparison has asked for it, the ``layers`` split over that ring.  A
+    product over Q is born with ``_terms`` None and only its split, its least
+    denominator and int numerators; ``terms`` builds its Fractions on first
+    read.
     """
 
     __slots__ = ("_terms", "_cache")
@@ -146,6 +126,13 @@ class Truncated:
         return all(getattr(self, slot) == getattr(other, slot)
                    for slot, _ in self._shape if slot != "maxdeg") and self.terms == other.terms
 
+    def truncated(self, maxdeg, known_order=None):
+        """This value at truncation degree maxdeg, known through min(known order,
+        maxdeg), or through an explicit known_order not past maxdeg."""
+        out = self._like({})
+        out.maxdeg = maxdeg
+        return out._set(self.terms, self.known_order if known_order is None else known_order)
+
     def promote(self, ring):
         """This value over ring, which must hold every symbol of self's ring;
         nothing demotes to Q."""
@@ -157,9 +144,20 @@ class Truncated:
             missing = set(self.ring.symbols) - set(ring.symbols)
             if missing:
                 raise self._error("cannot promote: target ring lacks %r" % sorted(missing))
+        return self._over(ring, {k: ring.coerce(c) for k, c in self.terms.items()})
+
+    def specialize(self, ring, mapping):
+        """This value over ring (Q for None): each Poly coefficient goes
+        through Poly.subs(ring, mapping), the others are coerced."""
+        coerce = as_fraction if ring is None else ring.coerce
+        return self._over(ring, {k: c.subs(ring, mapping) if type(c) is Poly else coerce(c)
+                                 for k, c in self.terms.items()})
+
+    def _over(self, ring, terms):
+        """A value of self's shape over ring, from terms over it."""
         out = self._like({})
         out.ring = ring
-        return out._set({k: ring.coerce(c) for k, c in self.terms.items()}, self.known_order)
+        return out._set(terms, self.known_order)
 
     def _coerce(self, scalar):
         return as_fraction(scalar) if self.ring is None else self.ring.coerce(scalar)
@@ -263,10 +261,14 @@ class Truncated:
     def __mul__(self, other):
         """The product through min(K_a + w_b, K_b + w_a, maxdeg).
 
-        Over exact coefficients with a Fraction or a Poly the hook sees only
-        int layers.  Over Q the product is born in int; over a ring its
-        quadratic symbols reduce once per output monomial: exact, because
-        the reduction is linear.
+        With a Fraction or a Poly among the coefficients, each factor is split
+        into int monomial layers {exponent vector: {key: int}} over its least
+        common denominator d (one layer over Q), the hook convolves each pair
+        of layers, and the sums add per key and exponent vector.  Over Q the
+        product is born in int, (d/g, {key: sum/g}) with g = gcd(d, *sums),
+        its own split; over a ring each key becomes one Poly of Fractions
+        over d, its quadratic symbols reduced once per output monomial:
+        exact, because the reduction is linear.
         """
         if not isinstance(other, Truncated) or isinstance(other, self._scalars):
             return self.__rmul__(other)
@@ -278,8 +280,7 @@ class Truncated:
             return self._like({}, min(self.known_order, other.known_order))
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
         types, ring = _joint(self, other)
-        # the layered rule needs exact coefficients, one Fraction or Poly, one ring
-        if ring is _INEXACT or not types & _LAYERED:
+        if not types & _LAYERED:
             return self._like(self._convolve(self.terms, other.terms, ko), ko)
         (d_a, a), (d_b, b) = self._layers(ring), other._layers(ring)
         d = d_a * d_b
@@ -335,20 +336,17 @@ class Truncated:
     def equal_through(self, other, order=None):
         """Equality through min(known orders), or through an order not past it.
 
-        Two values of one type with exact coefficients over one ring compare
-        their terms key by key, and over Q their int splits: the whole splits
-        when the comparison reads every stored degree (the split over the
-        least denominator is unique), else numerators cross-multiplied by
-        the other denominator.  Any other pair (mixed types, a plain scalar,
-        Polys of different rings, or two zeros, which have no coefficient to
-        tell their type by) is compared by its difference.
+        Two values of one type compare their terms key by key, and over Q
+        their int splits: the whole splits when the comparison reads every
+        stored degree (the split over the least denominator is unique), else
+        numerators cross-multiplied by the other denominator.  Any other pair
+        (mixed types, a plain scalar, or two zeros, which have no coefficient
+        to tell their type by) is compared by its difference.
         """
         if not isinstance(other, self._plain) or not (self._keys() or other._keys()):
             return (self - other).is_zero(order)
-        ring = _joint(self, other)[1]
-        if ring is _INEXACT:
-            return (self - other).is_zero(order)
         self._check(other)
+        ring = _joint(self, other)[1]
         k = _through(min(self.known_order, other.known_order), order)
         deg = self._degree
         if ring is None:
@@ -396,29 +394,30 @@ def _through(known_order, order):
 
 def _ring_of(terms):
     """(types, ring) of a term dict's coefficients: the set of their types,
-    and the one ring of their Polys (None when there are none), or _INEXACT
-    unless every coefficient is exact over one ring."""
+    and the one ring of their Polys (None when there are none).  Raises
+    ValueError for a coefficient that is not int, Fraction or Poly, or for
+    Polys of two rings."""
     types = set(map(type, terms.values()))
     if not types <= _EXACT:
-        return types, _INEXACT
-    if Poly not in types:
-        return types, None
-    # SymRing == tests identity first; its hash would hash the Fraction squares
-    rings = [c.ring for c in terms.values() if type(c) is Poly]
-    ring = rings[0]
-    return types, ring if all(r == ring for r in rings) else _INEXACT
+        raise ValueError("inexact coefficients: %s" % sorted(t.__name__ for t in types - _EXACT))
+    return types, _one_ring([c.ring for c in terms.values() if type(c) is Poly]
+                            if Poly in types else ())
 
 
 def _joint(x, y):
     """(types, ring) of the coefficients of two values together, as _ring_of
     gives them for one."""
     (types_x, ring_x, _), (types_y, ring_y, _) = x._kind(), y._kind()
-    types = types_x | types_y
-    if ring_x is _INEXACT or ring_y is None:
-        return types, ring_x
-    if ring_x is None or ring_y is _INEXACT or ring_x == ring_y:
-        return types, ring_y
-    return types, _INEXACT
+    return types_x | types_y, _one_ring([r for r in (ring_x, ring_y) if r is not None])
+
+
+def _one_ring(rings):
+    """The one ring of a list of rings, None for none; ValueError for two."""
+    for r in rings:
+        # SymRing == tests identity first; its hash would hash the Fraction squares
+        if r != rings[0]:
+            raise ValueError("Poly coefficients of two rings: %r and %r" % (rings[0], r))
+    return rings[0] if rings else None
 
 
 def series_exp(f, one):
@@ -566,6 +565,21 @@ def substitute(elements, images, one, zero):
     for (i, letter), terms in tails.items():
         _scatter(accs[i], (images[alphabet[letter]] * cut._like(terms)).terms)
     return [zero._like(acc) for acc in accs]
+
+
+def evaluate(series, images, one=None):
+    """series at images of order >= 1, one per letter (else the series type's
+    _error), through the least known order of both; built on one, by default
+    the unit of the first letter's image (an int unit keeps int images in int)."""
+    missing = [a for a in series.alphabet if a not in images]
+    if missing:
+        raise series._error("no image for letters %r" % missing)
+    used = [images[a] for a in series.alphabet]
+    if any(image.order() == 0 for image in used):
+        raise series._error("images must have order >= 1")
+    ko = min([series.known_order] + [image.known_order for image in used])
+    one = used[0]._one() if one is None else one
+    return substitute([series], images, one._like(one.terms, ko), one._like({}, ko))[0]
 
 
 def _scatter(acc, terms, c=None):

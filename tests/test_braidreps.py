@@ -146,7 +146,7 @@ def test_phat_b3(phi0):
     h = ScalarSeries.gen(R.maxdeg, R.ring, R.known_order)
     for r in (2, 3):
         L = R.delta(r).log()
-        hY = h * rho.y_matrix(r).lift(R.maxdeg, R.ring, R.known_order)
+        hY = h * rho.y_matrix(r).truncated(R.maxdeg, R.known_order).promote(R.ring)
         assert L.equal_through(hY)
 
 
@@ -172,7 +172,7 @@ def _rho_of_pair(rho, u, p, maxdeg):
             key = (len(word), i, j)
             terms[key] = terms.get(key, 0) + c * v
     image = HMatrix.from_terms(rho.N, terms, maxdeg, known_order=u.known_order)
-    return image * _rho_of_perm(rho, p).lift(maxdeg, known_order=u.known_order)
+    return image * _rho_of_perm(rho, p).truncated(maxdeg, u.known_order)
 
 
 @pytest.mark.parametrize("rho, words", [

@@ -284,3 +284,39 @@ def test_no_cache_subcommand(capsys):
 def test_bad_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out and "invalid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("chars", "--partition", "2,1", "--g", "a,a"),
+    ("verify", "associator", "--out", "{missing}/x.txt"),
+    ("chars", "--partition", "2,1", "--out", "{missing}/x.txt"),
+    ("kz-report", "--order", "10"),
+], ids=" ".join)
+def test_refused_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    """A repeated symbol name, an --out that cannot be written and a kz-report
+    order past the default ring's zeta bound are usage errors, met before
+    any work and without a traceback."""
+    from gtassoc import cli, kz, report
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli.VERIFY_SUITES, name, no_work)
+    monkeypatch.setattr(report, "chars_report", no_work)
+    monkeypatch.setattr(kz, "h_tilde", no_work)
+    code, out, err = run(capsys, *(a.format(missing=tmp_path / "missing") for a in argv))
+    assert code == 2 and not out and err and "Traceback" not in err
+
+
+def test_kz_report_at_the_zeta_bound_runs(capsys):
+    code, out, _ = run(capsys, "kz-report", "--dmax", "2", "--order", "9")
+    assert code == 0 and "log_h_tilde d=2 hbar^9\t" in out
+
+
+def test_a_refusal_leaves_an_existing_out_file_as_it_was(capsys, tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_text("an earlier report\n")
+    code, out, _ = run(capsys, "verify", "associator", "--degree", "9", "--out", str(path))
+    assert code == 2 and not out and path.read_text() == "an earlier report\n"
+    code, out, _ = run(capsys, "kz-report", "--dmax", "2", "--order", "3", "--out", str(path))
+    assert code == 0 and not out and path.read_text() == "log_h_tilde d=2 hbar^3\t-32*zeta3\n"

@@ -360,13 +360,13 @@ def test_xi_images_equal_the_plain_word_folds(phi0, ab_ring, over):
 def test_gt_pentagon_defect_matches_promoted_reference(phi0, gab_symbolic, ab_ring):
     from gtassoc.grtgt import gt_pentagon_defect, gt_pentagon_push
     from gtassoc.ncseries import nc_exp
-    member = gt_pentagon_defect(gab_symbolic.series, phi0)
-    assert member.is_zero() and gt_pentagon_push(gab_symbolic.series, phi0)
+    member = gt_pentagon_defect(gab_symbolic.series)
+    assert member.is_zero() and gt_pentagon_push(gab_symbolic.series)
     assert member.terms == _promoted_reference_defect(gab_symbolic.series, phi0).terms == {}
     a = ab_ring.symbol("a")
     shifted = nc_exp(nc_log(gab_symbolic.series) + a * w_element(4, 5, ab_ring))
-    defect = gt_pentagon_defect(shifted, phi0)
-    assert defect.terms and not gt_pentagon_push(shifted, phi0)
+    defect = gt_pentagon_defect(shifted)
+    assert defect.terms and not gt_pentagon_push(shifted)
     oracle = _promoted_reference_defect(shifted, phi0)
     assert defect.terms == oracle.terms
     assert defect.known_order == oracle.known_order

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.linalg import mat_inv, solve_affine, solve_columns
+from gtassoc.linalg import _int_column, mat_inv, solve_columns
 
 from _dense_oracle import mat_identity, mat_mul
 
@@ -111,14 +111,23 @@ def test_mat_inv_leaves_its_argument_untouched():
         assert mat_mul(a, inv) == mat_identity(4)
 
 
-def test_solve_affine_inconsistent():
-    with pytest.raises(ValueError):
-        solve_affine([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
+def solve_dense(matrix, rhs):
+    """solve_columns on the columns of a dense rational matrix and one dense right-hand side."""
+    columns = [_int_column(dict(enumerate(col))) for col in zip(*matrix)]
+    return solve_one(columns, dict(enumerate(rhs)))
 
 
-def test_solve_affine_rank_deficient_kernel():
+def test_solve_columns_inconsistent():
+    matrix, rhs = [[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]
+    assert isinstance(outcome(rref_solve_affine, matrix, rhs), str)
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_dense(matrix, rhs)
+
+
+def test_solve_columns_rank_deficient_kernel():
     matrix = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    particular, kernel = solve_affine(matrix, [F(1), F(2)])
+    particular, kernel = solve_dense(matrix, [F(1), F(2)])
+    assert (particular, kernel) == rref_solve_affine(matrix, [F(1), F(2)])
     assert particular == [F(1), F(0), F(0)]
     assert kernel == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
     for vec in kernel:
@@ -184,7 +193,7 @@ def test_solve_columns_matches_rref_oracle():
         want = outcome(rref_solve_affine, matrix, dense_rhs)
         got = outcome(solve_one, columns, rhs)
         assert got == want, seed
-        assert outcome(solve_affine, matrix, dense_rhs) == want, seed
+        assert outcome(solve_dense, matrix, dense_rhs) == want, seed
         if isinstance(got, tuple):
             assert all(type(v) is F for vec in [got[0]] + got[1] for v in vec)
         kinds["inconsistent"] += isinstance(want, str)

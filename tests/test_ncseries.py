@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtassoc.hmatrix import HMatrix, evaluate_series
-from gtassoc.holonomy import HoloAlgebra, embed_free
+from gtassoc.holonomy import HoloAlgebra, embed_free, holonomy_algebra
 from gtassoc.ncseries import (AlgebraError, LieSeries, NCSeries, bch, commutator,
                               dynkin, from_text, is_grouplike, is_lie, letter_swap,
                               lie_project, lyndon_basis, lyndon_words, nc_exp, nc_log,
                               nc_substitute, to_text)
 from gtassoc.scalar import ScalarSeries
 from gtassoc.symcoef import SymRing
-from gtassoc.truncated import Truncated, substitute, suffix_products
+from gtassoc.truncated import Truncated, evaluate, substitute, suffix_products
 
 XY = ("x", "y")
 
@@ -362,6 +362,157 @@ def test_truncation_contract(kind, spec_f, spec_g, spec_s, c0, ko):
     assert fast.equal_through(_naive_substitute(series, images, one_k, zero_k))
     if entry is not None:
         assert entry(series, images).equal_through(fast)
+
+
+# -- the value maps commute with every operation ------------------------
+#
+# Over Q[a, b] each word of _build is scaled by p + q a + r b; HoloElt has no
+# ring and takes the Poly scalars as they are, the others are promoted first.
+
+AB_POINT = {"a": F(2, 3), "b": F(-5, 7)}
+_SPEC_AB = st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2)),
+                              st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+                    min_size=1, max_size=4)
+
+
+def _build_ab(spec, one, gens):
+    """_build over Q[a, b]: each word scaled by its p + q a + r b."""
+    a, b = AB.symbol("a"), AB.symbol("b")
+    return sum((_build([(2, word)], one, gens) * (p + q * a + r * b) for (p, q, r), word in spec),
+               one - one)
+
+
+def _ab_case(kind, ko):
+    """(one, generators, series unit, series letters) of a kind over Q[a, b]."""
+    one, gens = KINDS[kind][0](ko)
+    if kind != "HoloElt":
+        one, gens = one.promote(AB), [g.promote(AB) for g in gens]
+    return one, gens, letters(4, AB)
+
+
+def _at_point(value):
+    return value.specialize(None, AB_POINT)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=10, deadline=None)
+@given(spec_f=_SPEC_AB, spec_g=_SPEC_AB, spec_s=_SPEC_AB, c0=st.integers(-3, 3).filter(bool),
+       ko=st.integers(2, 4))
+def test_specialization_commutes_with_the_operations(kind, spec_f, spec_g, spec_s, c0, ko):
+    """Sending a, b to a rational point before or after +, -, *, exp, log,
+    inverse and evaluation gives one value, through the lesser known order."""
+    _, exp, log, has_inverse, _ = KINDS[kind]
+    one, gens, (n_one, letter_x, letter_y) = _ab_case(kind, ko)
+    f, g = _build_ab(spec_f, one, gens), _build_ab(spec_g, one, gens)
+    series = _build_ab(spec_s, n_one, [letter_x, letter_y]) + n_one * F(c0)
+    at = _at_point
+    pairs = [(f + g, at(f) + at(g)), (f - g, at(f) - at(g)), (f * g, at(f) * at(g)),
+             (exp(f), exp(at(f))), (log(one + f), log(at(one) + at(f))),
+             (evaluate(series, {"x": f, "y": g}), evaluate(at(series), {"x": at(f), "y": at(g)}))]
+    if has_inverse:
+        x = one * F(c0) + f
+        pairs.append((x.inverse(), at(x).inverse()))
+    for symbolic, rational in pairs:
+        got = at(symbolic)
+        assert {type(c) for c in got.terms.values()} <= {F}
+        assert getattr(got, "ring", None) is None
+        assert got.known_order == symbolic.known_order and got.equal_through(rational)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=10, deadline=None)
+@given(spec_f=_SPEC, spec_g=_SPEC, spec_s=_SPEC, c0=st.integers(-3, 3).filter(bool),
+       ko=st.integers(2, 4), cut=st.integers(0, 3))
+def test_truncation_commutes_with_the_operations(kind, spec_f, spec_g, spec_s, c0, ko, cut):
+    """Cutting the truncation degree before or after +, *, exp, log, inverse
+    and evaluation gives one value, known through min(known order, cut)."""
+    build, exp, log, has_inverse, _ = KINDS[kind]
+    one, gens = build(ko)
+    f, g = _build(spec_f, one, gens), _build(spec_g, one, gens)
+    n_one, letter_x, letter_y = letters(4)
+    series = _build(spec_s, n_one, [letter_x, letter_y]) + n_one * F(c0)
+
+    def at(value):
+        return value.truncated(cut)
+    pairs = [(f + g, at(f) + at(g)), (f * g, at(f) * at(g)), (exp(f), exp(at(f))),
+             (log(one + f), log(at(one) + at(f))),
+             (evaluate(series, {"x": f, "y": g}), evaluate(series, {"x": at(f), "y": at(g)}))]
+    if has_inverse:
+        x = one * F(c0) + f
+        pairs.append((x.inverse(), at(x).inverse()))
+    for whole, cut_first in pairs:
+        got = at(whole)
+        assert got.maxdeg == cut_first.maxdeg == cut
+        assert got.known_order == min(whole.known_order, cut)
+        assert got.equal_through(cut_first)
+
+
+def test_truncated_keeps_or_sets_the_known_order():
+    one, x, y = letters(4)
+    f = (one + x * y * F(1, 2) + x * x * y).truncated(4, known_order=3)
+    assert (f.maxdeg, f.known_order) == (4, 3)
+    assert f.truncated(2).known_order == 2 and f.truncated(2).terms == (one + x * y * F(1, 2)).terms
+    # an explicit known order may raise the old one (an ansatz), never past maxdeg
+    assert f.truncated(6, known_order=5).known_order == 5
+    assert f.truncated(6, known_order=9).known_order == 6
+    lie = LieSeries(XY, 4, (x * y - y * x).terms)
+    assert type(lie.truncated(3)) is NCSeries
+    # a holonomy element moves onto the registered algebra of its new degree
+    u = T3.generator(1, 2) * T3.generator(2, 3)
+    assert u.truncated(4).algebra is T3
+    assert u.truncated(3).algebra is holonomy_algebra(3, 3)
+    assert u.truncated(1).terms == {} and u.truncated(1).known_order == 1
+    # a constant matrix carried to a degree and a ring
+    m = HMatrix.from_const([[1, 2], [0, -1]], 0).truncated(5, known_order=4).promote(AB)
+    assert (m.maxdeg, m.known_order, m.ring) == (5, 4, AB)
+    assert m.terms == {(0, 0, 0): AB.one, (0, 0, 1): AB.const(2), (0, 1, 1): AB.const(-1)}
+
+
+def test_specialize_to_a_ring_and_at_a_point():
+    """Partial specialization lands in the smaller ring, and a second one at the
+    rest of the point gives the full specialization; a HoloElt keeps no ring."""
+    b_only = SymRing(("b",))
+    a, b = AB.symbol("a"), AB.symbol("b")
+    values = [NCSeries.letter(XY, "x", 3, AB) * (a * b + 1) + NCSeries.one(XY, 3, AB) * a,
+              ScalarSeries.gen(3, AB) * (a - b) + ScalarSeries.one(3, AB) * F(1, 2),
+              HMatrix.identity(2, 3, AB) * b + HMatrix.from_terms(2, {(2, 0, 1): a * a}, 3, AB),
+              T3.generator(1, 2) * (a * b) + T3.one() * F(3)]
+    for value in values:
+        half = value.specialize(b_only, {"a": AB_POINT["a"], "b": b_only.symbol("b")})
+        assert getattr(half, "ring", b_only) == b_only
+        assert all(c.ring == b_only for c in half.terms.values())
+        whole = _at_point(value)
+        assert half.specialize(None, {"b": AB_POINT["b"]}) == whole
+        assert whole.known_order == value.known_order and type(whole) is type(value)
+    assert _at_point(values[0]).terms == {b"": F(2, 3), b"\x00": F(11, 21)}
+
+
+def test_coefficients_must_be_exact():
+    """A float coefficient, or Polys of two rings in one product, raise
+    ValueError; a holonomy element has no ring to promote."""
+    half = NCSeries(XY, 3, {b"\x00": 0.5, b"\x01": F(1)})
+    for op in (lambda: half * half, lambda: half.equal_through(half),
+               lambda: half * NCSeries.one(XY, 3)):
+        with pytest.raises(ValueError, match=r"inexact coefficients: \['float'\]"):
+            op()
+    ac = SymRing(("a", "c"))
+    u, v = T3.generator(1, 2) * AB.symbol("a"), T3.generator(2, 3) * ac.symbol("c")
+    for op in (lambda: u * v, lambda: (u + v) * u, lambda: u.equal_through(v)):
+        with pytest.raises(ValueError, match="Poly coefficients of two rings"):
+            op()
+    with pytest.raises(ValueError, match="no ring"):
+        T3.one().promote(AB)
+
+
+@pytest.mark.parametrize("kind", ["NCSeries", "HoloElt", "HMatrix"])
+def test_evaluation_refuses_a_missing_letter_or_an_image_of_order_zero(kind):
+    one, gens = KINDS[kind][0](4)
+    entry = KINDS[kind][4]
+    _, x, y = letters(4)
+    with pytest.raises(AlgebraError, match=r"no image for letters \['y'\]"):
+        entry(x * y, {"x": gens[0]})
+    with pytest.raises(AlgebraError, match="images must have order >= 1"):
+        entry(x * y, {"x": gens[0], "y": one + gens[1]})
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
