@@ -17,6 +17,10 @@ from .ncseries import NCSeries
 from .symcoef import render_coeff
 from .tableaux import Partition
 
+# resonance --n past this bound is a resource error: n = 10 takes about a
+# second and each further n about three times as long
+RESONANCE_NMAX = 10
+
 VERIFY_SUITES = {
     "associator": report.verify_associator,
     "grt": report.verify_grt,
@@ -53,7 +57,7 @@ def cmd_verify(args):
     hecke = {}
     if args.nmax is not None:
         if args.suite not in ("hecke", "all") or not 2 <= args.nmax <= 8:
-            # 8 is the largest n that resonance --n serves
+            # the suite's time grows fast with n: 8 takes seconds
             print("verify %s: --nmax takes 2 to 8, for the hecke suite" % args.suite,
                   file=sys.stderr)
             return 2
@@ -75,6 +79,10 @@ def cmd_chars(args):
 
 
 def cmd_resonance(args):
+    if args.n > RESONANCE_NMAX:
+        print("resource bound: resonance --n %d is past %d" % (args.n, RESONANCE_NMAX),
+              file=sys.stderr)
+        return 3
     rep = report.resonance_report(args.n)
     _emit([rep], args)
     return 0 if rep.ok else 1
@@ -164,7 +172,8 @@ def build_parser():
     p.set_defaults(fn=cmd_chars)
 
     p = sub.add_parser("resonance", help="resonance-free scan over partitions")
-    p.add_argument("--n", type=natural, default=8)
+    p.add_argument("--n", type=natural, default=8,
+                   help="largest n of the scan (at most %d)" % RESONANCE_NMAX)
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_resonance)

@@ -130,9 +130,7 @@ class MatrixModel:
             s = ScalarSeries.const(self.ring.symbol("s%d" % d), self.maxdeg, self.ring)
             # sqrt([d+1][d-1]) = s_d * sqrt([d+1][d-1]/(d^2-1)), rational series part
             prod = q_integer(d + 1, self.maxdeg, self.ring) * q_integer(d - 1, self.maxdeg, self.ring)
-            unit_part = scalar_div(prod, ScalarSeries.const(d * d - 1, self.maxdeg, self.ring,
-                                                            prod.known_order))
-            root = scalar_sqrt(unit_part)
+            root = scalar_sqrt(Fraction(1, d * d - 1) * prod)
             off = s * root
             rows = [[scalar_div(-self.q(-d), dq), scalar_div(off, dq)],
                     [scalar_div(off, dq), scalar_div(self.q(d), dq)]]

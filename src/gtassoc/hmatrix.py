@@ -24,7 +24,7 @@ from .linalg import mat_inv
 from .ncseries import NCSeries
 from .scalar import ScalarSeries, from_text as scalar_from, to_text as scalar_text
 from .symcoef import as_fraction
-from .truncated import Truncated, evaluate, neumann_inverse
+from .truncated import Truncated, evaluate
 
 
 class HMatrix(Truncated):
@@ -108,10 +108,9 @@ class HMatrix(Truncated):
     def _one(self):
         return HMatrix.identity(self.n, self.maxdeg, self.ring, self.known_order, self.var)
 
-    def inverse(self):
-        lead_inv = HMatrix.from_const(mat_inv(self.constant_term()), self.maxdeg, self.ring,
-                                      self.known_order, self.var)
-        return neumann_inverse(self, lead_inv, self._one())
+    def _lead_inverse(self):
+        return HMatrix.from_const(mat_inv(self.constant_term()), self.maxdeg, self.ring,
+                                  self.known_order, self.var)
 
     def transpose(self):
         return self._like({(p, j, i): c for (p, i, j), c in self.terms.items()})

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .symcoef import parse_coeff, parse_ring_tag, render_coeff, ring_tag
-from .truncated import Truncated, evaluate
+from .truncated import Truncated, _scatter, evaluate
 
 EMPTY = b""
 
@@ -72,9 +72,6 @@ class NCSeries(Truncated):
             word = self.word_index(tuple(word))
         return super().coefficient(word)
 
-    def max_stored_degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def rendered_words(self):
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             yield word, self.terms[word]
@@ -87,21 +84,6 @@ class NCSeries(Truncated):
         more = " ..." if len(self.terms) > 12 else ""
         return "<NCSeries %s%s deg<=%d known<=%d>" % ("; ".join(bits), more, self.maxdeg,
                                                       self.known_order)
-
-
-class LieSeries(NCSeries):
-    """NCSeries whose homogeneous components pass the Dynkin test."""
-
-    def __init__(self, alphabet, maxdeg, terms=None, ring=None, known_order=None):
-        super().__init__(alphabet, maxdeg, terms, ring, known_order)
-        if self.coefficient(EMPTY):
-            raise ValueError("a Lie series has no constant term")
-        if not is_lie(self):
-            raise ValueError("series fails the Dynkin test; not a Lie element")
-
-
-def nc_mul(f: NCSeries, g: NCSeries) -> NCSeries:
-    return f * g
 
 
 def commutator(f: NCSeries, g: NCSeries) -> NCSeries:
@@ -132,55 +114,53 @@ def letter_swap(f: NCSeries, mapping: dict) -> NCSeries:
     return f._like(out)
 
 
-def bch(u: NCSeries, v: NCSeries) -> LieSeries:
+def bch(u: NCSeries, v: NCSeries) -> NCSeries:
     """log(exp(u) exp(v)), certified Lie by the Dynkin test."""
-    z = nc_log(nc_exp(u) * nc_exp(v))
-    return LieSeries(z.alphabet, z.maxdeg, z.terms, z.ring, z.known_order)
+    return _certified_lie(nc_log(nc_exp(u) * nc_exp(v)))
 
 
-def _dynkin_word(word, alphabet, maxdeg, ring):
-    """Right-to-left bracketing [w1,[w2,[...,wn]]] as an NCSeries."""
-    acc = NCSeries.letter(alphabet, alphabet[word[-1]], maxdeg, ring)
+def _dynkin_word(word):
+    """Right-to-left bracketing [w1,[w2,[...,wn]]] of a word, as {word: int}."""
+    acc = {word[-1:]: 1}
     for b in reversed(word[:-1]):
-        letter = NCSeries.letter(alphabet, alphabet[b], maxdeg, ring)
-        acc = letter * acc - acc * letter
+        letter, out = bytes([b]), {}
+        for w, n in acc.items():
+            for key, m in ((letter + w, n), (w + letter, -n)):
+                out[key] = out.get(key, 0) + m
+        acc = {w: n for w, n in out.items() if n}
     return acc
 
 
 def dynkin(f: NCSeries) -> NCSeries:
     """The Dynkin map D applied to every homogeneous component."""
-    out = NCSeries.zero(f.alphabet, f.maxdeg, f.ring, f.known_order)
+    out = {}
     for word, coeff in f.terms.items():
         if not word:
             raise ValueError("Dynkin map undefined on constant terms")
-        out = out + coeff * _dynkin_word(word, f.alphabet, f.maxdeg, f.ring)
-    return out
+        _scatter(out, _dynkin_word(word), coeff)
+    return f._like(out)
 
 
 def is_lie(f: NCSeries) -> bool:
-    """True iff every homogeneous component c_n satisfies D(c_n) = n c_n."""
+    """True iff every homogeneous component c_n satisfies D(c_n) = n c_n: D
+    keeps degrees, so the components are compared all at once."""
     if f.coefficient(EMPTY):
         return False
-    for d in range(1, f.max_stored_degree() + 1):
-        comp = f.homogeneous(d)
-        if not comp.terms:
-            continue
-        if not dynkin(comp).equal_through(d * comp):
-            return False
-    return True
+    return dynkin(f).equal_through(f._like({w: len(w) * c for w, c in f.terms.items()}))
 
 
-def lie_project(f: NCSeries) -> LieSeries:
+def lie_project(f: NCSeries) -> NCSeries:
     """Degreewise D/n projection onto the free Lie subspace."""
-    if f.order() is None or f.order() < 1:
-        if f.coefficient(EMPTY):
-            raise ValueError("cannot Lie-project a series with constant term")
-    out = NCSeries.zero(f.alphabet, f.maxdeg, f.ring, f.known_order)
-    for d in range(1, f.max_stored_degree() + 1):
-        comp = f.homogeneous(d)
-        if comp.terms:
-            out = out + Fraction(1, d) * dynkin(comp)
-    return LieSeries(out.alphabet, out.maxdeg, out.terms, out.ring, out.known_order)
+    if f.coefficient(EMPTY):
+        raise ValueError("cannot Lie-project a series with constant term")
+    return _certified_lie(dynkin(f._like({w: Fraction(1, len(w)) * c for w, c in f.terms.items()})))
+
+
+def _certified_lie(f: NCSeries) -> NCSeries:
+    """f, after the Dynkin test; ValueError when it fails."""
+    if not is_lie(f):
+        raise ValueError("series fails the Dynkin test; not a Lie element")
+    return f
 
 
 def is_grouplike(g: NCSeries) -> bool:

@@ -76,7 +76,11 @@ class ScalarSeries(Truncated):
 
 
 def scalar_div(num: ScalarSeries, den: ScalarSeries) -> ScalarSeries:
-    """Exact quotient; known order drops by the order of the denominator."""
+    """Exact quotient; known order drops by the order w of the denominator.
+
+    Both operands shift down by h^w and are cut to min(K_num, K_den) - w,
+    the known order of the quotient h^-w num times the inverse of h^-w den.
+    """
     num._check(den)
     wd = den.order()
     if wd is None:
@@ -87,32 +91,8 @@ def scalar_div(num: ScalarSeries, den: ScalarSeries) -> ScalarSeries:
     ko = min(num.known_order, den.known_order) - wd
     if ko < 0:
         raise ValueError("denominator order exceeds the known order")
-    lead = den.coefficient(wd)
-    lead_f = as_fraction(lead)
-    if not lead_f:
-        raise ValueError("denominator has non-invertible leading coefficient")
-    out = {}
-    rem = {k - wd: c for k, c in num.terms.items()}
-    dshift = {k - wd: c for k, c in den.terms.items()}
-    for k in range(0, ko + 1):
-        c = rem.get(k)
-        if c is None:
-            continue
-        q = c * (1 / lead_f)
-        if not q:
-            continue
-        out[k] = q
-        for dk, dc in dshift.items():
-            t = k + dk
-            if t > ko:
-                continue
-            cur = rem.get(t)
-            val = (-(q * dc)) if cur is None else cur - q * dc
-            if val:
-                rem[t] = val
-            elif cur is not None:
-                del rem[t]
-    return num._like(out, ko)
+    num, den = (s._like({k - wd: c for k, c in s.terms.items()}, ko) for s in (num, den))
+    return num * den.inverse()
 
 
 def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
@@ -137,8 +117,7 @@ def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
         root = as_fraction(root)
         if root * root != lead:
             raise ValueError("supplied root does not square to the leading coefficient")
-    unit = scalar_div(s.shift(-w) if w else s,
-                      ScalarSeries.const(lead, s.maxdeg, s.ring, s.known_order, s.var))
+    unit = (1 / lead) * s.shift(-w)
     out = root * (Fraction(1, 2) * unit.log()).exp()
     return out.shift(w // 2) if w else out
 

@@ -221,10 +221,6 @@ class Poly:
             raise ValueError("%r is not a rational constant" % self)
         return next(iter(self.terms.values()))
 
-    def invert(self) -> "Poly":
-        """Inverse, defined only for nonzero rational constants."""
-        return self.ring.const(1 / self.as_fraction())
-
     def coefficient(self, monomial) -> Fraction:
         """Coefficient of a monomial given as {symbol: exponent}."""
         exps = [0] * len(self.ring.symbols)

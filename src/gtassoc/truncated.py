@@ -27,12 +27,15 @@ with them:
 - ``evaluate(series, images, one)`` evaluates an NCSeries at images of
   order >= 1, through the least known order.
 
-The series algorithms (exp, log, Neumann inverse) need only ``order()``,
+The series algorithms ``exp``, ``log`` and ``inverse`` (the Neumann sum)
+are methods of the base, written once.  They need only ``order()``,
 ``known_order``, ``+``, ``-`` and ``*`` (``c * x`` for a coefficient c
-included), so Fraction and Poly coefficients work alike; the caller passes
-the unit built with the known order the result must carry.  Substitution
-evaluates a list of series at once, each word split at its first letter so
-that the image of each suffix is formed once for all the series.
+included), so Fraction and Poly coefficients work alike.  Each starts from
+the type's unit ``_one()``, which carries the value's known order, and
+``inverse`` asks the type's ``_lead_inverse()`` for the inverse of the
+degree-0 part.  Substitution evaluates a list of series at once, each word
+split at its first letter so that the image of each suffix is formed once
+for all the series.
 """
 
 from __future__ import annotations
@@ -55,11 +58,12 @@ class Truncated:
     """Base of the truncated types.  A subclass provides
 
     - ``_shape``, one (slot, mismatch message) pair per attribute that two
-      operands must share; the class that declares it is the plain type
-      that ``_like`` builds, so a subclass of it (LieSeries) is never built;
+      operands must share;
     - ``maxdeg``, the truncation degree no product goes past;
     - ``_degree(key)``, the degree of a key of ``terms``;
     - ``_one()``, the unit at self's known order;
+    - ``_lead_inverse()``, the inverse of the degree-0 part, where the
+      base's 1/c0 does not serve (a matrix);
     - public constructors, which set the shape slots and call
       ``_set(terms, known_order)``;
     - ``_error``, when a mismatch raises a subclass of ValueError;
@@ -70,11 +74,11 @@ class Truncated:
 
     From these the base writes once: ``_like(terms, known_order=None)``,
     ``_check(other)``, which raises ``_error`` unless other is of self's
-    type family and shape, ``==`` (type family, shape apart from maxdeg,
-    terms), the value maps ``truncated``, ``specialize`` and ``promote``,
-    and the ring-based ``_coerce``.  Operands of different types or shapes
-    are refused with ``_error``; a type in ``_scalars`` multiplies as a
-    coefficient.
+    type and shape, ``==`` (type, shape apart from maxdeg, terms), the
+    series algorithms ``exp``, ``log`` and ``inverse``, the value maps
+    ``truncated``, ``specialize`` and ``promote``, and the ring-based
+    ``_coerce``.  Operands of different types or shapes are refused with
+    ``_error``; a type in ``_scalars`` multiplies as a coefficient.
 
     Values are immutable.  ``_cache`` holds (types, ring, split): the
     coefficient types, their one ring (None over Q) and, once a product or a
@@ -89,11 +93,6 @@ class Truncated:
     _scalars = ()
     _error = ValueError
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "_shape" in cls.__dict__:
-            cls._plain = cls
-
     def _set(self, terms, known_order):
         """Sets known_order, clamped to maxdeg, and keeps the nonzero terms of
         degree 0 through it; returns self."""
@@ -103,16 +102,16 @@ class Truncated:
         return self
 
     def _like(self, terms, known_order=None):
-        """A value of the plain type with self's shape, from raw terms known
-        through known_order (self's by default)."""
-        out = object.__new__(self._plain)
+        """A value of self's type and shape, from raw terms known through
+        known_order (self's by default)."""
+        out = object.__new__(type(self))
         for slot, _ in self._shape:
             setattr(out, slot, getattr(self, slot))
         return out._set(terms, self.known_order if known_order is None else known_order)
 
     def _check(self, other):
-        """Raises _error unless other is of self's type family and shape."""
-        if not isinstance(other, self._plain):
+        """Raises _error unless other is of self's type and shape."""
+        if type(other) is not type(self):
             raise self._error("cannot combine %s with %s"
                               % (type(self).__name__, type(other).__name__))
         for slot, message in self._shape:
@@ -121,7 +120,7 @@ class Truncated:
                 raise self._error("%s: %r vs %r" % (message, a, b))
 
     def __eq__(self, other):
-        if not isinstance(other, self._plain):
+        if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, slot) == getattr(other, slot)
                    for slot, _ in self._shape if slot != "maxdeg") and self.terms == other.terms
@@ -148,10 +147,18 @@ class Truncated:
 
     def specialize(self, ring, mapping):
         """This value over ring (Q for None): each Poly coefficient goes
-        through Poly.subs(ring, mapping), the others are coerced."""
+        through Poly.subs(ring, mapping), the others are coerced.  A mapping
+        that lacks a symbol some coefficient uses raises _error."""
         coerce = as_fraction if ring is None else ring.coerce
-        return self._over(ring, {k: c.subs(ring, mapping) if type(c) is Poly else coerce(c)
-                                 for k, c in self.terms.items()})
+        try:
+            terms = {k: c.subs(ring, mapping) if type(c) is Poly else coerce(c)
+                     for k, c in self.terms.items()}
+        except KeyError:
+            used = {c.ring.symbols[i] for c in self.terms.values() if type(c) is Poly
+                    for e in c.terms for i, x in enumerate(e) if x}
+            raise self._error("cannot specialize: no value for %r"
+                              % sorted(used - set(mapping))) from None
+        return self._over(ring, terms)
 
     def _over(self, ring, terms):
         """A value of self's shape over ring, from terms over it."""
@@ -272,7 +279,7 @@ class Truncated:
         """
         if not isinstance(other, Truncated) or isinstance(other, self._scalars):
             return self.__rmul__(other)
-        if not isinstance(other, self._plain):
+        if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         wa, wb = self.order(), other.order()
@@ -343,7 +350,7 @@ class Truncated:
         (mixed types, a plain scalar, or two zeros, which have no coefficient
         to tell their type by) is compared by its difference.
         """
-        if not isinstance(other, self._plain) or not (self._keys() or other._keys()):
+        if type(other) is not type(self) or not (self._keys() or other._keys()):
             return (self - other).is_zero(order)
         self._check(other)
         ring = _joint(self, other)[1]
@@ -370,17 +377,59 @@ class Truncated:
         return self._like({k: -c if deg(k) % 2 else c for k, c in self.terms.items()})
 
     def exp(self):
-        return series_exp(self, self._one())
+        """exp(self) = sum_k self^k / k! through the known order; the order must be positive."""
+        w = self.order()
+        if w is not None and w < 1:
+            raise ValueError("exp needs a series of positive order")
+        acc = term = self._one()
+        k = 1
+        while w is not None and k * w <= self.known_order:
+            term = Fraction(1, k) * (term * self)
+            if term.order() is None:
+                break
+            acc = acc + term
+            k += 1
+        return acc
 
     def log(self):
-        return series_log(self, self._one())
+        """log(self) = sum_k (-1)^(k+1) u^k / k with u = self - 1 of positive order."""
+        one = self._one()
+        u = self - one
+        w = u.order()
+        if w is not None and w < 1:
+            raise ValueError("log needs constant term 1")
+        acc = one - one
+        power = one
+        k = 1
+        while w is not None and k * w <= self.known_order:
+            power = power * u
+            if power.order() is None:
+                break
+            acc = acc + Fraction((-1) ** (k + 1), k) * power
+            k += 1
+        return acc
 
     def inverse(self):
-        """Neumann inverse; the constant term must be a nonzero rational."""
+        """Neumann inverse (sum_k v^k) c with c = _lead_inverse() and v = 1 - c self
+        of positive order; the sum stops when a power vanishes or after
+        known_order terms."""
+        lead_inv = self._lead_inverse()
+        one = self._one()
+        v = one - lead_inv * self
+        acc = power = one
+        for _ in range(self.known_order):
+            power = power * v
+            if power.order() is None:
+                break
+            acc = acc + power
+        return acc * lead_inv
+
+    def _lead_inverse(self):
+        """The inverse of the degree-0 part, 1/c0 for a nonzero rational c0."""
         c0 = as_fraction(sum(self.homogeneous(0).terms.values()))
         if not c0:
             raise ValueError("series with zero constant term has no inverse")
-        return neumann_inverse(self, 1 / c0, self._one())
+        return 1 / c0
 
 
 def _through(known_order, order):
@@ -418,56 +467,6 @@ def _one_ring(rings):
         if r != rings[0]:
             raise ValueError("Poly coefficients of two rings: %r and %r" % (rings[0], r))
     return rings[0] if rings else None
-
-
-def series_exp(f, one):
-    """exp(f) = sum_k f^k / k! through f.known_order; f must have positive order."""
-    w = f.order()
-    if w is not None and w < 1:
-        raise ValueError("exp needs a series of positive order")
-    acc = term = one
-    k = 1
-    while w is not None and k * w <= f.known_order:
-        term = Fraction(1, k) * (term * f)
-        if term.order() is None:
-            break
-        acc = acc + term
-        k += 1
-    return acc
-
-
-def series_log(g, one):
-    """log(g) = sum_k (-1)^(k+1) u^k / k with u = g - 1 of positive order."""
-    u = g - one
-    w = u.order()
-    if w is not None and w < 1:
-        raise ValueError("log needs constant term 1")
-    acc = one - one
-    power = one
-    k = 1
-    while w is not None and k * w <= g.known_order:
-        power = power * u
-        if power.order() is None:
-            break
-        acc = acc + Fraction((-1) ** (k + 1), k) * power
-        k += 1
-    return acc
-
-
-def neumann_inverse(x, lead_inv, one):
-    """x^-1 = (sum_k v^k) lead_inv with v = 1 - lead_inv x of positive order.
-
-    lead_inv inverts the leading (degree-0) part of x; the sum stops when a
-    power vanishes or after x.known_order terms.
-    """
-    v = one - lead_inv * x
-    acc = power = one
-    for _ in range(x.known_order):
-        power = power * v
-        if power.order() is None:
-            break
-        acc = acc + power
-    return acc * lead_inv
 
 
 def suffix_products(images, alphabet, one):

@@ -308,6 +308,16 @@ def test_refused_before_any_work(capsys, monkeypatch, tmp_path, argv):
     assert code == 2 and not out and err and "Traceback" not in err
 
 
+def test_resonance_past_its_bound_is_a_resource_error_before_any_work(capsys, monkeypatch):
+    from gtassoc import cli, report
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+    monkeypatch.setattr(report, "resonance_report", no_work)
+    code, out, err = run(capsys, "resonance", "--n", str(cli.RESONANCE_NMAX + 1))
+    assert code == 3 and not out and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_kz_report_at_the_zeta_bound_runs(capsys):
     code, out, _ = run(capsys, "kz-report", "--dmax", "2", "--order", "9")
     assert code == 0 and "log_h_tilde d=2 hbar^9\t" in out

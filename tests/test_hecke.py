@@ -181,6 +181,14 @@ def test_unitary_generators_are_pinned():
         "16ab3eddeb8b0b6a87ded8bc7930407546fd1049ae16231692a3ec2e2a8690e3")
 
 
+def test_unitary_blocks_are_pinned():
+    """The unitary blocks M_2 .. M_8, each with its known order in its text."""
+    um = MatrixModel("unitary", maxdeg=7)
+    text = "".join(to_text(um.block(d)) for d in range(2, 9))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6ddaf42d01fa26509c58f97dde99553e967a00e217fc0a4f58ff81ca8f24d1d0")
+
+
 def test_unitary_generators_are_pinned_at_n7():
     """Each generator image of the unitary model for the shape (4, 2, 1)."""
     rep = rep_build(Partition((4, 2, 1)), MatrixModel("unitary", maxdeg=7))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtassoc.hmatrix import HMatrix, evaluate_series
 from gtassoc.holonomy import HoloAlgebra, embed_free, holonomy_algebra
-from gtassoc.ncseries import (AlgebraError, LieSeries, NCSeries, bch, commutator,
+from gtassoc.ncseries import (AlgebraError, NCSeries, _dynkin_word, bch, commutator,
                               dynkin, from_text, is_grouplike, is_lie, letter_swap,
                               lie_project, lyndon_basis, lyndon_words, nc_exp, nc_log,
                               nc_substitute, to_text)
@@ -125,7 +125,30 @@ def test_dynkin_and_lie_tests():
     assert is_lie(commutator(x, commutator(x, y)))
     proj = lie_project(x * y)
     assert proj.equal_through(F(1, 2) * commutator(x, y))
-    assert isinstance(proj, LieSeries)
+    assert type(proj) is NCSeries
+
+
+def test_dynkin_word_is_the_nested_commutator():
+    """The bracket [w1,[w2,[...,wn]]] as {word: int} equals the nested
+    commutators of letter series, for every word of length <= 4 over three
+    letters."""
+    xyz = ("x", "y", "z")
+    for n in range(1, 5):
+        for word in itertools.product(range(3), repeat=n):
+            word = bytes(word)
+            acc = NCSeries.letter(xyz, xyz[word[-1]], 4)
+            for b in reversed(word[:-1]):
+                acc = commutator(NCSeries.letter(xyz, xyz[b], 4), acc)
+            assert _dynkin_word(word) == acc.terms, word
+
+
+def test_bch_and_lie_project_refuse_what_fails_the_dynkin_test(monkeypatch):
+    import gtassoc.ncseries as ncseries
+    _, x, y = letters(4)
+    monkeypatch.setattr(ncseries, "is_lie", lambda f: False)
+    for op in (lambda: bch(x, y), lambda: lie_project(x * y)):
+        with pytest.raises(ValueError, match="fails the Dynkin test"):
+            op()
 
 
 def test_grouplike():
@@ -302,14 +325,14 @@ def _hmatrix_kind(ko):
              h * HMatrix.from_const([[1, 0], [2, -1]], 4, known_order=ko)])
 
 
-# kind -> (build, exp, log, has inverse, substitution entry point); None where
-# a type has no such entry point.  ScalarSeries divides by scalar_div instead.
+# kind -> (build, exp, log, substitution entry point); None where a type has
+# no such entry point.  Every kind has the base's inverse.
 KINDS = {
-    "NCSeries": (_nc_kind, nc_exp, nc_log, True, nc_substitute),
-    "HoloElt": (_holo_kind, lambda f: f.exp(), lambda g: g.log(), True,
+    "NCSeries": (_nc_kind, nc_exp, nc_log, nc_substitute),
+    "HoloElt": (_holo_kind, lambda f: f.exp(), lambda g: g.log(),
                 lambda series, images: embed_free(series, T3, images)),
-    "ScalarSeries": (_scalar_kind, lambda f: f.exp(), lambda g: g.log(), False, None),
-    "HMatrix": (_hmatrix_kind, lambda f: f.exp(), lambda g: g.log(), True, evaluate_series),
+    "ScalarSeries": (_scalar_kind, lambda f: f.exp(), lambda g: g.log(), None),
+    "HMatrix": (_hmatrix_kind, lambda f: f.exp(), lambda g: g.log(), evaluate_series),
 }
 
 _SPEC = st.lists(st.tuples(st.integers(-3, 3).filter(bool),
@@ -343,15 +366,14 @@ def _naive_substitute(series, images, one, zero):
 @given(spec_f=_SPEC, spec_g=_SPEC, spec_s=_SPEC, c0=st.integers(-3, 3).filter(bool),
        ko=st.integers(2, 4))
 def test_truncation_contract(kind, spec_f, spec_g, spec_s, c0, ko):
-    build, exp, log, has_inverse, entry = KINDS[kind]
+    build, exp, log, entry = KINDS[kind]
     one, gens = build(ko)
     f, g = _build(spec_f, one, gens), _build(spec_g, one, gens)
     round_trip = exp(log(one + f))
     assert round_trip.known_order == ko and round_trip.equal_through(one + f)
     assert log(exp(f)).equal_through(f)
-    if has_inverse:
-        x = one * F(c0) + f
-        assert (x * x.inverse()).equal_through(one)
+    x = one * F(c0) + f
+    assert (x * x.inverse()).equal_through(one)
     n_one, letter_x, letter_y = letters(4)
     series = _build(spec_s, n_one, [letter_x, letter_y]) + n_one * F(c0)
     images = {"x": f, "y": g}
@@ -401,17 +423,16 @@ def _at_point(value):
 def test_specialization_commutes_with_the_operations(kind, spec_f, spec_g, spec_s, c0, ko):
     """Sending a, b to a rational point before or after +, -, *, exp, log,
     inverse and evaluation gives one value, through the lesser known order."""
-    _, exp, log, has_inverse, _ = KINDS[kind]
+    _, exp, log, _ = KINDS[kind]
     one, gens, (n_one, letter_x, letter_y) = _ab_case(kind, ko)
     f, g = _build_ab(spec_f, one, gens), _build_ab(spec_g, one, gens)
     series = _build_ab(spec_s, n_one, [letter_x, letter_y]) + n_one * F(c0)
+    x = one * F(c0) + f
     at = _at_point
     pairs = [(f + g, at(f) + at(g)), (f - g, at(f) - at(g)), (f * g, at(f) * at(g)),
              (exp(f), exp(at(f))), (log(one + f), log(at(one) + at(f))),
-             (evaluate(series, {"x": f, "y": g}), evaluate(at(series), {"x": at(f), "y": at(g)}))]
-    if has_inverse:
-        x = one * F(c0) + f
-        pairs.append((x.inverse(), at(x).inverse()))
+             (evaluate(series, {"x": f, "y": g}), evaluate(at(series), {"x": at(f), "y": at(g)})),
+             (x.inverse(), at(x).inverse())]
     for symbolic, rational in pairs:
         got = at(symbolic)
         assert {type(c) for c in got.terms.values()} <= {F}
@@ -426,20 +447,19 @@ def test_specialization_commutes_with_the_operations(kind, spec_f, spec_g, spec_
 def test_truncation_commutes_with_the_operations(kind, spec_f, spec_g, spec_s, c0, ko, cut):
     """Cutting the truncation degree before or after +, *, exp, log, inverse
     and evaluation gives one value, known through min(known order, cut)."""
-    build, exp, log, has_inverse, _ = KINDS[kind]
+    build, exp, log, _ = KINDS[kind]
     one, gens = build(ko)
     f, g = _build(spec_f, one, gens), _build(spec_g, one, gens)
     n_one, letter_x, letter_y = letters(4)
     series = _build(spec_s, n_one, [letter_x, letter_y]) + n_one * F(c0)
+    x = one * F(c0) + f
 
     def at(value):
         return value.truncated(cut)
     pairs = [(f + g, at(f) + at(g)), (f * g, at(f) * at(g)), (exp(f), exp(at(f))),
              (log(one + f), log(at(one) + at(f))),
-             (evaluate(series, {"x": f, "y": g}), evaluate(series, {"x": at(f), "y": at(g)}))]
-    if has_inverse:
-        x = one * F(c0) + f
-        pairs.append((x.inverse(), at(x).inverse()))
+             (evaluate(series, {"x": f, "y": g}), evaluate(series, {"x": at(f), "y": at(g)})),
+             (x.inverse(), at(x).inverse())]
     for whole, cut_first in pairs:
         got = at(whole)
         assert got.maxdeg == cut_first.maxdeg == cut
@@ -455,8 +475,6 @@ def test_truncated_keeps_or_sets_the_known_order():
     # an explicit known order may raise the old one (an ansatz), never past maxdeg
     assert f.truncated(6, known_order=5).known_order == 5
     assert f.truncated(6, known_order=9).known_order == 6
-    lie = LieSeries(XY, 4, (x * y - y * x).terms)
-    assert type(lie.truncated(3)) is NCSeries
     # a holonomy element moves onto the registered algebra of its new degree
     u = T3.generator(1, 2) * T3.generator(2, 3)
     assert u.truncated(4).algebra is T3
@@ -485,6 +503,12 @@ def test_specialize_to_a_ring_and_at_a_point():
         assert half.specialize(None, {"b": AB_POINT["b"]}) == whole
         assert whole.known_order == value.known_order and type(whole) is type(value)
     assert _at_point(values[0]).terms == {b"": F(2, 3), b"\x00": F(11, 21)}
+    # a mapping that lacks a used symbol is refused, the symbol named
+    for value in values:
+        with pytest.raises(ValueError, match=r"no value for \['b'\]"):
+            value.specialize(None, {"a": 1})
+    with pytest.raises(AlgebraError):
+        (NCSeries.letter(XY, "x", 3, AB) * AB.symbol("b")).specialize(None, {"a": 1})
 
 
 def test_coefficients_must_be_exact():
@@ -507,7 +531,7 @@ def test_coefficients_must_be_exact():
 @pytest.mark.parametrize("kind", ["NCSeries", "HoloElt", "HMatrix"])
 def test_evaluation_refuses_a_missing_letter_or_an_image_of_order_zero(kind):
     one, gens = KINDS[kind][0](4)
-    entry = KINDS[kind][4]
+    entry = KINDS[kind][3]
     _, x, y = letters(4)
     with pytest.raises(AlgebraError, match=r"no image for letters \['y'\]"):
         entry(x * y, {"x": gens[0]})
@@ -870,12 +894,3 @@ def test_series_times_matrix_either_side():
     left, right = s * m, m * s
     assert left.terms == right.terms and left.known_order == right.known_order == 2
     assert left.entry(0, 1).equal_through(s * m.entry(0, 1))
-
-
-def test_lie_series_multiplies_with_plain_series():
-    one, x, y = letters(4)
-    lie = LieSeries(XY, 4, (x * y - y * x).terms)
-    plain = one + x * F(1, 2)
-    for got, want in ((plain * lie, plain * (x * y - y * x)),
-                      (lie * plain, (x * y - y * x) * plain)):
-        assert type(got) is NCSeries and got == want and got.known_order == want.known_order

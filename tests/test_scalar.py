@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _division_oracle import long_division
 from gtassoc.scalar import ScalarSeries, from_text, scalar_div, scalar_sqrt, to_text
 from gtassoc.symcoef import SymRing
 
@@ -90,3 +92,59 @@ def test_sqrt_of_a_monomial_keeps_the_known_order_of_its_unit():
     r = scalar_sqrt(s)
     assert r.known_order == 1 and r.coefficient(1) == 2
     assert (r * r).equal_through(s)
+
+
+# -- scalar_div against long division ----------------------------------------
+
+AB = SymRing(("a", "b"))
+_COEFF = st.tuples(st.integers(-4, 4), st.integers(1, 3), st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _coeff(spec, ring):
+    """p/d over Q, or p/d + q a + r b over Q[a, b]."""
+    p, d, q, r = spec
+    if ring is None:
+        return F(p, d)
+    return ring.const(F(p, d)) + q * ring.symbol("a") + r * ring.symbol("b")
+
+
+@st.composite
+def _quotients(draw):
+    """(num, den) over Q or Q[a, b]: den of order w_d = 0, 1 or 2 with a rational
+    (over Q[a, b] a constant Poly) lead, num of order at least w_d or zero, and
+    known orders from w_d to maxdeg."""
+    ring = draw(st.sampled_from([None, AB]))
+    maxdeg = draw(st.integers(3, 6))
+    wd = draw(st.integers(0, 2))
+    lead = F(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+    den = {wd: lead if ring is None else ring.const(lead)}
+    for k in range(wd + 1, maxdeg + 1):
+        den[k] = _coeff(draw(_COEFF), ring)
+    wn = draw(st.integers(wd, maxdeg + 1))
+    num = {k: _coeff(draw(_COEFF), ring) for k in range(wn, maxdeg + 1)}
+    ko_num, ko_den = (draw(st.integers(wd, maxdeg)) for _ in range(2))
+    return ScalarSeries(maxdeg, num, ring, ko_num), ScalarSeries(maxdeg, den, ring, ko_den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quotients())
+def test_div_equals_long_division(pair):
+    num, den = pair
+    got, want = scalar_div(num, den), long_division(num, den)
+    assert got.known_order == want.known_order == min(num.known_order, den.known_order) - den.order()
+    assert got.terms == want.terms
+    wd = den.order()
+    assert (got * den.shift(-wd)).equal_through(num.shift(-wd), got.known_order)
+
+
+def test_div_refusals_match_long_division():
+    h, one = ScalarSeries.gen(4), ScalarSeries.one(4)
+    refused = [(h, ScalarSeries.zero(4), ZeroDivisionError, "zero series"),
+               (one, h, ValueError, r"order\(num\) < order\(den\)"),
+               (ScalarSeries.zero(4, known_order=1), h * h, ValueError, "exceeds the known order"),
+               (h.promote(AB), (one + h).promote(AB) * AB.symbol("a"), ValueError,
+                "not a rational constant")]
+    for num, den, error, message in refused:
+        for divide in (scalar_div, long_division):
+            with pytest.raises(error, match=message):
+                divide(num, den)
