@@ -83,7 +83,7 @@ class AssociatorCandidate:
 def duality_check(phi: AssociatorCandidate) -> bool:
     """Phi(y,x) = Phi(x,y)^{-1} through the known order."""
     s = phi.series
-    swapped = letter_swap(s, {"x": "y", "y": "x"})
+    swapped = letter_swap(s)
     return (swapped * s).is_one()
 
 
@@ -265,7 +265,7 @@ def _linear_residuals(elements, algebra: HoloAlgebra, degree):
     columns = []
     for d, psi, zx, yz, pent in zip(dens, scaled, at_zx, at_yz,
                                     _pentagon_linear(scaled, algebra)):
-        dual = letter_swap(psi, {"x": "y", "y": "x"}) + psi
+        dual = letter_swap(psi) + psi
         column = {(0, w): c for w, c in dual.terms.items()}
         column.update(((1, w), c) for w, c in (zx + yz + psi).terms.items())
         column.update(((2, w), c) for w, c in pent.items())
@@ -304,15 +304,16 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     log_tail = nc_log(base).homogeneous(target)
     lyndon = lyndon_basis(XY, target, maxdeg=target)
 
-    def candidate(coords):
-        corr = NCSeries.zero(XY, target)
-        for c, (_, elt) in zip(coords, lyndon):
+    def combination(coords):
+        """sum c * (Lyndon element) over the nonzero coordinates."""
+        elt = NCSeries.zero(XY, target)
+        for c, (_, b) in zip(coords, lyndon):
             if c:
-                corr = corr + c * elt
-        return base + (corr - log_tail)
+                elt = elt + c * b
+        return elt
 
     # the right-hand side -(R(base) + L(-log tail)), nonlinear part evaluated once
-    dual = (letter_swap(base, {"x": "y", "y": "x"}) * base).homogeneous(target)
+    dual = (letter_swap(base) * base).homogeneous(target)
     hexa = hexagon_product(base, phi.lam).homogeneous(target)
     pent = pentagon_defect(base, algebra).homogeneous(target)
     rhs = {(block, w): -c for block, part in enumerate((dual, hexa, pent))
@@ -322,15 +323,9 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     for key, c in tail.items():
         rhs[key] = rhs.get(key, 0) - Fraction(c, d)
     [particular], kernel = solve_columns(columns, rhs)
-    kernel_series = []
-    for vec in kernel:
-        elt = NCSeries.zero(XY, target)
-        for c, (_, b) in zip(vec, lyndon):
-            if c:
-                elt = elt + c * b
-        kernel_series.append(elt)
     if (parity and target % 2 == 1 and log_tail.is_zero()
             and not any(rhs.values())):
         # the even extension: keep the degree-(D+1) component zero
         particular = [Fraction(0)] * len(lyndon)
-    return AssociatorCandidate(candidate(particular), phi.lam), kernel_series
+    return (AssociatorCandidate(base + (combination(particular) - log_tail), phi.lam),
+            [combination(vec) for vec in kernel])

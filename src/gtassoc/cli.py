@@ -20,6 +20,9 @@ from .tableaux import Partition
 # resonance --n past this bound is a resource error: n = 10 takes about a
 # second and each further n about three times as long
 RESONANCE_NMAX = 10
+# kz-report --dmax past this bound is a resource error: each d costs about a
+# millisecond, so 100 takes about 0.1 s
+KZ_DMAX = 100
 
 VERIFY_SUITES = {
     "associator": report.verify_associator,
@@ -114,6 +117,13 @@ def cmd_kz_report(args):
         print("kz-report: invalid --order %d: the default ring stops at zeta_%d"
               % (args.order, kz.DEFAULT_ZETA_MAX), file=sys.stderr)
         return 2
+    if args.dmax < 2:
+        print("kz-report: invalid --dmax %d: must be at least 2" % args.dmax, file=sys.stderr)
+        return 2
+    if args.dmax > KZ_DMAX:
+        print("resource bound: kz-report --dmax %d is past %d" % (args.dmax, KZ_DMAX),
+              file=sys.stderr)
+        return 3
     ring = kz.kz_ring()
     lines = []
     for d in range(2, args.dmax + 1):
@@ -184,7 +194,7 @@ def build_parser():
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("kz-report", help="coefficient tables of the ratio logs")
-    p.add_argument("--dmax", type=natural, default=6)
+    p.add_argument("--dmax", type=natural, default=6, help="largest d (2 to %d)" % KZ_DMAX)
     p.add_argument("--order", type=natural, default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_kz_report)

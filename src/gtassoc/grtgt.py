@@ -31,47 +31,45 @@ from fractions import Fraction
 from .associators import AssociatorCandidate, certify
 from .braids import xi_word
 from .holonomy import braid_image, embed_free, holonomy_algebra, sigma_images
-from .ncseries import (NCSeries, bch, commutator, is_grouplike, is_lie, letter_swap,
-                       nc_exp, nc_log, nc_substitute)
+from .ncseries import (NCSeries, bch, commutator, from_text, is_grouplike, is_lie, letter_swap,
+                       nc_exp, nc_log, nc_substitute, to_text)
 from .symcoef import Poly, SymRing
+from .truncated import _scatter
 from .wbasis import XY, w_element
 
 
-class GrtElt:
+class _GroupElt:
+    """A series with constant term 1, the element of one of the two groups."""
+
+    __slots__ = ("series",)
+
+    def __init__(self, series: NCSeries):
+        if series.coefficient(b"") != 1:
+            raise ValueError("group elements have constant term 1")
+        self.series = series
+
+    def __repr__(self):
+        return "<%s %r>" % (type(self).__name__, self.series)
+
+
+class GrtElt(_GroupElt):
     """Grouplike series certified (or trusted) to satisfy the lambda=0 equations."""
 
-    __slots__ = ("series",)
-
-    def __init__(self, series: NCSeries):
-        if series.coefficient(b"") != 1:
-            raise ValueError("group elements have constant term 1")
-        self.series = series
-
-    def __repr__(self):
-        return "<GrtElt %r>" % (self.series,)
+    __slots__ = ()
 
 
-class GtElt:
+class GtElt(_GroupElt):
     """Grouplike series in the filtered group; lambda is fixed to 1."""
 
-    __slots__ = ("series",)
-
-    def __init__(self, series: NCSeries):
-        if series.coefficient(b"") != 1:
-            raise ValueError("group elements have constant term 1")
-        self.series = series
-
-    def __repr__(self):
-        return "<GtElt %r>" % (self.series,)
+    __slots__ = ()
 
 
 def _series_of(g):
-    return g.series if isinstance(g, (GrtElt, GtElt, AssociatorCandidate)) else g
+    return g.series if isinstance(g, (_GroupElt, AssociatorCandidate)) else g
 
 
 def element_to_text(g) -> str:
     """Serialize a group element with its kind header."""
-    from .ncseries import to_text
     kind = "grt" if isinstance(g, GrtElt) else "gt" if isinstance(g, GtElt) else None
     if kind is None:
         raise TypeError("expected a graded or filtered group element")
@@ -79,7 +77,6 @@ def element_to_text(g) -> str:
 
 
 def element_from_text(text: str):
-    from .ncseries import from_text
     series, fields = from_text(text)
     kind = fields.get("kind")
     if kind == "grt":
@@ -100,27 +97,20 @@ def certify_grt(f, algebra=None) -> dict:
 def derivation_x(psi: NCSeries, g: NCSeries) -> NCSeries:
     """The derivation D with D(x) = [psi, x], D(y) = 0 applied to g."""
     x = NCSeries.letter(XY, "x", g.maxdeg, g.ring, g.known_order)
-    dx = commutator(psi, x)
-    x_idx = 0
+    dx = commutator(psi, x).terms.items()
     ko = min(g.known_order, psi.known_order)
-    out = {}
-    for word, coeff in g.terms.items():
+
+    def row(word):
+        """Each x of word replaced by [psi, x], through degree ko."""
         for pos, letter in enumerate(word):
-            if letter != x_idx:
-                continue
-            left = word[:pos]
-            right = word[pos + 1:]
-            for mid, c2 in dx.terms.items():
-                w = left + mid + right
-                if len(w) > ko:
-                    continue
-                cur = out.get(w)
-                val = coeff * c2 if cur is None else cur + coeff * c2
-                if val:
-                    out[w] = val
-                elif cur is not None:
-                    del out[w]
-    return NCSeries(XY, g.maxdeg, out, g.ring, ko)
+            if letter == 0:
+                left, right = word[:pos], word[pos + 1:]
+                for mid, c in dx:
+                    w = left + mid + right
+                    if len(w) <= ko:
+                        yield w, c
+
+    return g._like(g.terms, ko).linear(row)
 
 
 def s_map(psi: NCSeries, g: NCSeries) -> NCSeries:
@@ -146,12 +136,10 @@ def exp_s(psi: NCSeries, start: NCSeries) -> NCSeries:
     return acc
 
 
-def grt_exp(psi: NCSeries, maxdeg=None) -> GrtElt:
+def grt_exp(psi: NCSeries) -> GrtElt:
     """Group exponential of a graded Lie element: exp(s_psi)(1)."""
     if not is_lie(psi):
         raise ValueError("grt_exp needs a Lie series")
-    if maxdeg is not None and maxdeg != psi.maxdeg:
-        psi = psi.truncated(maxdeg)  # padding keeps psi's known order
     one = NCSeries.one(XY, psi.maxdeg, psi.ring, psi.known_order)
     return GrtElt(exp_s(psi, one))
 
@@ -287,7 +275,7 @@ def gt_checks(g, pentagon=True) -> dict:
     s = _series_of(g)
     report = {}
     report["grouplike"] = is_grouplike(s)
-    swapped = letter_swap(s, {"x": "y", "y": "x"})
+    swapped = letter_swap(s)
     report["duality"] = (s * swapped).is_one()
     x, y = _letters(s)
     w = bch(-1 * y, -1 * x)
@@ -355,15 +343,8 @@ def gt_pentagon_push(series: NCSeries) -> bool:
 def _abelianized(terms) -> dict:
     """pi_ab: {(deg_x, deg_y): coeff} summed over the given (word, coeff) pairs."""
     out = {}
-    for word, coeff in terms:
-        key = (word.count(0), word.count(1))
-        cur = out.get(key)
-        val = coeff if cur is None else cur + coeff
-        if val:
-            out[key] = val
-        elif cur is not None:
-            del out[key]
-    return out
+    _scatter(out, (((w.count(0), w.count(1)), c) for w, c in terms))
+    return {key: c for key, c in out.items() if c}
 
 
 def _log_one_plus_letters(maxdeg, ring):

@@ -158,19 +158,8 @@ class HoloAlgebra:
         return acc
 
     def reduce_terms(self, terms, known_order=None):
-        """Reduce a {word: coeff} dict into a HoloElt."""
-        out = {}
-        for word, coeff in terms.items():
-            if len(word) > self.maxdeg:
-                continue
-            for mono, mult in self.normal_form(word).items():
-                cur = out.get(mono)
-                val = coeff * mult if cur is None else cur + coeff * mult
-                if val:
-                    out[mono] = val
-                elif cur is not None:
-                    del out[mono]
-        return HoloElt(self, out, known_order=known_order)
+        """Reduce a {word: coeff} dict into a HoloElt; words past the known order are dropped."""
+        return HoloElt(self, terms, known_order).linear(lambda w: self.normal_form(w).items())
 
     # -- S_n action -------------------------------------------------------
 
@@ -301,27 +290,15 @@ class HoloElt(Truncated):
                     row = prepend(w1[0], w2) if single else nf(w1, w2)
                     for mono, mult in row.items():
                         cur = out.get(mono)
-                        val = c * mult if cur is None else cur + c * mult
-                        if val:
-                            out[mono] = val
-                        elif cur is not None:
-                            del out[mono]
+                        out[mono] = c * mult if cur is None else cur + c * mult
         return out
 
     def commutator(self, other):
         return self * other - other * self
 
     def permuted(self, perm):
-        out = {}
-        for w, c in self.terms.items():
-            for mono, mult in self.algebra.permute_word(perm, w).items():
-                cur = out.get(mono)
-                val = c * mult if cur is None else cur + c * mult
-                if val:
-                    out[mono] = val
-                elif cur is not None:
-                    del out[mono]
-        return self._like(out)
+        """The image under t_ij -> t_{perm(i)perm(j)}, re-reduced."""
+        return self.linear(lambda w: self.algebra.permute_word(perm, w).items())
 
     def __repr__(self):
         parts = []

@@ -17,7 +17,7 @@ import itertools
 from fractions import Fraction
 
 from .symcoef import parse_coeff, parse_ring_tag, render_coeff, ring_tag
-from .truncated import Truncated, _scatter, evaluate
+from .truncated import Truncated, evaluate
 
 EMPTY = b""
 
@@ -103,15 +103,11 @@ def nc_substitute(f: NCSeries, images: dict) -> NCSeries:
     return evaluate(f, images)
 
 
-def letter_swap(f: NCSeries, mapping: dict) -> NCSeries:
-    """Relabel letters by a bijection name -> name (pure permutation of the alphabet)."""
-    idx = {name: i for i, name in enumerate(f.alphabet)}
-    table = {i: idx[mapping.get(name, name)] for name, i in idx.items()}
-    out = {}
-    for w, c in f.terms.items():
-        nw = bytes(table[b] for b in w)
-        out[nw] = out.get(nw, 0 * c) + c
-    return f._like(out)
+def letter_swap(f: NCSeries) -> NCSeries:
+    """f(y, x): the first two letters, x and y, trade places; a bijection of
+    words, so no two words meet."""
+    table = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+    return f._like({w.translate(table): c for w, c in f.terms.items()})
 
 
 def bch(u: NCSeries, v: NCSeries) -> NCSeries:
@@ -133,12 +129,9 @@ def _dynkin_word(word):
 
 def dynkin(f: NCSeries) -> NCSeries:
     """The Dynkin map D applied to every homogeneous component."""
-    out = {}
-    for word, coeff in f.terms.items():
-        if not word:
-            raise ValueError("Dynkin map undefined on constant terms")
-        _scatter(out, _dynkin_word(word), coeff)
-    return f._like(out)
+    if EMPTY in f.terms:
+        raise ValueError("Dynkin map undefined on constant terms")
+    return f.linear(lambda w: _dynkin_word(w).items())
 
 
 def is_lie(f: NCSeries) -> bool:

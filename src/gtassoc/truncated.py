@@ -70,15 +70,19 @@ class Truncated:
     - ``ring``, which ``_coerce`` and ``promote`` read, or its own
       ``_coerce(scalar)``;
     - and, where keys do not multiply by ``+`` alone, ``_convolve(a_terms,
-      b_terms, ko)``, the product of two term dicts through degree ko.
+      b_terms, ko)``, the product of two term dicts through degree ko, its
+      zero sums left in.
 
     From these the base writes once: ``_like(terms, known_order=None)``,
     ``_check(other)``, which raises ``_error`` unless other is of self's
     type and shape, ``==`` (type, shape apart from maxdeg, terms), the
     series algorithms ``exp``, ``log`` and ``inverse``, the value maps
-    ``truncated``, ``specialize`` and ``promote``, and the ring-based
-    ``_coerce``.  Operands of different types or shapes are refused with
-    ``_error``; a type in ``_scalars`` multiplies as a coefficient.
+    ``truncated``, ``specialize`` and ``promote``, the linear map
+    ``linear(row)`` on keys, and the ring-based ``_coerce``.  Operands of
+    different types or shapes are refused with ``_error``; a type in
+    ``_scalars`` multiplies as a coefficient.  No value stores a zero
+    coefficient: ``_set`` drops them (``_born`` for a product over Q), so
+    the sums that build terms keep theirs.
 
     Values are immutable.  ``_cache`` holds (types, ring, split): the
     coefficient types, their one ring (None over Q) and, once a product or a
@@ -229,6 +233,14 @@ class Truncated:
         c = self.terms.get(key)
         return self._coerce(0) if c is None else c
 
+    def linear(self, row):
+        """sum_k c_k row(k), where row(key) yields (key, multiplier) pairs; the
+        sums go into one plain dict, and _like drops the zeros."""
+        out = {}
+        for key, c in self.terms.items():
+            _scatter(out, row(key), c)
+        return self._like(out)
+
     def homogeneous(self, degree):
         deg = self._degree
         return self._like({k: c for k, c in self.terms.items() if deg(k) == degree})
@@ -238,13 +250,7 @@ class Truncated:
             other = self._one() * other
         self._check(other)
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
+        _scatter(out, other.terms.items())
         return self._like(out, min(self.known_order, other.known_order))
 
     def __radd__(self, other):
@@ -304,11 +310,12 @@ class Truncated:
                 else:
                     for k, v in sums.items():
                         acc[k] = acc.get(k, 0) + v
-        # _like drops the zero Polys
+        # a zero int sum builds no Fraction; _like drops the zero Polys
         polys = {}
         for e, sums in by_exps.items():
             for k, v in sums.items():
-                _add_term(polys.setdefault(k, {}), ring, e, Fraction(v, d))
+                if v:
+                    _add_term(polys.setdefault(k, {}), ring, e, Fraction(v, d))
         return self._like({k: Poly(ring, p) for k, p in polys.items()}, ko)
 
     def _convolve(self, a_terms, b_terms, ko):
@@ -323,13 +330,8 @@ class Truncated:
                 if deg(k2) > room:
                     continue
                 k = k1 + k2
-                c = c1 * c2
                 cur = out.get(k)
-                s = c if cur is None else cur + c
-                if s:
-                    out[k] = s
-                elif cur is not None:
-                    del out[k]
+                out[k] = c1 * c2 if cur is None else cur + c1 * c2
         return out
 
     def is_zero(self, order=None):
@@ -543,7 +545,7 @@ def substitute(elements, images, one, zero):
     for word in sorted(uses, key=lambda w: (len(w), w)):
         if not word:
             for i, c in uses[word]:
-                _scatter(accs[i], one.terms, c)
+                _scatter(accs[i], one.terms.items(), c)
             continue
         image = product_for(word[1:])
         terms = image.terms
@@ -552,7 +554,7 @@ def substitute(elements, images, one, zero):
         for i, c in uses[word]:
             tail = i, word[0]
             if ints is None or type(c) is not Poly:
-                _scatter(tails.setdefault(tail, {}), terms, c)
+                _scatter(tails.setdefault(tail, {}), terms.items(), c)
                 continue
             (d_c, xs), (d_t, vs) = layers(c.terms), ints
             sums = flats.setdefault(tail, (c.ring, {}))[1].setdefault(d_c * d_t, {})
@@ -560,9 +562,9 @@ def substitute(elements, images, one, zero):
                 for e, x in xs[()].items():
                     sums[key, e] = sums.get((key, e), 0) + x * v
     for tail, (ring, flat) in flats.items():
-        _scatter(tails.setdefault(tail, {}), _flat_polys(ring, flat))
+        _scatter(tails.setdefault(tail, {}), _flat_polys(ring, flat).items())
     for (i, letter), terms in tails.items():
-        _scatter(accs[i], (images[alphabet[letter]] * cut._like(terms)).terms)
+        _scatter(accs[i], (images[alphabet[letter]] * cut._like(terms)).terms.items())
     return [zero._like(acc) for acc in accs]
 
 
@@ -581,9 +583,9 @@ def evaluate(series, images, one=None):
     return substitute([series], images, one._like(one.terms, ko), one._like({}, ko))[0]
 
 
-def _scatter(acc, terms, c=None):
-    """acc[key] += v, or c * v, for each term v of terms."""
-    for key, v in terms.items():
+def _scatter(acc, pairs, c=None):
+    """acc[key] += v, or c * v, for each (key, v) of pairs."""
+    for key, v in pairs:
         if c is not None:
             v = c * v
         cur = acc.get(key)

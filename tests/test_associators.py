@@ -256,7 +256,7 @@ def brute_force_system(phi):
             if c:
                 corr = corr + c * elt
         cand = base + (corr - log_tail)
-        dual = (letter_swap(cand, {"x": "y", "y": "x"}) * cand).homogeneous(target)
+        dual = (letter_swap(cand) * cand).homogeneous(target)
         hexa = hexagon_product(cand, phi.lam).homogeneous(target)
         pent = pentagon_defect(cand, algebra).homogeneous(target)
         return ([dual.coefficient(w) for w in words] + [hexa.coefficient(w) for w in words]

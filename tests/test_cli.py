@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gtassoc
 from gtassoc.cli import VERIFY_SUITES, main
 
 
@@ -279,6 +283,7 @@ def test_no_cache_subcommand(capsys):
     ("verify", "associator", "--degree", "-2"),
     ("kz-report", "--order", "-1"),
     ("kz-report", "--dmax", "-1"),
+    ("kz-report", "--dmax", "1"),
     ("resonance", "--n", "-1"),
 ], ids=" ".join)
 def test_bad_values_are_usage_errors(capsys, argv):
@@ -316,6 +321,24 @@ def test_resonance_past_its_bound_is_a_resource_error_before_any_work(capsys, mo
     monkeypatch.setattr(report, "resonance_report", no_work)
     code, out, err = run(capsys, "resonance", "--n", str(cli.RESONANCE_NMAX + 1))
     assert code == 3 and not out and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_kz_report_past_its_bound_is_a_resource_error_before_any_work(capsys, monkeypatch):
+    from gtassoc import cli, kz
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+    monkeypatch.setattr(kz, "h_tilde", no_work)
+    code, out, err = run(capsys, "kz-report", "--dmax", str(cli.KZ_DMAX + 1))
+    assert code == 3 and not out and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(gtassoc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "gtassoc", "verify", "associator"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and "suite associator: PASS" in done.stdout
 
 
 def test_kz_report_at_the_zeta_bound_runs(capsys):

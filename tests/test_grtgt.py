@@ -52,7 +52,7 @@ def test_grt_exp_basics():
 def test_grt_exp_padding_keeps_the_known_order():
     x, y = NCSeries.letter(XY, "x", 5), NCSeries.letter(XY, "y", 5)
     psi = commutator(x, y).truncated(5, known_order=3)
-    padded = grt_exp(psi, 7).series
+    padded = grt_exp(psi.truncated(7)).series
     assert padded.maxdeg == 7 and padded.known_order == 3
     assert padded.terms == grt_exp(psi).series.terms
     with pytest.raises(ValueError, match="exceeds known order 3"):

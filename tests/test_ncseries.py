@@ -194,7 +194,7 @@ def test_substitution_is_morphism():
 def test_letter_swap():
     _, x, y = letters()
     f = x * y - 3 * y
-    g = letter_swap(f, {"x": "y", "y": "x"})
+    g = letter_swap(f)
     assert g.coefficient(("y", "x")) == 1 and g.coefficient(("x",)) == -3
 
 
@@ -894,3 +894,54 @@ def test_series_times_matrix_either_side():
     left, right = s * m, m * s
     assert left.terms == right.terms and left.known_order == right.known_order == 2
     assert left.entry(0, 1).equal_through(s * m.entry(0, 1))
+
+
+# -- no value stores a zero coefficient ----------------------------------
+#
+# _set alone drops the zero sums: the accumulators of linear, the sum and
+# the products keep theirs.  The relations of U(T_n) reduce to no term at
+# all in tests/test_holonomy.py.
+
+def test_linear_drops_the_sums_that_cancel():
+    """x -> x + y and y -> -x + 2 x.y send c (x + y) to c y + 2c x.y; the x sums cancel."""
+    rows = {b"\x00": ((b"\x00", 1), (b"\x01", 1)), b"\x01": ((b"\x00", -1), (b"\x00\x01", 2))}
+    for ring in (None, AB):
+        _, x, y = letters(4, ring)
+        c = F(3, 2) if ring is None else AB.symbol("a") * F(3, 2)
+        f = (x + y) * c
+        got = f.linear(rows.__getitem__)
+        assert got.terms == {b"\x01": c, b"\x00\x01": 2 * c} and got.known_order == 4
+        assert f.linear(lambda w: ((w, 1), (w, -1))).terms == {}
+        # the image keeps the known order of its input
+        cut = f.truncated(4, 1).linear(rows.__getitem__)
+        assert cut.known_order == 1 and cut.terms == {b"\x01": c}
+
+
+def test_permuted_and_dynkin_drop_what_cancels():
+    alg = HoloAlgebra(3, 3)
+    t12, t13, t23 = (alg.generator(*p) for p in ((1, 2), (1, 3), (2, 3)))
+    # the images of both words hold t13.t23 and t23.t13, with opposite signs
+    assert (t13 * t12 + t13 * t23).permuted((1, 3, 2)) == t13 * t12 + t23 * t12
+    for ring in (None, AB):
+        _, x, y = letters(4, ring)
+        c = F(1) if ring is None else AB.symbol("b") - 1
+        # D(x.y) = x.y - y.x = -D(y.x)
+        assert dynkin((x * y + y * x + x) * c).terms == (x * c).terms
+
+
+@pytest.mark.parametrize("over", ["Q", "Q[a,b]"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=10, deadline=None)
+@given(spec_f=_SPEC_AB, spec_g=_SPEC_AB, ko=st.integers(2, 4))
+def test_sums_and_products_store_no_zero(kind, over, spec_f, spec_g, ko):
+    """+, - and * store no zero coefficient, where their sums cancel too."""
+    if over == "Q":
+        one, gens = KINDS[kind][0](ko)
+        f, g = (_build([(p, word) for (p, _, _), word in spec], one, gens)
+                for spec in (spec_f, spec_g))
+    else:
+        one, gens, _ = _ab_case(kind, ko)
+        f, g = _build_ab(spec_f, one, gens), _build_ab(spec_g, one, gens)
+    h = f + g
+    for value in (f, g, h, h - g, f - f, -f + f, f * g, h * g - f * g, g * h - g * f, h * h):
+        assert all(value.terms.values())
