@@ -48,6 +48,9 @@ from .symcoef import as_fraction, layers
 from .truncated import substitute
 from .wbasis import XY, w_coordinates, w_element
 
+# the degree where the tabulated reference data (phi0, psi1, psi2) stops
+REFERENCE_DEGREE = 5
+
 
 class AssociatorCandidate:
     """A series over {x,y} with constant term 1 together with its lambda."""
@@ -212,13 +215,14 @@ def is_even(phi: AssociatorCandidate) -> bool:
     return all(len(w) % 2 == 0 for w, c in phi.series.terms.items() if c)
 
 
-def phi0_reference(maxdeg=5, ring=None) -> AssociatorCandidate:
-    """The even degree-5 reference associator in the lambda=1 family.
+def phi0_reference(maxdeg=REFERENCE_DEGREE, ring=None) -> AssociatorCandidate:
+    """The even reference associator in the lambda=1 family, through REFERENCE_DEGREE.
 
     1 + (1/24) w3 + (-w7 - 4 w6 - 4 w8 + 5 w3^2)/5760, zero in odd degrees.
     """
-    if maxdeg > 5:
-        raise ValueError("reference data stops at degree 5; use extend_associator")
+    if maxdeg > REFERENCE_DEGREE:
+        raise ValueError("reference data stops at degree %d; use extend_associator"
+                         % REFERENCE_DEGREE)
     w3 = w_element(3, maxdeg, ring)
     phi = NCSeries.one(XY, maxdeg, ring)
     phi = phi + Fraction(1, 24) * w3
@@ -302,7 +306,7 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     base = s.truncated(target, known_order=target)
 
     log_tail = nc_log(base).homogeneous(target)
-    lyndon = lyndon_basis(XY, target, maxdeg=target)
+    lyndon = lyndon_basis(XY, target)
 
     def combination(coords):
         """sum c * (Lyndon element) over the nonzero coordinates."""

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .braids import BraidWord
 from .hmatrix import HMatrix, evaluate_series
+from .holonomy import transposition
 from .scalar import ScalarSeries, scalar_div
 from .symcoef import as_fraction
 
@@ -81,8 +82,7 @@ class InfinitesimalRep:
                     problems.append("[t_%d%d, t_%d%d + t_%d%d] != 0" % (i, j, i, k, k, j))
         # equivariance under adjacent transpositions
         for r in range(1, self.n):
-            perm = list(range(1, self.n + 1))
-            perm[r - 1], perm[r] = perm[r], perm[r - 1]
+            perm = transposition(self.n, r)
             for (i, j) in pairs:
                 if not (s[r] * t(i, j) * s[r]).equal_through(t(perm[i - 1], perm[j - 1])):
                     problems.append("equivariance fails: s_%d . t_%d%d" % (r, i, j))

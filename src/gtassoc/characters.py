@@ -19,7 +19,7 @@ from .associators import AssociatorCandidate
 from .grtgt import act_gt
 from .hecke import b_semi
 from .scalar import ScalarSeries, scalar_div
-from .tableaux import Partition, StandardTableau, tableaux
+from .tableaux import Partition, StandardTableau, partitions_of, tableaux
 
 
 class ExponentVector:
@@ -113,7 +113,6 @@ def resonance(shape: Partition) -> bool:
 
 def resonance_scan(nmax):
     """All (partition, resonance-free) rows for 2 <= n <= nmax."""
-    from .tableaux import partitions_of
     rows = []
     for n in range(2, nmax + 1):
         for shape in partitions_of(n):

@@ -2,8 +2,9 @@
 
 Subcommands: verify {associator|grt|gt|braid|hecke|kz|all}, chars,
 resonance, extend, kz-report.  Exit codes: 0 all-pass, 1 check failure,
-2 usage error, 3 resource error.  verify takes a --degree from the least
-one its suites are written for (report.MIN_DEGREE) to 5.
+2 usage error, 3 resource error.  Every bounded integer option has one row
+in BOUNDS, and main refuses a value outside its row, after parsing and
+before --out is opened or any work runs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import argparse
 import sys
 
 from . import holonomy, kz, report
-from .associators import AssociatorCandidate, extend_associator, phi0_reference
-from .ncseries import NCSeries
+from .associators import REFERENCE_DEGREE, extend_associator, phi0_reference
 from .symcoef import render_coeff
 from .tableaux import Partition
 
@@ -33,6 +33,42 @@ VERIFY_SUITES = {
     "kz": report.verify_kz,
 }
 
+# One row per bounded option: (subcommand, option) -> (least, most, exit code past most).
+# A value below least is a usage error (2); most None leaves the value unbounded here.
+# verify --degree's least is per suite: the largest report.MIN_DEGREE of the suites run.
+BOUNDS = {
+    ("verify", "degree"): (dict(report.MIN_DEGREE, all=max(report.MIN_DEGREE.values())),
+                           REFERENCE_DEGREE, 2),
+    # the hecke suite's time grows fast with n: 8 takes seconds
+    ("verify", "nmax"): (2, 8, 2),
+    ("chars", "order"): (0, REFERENCE_DEGREE, 2),
+    ("resonance", "n"): (0, RESONANCE_NMAX, 3),
+    # past the holonomy algebra's dimension bound, cmd_extend exits 3
+    ("extend", "degree"): (0, None, None),
+    # a higher order needs a zeta_k that the default kz ring lacks
+    ("kz-report", "order"): (0, kz.DEFAULT_ZETA_MAX, 2),
+    # below 2 there is no ratio to report
+    ("kz-report", "dmax"): (2, KZ_DMAX, 3),
+}
+
+
+def refusal(args):
+    """(exit code, one-line message) for the first option outside its BOUNDS row, or None."""
+    if getattr(args, "nmax", None) is not None and args.suite not in ("hecke", "all"):
+        return 2, "verify %s: --nmax is for the hecke suite only" % args.suite
+    for (command, option), (least, most, code) in BOUNDS.items():
+        value = getattr(args, option) if command == args.command else None
+        if value is None:
+            continue
+        least = least[args.suite] if isinstance(least, dict) else least
+        usage = "%s: invalid value %d, --%s must be at " % (command, value, option)
+        if value < least:
+            return 2, usage + "least %d" % least
+        if most is not None and value > most:
+            return code, (usage + "most %d" % most if code == 2 else
+                          "resource bound: %s --%s %d is past %d" % (command, option, value, most))
+    return None
+
 
 def _write(args, text):
     """text to stdout, or to --out, which main opened before any work but empties only now."""
@@ -49,22 +85,7 @@ def _emit(reps, args):
 
 def cmd_verify(args):
     names = list(VERIFY_SUITES) if args.suite == "all" else [args.suite]
-    # both bounds are refused before any work
-    least = max(report.MIN_DEGREE[name] for name in names)
-    if args.degree < least:
-        print("verify %s: --degree must be at least %d" % (args.suite, least), file=sys.stderr)
-        return 2
-    if args.degree > 5:
-        print("verify %s: --degree must be at most 5" % args.suite, file=sys.stderr)
-        return 2
-    hecke = {}
-    if args.nmax is not None:
-        if args.suite not in ("hecke", "all") or not 2 <= args.nmax <= 8:
-            # the suite's time grows fast with n: 8 takes seconds
-            print("verify %s: --nmax takes 2 to 8, for the hecke suite" % args.suite,
-                  file=sys.stderr)
-            return 2
-        hecke = {"nmax": args.nmax}
+    hecke = {} if args.nmax is None else {"nmax": args.nmax}
     reps = [VERIFY_SUITES[name](args.degree, **(hecke if name == "hecke" else {}))
             for name in names]
     _emit(reps, args)
@@ -72,20 +93,12 @@ def cmd_verify(args):
 
 
 def cmd_chars(args):
-    if args.order > 5:
-        # refused before any work: the reference associator stops at degree 5
-        print("chars: invalid --order %d: must be at most 5" % args.order, file=sys.stderr)
-        return 2
     rep = report.chars_report(args.partition, args.g, args.order)
     _emit([rep], args)
     return 0 if rep.ok else 1
 
 
 def cmd_resonance(args):
-    if args.n > RESONANCE_NMAX:
-        print("resource bound: resonance --n %d is past %d" % (args.n, RESONANCE_NMAX),
-              file=sys.stderr)
-        return 3
     rep = report.resonance_report(args.n)
     _emit([rep], args)
     return 0 if rep.ok else 1
@@ -98,11 +111,8 @@ def cmd_extend(args):
     except ValueError as exc:
         print("resource bound: %s" % exc, file=sys.stderr)
         return 3
-    phi = phi0_reference(min(args.degree, 5)) if args.degree >= 2 else \
-        AssociatorCandidate(NCSeries.one(("x", "y"), 1), 1)
-    start = AssociatorCandidate(phi.series.truncated(args.degree, known_order=args.degree), phi.lam) \
-        if args.degree <= phi.maxdeg else phi
-    # the reference data stops at degree 5: solve up to the requested degree first
+    start = phi0_reference(min(args.degree, REFERENCE_DEGREE))
+    # the reference data stops at REFERENCE_DEGREE: solve up to the requested degree first
     while start.known_order < args.degree:
         start, _ = extend_associator(start, parity=args.parity)
     extended, kernel = extend_associator(start, parity=args.parity)
@@ -113,17 +123,6 @@ def cmd_extend(args):
 
 
 def cmd_kz_report(args):
-    if args.order > kz.DEFAULT_ZETA_MAX:
-        print("kz-report: invalid --order %d: the default ring stops at zeta_%d"
-              % (args.order, kz.DEFAULT_ZETA_MAX), file=sys.stderr)
-        return 2
-    if args.dmax < 2:
-        print("kz-report: invalid --dmax %d: must be at least 2" % args.dmax, file=sys.stderr)
-        return 2
-    if args.dmax > KZ_DMAX:
-        print("resource bound: kz-report --dmax %d is past %d" % (args.dmax, KZ_DMAX),
-              file=sys.stderr)
-        return 3
     ring = kz.kz_ring()
     lines = []
     for d in range(2, args.dmax + 1):
@@ -137,13 +136,6 @@ def cmd_kz_report(args):
 
 
 # argparse types: a value they refuse is a usage error (exit 2), not a check failure
-def natural(text):
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
-
-
 def partition(text):
     Partition.parse(text)
     return text
@@ -166,8 +158,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(VERIFY_SUITES) + ["all"])
-    p.add_argument("--degree", type=natural, default=5)
-    p.add_argument("--nmax", type=int, help="largest n of the hecke suite (2 to 8, default 6)")
+    p.add_argument("--degree", type=int, default=REFERENCE_DEGREE)
+    p.add_argument("--nmax", type=int, help="largest n of the hecke suite (%d to %d, default 6)"
+                   % BOUNDS["verify", "nmax"][:2])
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
@@ -176,26 +169,27 @@ def build_parser():
     p.add_argument("--partition", type=partition, required=True)
     p.add_argument("--g", type=symbol_pair, default="a,b",
                    help="two symbol names for the generic element")
-    p.add_argument("--order", type=natural, default=5)
+    p.add_argument("--order", type=int, default=REFERENCE_DEGREE)
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_chars)
 
     p = sub.add_parser("resonance", help="resonance-free scan over partitions")
-    p.add_argument("--n", type=natural, default=8,
-                   help="largest n of the scan (at most %d)" % RESONANCE_NMAX)
+    p.add_argument("--n", type=int, default=8,
+                   help="largest n of the scan (%d to %d)" % BOUNDS["resonance", "n"][:2])
     p.add_argument("--out")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_resonance)
 
     p = sub.add_parser("extend", help="extend the reference candidate one degree")
-    p.add_argument("--degree", type=natural, default=4, help="extend from this degree")
+    p.add_argument("--degree", type=int, default=4, help="extend from this degree")
     p.add_argument("--parity", action="store_true")
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("kz-report", help="coefficient tables of the ratio logs")
-    p.add_argument("--dmax", type=natural, default=6, help="largest d (2 to %d)" % KZ_DMAX)
-    p.add_argument("--order", type=natural, default=8)
+    p.add_argument("--dmax", type=int, default=6,
+                   help="largest d (%d to %d)" % BOUNDS["kz-report", "dmax"][:2])
+    p.add_argument("--order", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_kz_report)
     return parser
@@ -207,6 +201,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    refused = refusal(args)
+    if refused:
+        print(refused[1], file=sys.stderr)
+        return refused[0]
     if not getattr(args, "out", None):
         return args.fn(args)
     # opened before any work: a path that cannot be written is a usage error

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .associators import AssociatorCandidate, certify
+from .associators import REFERENCE_DEGREE, AssociatorCandidate, certify, phi0_reference
 from .braids import xi_word
 from .holonomy import braid_image, embed_free, holonomy_algebra, sigma_images
 from .ncseries import (NCSeries, bch, commutator, from_text, is_grouplike, is_lie, letter_swap,
@@ -144,20 +144,20 @@ def grt_exp(psi: NCSeries) -> GrtElt:
     return GrtElt(exp_s(psi, one))
 
 
-def psi1(maxdeg=5, ring=None) -> NCSeries:
+def psi1(maxdeg=REFERENCE_DEGREE, ring=None) -> NCSeries:
     return w_element(5, maxdeg, ring) - w_element(4, maxdeg, ring)
 
 
-def psi2(maxdeg=5, ring=None) -> NCSeries:
+def psi2(maxdeg=REFERENCE_DEGREE, ring=None) -> NCSeries:
     w = lambda k: w_element(k, maxdeg, ring)
     return (-2 * w(9) - 4 * w(10) - 4 * w(11) - 2 * w(12) - w(13) - 3 * w(14))
 
 
-def psi_ab(a, b, maxdeg=5, ring=None) -> NCSeries:
+def psi_ab(a, b, maxdeg=REFERENCE_DEGREE, ring=None) -> NCSeries:
     return a * psi1(maxdeg, ring) + b * psi2(maxdeg, ring)
 
 
-def grt_cap_psi(a, b, maxdeg=5, ring=None) -> GrtElt:
+def grt_cap_psi(a, b, maxdeg=REFERENCE_DEGREE, ring=None) -> GrtElt:
     """The group element Psi_{a,b} = grt_exp(a psi1 + b psi2)."""
     return grt_exp(psi_ab(a, b, maxdeg, ring))
 
@@ -293,12 +293,11 @@ def gt_pentagon_defect(series: NCSeries):
     braid generators.
 
     The generators xi_ij go through the braid-algebra morphism attached to
-    the rational reference associator phi0 (through degree 5): the xi_ij and
+    the rational reference associator phi0 (through REFERENCE_DEGREE): the xi_ij and
     their logs stay rational, and only the coefficients of series meet its
     images.
     """
-    from .associators import phi0_reference  # local to avoid cycles at import time
-    ref = phi0_reference(min(series.maxdeg, 5))
+    ref = phi0_reference(min(series.maxdeg, REFERENCE_DEGREE))
     algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
     xi = xi_images(sigma_images(ref.series, ref.lam, algebra), algebra)
 

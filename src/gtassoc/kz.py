@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .associators import REFERENCE_DEGREE, AssociatorCandidate, phi0_reference
+from .grtgt import psi1, psi2
 from .scalar import ScalarSeries
 from .symcoef import SymRing
 from .wbasis import w_element
@@ -54,6 +56,11 @@ def _zeta(ring, k):
     return ring.symbol("zeta%d" % k)
 
 
+def _zeta_max(ring):
+    """The largest k with zeta_k in ring; 1 when it has none: only hb^1 terms form."""
+    return max((k for k in range(2, 100) if "zeta%d" % k in ring.index), default=1)
+
+
 def hbar_series(ring, maxdeg=DEFAULT_HBAR_ORDER, terms=None) -> ScalarSeries:
     return ScalarSeries(maxdeg, terms or {}, ring, var=HBAR)
 
@@ -67,8 +74,7 @@ def loggamma(z: ScalarSeries) -> ScalarSeries:
     ring = z.ring
     acc = (-ring.symbol("gamma")) * z
     power = z
-    # 1 when the ring has no zeta_k: then only the hb^1 term can be formed
-    zeta_max = max((k for k in range(2, 100) if "zeta%d" % k in ring.index), default=1)
+    zeta_max = _zeta_max(ring)
     for k in range(2, z.known_order + 1):
         power = power * z
         if k > zeta_max:
@@ -82,8 +88,7 @@ def loggamma_sum(ring, pairs, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     None): -gamma sum_j w_j m_j at hb^1, (-1)^k zeta_k/k sum_j w_j m_j^k at hb^k.
     Unless every m_j is 0, each zeta_k through maxdeg must be in the ring."""
     ring = kz_ring() if ring is None else ring
-    # 1 when the ring has no zeta_k: then only the hb^1 term can be formed
-    zeta_max = max((k for k in range(2, 100) if "zeta%d" % k in ring.index), default=1)
+    zeta_max = _zeta_max(ring)
     if zeta_max < maxdeg and any(m for _, m in pairs):
         raise ValueError("needs zeta_%d: raise the ring's zeta bound" % (zeta_max + 1))
     terms = {}
@@ -214,7 +219,7 @@ def specialize_even(s: ScalarSeries, maxdeg=None) -> ScalarSeries:
                         out.known_order, "h")
 
 
-def phi_kz_symbolic(maxdeg=5):
+def phi_kz_symbolic(maxdeg=REFERENCE_DEGREE):
     """The degree-5 truncation of the KZ associator over formal symbols
     zt3 = zeta(3)/(2 i pi)^3 and zt5 = zeta(5)/(2 i pi)^5:
 
@@ -225,8 +230,6 @@ def phi_kz_symbolic(maxdeg=5):
     the twisted reference; it is the unique degree-5 completion of the lower
     data in the lambda=1 family with these zt3/zt5 coordinates.
     """
-    from .associators import AssociatorCandidate, phi0_reference
-    from .grtgt import psi1, psi2
     ring = SymRing(("zt3", "zt5"))
     zt3, zt5 = ring.symbol("zt3"), ring.symbol("zt5")
     series = phi0_reference(maxdeg, ring).series

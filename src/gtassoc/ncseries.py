@@ -182,34 +182,29 @@ def lyndon_words(n_letters: int, degree: int):
     return sorted(out)
 
 
-def lyndon_bracket(word: bytes, alphabet, maxdeg, ring=None) -> NCSeries:
-    """Standard-factorization bracketing of a Lyndon word, expanded as a series."""
+def lyndon_bracket(word: bytes, alphabet, maxdeg) -> NCSeries:
+    """Standard-factorization bracketing of a Lyndon word, expanded as a series over Q."""
     if len(word) == 1:
-        return NCSeries.letter(alphabet, alphabet[word[0]], maxdeg, ring)
+        return NCSeries.letter(alphabet, alphabet[word[0]], maxdeg)
     # longest proper Lyndon suffix gives the standard factorization
     for i in range(1, len(word)):
         suffix = word[i:]
         if suffix == min(suffix[j:] for j in range(len(suffix))):
-            left = lyndon_bracket(word[:i], alphabet, maxdeg, ring)
-            right = lyndon_bracket(suffix, alphabet, maxdeg, ring)
+            left = lyndon_bracket(word[:i], alphabet, maxdeg)
+            right = lyndon_bracket(suffix, alphabet, maxdeg)
             return left * right - right * left
     raise ValueError("not a Lyndon word: %r" % word)
 
 
-def lyndon_basis(alphabet, degree: int, maxdeg=None, ring=None):
-    """Basis of the degree-d component of the free Lie algebra.
+def lyndon_basis(alphabet, degree: int):
+    """Basis of the degree-d component of the free Lie algebra, over Q and truncated at d.
 
     Returns a list of (word_string, series) pairs ordered lexicographically;
     the cardinality is the Witt number.
     """
     alphabet = tuple(alphabet)
-    if maxdeg is None:
-        maxdeg = degree
-    out = []
-    for word in lyndon_words(len(alphabet), degree):
-        name = ".".join(alphabet[b] for b in word)
-        out.append((name, lyndon_bracket(word, alphabet, maxdeg, ring)))
-    return out
+    return [(".".join(alphabet[b] for b in word), lyndon_bracket(word, alphabet, degree))
+            for word in lyndon_words(len(alphabet), degree)]
 
 
 # -- text format ------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import associators, braidreps, characters, grtgt, hecke, kz
-from .associators import AssociatorCandidate, phi0_reference
+from .associators import REFERENCE_DEGREE, AssociatorCandidate, phi0_reference
 from .hmatrix import HMatrix
 from .holonomy import holonomy_algebra
 from .ncseries import NCSeries, nc_log
@@ -101,7 +101,7 @@ def _timed(fn):
 
 
 @_timed
-def verify_associator(degree=5) -> Report:
+def verify_associator(degree=REFERENCE_DEGREE) -> Report:
     rep = _suite_report("associator", degree)
     phi0 = phi0_reference(degree)
     # the equations of certify, each run just before its add so that it carries its own time
@@ -137,7 +137,7 @@ def verify_associator(degree=5) -> Report:
 
 
 @_timed
-def verify_grt(degree=5) -> Report:
+def verify_grt(degree=REFERENCE_DEGREE) -> Report:
     rep = _suite_report("grt", degree)
     ring = SymRing(("a", "b"))
     a, b = ring.symbol("a"), ring.symbol("b")
@@ -160,7 +160,7 @@ def verify_grt(degree=5) -> Report:
 
 
 @_timed
-def verify_gt(degree=5) -> Report:
+def verify_gt(degree=REFERENCE_DEGREE) -> Report:
     rep = _suite_report("gt", degree)
     ring = SymRing(("a", "b"))
     a, b = ring.symbol("a"), ring.symbol("b")
@@ -194,7 +194,7 @@ def verify_gt(degree=5) -> Report:
 
 
 @_timed
-def verify_braid(degree=5) -> Report:
+def verify_braid(degree=REFERENCE_DEGREE) -> Report:
     rep = _suite_report("braid", degree)
     ring = SymRing(("a", "b"))
     a, b = ring.symbol("a"), ring.symbol("b")
@@ -232,7 +232,7 @@ def verify_braid(degree=5) -> Report:
 
 
 @_timed
-def verify_hecke(degree=5, nmax=6) -> Report:
+def verify_hecke(degree=REFERENCE_DEGREE, nmax=6) -> Report:
     rep = _suite_report("hecke", degree)
     phi0 = phi0_reference(degree)
     model = hecke.MatrixModel("semi", phi0)
@@ -286,7 +286,7 @@ def verify_hecke(degree=5, nmax=6) -> Report:
 
 
 @_timed
-def verify_kz(degree=5, order=7) -> Report:
+def verify_kz(degree=REFERENCE_DEGREE, order=7) -> Report:
     """The kz scalars through h^order; phi0, the even bridge and the symbolic
     KZ truncation at degree."""
     rep = _suite_report("kz", degree)
@@ -331,7 +331,7 @@ def verify_kz(degree=5, order=7) -> Report:
 
 
 @_timed
-def chars_report(partition_text="3,2", g_symbols=("a", "b"), order=5) -> Report:
+def chars_report(partition_text="3,2", g_symbols=("a", "b"), order=REFERENCE_DEGREE) -> Report:
     rep = Report("chars")
     shape = Partition.parse(partition_text)
     diag = characters.tableau_diagonal(shape)

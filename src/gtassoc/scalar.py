@@ -3,7 +3,7 @@
 Division is permitted only when the numerator's order is at least the
 denominator's, and it costs known order: dividing by a series of order m
 reduces the guaranteed precision by m.  Square roots need a rational square
-as leading coefficient (or a caller-supplied root).
+as leading coefficient.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ def scalar_div(num: ScalarSeries, den: ScalarSeries) -> ScalarSeries:
     return num * den.inverse()
 
 
-def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
+def scalar_sqrt(s: ScalarSeries) -> ScalarSeries:
     """Square root with positive rational leading coefficient.
 
-    The leading coefficient must be the square of a rational, or the caller
-    supplies its root.  The result squares back to s through the known order.
+    The leading coefficient must be the square of a rational; its positive
+    root leads the result, which squares back to s through the known order.
     """
     w = s.order()
     if w is None:
@@ -107,16 +107,11 @@ def scalar_sqrt(s: ScalarSeries, root=None) -> ScalarSeries:
     if w % 2:
         raise ValueError("square root of odd order series")
     lead = as_fraction(s.coefficient(w))
-    if root is None:
-        num = math.isqrt(lead.numerator)
-        den = math.isqrt(lead.denominator)
-        if num * num != lead.numerator or den * den != lead.denominator:
-            raise ValueError("leading coefficient %s is not a rational square" % lead)
-        root = Fraction(num, den)
-    else:
-        root = as_fraction(root)
-        if root * root != lead:
-            raise ValueError("supplied root does not square to the leading coefficient")
+    num = math.isqrt(lead.numerator)
+    den = math.isqrt(lead.denominator)
+    if num * num != lead.numerator or den * den != lead.denominator:
+        raise ValueError("leading coefficient %s is not a rational square" % lead)
+    root = Fraction(num, den)
     unit = (1 / lead) * s.shift(-w)
     out = root * (Fraction(1, 2) * unit.log()).exp()
     return out.shift(w // 2) if w else out

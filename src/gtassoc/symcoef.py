@@ -108,12 +108,6 @@ class SymRing:
             return value.subs(self, mapping)
         return self.const(value)
 
-    def poly(self, terms) -> "Poly":
-        out = {}
-        for exps, coeff in terms.items():
-            _add_term(out, self, tuple(exps), as_fraction(coeff))
-        return Poly(self, out)
-
 
 def _add_term(acc, ring, exps, coeff):
     """Accumulate coeff*monomial into acc, reducing quadratic symbols."""

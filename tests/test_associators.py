@@ -247,7 +247,7 @@ def brute_force_system(phi):
     algebra = holonomy_algebra(4, target)
     base = s.truncated(target, known_order=target)
     log_tail = nc_log(base).homogeneous(target)
-    lyndon = lyndon_basis(XY, target, maxdeg=target)
+    lyndon = lyndon_basis(XY, target)
     words = all_words(target)
 
     def residual(coords):

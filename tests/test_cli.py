@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gtassoc
-from gtassoc.cli import VERIFY_SUITES, main
+from gtassoc.cli import BOUNDS, VERIFY_SUITES, main
 
 
 def run(capsys, *argv):
@@ -222,13 +227,17 @@ def test_suite_below_its_least_degree_raises_before_any_work(monkeypatch, suite)
             getattr(report, "verify_" + suite)(degree)
 
 
-@pytest.mark.parametrize("argv", [
-    ("hecke", "--nmax", "1"),
-    ("hecke", "--nmax", "9"),
-    ("all", "--nmax", "0"),
-    ("gt", "--nmax", "7"),
-], ids=" ".join)
-def test_verify_nmax_outside_two_to_eight_is_a_usage_error(capsys, monkeypatch, argv):
+NMAX_REFUSALS = [
+    (("hecke", "--nmax", "1"), "--nmax must be at least 2"),
+    (("hecke", "--nmax", "9"), "--nmax must be at most 8"),
+    (("all", "--nmax", "0"), "--nmax must be at least 2"),
+    (("gt", "--nmax", "7"), "verify gt: --nmax is for the hecke suite only"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NMAX_REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in NMAX_REFUSALS])
+def test_verify_nmax_outside_two_to_eight_is_a_usage_error(capsys, monkeypatch, argv, message):
     from gtassoc import cli
 
     def no_work(degree, **kwargs):
@@ -237,7 +246,7 @@ def test_verify_nmax_outside_two_to_eight_is_a_usage_error(capsys, monkeypatch, 
         monkeypatch.setitem(cli.VERIFY_SUITES, name, no_work)
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and not out
-    assert len(err.splitlines()) == 1 and "--nmax takes 2 to 8" in err
+    assert len(err.splitlines()) == 1 and message in err
 
 
 def test_verify_hecke_passes_nmax_through(capsys, monkeypatch):
@@ -353,3 +362,73 @@ def test_a_refusal_leaves_an_existing_out_file_as_it_was(capsys, tmp_path):
     assert code == 2 and not out and path.read_text() == "an earlier report\n"
     code, out, _ = run(capsys, "kz-report", "--dmax", "2", "--order", "3", "--out", str(path))
     assert code == 0 and not out and path.read_text() == "log_h_tilde d=2 hbar^3\t-32*zeta3\n"
+
+
+# the least argv of each subcommand; a BOUNDS row appends its option
+BASE_ARGV = {"verify": ("verify", "hecke"), "chars": ("chars", "--partition", "2,1"),
+             "resonance": ("resonance",), "extend": ("extend",), "kz-report": ("kz-report",)}
+
+
+@pytest.mark.parametrize("row", sorted(BOUNDS), ids=" --".join)
+def test_every_bound_is_refused_before_any_work(capsys, monkeypatch, row):
+    """least and most reach the work; least - 1 exits 2 and most + 1 the row's
+    code, each with one stderr line, nothing on stdout and no work run."""
+    from gtassoc import cli
+    ran = []
+    for name in ("cmd_verify", "cmd_chars", "cmd_resonance", "cmd_extend", "cmd_kz_report"):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
+    command, option = row
+    least, most, code = BOUNDS[row]
+    if isinstance(least, dict):
+        assert set(least) == set(VERIFY_SUITES) | {"all"}
+        cases = [((command, suite), least[suite]) for suite in sorted(least)]
+    else:
+        cases = [(BASE_ARGV[command], least)]
+    for prefix, least in cases:
+        for value in (least, most):
+            if value is not None:
+                assert run(capsys, *prefix, "--" + option, str(value)) == (0, "", "")
+                assert getattr(ran.pop(), option) == value
+        refusals = [(least - 1, 2, "--%s must be at least %d" % (option, least))]
+        if most is not None:
+            refusals.append((most + 1, code, "--%s must be at most %d" % (option, most)
+                             if code == 2 else "resource bound: %s --%s" % (command, option)))
+        for value, want, message in refusals:
+            start = time.monotonic()
+            got, out, err = run(capsys, *prefix, "--" + option, str(value))
+            assert time.monotonic() - start < 1
+            assert (got, out, ran) == (want, "", [])
+            assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=st.sampled_from(sorted(BOUNDS)), text=st.text(max_size=8).filter(_not_an_int))
+def test_non_integer_text_for_an_integer_option_is_a_usage_error(row, text):
+    command, option = row
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*BASE_ARGV[command], "--%s=%s" % (option, text)])
+    assert code == 2 and not out.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_the_readme_table_lists_every_bound():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = [line.strip().strip("|").split("|") for line in fh if line.startswith("| `")]
+    rows = {cells[0].strip(): [cell.strip() for cell in cells[1:4]] for cells in table}
+    bound_rows = {cell for cell in rows if re.fullmatch(r"`[a-z-]+ --[a-z]+`", cell)}
+    assert bound_rows == {"`%s --%s`" % row for row in BOUNDS}
+    for (command, option), (least, most, code) in BOUNDS.items():
+        if isinstance(least, dict):
+            least = "; ".join("%d %s" % (n, ", ".join("`%s`" % s for s in least if least[s] == n))
+                              for n in sorted(set(least.values())))
+        assert rows["`%s --%s`" % (command, option)] == [
+            str(least), "—" if most is None else str(most), "—" if code is None else str(code)]

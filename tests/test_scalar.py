@@ -42,12 +42,9 @@ def test_sqrt_needs_square_leading_coefficient():
     one, h = ScalarSeries.one(6), ScalarSeries.gen(6)
     with pytest.raises(ValueError):
         scalar_sqrt(3 * one + h)
-    # caller-supplied root is accepted when it squares correctly
     s = 9 * one + h
-    r = scalar_sqrt(s, root=F(3))
-    assert (r * r).equal_through(s)
-    with pytest.raises(ValueError):
-        scalar_sqrt(s, root=F(2))
+    r = scalar_sqrt(s)
+    assert r.coefficient(0) == 3 and (r * r).equal_through(s)
 
 
 def test_exp_log_and_eps():
