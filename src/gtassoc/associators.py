@@ -31,20 +31,34 @@ unchanged candidate plus a linear map L(psi), with z = -x-y,
 
 Its kernel on Lie elements is the degree-(D+1) part of grt_1 (Drinfeld;
 Furusho, "Pentagon and hexagon equations"): dimensions 1, 0, 1, 0, 1 in
-degrees 3 to 7, spanned by sigma_3, sigma_5 and sigma_7.  L is evaluated on
-every unknown at once: each is scaled to int, and truncated.substitute
-takes the whole list at each pentagon face and at psi(z,x) and psi(y,z).
+degrees 3 to 7, spanned by sigma_3, sigma_5 and sigma_7.
+
+The solver works in the Lie algebra t_4 (module tlie), not in U(T_4): the
+unknowns and the pentagon residual are Lie.  The unknowns are the Lyndon
+basis elements of degree D+1.  Each face is evaluated on them by
+standard-factorization brackets, with one image cache per face, and their
+duality and hexagon blocks come from one int substitution of all of them
+at (z,x) and at (y,z).  The right-hand side is the residual of
+start = base - log tail, whose log is phi = log(base) cut at D.  Each face
+of start is exp of phi at that face, so its pentagon defect is
+exp P - exp Q, with P = BCH(phi(d3), phi(d1)) and
+Q = BCH(BCH(phi(d0), phi(d2)), phi(d4)) evaluated in t_4.  Where P = Q
+below degree D+1, exp P - exp Q equals P - Q in degree D+1, so the system
+is the one U(T_4) gives, row for row.  pentagon_defect and certify stay in
+U(T_4), the independent route that checks every result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
+from . import tlie
 from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .linalg import solve_columns
-from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis,
+from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis, lyndon_words,
                        nc_exp, nc_log, nc_substitute, to_text)
-from .symcoef import as_fraction, layers
+from .symcoef import as_fraction, common_denominator, layers
 from .truncated import substitute
 from .wbasis import XY, w_coordinates, w_element
 
@@ -233,47 +247,66 @@ def phi0_reference(maxdeg=REFERENCE_DEGREE, ring=None) -> AssociatorCandidate:
     return AssociatorCandidate(phi, 1)
 
 
-def _pentagon_linear(elements, algebra: HoloAlgebra):
-    """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) for homogeneous psi of one degree.
+def _lie_faces(degree):
+    """One Lyndon-image cache per pentagon face, at the face's images of x and
+    y in t_4 through degree."""
+    def image(pairs):
+        return tlie.combination([(1, tlie.generator(tlie.letter(i, j), degree))
+                                 for (_, i, j) in pairs], degree)
+    return {name: tlie.lyndon_images(image(xs), image(ys)) for name, xs, ys in PENTAGON_FACES}
 
-    The elements have int coefficients, and each face evaluates all of them
-    in one int substitution; returns one {basis word: int} per element.
+
+def _pentagon_rows(faces, log_base, degree):
+    """(P - Q) in the given degree, as {U(T_4) word: Fraction}, where
+    P = BCH(phi(d3), phi(d1)) and Q = BCH(BCH(phi(d0), phi(d2)), phi(d4))
+    and phi is log_base cut below degree, a Lie series evaluated on its
+    Lyndon coordinates through the face caches.  This is the pentagon
+    defect of exp(phi) there.  Raises ValueError, naming the degree, where
+    P - Q is nonzero below it: the pentagon fails before the degree solved."""
+    coords = tlie.lie_coordinates(log_base, degree - 1)
+    den = common_denominator(c for _, c in coords)
+    phi = {name: tlie.combination([(int(c * den), image(w)) for w, c in coords], degree)
+           for name, image in faces.items()}
+    p, dp = tlie.bch(phi["d3"], phi["d1"], den)
+    inner, di = tlie.bch(phi["d0"], phi["d2"], den)
+    m = lcm(di, den)
+    q, dq = tlie.bch(tlie.combination([(m // di, inner)], degree),
+                     tlie.combination([(m // den, phi["d4"])], degree), m)
+    for d in range(1, degree + 1):
+        pd, qd = p.homogeneous(d), q.homogeneous(d)
+        rows = {w: Fraction(pd.get(w, 0), dp) - Fraction(qd.get(w, 0), dq)
+                for w in pd.keys() | qd.keys()}
+        if d < degree and any(rows.values()):
+            raise ValueError("the candidate fails the pentagon in degree %d, below the "
+                             "degree %d to solve" % (d, degree))
+    return rows
+
+
+def _linear_residuals(lyndon, faces, degree):
+    """The linear part L of the defining equations on the Lyndon basis of one degree.
+
+    One sparse int column (1, {key: int}) per Lyndon element psi, which has
+    int coefficients.  With z = -x-y, the keys (0, word) hold swap(psi) + psi,
+    (1, word) psi(z,x) + psi(y,z) + psi(x,y) and (2, U(T_4) word)
+    psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4), each face read from its
+    t_4 image cache.  Each hexagon substitution evaluates all the elements
+    in one call, in int.
     """
-    one, zero = HoloElt(algebra, {EMPTY: 1}), algebra.zero()
-    sums = [{} for _ in elements]
-    for name, xs, ys in PENTAGON_FACES:
-        sign = _FACE_SIGNS[name]
-        for acc, value in zip(sums, substitute(elements, _face_images(algebra, xs, ys), one, zero)):
-            for mono, c in value.terms.items():
-                acc[mono] = acc.get(mono, 0) + sign * c
-    return sums
-
-
-def _linear_residuals(elements, algebra: HoloAlgebra, degree):
-    """The linear part L of the defining equations on homogeneous Lie elements.
-
-    One sparse int column (d, {key: int}) per element psi of the given degree:
-    d times L(psi), d its common denominator.  With z = -x-y, the keys
-    (0, word) hold swap(psi) + psi, (1, word) psi(z,x) + psi(y,z) + psi(x,y)
-    and (2, basis word) the pentagon block of _pentagon_linear.  Each
-    element is scaled to int once, and each face and hexagon substitution
-    evaluates all of them in one call, in int.
-    """
-    dens, ints = zip(*(layers(psi.terms) for psi in elements))
-    scaled = [psi.scaled_copy(layer[()]) for psi, layer in zip(elements, ints)]
+    elements = [psi.scaled_copy({w: int(c) for w, c in psi.terms.items()}) for _, psi in lyndon]
     x, y = (NCSeries(XY, degree, {bytes((k,)): 1}) for k in range(2))
     z = -x - y
     one, zero = NCSeries(XY, degree, {EMPTY: 1}), NCSeries.zero(XY, degree)
-    at_zx = substitute(scaled, {"x": z, "y": x}, one, zero)
-    at_yz = substitute(scaled, {"x": y, "y": z}, one, zero)
+    at_zx = substitute(elements, {"x": z, "y": x}, one, zero)
+    at_yz = substitute(elements, {"x": y, "y": z}, one, zero)
     columns = []
-    for d, psi, zx, yz, pent in zip(dens, scaled, at_zx, at_yz,
-                                    _pentagon_linear(scaled, algebra)):
-        dual = letter_swap(psi) + psi
-        column = {(0, w): c for w, c in dual.terms.items()}
+    for word, psi, zx, yz in zip(lyndon_words(2, degree), elements, at_zx, at_yz):
+        column = {(0, w): c for w, c in (letter_swap(psi) + psi).terms.items()}
         column.update(((1, w), c) for w, c in (zx + yz + psi).terms.items())
-        column.update(((2, w), c) for w, c in pent.items())
-        columns.append((d, column))
+        for name, image in faces.items():
+            sign = _FACE_SIGNS[name]
+            for w, c in image(word).homogeneous(degree).items():
+                column[2, w] = column.get((2, w), 0) + sign * c
+        columns.append((1, column))
     return columns
 
 
@@ -287,26 +320,34 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     homogeneous solution space as series; the particular solution zeroes a
     fixed complement of the pivot coordinates.  With parity=True and D+1
     odd, the zero (even) correction is selected when admissible.  A given
-    algebra must be U(T_4) through degree D+1 at least.
+    algebra must be U(T_4) through degree D+1 at least; the pentagon itself
+    is solved in t_4, with no U(T_4) product.
 
-    The candidate is base + psi, where base is phi with known order D+1 and
-    no degree-(D+1) terms, and psi = (Lie correction) - (degree-(D+1) part
-    of log base) is homogeneous of degree D+1.  The degree-(D+1) residual of
-    base + psi is exactly R(base) + L(psi): every product of psi with a term
-    of positive degree lies past the known order, so only psi times the
-    constant terms survives.  The nonlinear part R(base) is evaluated once;
-    linalg.solve_columns takes the sparse int columns L of the Lyndon basis
-    elements and the right-hand side -(R(base) + L(-log tail)) as one dict.
+    The candidate is start + (Lie correction), where start = base - log
+    tail: base is phi with known order D+1 and no degree-(D+1) terms, and
+    the log tail is the degree-(D+1) part of log base.  So log start is
+    phi = log base cut at D, and the degree-(D+1) residual of start + psi
+    is exactly R(start) + L(psi).  linalg.solve_columns takes the sparse
+    int columns L of the Lyndon basis elements and the right-hand side
+    -R(start) as one dict.  Its duality and hexagon rows come from start in
+    the free algebra.  Its pentagon rows come from t_4: each face of start
+    is exp of phi at the face, so the defect (d3)(d1) - (d0)(d2)(d4) is
+    exp P - exp Q with P = BCH(phi(d3), phi(d1)) and
+    Q = BCH(BCH(phi(d0), phi(d2)), phi(d4)), and where P = Q below D+1
+    that is P - Q in degree D+1.  A candidate with P != Q below D+1 fails
+    the pentagon there and is refused with ValueError.
     """
     s = phi.series
     if s.ring is not None:
         raise ValueError("the extension solver works over Q")
     target = s.known_order + 1
-    algebra = _pentagon_algebra(algebra, target)
+    _pentagon_algebra(algebra, target)
     base = s.truncated(target, known_order=target)
-
-    log_tail = nc_log(base).homogeneous(target)
+    log_base = nc_log(base)
+    log_tail = log_base.homogeneous(target)
+    start = base - log_tail
     lyndon = lyndon_basis(XY, target)
+    faces = _lie_faces(target)
 
     def combination(coords):
         """sum c * (Lyndon element) over the nonzero coordinates."""
@@ -316,20 +357,15 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
                 elt = elt + c * b
         return elt
 
-    # the right-hand side -(R(base) + L(-log tail)), nonlinear part evaluated once
-    dual = (letter_swap(base) * base).homogeneous(target)
-    hexa = hexagon_product(base, phi.lam).homogeneous(target)
-    pent = pentagon_defect(base, algebra).homogeneous(target)
-    rhs = {(block, w): -c for block, part in enumerate((dual, hexa, pent))
-           for w, c in part.terms.items()}
-    *columns, (d, tail) = _linear_residuals([elt for _, elt in lyndon] + [-log_tail],
-                                            algebra, target)
-    for key, c in tail.items():
-        rhs[key] = rhs.get(key, 0) - Fraction(c, d)
-    [particular], kernel = solve_columns(columns, rhs)
+    dual = (letter_swap(start) * start).homogeneous(target)
+    hexa = hexagon_product(start, phi.lam).homogeneous(target)
+    rhs = {(block, w): -c for block, part in enumerate((dual.terms, hexa.terms,
+                                                          _pentagon_rows(faces, log_base, target)))
+           for w, c in part.items()}
+    [particular], kernel = solve_columns(_linear_residuals(lyndon, faces, target), rhs)
     if (parity and target % 2 == 1 and log_tail.is_zero()
             and not any(rhs.values())):
         # the even extension: keep the degree-(D+1) component zero
         particular = [Fraction(0)] * len(lyndon)
-    return (AssociatorCandidate(base + (combination(particular) - log_tail), phi.lam),
+    return (AssociatorCandidate(start + combination(particular), phi.lam),
             [combination(vec) for vec in kernel])

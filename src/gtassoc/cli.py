@@ -42,11 +42,13 @@ BOUNDS = {
     # the hecke suite's time grows fast with n: 8 takes seconds
     ("verify", "nmax"): (2, 8, 2),
     ("chars", "order"): (0, REFERENCE_DEGREE, 2),
-    ("resonance", "n"): (0, RESONANCE_NMAX, 3),
+    # below 2 the scan visits no partition
+    ("resonance", "n"): (2, RESONANCE_NMAX, 3),
     # past the holonomy algebra's dimension bound, cmd_extend exits 3
     ("extend", "degree"): (0, None, None),
-    # a higher order needs a zeta_k that the default kz ring lacks
-    ("kz-report", "order"): (0, kz.DEFAULT_ZETA_MAX, 2),
+    # below 3 the logs have no nonzero coefficient; a higher order needs a
+    # zeta_k that the default kz ring lacks
+    ("kz-report", "order"): (3, kz.DEFAULT_ZETA_MAX, 2),
     # below 2 there is no ratio to report
     ("kz-report", "dmax"): (2, KZ_DMAX, 3),
 }

@@ -157,10 +157,6 @@ class HoloAlgebra:
             acc = nxt
         return acc
 
-    def reduce_terms(self, terms, known_order=None):
-        """Reduce a {word: coeff} dict into a HoloElt; words past the known order are dropped."""
-        return HoloElt(self, terms, known_order).linear(lambda w: self.normal_form(w).items())
-
     # -- S_n action -------------------------------------------------------
 
     def permute_word(self, perm, word):
@@ -196,33 +192,6 @@ class HoloAlgebra:
         for i in range(1, r):
             out = out + self.generator(i, r)
         return out
-
-    def z_element(self, r):
-        """Z_r = sum of all t_ij with i < j <= r."""
-        out = self.zero()
-        for j in range(2, r + 1):
-            for i in range(1, j):
-                out = out + self.generator(i, j)
-        return out
-
-    def relation_words(self):
-        """Defining relations as {word: coeff} dicts over generator letters."""
-        rels = []
-        idx = self.generator_index
-        for (i, j, k, l) in itertools.combinations(range(1, self.n + 1), 4):
-            for (a, b), (c, d) in itertools.combinations(
-                    itertools.combinations((i, j, k, l), 2), 2):
-                if len({a, b, c, d}) == 4:
-                    p, q = idx(a, b), idx(c, d)
-                    rels.append({bytes((p, q)): Fraction(1), bytes((q, p)): Fraction(-1)})
-        for (i, k, j) in itertools.permutations(range(1, self.n + 1), 3):
-            if i < j:
-                p, q, r = idx(i, j), idx(i, k), idx(k, j)
-                rels.append({
-                    bytes((p, q)): Fraction(1), bytes((q, p)): Fraction(-1),
-                    bytes((p, r)): Fraction(1), bytes((r, p)): Fraction(-1),
-                })
-        return rels
 
 
 def _compositions(total, parts):

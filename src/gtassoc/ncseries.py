@@ -182,18 +182,21 @@ def lyndon_words(n_letters: int, degree: int):
     return sorted(out)
 
 
+def standard_factorization(word: bytes):
+    """(u, v) with word = u v and v the longest proper Lyndon suffix of a Lyndon word."""
+    for i in range(1, len(word)):
+        suffix = word[i:]
+        if suffix == min(suffix[j:] for j in range(len(suffix))):
+            return word[:i], suffix
+    raise ValueError("not a Lyndon word of length > 1: %r" % word)
+
+
 def lyndon_bracket(word: bytes, alphabet, maxdeg) -> NCSeries:
     """Standard-factorization bracketing of a Lyndon word, expanded as a series over Q."""
     if len(word) == 1:
         return NCSeries.letter(alphabet, alphabet[word[0]], maxdeg)
-    # longest proper Lyndon suffix gives the standard factorization
-    for i in range(1, len(word)):
-        suffix = word[i:]
-        if suffix == min(suffix[j:] for j in range(len(suffix))):
-            left = lyndon_bracket(word[:i], alphabet, maxdeg)
-            right = lyndon_bracket(suffix, alphabet, maxdeg)
-            return left * right - right * left
-    raise ValueError("not a Lyndon word: %r" % word)
+    left, right = (lyndon_bracket(part, alphabet, maxdeg) for part in standard_factorization(word))
+    return left * right - right * left
 
 
 def lyndon_basis(alphabet, degree: int):

@@ -306,3 +306,15 @@ def test_linearized_system_matches_brute_force(monkeypatch):
     from gtassoc.grtgt import act_grt, grt_exp, psi1
     tw = act_grt(phi0_reference(5), grt_exp(F(3, 4) * psi1(5)))
     check(AssociatorCandidate(tw.series.truncated(4, known_order=4), tw.lam))
+
+
+def test_extension_refuses_a_candidate_that_fails_the_pentagon_below_its_degree(phi0):
+    # phi0 + w9/3 is grouplike and passes duality, but its degree-5 pentagon fails:
+    # the t_4 right-hand side needs P = Q below the degree solved
+    bad = AssociatorCandidate(phi0.series + F(1, 3) * w_element(9, 5), 1)
+    with pytest.raises(ValueError, match="pentagon in degree 5"):
+        extend_associator(bad)
+    # a candidate that is not grouplike has no Lie log to evaluate in t_4
+    x, y = NCSeries.letter(XY, "x", 2), NCSeries.letter(XY, "y", 2)
+    with pytest.raises(ValueError, match="not a Lie element through degree 2"):
+        extend_associator(AssociatorCandidate(NCSeries.one(XY, 2) + x * y, 1))

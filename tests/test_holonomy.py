@@ -10,6 +10,8 @@ from gtassoc.holonomy import (HoloAlgebra, HoloElt, braid_image, embed_free, hil
 from gtassoc.ncseries import NCSeries, commutator
 from gtassoc.symcoef import Poly, SymRing
 
+from _holonomy_oracle import reduce_terms, relation_words
+
 XY = ("x", "y")
 
 
@@ -50,13 +52,13 @@ def test_relations_reduce_to_zero_with_sandwiches():
     for n, maxdeg in ((3, 4), (4, 4)):
         alg = HoloAlgebra(n, maxdeg)
         letters = range(len(alg.letters))
-        for rel in alg.relation_words():
-            assert alg.reduce_terms(rel).terms == {}  # no zero coefficient is stored
+        for rel in relation_words(alg):
+            assert reduce_terms(alg, rel).terms == {}  # no zero coefficient is stored
             for _ in range(6):
                 a = bytes(rng.choices(letters, k=rng.randint(0, 2)))
                 b = bytes(rng.choices(letters, k=rng.randint(0, 2)))
                 sandwich = {a + w + b: c for w, c in rel.items()}
-                assert alg.reduce_terms(sandwich).terms == {}
+                assert reduce_terms(alg, sandwich).terms == {}
 
 
 def _relation_span_rank(alg, degree):
@@ -64,7 +66,7 @@ def _relation_span_rank(alg, degree):
     Gaussian elimination over Q on free words."""
     rows = []
     letters = list(range(len(alg.letters)))
-    rels = alg.relation_words()
+    rels = relation_words(alg)
 
     def all_words(d):
         if d == 0:
@@ -116,14 +118,17 @@ def test_reduction_idempotent_and_linear():
     for _ in range(5):
         pick = rng.sample(words, 6)
         elt = HoloElt(alg, {w: F(rng.randint(-4, 4), rng.randint(1, 3)) for w in pick})
-        again = alg.reduce_terms(dict(elt.terms))
+        again = reduce_terms(alg, dict(elt.terms))
         assert again == elt
 
 
 def test_centrality_and_commuting_y():
     for n in (3, 4):
         alg = HoloAlgebra(n, 4)
-        z = alg.z_element(n)
+        z = alg.zero()
+        for j in range(2, n + 1):
+            for i in range(1, j):
+                z = z + alg.generator(i, j)
         for k in range(len(alg.letters)):
             gen = HoloElt(alg, {bytes((k,)): F(1)})
             assert z.commutator(gen).is_zero()
@@ -219,7 +224,7 @@ def _oracle_product(u, v):
         for w2, c2 in v.terms.items():
             if len(w1) + len(w2) <= ko:
                 concat[w1 + w2] = concat.get(w1 + w2, 0) + c1 * c2
-    return alg.reduce_terms(concat, ko)
+    return reduce_terms(alg, concat, ko)
 
 
 def _random_element(rng, alg, ring):
