@@ -24,14 +24,8 @@ RESONANCE_NMAX = 10
 # millisecond, so 100 takes about 0.1 s
 KZ_DMAX = 100
 
-VERIFY_SUITES = {
-    "associator": report.verify_associator,
-    "grt": report.verify_grt,
-    "gt": report.verify_gt,
-    "braid": report.verify_braid,
-    "hecke": report.verify_hecke,
-    "kz": report.verify_kz,
-}
+# a copy of report's table: replacing an entry here leaves report.SUITES as it is
+VERIFY_SUITES = dict(report.SUITES)
 
 # One row per bounded option: (subcommand, option) -> (least, most, exit code past most).
 # A value below least is a usage error (2); most None leaves the value unbounded here.
@@ -39,8 +33,9 @@ VERIFY_SUITES = {
 BOUNDS = {
     ("verify", "degree"): (dict(report.MIN_DEGREE, all=max(report.MIN_DEGREE.values())),
                            REFERENCE_DEGREE, 2),
+    # below 3 every shape has one generator and braid-relations compares nothing;
     # the hecke suite's time grows fast with n: 8 takes seconds
-    ("verify", "nmax"): (2, 8, 2),
+    ("verify", "nmax"): (3, 8, 2),
     ("chars", "order"): (0, REFERENCE_DEGREE, 2),
     # below 2 the scan visits no partition
     ("resonance", "n"): (2, RESONANCE_NMAX, 3),

@@ -228,9 +228,9 @@ def test_suite_below_its_least_degree_raises_before_any_work(monkeypatch, suite)
 
 
 NMAX_REFUSALS = [
-    (("hecke", "--nmax", "1"), "--nmax must be at least 2"),
+    (("hecke", "--nmax", "1"), "--nmax must be at least 3"),
     (("hecke", "--nmax", "9"), "--nmax must be at most 8"),
-    (("all", "--nmax", "0"), "--nmax must be at least 2"),
+    (("all", "--nmax", "0"), "--nmax must be at least 3"),
     (("gt", "--nmax", "7"), "verify gt: --nmax is for the hecke suite only"),
 ]
 
