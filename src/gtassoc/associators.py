@@ -171,39 +171,23 @@ def pentagon_defect(series: NCSeries, algebra: HoloAlgebra):
     return defect
 
 
-def _pentagon_algebra(algebra: HoloAlgebra, degree):
-    """U(T_4) through degree: the shared one by default, else algebra once checked.
-
-    An algebra of another n, or truncated below degree, would read the
-    pentagon only partly, so it is refused.
-    """
-    if algebra is None:
-        return holonomy_algebra(4, degree)
-    if algebra.n != 4 or algebra.maxdeg < degree:
-        raise ValueError("the pentagon through degree %d needs U(T_4) through degree %d, "
-                         "not U(T_%d) through degree %d" % (degree, degree, algebra.n,
-                                                           algebra.maxdeg))
-    return algebra
+def pentagon_check(phi: AssociatorCandidate) -> bool:
+    """The pentagon defect vanishes through the known order."""
+    return pentagon_defect(phi.series, holonomy_algebra(4, phi.series.known_order)).is_zero()
 
 
-def pentagon_check(phi: AssociatorCandidate, algebra: HoloAlgebra = None) -> bool:
-    """The pentagon defect vanishes through the known order; a given algebra
-    must be U(T_4) through it at least."""
-    algebra = _pentagon_algebra(algebra, phi.series.known_order)
-    return pentagon_defect(phi.series, algebra).is_zero()
-
-
-def certify(phi: AssociatorCandidate, algebra: HoloAlgebra = None) -> dict:
+def certify(phi: AssociatorCandidate) -> dict:
     """Run all four membership conditions; returns {check: bool}.
 
-    A given algebra must be U(T_4) through the known order at least.
+    U(T_4) is looked up first, so a known order past its resource bound is
+    refused before any check runs.
     """
-    algebra = _pentagon_algebra(algebra, phi.series.known_order)
+    algebra = holonomy_algebra(4, phi.series.known_order)
     return {
         "grouplike": is_grouplike(phi.series),
         "duality": duality_check(phi),
         "hexagon": hexagon_check(phi),
-        "pentagon": pentagon_check(phi, algebra),
+        "pentagon": pentagon_defect(phi.series, algebra).is_zero(),
     }
 
 
@@ -292,12 +276,12 @@ def _linear_residuals(lyndon, faces, degree):
     t_4 image cache.  Each hexagon substitution evaluates all the elements
     in one call, in int.
     """
-    elements = [psi.scaled_copy({w: int(c) for w, c in psi.terms.items()}) for _, psi in lyndon]
+    elements = [psi for _, psi in lyndon]
     x, y = (NCSeries(XY, degree, {bytes((k,)): 1}) for k in range(2))
     z = -x - y
-    one, zero = NCSeries(XY, degree, {EMPTY: 1}), NCSeries.zero(XY, degree)
-    at_zx = substitute(elements, {"x": z, "y": x}, one, zero)
-    at_yz = substitute(elements, {"x": y, "y": z}, one, zero)
+    one = NCSeries(XY, degree, {EMPTY: 1})
+    at_zx = substitute(elements, {"x": z, "y": x}, one)
+    at_yz = substitute(elements, {"x": y, "y": z}, one)
     columns = []
     for word, psi, zx, yz in zip(lyndon_words(2, degree), elements, at_zx, at_yz):
         column = {(0, w): c for w, c in (letter_swap(psi) + psi).terms.items()}
@@ -341,7 +325,15 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     if s.ring is not None:
         raise ValueError("the extension solver works over Q")
     target = s.known_order + 1
-    _pentagon_algebra(algebra, target)
+    # U(T_4) through target bounds the work: the shared algebra's lookup refuses a
+    # degree past the resource bound, and an algebra of another n, or truncated
+    # below target, would read the pentagon only partly
+    if algebra is None:
+        holonomy_algebra(4, target)
+    elif algebra.n != 4 or algebra.maxdeg < target:
+        raise ValueError("the pentagon through degree %d needs U(T_4) through degree %d, "
+                         "not U(T_%d) through degree %d" % (target, target, algebra.n,
+                                                           algebra.maxdeg))
     base = s.truncated(target, known_order=target)
     log_base = nc_log(base)
     log_tail = log_base.homogeneous(target)

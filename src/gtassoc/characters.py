@@ -45,9 +45,6 @@ class ExponentVector:
             out[d] = out.get(d, 0) + e
         return ExponentVector(out)
 
-    def is_empty(self):
-        return not self.exps
-
     def __repr__(self):
         if not self.exps:
             return "1"
@@ -135,11 +132,6 @@ def wedge_exponents(n, r):
                 vec[d] = f
         out.append((subset, ExponentVector(vec)))
     return out
-
-
-def wedge_injective(n, r) -> bool:
-    vecs = [v for (_, v) in wedge_exponents(n, r)]
-    return len(set(vecs)) == len(vecs)
 
 
 def colliding_tableaux(shape: Partition):

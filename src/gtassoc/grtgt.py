@@ -31,8 +31,8 @@ from fractions import Fraction
 from .associators import REFERENCE_DEGREE, AssociatorCandidate, certify, phi0_reference
 from .braids import xi_word
 from .holonomy import braid_image, embed_free, holonomy_algebra, sigma_images
-from .ncseries import (NCSeries, bch, commutator, from_text, is_grouplike, is_lie, letter_swap,
-                       nc_exp, nc_log, nc_substitute, to_text)
+from .ncseries import (NCSeries, bch, commutator, is_grouplike, is_lie, letter_swap, nc_exp,
+                       nc_log, nc_substitute)
 from .symcoef import Poly, SymRing
 from .truncated import _scatter
 from .wbasis import XY, w_element
@@ -68,27 +68,9 @@ def _series_of(g):
     return g.series if isinstance(g, (_GroupElt, AssociatorCandidate)) else g
 
 
-def element_to_text(g) -> str:
-    """Serialize a group element with its kind header."""
-    kind = "grt" if isinstance(g, GrtElt) else "gt" if isinstance(g, GtElt) else None
-    if kind is None:
-        raise TypeError("expected a graded or filtered group element")
-    return to_text(g.series, extra={"kind": kind})
-
-
-def element_from_text(text: str):
-    series, fields = from_text(text)
-    kind = fields.get("kind")
-    if kind == "grt":
-        return GrtElt(series)
-    if kind == "gt":
-        return GtElt(series)
-    raise ValueError("missing or unknown kind header: %r" % kind)
-
-
-def certify_grt(f, algebra=None) -> dict:
+def certify_grt(f) -> dict:
     """Membership checks for the graded group: the lambda=0 associator equations."""
-    return certify(AssociatorCandidate(_series_of(f), 0), algebra)
+    return certify(AssociatorCandidate(_series_of(f), 0))
 
 
 # -- derivation exponentials -------------------------------------------

@@ -113,16 +113,6 @@ def _gamma3_pairs(a, b):
 _COS_PAIRS = [(1, 2), (1, -2), (-1, 4), (-1, -4)]
 
 
-def log_j_tilde(ring, m, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
-    """log J(2 m hb); only gamma and odd zetas survive the cancellation."""
-    return loggamma_sum(ring, [(1, 2 * m), (-1, -2 * m)], maxdeg)
-
-
-def log_i_tilde(ring, m, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
-    """log I(2 m hb); only even zetas survive, no gamma."""
-    return loggamma_sum(ring, [(1, 2 * m), (1, -2 * m)], maxdeg)
-
-
 def gamma3_F(a, b, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     """F(a,b) = Gamma3(hb a, hb b, -2 hb^2) for integers a, b.
 
@@ -130,16 +120,6 @@ def gamma3_F(a, b, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
     agree because the denominator pair is symmetric under delta -> -delta.
     """
     return loggamma_sum(ring, _gamma3_pairs(a, b), maxdeg).exp()
-
-
-def z_pair(a, b, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
-    """Z(a,b) = F(a,b) F(b,-a)."""
-    return loggamma_sum(ring, _gamma3_pairs(a, b) + _gamma3_pairs(b, -a), maxdeg).exp()
-
-
-def cos_factor(ring, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:
-    """(q + q^{-1})/2 expressed as It(1)/It(2)."""
-    return loggamma_sum(ring, _COS_PAIRS, maxdeg).exp()
 
 
 def b_kz(d, sign, ring=None, maxdeg=DEFAULT_HBAR_ORDER) -> ScalarSeries:

@@ -192,9 +192,10 @@ def standard_factorization(word: bytes):
 
 
 def lyndon_bracket(word: bytes, alphabet, maxdeg) -> NCSeries:
-    """Standard-factorization bracketing of a Lyndon word, expanded as a series over Q."""
+    """Standard-factorization bracketing of a Lyndon word, expanded as a series
+    over Q with int coefficients."""
     if len(word) == 1:
-        return NCSeries.letter(alphabet, alphabet[word[0]], maxdeg)
+        return NCSeries(alphabet, maxdeg, {word: 1})
     left, right = (lyndon_bracket(part, alphabet, maxdeg) for part in standard_factorization(word))
     return left * right - right * left
 

@@ -234,8 +234,7 @@ def lyndon_images(x, y):
 def _lyndon_columns(depth):
     """The Lyndon words over x, y of degrees 1..depth and their brackets as int columns."""
     words = [w for d in range(1, depth + 1) for w in lyndon_words(2, d)]
-    return words, [(1, {k: int(c) for k, c in lyndon_bracket(w, _XY, depth).terms.items()})
-                   for w in words]
+    return words, [(1, lyndon_bracket(w, _XY, depth).terms) for w in words]
 
 
 def lie_coordinates(series: NCSeries, depth):

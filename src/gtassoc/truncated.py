@@ -510,11 +510,11 @@ def suffix_products(images, alphabet, one):
     return product_for
 
 
-def substitute(elements, images, one, zero):
+def substitute(elements, images, one):
     """Each series of elements, all over one alphabet, evaluated at images.
 
     images maps letter names to values of positive order known through K,
-    the known order of one and zero; words longer than K are skipped.  The
+    the known order of one; words longer than K are skipped.  The
     words of every element are visited together in (length, lex) order, and
     a word a.s is split at its first letter: suffix_products, built with one
     cut to known order K - 1, forms the image of each suffix s once for all
@@ -523,7 +523,7 @@ def substitute(elements, images, one, zero):
     into one tail T_a per first letter a.  Each nonzero tail then
     takes one product image(a) * T_a, and the empty word adds its
     coefficient times one.  The products' terms go into one plain dict per
-    element, which zero._like cleans of zeros and truncates at K: a zero
+    element, which one._like cleans of zeros and truncates at K: a zero
     tail's product carries a known order below K, which a sum by ``+`` would
     keep.  A Poly coefficient times a suffix image with rational
     coefficients is scattered in int instead: both are scaled to int layers,
@@ -531,12 +531,12 @@ def substitute(elements, images, one, zero):
     and denominator, and at the end the dicts meet over the lcm of their
     denominators, one Fraction per term and one Poly per key.
     """
-    ko = zero.known_order
+    ko = one.known_order
     uses = {}  # word -> [(element index, coefficient)]
     for i, series in enumerate(elements):
         for word, coeff in series.terms.items():
             if len(word) <= ko:
-                c = coeff if type(coeff) is int else zero._coerce(coeff)
+                c = coeff if type(coeff) is int else one._coerce(coeff)
                 uses.setdefault(word, []).append((i, c))
     alphabet, cut = elements[0].alphabet, one._like(one.terms, ko - 1)
     product_for = suffix_products(images, alphabet, cut)
@@ -565,7 +565,7 @@ def substitute(elements, images, one, zero):
         _scatter(tails.setdefault(tail, {}), _flat_polys(ring, flat).items())
     for (i, letter), terms in tails.items():
         _scatter(accs[i], (images[alphabet[letter]] * cut._like(terms)).terms.items())
-    return [zero._like(acc) for acc in accs]
+    return [one._like(acc) for acc in accs]
 
 
 def evaluate(series, images, one=None):
@@ -580,7 +580,7 @@ def evaluate(series, images, one=None):
         raise series._error("images must have order >= 1")
     ko = min([series.known_order] + [image.known_order for image in used])
     one = used[0]._one() if one is None else one
-    return substitute([series], images, one._like(one.terms, ko), one._like({}, ko))[0]
+    return substitute([series], images, one._like(one.terms, ko))[0]
 
 
 def _scatter(acc, pairs, c=None):

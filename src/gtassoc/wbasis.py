@@ -50,14 +50,6 @@ def w_element(k, maxdeg=5, ring=None) -> NCSeries:
     return build(_W_RECIPES[k])
 
 
-def all_words(degree):
-    """All words of one degree over x,y in (len, lex) order, as bytes."""
-    out = []
-    for bits in range(2 ** degree):
-        out.append(bytes((bits >> (degree - 1 - i)) & 1 for i in range(degree)))
-    return sorted(out)
-
-
 _CACHE = {}
 
 

@@ -42,12 +42,12 @@ def pentagon_linear(elements, algebra):
     """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) in U(T_4) for int series
     psi of one degree, each face one int substitution of all of them; one
     {basis word: int} per element, its zero sums left in."""
-    one, zero = HoloElt(algebra, {b"": 1}), algebra.zero()
+    one = HoloElt(algebra, {b"": 1})
     sums = [{} for _ in elements]
     for name, xs, ys in associators.PENTAGON_FACES:
         sign = associators._FACE_SIGNS[name]
         images = associators._face_images(algebra, xs, ys)
-        for acc, value in zip(sums, substitute(elements, images, one, zero)):
+        for acc, value in zip(sums, substitute(elements, images, one)):
             for mono, c in value.terms.items():
                 acc[mono] = acc.get(mono, 0) + sign * c
     return sums

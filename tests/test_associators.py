@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from gtassoc import associators
+from gtassoc import associators, grtgt
 from gtassoc.associators import (AssociatorCandidate, bar, c_extract, certify,
                                  duality_check, extend_associator, hexagon_check,
                                  hexagon_product, is_even, pentagon_check,
@@ -14,9 +15,14 @@ from gtassoc.ncseries import (NCSeries, is_grouplike, letter_swap, lyndon_basis,
                               nc_substitute, to_text)
 from gtassoc.symcoef import SymRing, common_denominator
 from gtassoc.truncated import substitute
-from gtassoc.wbasis import XY, all_words, w_coordinates, w_element
+from gtassoc.wbasis import XY, w_coordinates, w_element
 
 from test_linalg import rref_solve_affine
+
+
+def all_words(degree):
+    """All words of one degree over x, y in lex order, as bytes."""
+    return [bytes(w) for w in itertools.product((0, 1), repeat=degree)]
 
 
 def test_phi0_coefficients(phi0):
@@ -156,20 +162,30 @@ def test_extension_to_degree_six_is_unique(phi0):
 
 def test_undersized_algebra_is_refused(phi0):
     # U(T_4) through degree 4 would read the degree-5 pentagon as empty: the
-    # extension then kept a second kernel direction, and a degree-5 defect passed
-    small = holonomy_algebra(4, 4)
+    # extension then kept a second kernel direction
     cut = AssociatorCandidate(phi0.series.truncated(4), 1)
-    bad = AssociatorCandidate(phi0.series + F(1, 3) * w_element(9, 5), 1)
-    assert not pentagon_check(bad)
-    for call in (lambda: extend_associator(cut, algebra=small),
-                 lambda: pentagon_check(bad, small),
-                 lambda: certify(bad, small),
-                 lambda: pentagon_check(phi0, holonomy_algebra(3, 5))):
+    for algebra in (holonomy_algebra(4, 4), holonomy_algebra(3, 5)):
         with pytest.raises(ValueError):
-            call()
+            extend_associator(cut, algebra=algebra)
     # an algebra through the degree read, or past it, serves
     assert len(extend_associator(cut, algebra=holonomy_algebra(4, 5))[1]) == 1
-    assert pentagon_check(phi0, holonomy_algebra(4, 6))
+    assert len(extend_associator(cut, algebra=holonomy_algebra(4, 6))[1]) == 1
+
+
+def test_certify_refuses_past_the_resource_bound_before_any_check(monkeypatch):
+    """U(T_4) through degree 8 is past the default resource bound: certify,
+    pentagon_check and certify_grt refuse it before grouplike or a face runs."""
+    def ran(*args):
+        raise AssertionError("a check ran before the refusal")
+
+    monkeypatch.setattr(associators, "is_grouplike", ran)
+    monkeypatch.setattr(associators, "embed_free", ran)
+    series = NCSeries.one(XY, 8)
+    for call in (lambda: certify(AssociatorCandidate(series, 1)),
+                 lambda: pentagon_check(AssociatorCandidate(series, 1)),
+                 lambda: grtgt.certify_grt(grtgt.GrtElt(series))):
+        with pytest.raises(ValueError, match="resource bound"):
+            call()
 
 
 def test_substitute_on_a_list_matches_each_series_alone():
@@ -199,21 +215,20 @@ def test_substitute_on_a_list_matches_each_series_alone():
     for _, xs, ys in associators.PENTAGON_FACES:
         images = associators._face_images(algebra, xs, ys)
         for batch in (elements, elements + [poly]):
-            values = substitute(batch, images, one, algebra.zero())
+            values = substitute(batch, images, one)
             assert [v.terms for v in values] == [embed_free(e, algebra, images).terms
                                                  for e in batch]
             assert [v.known_order for v in values] == [6] * len(batch)
     x, y = NCSeries.letter(XY, "x", 6), NCSeries.letter(XY, "y", 6)
     z = -1 * x - y
     for images in ({"x": z, "y": x}, {"x": y, "y": z}, {"x": x, "y": y}):
-        values = substitute(elements, images, NCSeries.one(XY, 6), NCSeries.zero(XY, 6))
+        values = substitute(elements, images, NCSeries.one(XY, 6))
         assert values == [nc_substitute(e, images) for e in elements]
         # through K = 0 only the constant terms are read
-        cut = substitute(elements, images, NCSeries.one(XY, 6, None, 0),
-                         NCSeries.zero(XY, 6, None, 0))
+        cut = substitute(elements, images, NCSeries.one(XY, 6, None, 0))
         assert [(v.terms, v.known_order) for v in cut] == [({}, 0)] * 4 + [({b"": F(-3)}, 0)]
     # (x.s + y.s)(z, x) = -y.s'(z, x): -2/3 y.x.y.y.x.x + ..., and x.x.y.y.x.x is gone
-    zx = substitute(elements, {"x": z, "y": x}, NCSeries.one(XY, 6), NCSeries.zero(XY, 6))
+    zx = substitute(elements, {"x": z, "y": x}, NCSeries.one(XY, 6))
     assert zx[1].terms[bytes((1, 0, 1, 1, 0, 0))] == F(-2, 3)
     assert bytes((0, 0, 1, 1, 0, 0)) not in zx[1].terms
 

@@ -6,10 +6,10 @@ import pytest
 from gtassoc.associators import c_extract, certify
 from gtassoc.grtgt import act_grt, grt_cap_psi
 from gtassoc.hecke import b_semi
-from gtassoc.kz import (b_even_ref, b_kz, cos_factor, euler_zeta_factor, gamma3_F,
-                        h_tilde, hbar_series, kz_ring, log_i_tilde, log_j_tilde,
-                        loggamma, loggamma_sum, phi_kz_symbolic, q_n, ratio_formula_rhs,
-                        specialize_even, z_pair)
+from gtassoc.kz import (_COS_PAIRS, DEFAULT_HBAR_ORDER, _gamma3_pairs, b_even_ref, b_kz,
+                        euler_zeta_factor, gamma3_F, h_tilde, hbar_series, kz_ring, loggamma,
+                        loggamma_sum, phi_kz_symbolic, q_n, ratio_formula_rhs,
+                        specialize_even)
 from gtassoc.scalar import ScalarSeries, scalar_div, to_text
 from gtassoc.symcoef import SymRing
 
@@ -17,6 +17,26 @@ from gtassoc.symcoef import SymRing
 @pytest.fixture(scope="module")
 def ring():
     return kz_ring()
+
+
+def log_j_tilde(ring, m, maxdeg):
+    """log J(2 m hb)."""
+    return loggamma_sum(ring, [(1, 2 * m), (-1, -2 * m)], maxdeg)
+
+
+def log_i_tilde(ring, m, maxdeg):
+    """log I(2 m hb)."""
+    return loggamma_sum(ring, [(1, 2 * m), (1, -2 * m)], maxdeg)
+
+
+def z_pair(a, b, ring, maxdeg=DEFAULT_HBAR_ORDER):
+    """Z(a,b) = F(a,b) F(b,-a)."""
+    return loggamma_sum(ring, _gamma3_pairs(a, b) + _gamma3_pairs(b, -a), maxdeg).exp()
+
+
+def cos_factor(ring, maxdeg=DEFAULT_HBAR_ORDER):
+    """(q + q^{-1})/2 as It(1)/It(2)."""
+    return loggamma_sum(ring, _COS_PAIRS, maxdeg).exp()
 
 
 def test_loggamma_zero(ring):

@@ -3,9 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from gtassoc.associators import AssociatorCandidate
-from gtassoc.grtgt import GrtElt, GtElt, element_from_text, element_to_text, grt_exp, psi1
 from gtassoc.hmatrix import HMatrix, from_text as hmatrix_from, to_text as hmatrix_to
-from gtassoc.ncseries import NCSeries, from_text as nc_from, to_text as nc_to
+from gtassoc.ncseries import from_text as nc_from, to_text as nc_to
 from gtassoc.scalar import ScalarSeries, from_text as scalar_from, to_text as scalar_to
 
 
@@ -16,20 +15,6 @@ def test_associator_text_round_trip(phi0):
     assert series == phi0.series
     again = AssociatorCandidate(series, F(fields["lambda"]))
     assert again.to_text() == text
-
-
-def test_group_element_kind_headers():
-    f = grt_exp(psi1(5))
-    text = element_to_text(f)
-    assert "kind=grt" in text.splitlines()[0]
-    back = element_from_text(text)
-    assert isinstance(back, GrtElt) and back.series == f.series
-    g = GtElt(NCSeries.one(("x", "y"), 5))
-    text2 = element_to_text(g)
-    back2 = element_from_text(text2)
-    assert isinstance(back2, GtElt)
-    with pytest.raises(ValueError):
-        element_from_text(nc_to(f.series))
 
 
 def test_hmatrix_round_trip():
