@@ -98,7 +98,7 @@ class BraidRep:
 
     def __init__(self, n, sigmas):
         self.n = n
-        self.sigma_images = {i + 1: m for i, m in enumerate(sigmas)}
+        self._sigmas = {i + 1: m for i, m in enumerate(sigmas)}
         self.N = sigmas[0].n
         self.maxdeg = sigmas[0].maxdeg
         self.known_order = min(m.known_order for m in sigmas)
@@ -107,12 +107,12 @@ class BraidRep:
         self._words = {}
 
     def sigma(self, i) -> HMatrix:
-        return self.sigma_images[i]
+        return self._sigmas[i]
 
     def sigma_inv(self, i) -> HMatrix:
         got = self._inverses.get(i)
         if got is None:
-            got = self.sigma_images[i].inverse()
+            got = self.sigma(i).inverse()
             self._inverses[i] = got
         return got
 
@@ -137,7 +137,7 @@ class BraidRep:
     def promote(self, ring):
         if ring == self.ring:
             return self
-        return BraidRep(self.n, [self.sigma_images[i].promote(ring) for i in range(1, self.n)])
+        return BraidRep(self.n, [self.sigma(i).promote(ring) for i in range(1, self.n)])
 
     def braid_relations_ok(self) -> bool:
         for i in range(1, self.n - 1):

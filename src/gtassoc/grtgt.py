@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .associators import REFERENCE_DEGREE, AssociatorCandidate, certify, phi0_reference
-from .braids import xi_word
-from .holonomy import braid_image, embed_free, holonomy_algebra, sigma_images
+from .associators import (REFERENCE_DEGREE, AssociatorCandidate, certify, pentagon_defect,
+                          phi0_reference)
+from .holonomy import holonomy_algebra
 from .ncseries import (NCSeries, bch, commutator, is_grouplike, is_lie, letter_swap, nc_exp,
                        nc_log, nc_substitute)
 from .symcoef import Poly, SymRing
@@ -251,9 +251,15 @@ def g_ab(a, b, phi0: AssociatorCandidate) -> GtElt:
 # -- membership report for the filtered group ---------------------------
 
 
-def gt_checks(g, pentagon=True) -> dict:
+def gt_checks(g) -> dict:
     """Per-equation report: duality, hexagon (m=0), grouplike, and the
-    4-strand relation pushed through the reference associator's morphism."""
+    4-strand relation.
+
+    GT_1 acts freely and transitively on associators, so the 4-strand
+    relation holds for g exactly when g.phi0 satisfies the associator
+    pentagon (gt_pentagon_defect), given that phi0 satisfies its equations
+    through its degree.
+    """
     s = _series_of(g)
     report = {}
     report["grouplike"] = is_grouplike(s)
@@ -265,51 +271,23 @@ def gt_checks(g, pentagon=True) -> dict:
             * nc_substitute(s, {"x": y, "y": w})
             * s)
     report["hexagon"] = prod.is_one()
-    if pentagon:
-        report["pentagon"] = gt_pentagon_push(s)
+    report["pentagon"] = gt_pentagon_push(s)
     return report
 
 
 def gt_pentagon_defect(series: NCSeries):
-    """The 4-strand equation, lhs - rhs in U(T_4), on the images of the pure
-    braid generators.
+    """The 4-strand equation of series, as the pentagon defect of series.phi0
+    in U(T_4).
 
-    The generators xi_ij go through the braid-algebra morphism attached to
-    the rational reference associator phi0 (through REFERENCE_DEGREE): the xi_ij and
-    their logs stay rational, and only the coefficients of series meet its
-    images.
+    GT_1 acts freely and transitively on associators (Drinfeld), so g
+    satisfies the 4-strand relation exactly when g.phi0 satisfies the
+    associator pentagon.  That assumes phi0 satisfies its equations through
+    its degree: phi0 is the rational reference through
+    min(maxdeg, REFERENCE_DEGREE), promoted to the series' ring.
     """
-    ref = phi0_reference(min(series.maxdeg, REFERENCE_DEGREE))
-    algebra = holonomy_algebra(4, min(series.known_order, ref.known_order))
-    xi = xi_images(sigma_images(ref.series, ref.lam, algebra), algebra)
-
-    # xi_12, xi_23 and xi_34 each enter two faces: take each log once
-    l12, l23, l34 = (xi[p].log() for p in ((1, 2), (2, 3), (3, 4)))
-
-    def f_at(log_u, log_v):
-        return embed_free(series, algebra, dict(zip(series.alphabet, (log_u, log_v))))
-
-    lhs = f_at(l12, (xi[(2, 3)] * xi[(2, 4)]).log()) * f_at((xi[(1, 3)] * xi[(2, 3)]).log(), l34)
-    rhs = (f_at(l23, l34)
-           * f_at((xi[(1, 2)] * xi[(1, 3)]).log(), (xi[(2, 4)] * xi[(3, 4)]).log())
-           * f_at(l12, l23))
-    return lhs - rhs
-
-
-def xi_images(images, algebra):
-    """The U(T_4) parts of xi_12, xi_13, xi_23, xi_24 and xi_34 under sigma_images.
-
-    A pure braid lands on the identity permutation.  xi_12, xi_23 and xi_34
-    are folded from their words; xi_13 = sigma_2 xi_12 sigma_2^-1 and
-    xi_24 = sigma_3 xi_23 sigma_3^-1 reuse them, since by the pair rule
-    (u, s)(v, 1)(u', s) = (u . s(v) . s(u'), 1): two products and two
-    permuted factors, where the fold of the word takes three of each.
-    """
-    xi = {p: braid_image(images, algebra, xi_word(4, *p))[0] for p in ((1, 2), (2, 3), (3, 4))}
-    for i, inner, outer in ((2, (1, 2), (1, 3)), (3, (2, 3), (2, 4))):
-        s, image, inverse = images[i]
-        xi[outer] = image * xi[inner].permuted(s) * inverse.permuted(s)
-    return xi
+    ref = phi0_reference(min(series.maxdeg, REFERENCE_DEGREE)).promote(series.ring)
+    moved = act_gt(series, ref).series
+    return pentagon_defect(moved, holonomy_algebra(4, moved.known_order))
 
 
 def gt_pentagon_push(series: NCSeries) -> bool:

@@ -12,13 +12,13 @@ line), or by M_d on the plane of an adjacent transposition pair with
 axial distance d; every tableau is a delta_r eigenvector with eigenvalue
 q^{2 c_r}.
 
-Three kinds are supported: the block derived from an associator through
+Two kinds are supported: the block derived from an associator through
 the infinitesimal construction
 
     Q = Phi(2h M^1_d, h eta_d),   2 M_d = (q - q^{-1}) + (q + q^{-1}) Q M^1_d Q^{-1},
 
 the unitary closed form (1/[d]) [[-q^{-d}, s], [s, q^d]] with the formal
-square root s^2 = [d+1][d-1], and custom b-sequences.
+square root s^2 = [d+1][d-1].
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ def a_entry(d, maxdeg=DEFAULT_MAXDEG, ring=None) -> ScalarSeries:
     return scalar_div(num, den)
 
 
-def a_entry_prime(d, maxdeg=DEFAULT_MAXDEG, ring=None) -> ScalarSeries:
-    """a'_d = q^{2d-1}(q^2 - 1)/(q^{2d} - 1)."""
-    one = ScalarSeries.one(maxdeg, ring)
-    num = q_series(maxdeg, ring, 2 * d - 1) * (q_series(maxdeg, ring, 2) - one)
-    return scalar_div(num, q_series(maxdeg, ring, 2 * d) - one)
-
-
 def semi_normal_block(d):
     """The q=1 semi-normal reflection (1/d) [[-1, d+1], [d-1, 1]]."""
     d = Fraction(d)
@@ -74,10 +67,10 @@ def unitary_ring(dmax) -> SymRing:
 
 
 class MatrixModel:
-    """A block family; kind 'semi' (from an associator), 'unitary', or 'custom'."""
+    """A block family; kind 'semi' (from an associator) or 'unitary'."""
 
-    def __init__(self, kind, phi=None, maxdeg=None, b_sequence=None):
-        if kind not in ("semi", "unitary", "custom"):
+    def __init__(self, kind, phi=None, maxdeg=None):
+        if kind not in ("semi", "unitary"):
             raise ValueError("unknown model kind %r" % kind)
         self.kind = kind
         self.phi = phi
@@ -86,13 +79,9 @@ class MatrixModel:
                 raise ValueError("the semi-normal model takes an associator and its maxdeg")
             self.maxdeg = phi.maxdeg
             self.ring = phi.series.ring
-        elif kind == "unitary":
-            self.maxdeg = DEFAULT_MAXDEG if maxdeg is None else maxdeg
-            self.ring = unitary_ring(8)
         else:
             self.maxdeg = DEFAULT_MAXDEG if maxdeg is None else maxdeg
-            self.ring = None
-            self.b_sequence = dict(b_sequence or {})
+            self.ring = unitary_ring(8)
         self._blocks = {}
         self._q = {}
 
@@ -125,23 +114,15 @@ class MatrixModel:
     def _build_block(self, d) -> HMatrix:
         if self.kind == "semi":
             return hecke_block_from_candidate(self.phi, d)
-        if self.kind == "unitary":
-            dq = q_integer(d, self.maxdeg, self.ring)
-            s = ScalarSeries.const(self.ring.symbol("s%d" % d), self.maxdeg, self.ring)
-            # sqrt([d+1][d-1]) = s_d * sqrt([d+1][d-1]/(d^2-1)), rational series part
-            prod = q_integer(d + 1, self.maxdeg, self.ring) * q_integer(d - 1, self.maxdeg, self.ring)
-            root = scalar_sqrt(Fraction(1, d * d - 1) * prod)
-            off = s * root
-            rows = [[scalar_div(-self.q(-d), dq), scalar_div(off, dq)],
-                    [scalar_div(off, dq), scalar_div(self.q(d), dq)]]
-            return HMatrix(rows)
-        b = self.b_sequence.get(d)
-        if b is None:
-            raise ValueError("custom model has no b_%d" % d)
-        a = a_entry(d, self.maxdeg, self.ring)
-        ap = a_entry_prime(d, self.maxdeg, self.ring)
-        one = ScalarSeries.one(self.maxdeg, self.ring, a.known_order)
-        return HMatrix([[a, b], [scalar_div(one + a * ap, b), ap]])
+        dq = q_integer(d, self.maxdeg, self.ring)
+        s = ScalarSeries.const(self.ring.symbol("s%d" % d), self.maxdeg, self.ring)
+        # sqrt([d+1][d-1]) = s_d * sqrt([d+1][d-1]/(d^2-1)), rational series part
+        prod = q_integer(d + 1, self.maxdeg, self.ring) * q_integer(d - 1, self.maxdeg, self.ring)
+        root = scalar_sqrt(Fraction(1, d * d - 1) * prod)
+        off = s * root
+        rows = [[scalar_div(-self.q(-d), dq), scalar_div(off, dq)],
+                [scalar_div(off, dq), scalar_div(self.q(d), dq)]]
+        return HMatrix(rows)
 
 
 def hecke_block_from_candidate(phi, d) -> HMatrix:

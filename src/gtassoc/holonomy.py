@@ -20,9 +20,10 @@ right word, which is already normal.  A one-letter left word, the common
 case of a word image built from the left, reads its row straight from the
 cached prepend table.
 
-A braid word goes through the morphism attached to an associator into
-kS_n |x U(T_n) as one pair (u, p), an element u of U(T_n) and a permutation
-p, standing for u . p.
+No S_n action on U(T_n) is kept: the GT_1 4-strand relation is read as the
+associator pentagon of g.phi0 (grtgt.gt_pentagon_defect), and braid words
+pushed into kS_n |x U(T_n) remain only as a test oracle.  transposition
+serves the S_n-equivariance check of InfinitesimalRep.validate.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ import itertools
 from fractions import Fraction
 
 from .ncseries import EMPTY, NCSeries
-from .symcoef import as_fraction
 from .truncated import Truncated, evaluate
 
 # dim U(T_n) in the top degree, which sizes the reduction tables and every
 # product there: admits U(T_4) through degree 7 (9330) but not 8 (28501)
 DEFAULT_DIMENSION_BOUND = 10000
-# (n, maxdeg) -> HoloAlgebra, and n -> the prepend and permutation rows that
-# every algebra on n strands shares: no row depends on the truncation degree
+# (n, maxdeg) -> HoloAlgebra, and n -> the prepend rows that every algebra
+# on n strands shares: no row depends on the truncation degree
 _REGISTRY = {}
 
 
@@ -74,7 +74,7 @@ class HoloAlgebra:
             i, j = int(name[1]), int(name[2])
             self.pair_of.append((i, j))
             self.cls.append(j)
-        self._prepend_cache, self._perm_cache = _REGISTRY.setdefault(n, ({}, {}))
+        self._prepend_cache = _REGISTRY.setdefault(n, {})
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -157,23 +157,6 @@ class HoloAlgebra:
             acc = nxt
         return acc
 
-    # -- S_n action -------------------------------------------------------
-
-    def permute_word(self, perm, word):
-        """Image of a basis word under s: t_ij -> t_{s(i)s(j)}, re-reduced.
-
-        perm is a tuple giving s(1..n) at indices 0..n-1.
-        """
-        key = (perm, word)
-        cached = self._perm_cache.get(key)
-        if cached is None:
-            moved = bytes(
-                self.generator_index(perm[i - 1], perm[j - 1])
-                for (i, j) in (self.pair_of[b] for b in word))
-            cached = self.normal_form(moved)
-            self._perm_cache[key] = cached
-        return cached
-
     # -- elements ---------------------------------------------------------
 
     def zero(self, known_order=None):
@@ -185,14 +168,6 @@ class HoloAlgebra:
     def generator(self, i, j, known_order=None):
         return HoloElt(self, {bytes((self.generator_index(i, j),)): Fraction(1)},
                        known_order=known_order)
-
-    def y_element(self, r):
-        """Y_r = t_1r + ... + t_{r-1,r}; Y_1 = 0."""
-        out = self.zero()
-        for i in range(1, r):
-            out = out + self.generator(i, r)
-        return out
-
 
 def _compositions(total, parts):
     if parts == 1:
@@ -265,10 +240,6 @@ class HoloElt(Truncated):
     def commutator(self, other):
         return self * other - other * self
 
-    def permuted(self, perm):
-        """The image under t_ij -> t_{perm(i)perm(j)}, re-reduced."""
-        return self.linear(lambda w: self.algebra.permute_word(perm, w).items())
-
     def __repr__(self):
         parts = []
         for w in sorted(self.terms, key=lambda w: (len(w), w))[:8]:
@@ -297,52 +268,8 @@ def holonomy_algebra(n, maxdeg) -> HoloAlgebra:
     return _REGISTRY.setdefault(key, HoloAlgebra(n, maxdeg))
 
 
-# -- braid words through kS_n |x U(T_n) ----------------------------------
-
-
-def _perm_mul(p, q):
-    # (p q)(i) = p(q(i))
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
 def transposition(n, r):
     """The adjacent transposition s_r = (r, r+1) in S_n."""
     perm = list(range(1, n + 1))
     perm[r - 1], perm[r] = perm[r], perm[r - 1]
     return tuple(perm)
-
-
-def sigma_images(series: NCSeries, lam, algebra: HoloAlgebra) -> dict:
-    """The braid generators' images under the morphism attached to an associator.
-
-    sigma_i maps to a . s_i . b with t = t_{i,i+1}, a = Phi(t, Y_i) and
-    b = exp(lam t/2) Phi(Y_i, t).  Moving s_i to the right, s_i . v = (s_i v) . s_i
-    with s_i v = v.permuted(s_i), gives sigma_i = u_i . s_i and
-    sigma_i^-1 = b^-1 . s_i . a^-1 = u'_i . s_i.  Returns {i: (s_i, u_i, u'_i)}
-    for i = 1..n-1.
-    """
-    n = algebra.n
-    lam = as_fraction(lam)
-    out = {}
-    for i in range(1, n):
-        t = algebra.generator(i, i + 1)
-        y = algebra.y_element(i)  # Y_1 = 0, so Phi(t, Y_1) collapses to 1 by itself
-        a = embed_free(series, algebra, {"x": t, "y": y})
-        b = (Fraction(lam, 2) * t).exp() * embed_free(series, algebra, {"x": y, "y": t})
-        s = transposition(n, i)
-        out[i] = (s, a * b.permuted(s), b.inverse() * a.inverse().permuted(s))
-    return out
-
-
-def braid_image(images, algebra: HoloAlgebra, letters):
-    """The image u . p of a braid word (signed generator indices) under
-    sigma_images, as the pair (u, p): each letter folds in as
-    (u, p)(v, s) = (u . p v, p s), where p v is v itself while p is the identity."""
-    identity = tuple(range(1, algebra.n + 1))
-    u, p = algebra.one(), identity
-    for v in letters:
-        s, image, inverse = images[abs(v)]
-        factor = image if v > 0 else inverse
-        u = u * (factor if p == identity else factor.permuted(p))
-        p = _perm_mul(p, s)
-    return u, p

@@ -25,6 +25,8 @@ from gtassoc.hmatrix import HMatrix
 from gtassoc.ncseries import NCSeries, nc_log
 from gtassoc.wbasis import XY, w_element
 
+from _hecke_oracle import a_entry_prime
+
 RESONANCE_N = 6
 # a row's ids: every check of the suites it runs
 EVERY_CHECK = None
@@ -154,7 +156,7 @@ def unitary_block_rescaled(mp):
 
 
 def a_entry_is_a_prime(mp):
-    mp.setattr(hecke, "a_entry", hecke.a_entry_prime)
+    mp.setattr(hecke, "a_entry", a_entry_prime)
 
 
 def q_n_sign(mp):

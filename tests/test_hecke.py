@@ -5,13 +5,15 @@ import pytest
 
 from gtassoc.braidreps import BraidRep, phat
 from gtassoc.grtgt import act_grt, grt_cap_psi
-from gtassoc.hecke import (MatrixModel, a_entry, a_entry_prime, b_semi,
+from gtassoc.hecke import (MatrixModel, a_entry, b_semi,
                            delta_eigenvalues_ok, hecke_infinitesimal, q_integer,
                            q_series, rep_build, semi_normal_block, unitarity_check)
 from gtassoc.hmatrix import HMatrix, to_text
 from gtassoc.scalar import ScalarSeries, scalar_div
 from gtassoc.symcoef import as_fraction
 from gtassoc.tableaux import Partition, partitions_of, tableaux, axial_distance
+
+from _hecke_oracle import a_entry_prime
 
 
 def test_tableaux_counts_and_order():
@@ -255,10 +257,9 @@ def test_phat_equals_rep_build(phi0, semi_model):
                 assert r1.sigma(i).equal_through(r2.sigma(i)), (shape.parts, i)
 
 
-def test_custom_model_guard():
-    model = MatrixModel("custom", maxdeg=7,
-                        b_sequence={2: ScalarSeries.one(7) * F(3, 2)})
-    blk = model.block(2)
-    assert blk.entry(0, 1).coefficient(0) == F(3, 2)
-    with pytest.raises(ValueError):
-        model.block(3)
+def test_unknown_model_kind_is_refused():
+    """Only the 'semi' and 'unitary' kinds exist; 'semi' needs its associator."""
+    with pytest.raises(ValueError, match="unknown model kind 'custom'"):
+        MatrixModel("custom", maxdeg=7)
+    with pytest.raises(ValueError, match="takes an associator"):
+        MatrixModel("semi")
