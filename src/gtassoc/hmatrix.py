@@ -102,7 +102,7 @@ class HMatrix(Truncated):
         return terms
 
     def constant_term(self):
-        get = self.terms.get
+        get = self.homogeneous(0).terms.get
         return [[as_fraction(get((0, i, j), 0)) for j in range(self.n)] for i in range(self.n)]
 
     def _one(self):
@@ -113,7 +113,7 @@ class HMatrix(Truncated):
                                   self.known_order, self.var)
 
     def transpose(self):
-        return self._like({(p, j, i): c for (p, i, j), c in self.terms.items()})
+        return self._remade(lambda layer: {(p, j, i): v for (p, i, j), v in layer.items()})
 
     def __repr__(self):
         return "<HMatrix %dx%d known<=%d>" % (self.n, self.n, self.known_order)

@@ -107,7 +107,7 @@ def letter_swap(f: NCSeries) -> NCSeries:
     """f(y, x): the first two letters, x and y, trade places; a bijection of
     words, so no two words meet."""
     table = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-    return f._like({w.translate(table): c for w, c in f.terms.items()})
+    return f._remade(lambda layer: {w.translate(table): v for w, v in layer.items()})
 
 
 def bch(u: NCSeries, v: NCSeries) -> NCSeries:
@@ -139,7 +139,8 @@ def is_lie(f: NCSeries) -> bool:
     keeps degrees, so the components are compared all at once."""
     if f.coefficient(EMPTY):
         return False
-    return dynkin(f).equal_through(f._like({w: len(w) * c for w, c in f.terms.items()}))
+    graded = f._remade(lambda layer: {w: len(w) * v for w, v in layer.items()})
+    return dynkin(f).equal_through(graded)
 
 
 def lie_project(f: NCSeries) -> NCSeries:

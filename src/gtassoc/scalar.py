@@ -65,7 +65,9 @@ class ScalarSeries(Truncated):
 
     def shift(self, m):
         """Multiply by h^m."""
-        return self._like({k + m: c for k, c in self.terms.items()}, self.known_order + m)
+        ko = min(self.known_order + m, self.maxdeg)
+        return self._remade(lambda layer: {k + m: v for k, v in layer.items() if 0 <= k + m <= ko},
+                            ko)
 
     def __repr__(self):
         bits = []
@@ -91,7 +93,8 @@ def scalar_div(num: ScalarSeries, den: ScalarSeries) -> ScalarSeries:
     ko = min(num.known_order, den.known_order) - wd
     if ko < 0:
         raise ValueError("denominator order exceeds the known order")
-    num, den = (s._like({k - wd: c for k, c in s.terms.items()}, ko) for s in (num, den))
+    num, den = (s._remade(lambda layer: {k - wd: v for k, v in layer.items() if k - wd <= ko}, ko)
+                for s in (num, den))
     return num * den.inverse()
 
 

@@ -100,13 +100,39 @@ class SymRing:
         return Poly(self, {(0,) * len(self.symbols): c})
 
     def coerce(self, value) -> "Poly":
+        """value as a Poly of this ring; a Poly of another ring must include into it."""
         if isinstance(value, Poly):
             if value.ring == self:
                 return value
-            # re-express over this ring when the symbols are a subset
-            mapping = {s: self.symbol(s) for s in value.ring.symbols}
-            return value.subs(self, mapping)
+            try:
+                at = self.positions(value.ring)
+            except ValueError as exc:
+                raise ValueError("cannot coerce into %r: %s" % (self, exc)) from None
+            return Poly(self, {self.moved(e, at): c for e, c in value.terms.items()})
         return self.const(value)
+
+    def positions(self, source):
+        """The index here of each symbol of the ring source.  Raises ValueError
+        unless source includes into this ring: every symbol of source is here,
+        and each has the same square relation here, or none in both."""
+        missing = [s for s in source.symbols if s not in self.index]
+        if missing:
+            raise ValueError("target ring lacks %r" % sorted(missing))
+        at = [self.index[s] for s in source.symbols]
+        for i, j in enumerate(at):
+            here, there = source.squares.get(i), self.squares.get(j)
+            if here != there:
+                raise ValueError("%s^2 is %s in the source ring but %s in the target"
+                                 % (source.symbols[i], "free" if here is None else here,
+                                    "free" if there is None else there))
+        return at
+
+    def moved(self, exps, at):
+        """The exponent vector here of exps, whose entries go to the indices at."""
+        out = [0] * len(self.symbols)
+        for j, x in zip(at, exps):
+            out[j] = x
+        return tuple(out)
 
 
 def _add_term(acc, ring, exps, coeff):

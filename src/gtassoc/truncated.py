@@ -14,7 +14,15 @@ degree, summed in int over each factor's least common denominator.
 
 Coefficients are exact: int, Fraction, or Poly of one ring.  Any other
 coefficient (a float), or Polys of two rings, raises ValueError as soon as
-a product or a comparison asks for their ring.
+a sum, a product or a comparison asks for their ring.
+
+A value is held as its int layers: (d, {exponent vector: {key: int}}), its
+coefficients times their least common denominator d, split by monomial of
+the ring (one layer, at the exponent vector (), over Q).  The sum, the
+product, negation, scaling, h -> -h, the homogeneous parts and substitution
+work on the layers alone, reduce the quadratic symbols of a ring on the
+exponent vectors where two layers meet, and give a value born in that form;
+its Fractions or Polys are built when its terms are first read.
 
 The value maps are written here once, and every construction commutes
 with them:
@@ -23,7 +31,8 @@ with them:
   keeps min(known order, maxdeg), or an explicit known order;
 - ``specialize(ring, mapping)`` sends each Poly coefficient through
   ``Poly.subs`` into ring (Q for None), at a rational point for instance;
-- ``promote(ring)`` coerces each coefficient into a larger ring;
+- ``promote(ring)`` carries the layers into a larger ring that keeps the
+  square of every symbol;
 - ``evaluate(series, images, one)`` evaluates an NCSeries at images of
   order >= 1, through the least known order.
 
@@ -44,14 +53,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .symcoef import Poly, _add_term, as_fraction, layers
+from .symcoef import Poly, as_fraction, layers
 
-# the exact coefficient types, the only ones a value may hold; a product
-# with a Fraction or a Poly among them sums in int
-_LAYERED = {Fraction, Poly}
-_EXACT = {int} | _LAYERED
-# the coefficient types of a product born over Q
-_BORN = frozenset({Fraction})
+# the exact coefficient types, the only ones a value may hold
+_EXACT = frozenset({int, Fraction, Poly})
+# the coefficient types a value born in int layers builds when read: ints
+# when every input was an int, else Fractions over Q and Polys over a ring
+_INT, _RATIONAL, _POLY = frozenset({int}), frozenset({Fraction}), frozenset({Poly})
 
 
 class Truncated:
@@ -70,26 +78,27 @@ class Truncated:
     - ``ring``, which ``_coerce`` and ``promote`` read, or its own
       ``_coerce(scalar)``;
     - and, where keys do not multiply by ``+`` alone, ``_convolve(a_terms,
-      b_terms, ko)``, the product of two term dicts through degree ko, its
-      zero sums left in.
+      b_terms, ko)``, the product of two {key: int} dicts through degree ko,
+      its zero sums left in.
 
     From these the base writes once: ``_like(terms, known_order=None)``,
     ``_check(other)``, which raises ``_error`` unless other is of self's
     type and shape, ``==`` (type, shape apart from maxdeg, terms), the
     series algorithms ``exp``, ``log`` and ``inverse``, the value maps
     ``truncated``, ``specialize`` and ``promote``, the linear map
-    ``linear(row)`` on keys, and the ring-based ``_coerce``.  Operands of
-    different types or shapes are refused with ``_error``; a type in
-    ``_scalars`` multiplies as a coefficient.  No value stores a zero
-    coefficient: ``_set`` drops them (``_born`` for a product over Q), so
-    the sums that build terms keep theirs.
+    ``linear(row)`` on keys, the map ``_remade(f)`` of the int layers, and
+    the ring-based ``_coerce``.  Operands of different types or shapes are
+    refused with ``_error``; a type in ``_scalars`` multiplies as a
+    coefficient.  No value stores a zero coefficient: ``_set`` drops them,
+    and so does ``_born`` for a value made from int layers.
 
     Values are immutable.  ``_cache`` holds (types, ring, split): the
-    coefficient types, their one ring (None over Q) and, once a product or a
-    comparison has asked for it, the ``layers`` split over that ring.  A
-    product over Q is born with ``_terms`` None and only its split, its least
-    denominator and int numerators; ``terms`` builds its Fractions on first
-    read.
+    coefficient types, their one ring (None over Q) and the int layers
+    (d, {exponent vector: {key: int}}), formed from the terms the first time
+    an operation asks for them.  A value that an operation makes is born
+    with its split alone and ``_terms`` None, unless its coefficients are
+    ints, whose one layer is its terms; ``terms`` builds one Fraction, or
+    one Poly, per key on first read.
     """
 
     __slots__ = ("_terms", "_cache")
@@ -137,17 +146,26 @@ class Truncated:
         return out._set(self.terms, self.known_order if known_order is None else known_order)
 
     def promote(self, ring):
-        """This value over ring, which must hold every symbol of self's ring;
-        nothing demotes to Q."""
+        """This value over ring, which must hold every symbol of self's ring
+        with the same square relation; nothing demotes to Q.  The layers move
+        to ring's exponent vectors, and no Poly is built."""
         if ring == self.ring:
             return self
         if ring is None:
             raise self._error("cannot demote coefficients to Q")
-        if self.ring is not None:
-            missing = set(self.ring.symbols) - set(ring.symbols)
-            if missing:
-                raise self._error("cannot promote: target ring lacks %r" % sorted(missing))
-        return self._over(ring, {k: ring.coerce(c) for k, c in self.terms.items()})
+        _, own, _ = self._kind()
+        try:
+            if self.ring is not None:
+                ring.positions(self.ring)
+            at = None if own is None else ring.positions(own)
+        except ValueError as exc:
+            raise self._error("cannot promote: %s" % exc) from None
+        d, split = self._layers(ring)
+        if at is not None:
+            split = {ring.moved(e, at): layer for e, layer in split.items()}
+        out = self._like({})
+        out.ring = ring
+        return out._born(d, split, self.known_order, _POLY, ring)
 
     def specialize(self, ring, mapping):
         """This value over ring (Q for None): each Poly coefficient goes
@@ -175,17 +193,25 @@ class Truncated:
 
     @property
     def terms(self):
-        """{key: nonzero coefficient}, read-only; a born product builds its Fractions here once."""
+        """{key: nonzero coefficient}, read-only; a born value builds its
+        Fractions, or one Poly per key, here once."""
         terms = self._terms
         if terms is None:
-            d, ints = self._cache[2]
-            terms = self._terms = {k: Fraction(v, d) for k, v in ints[()].items()}
+            _, ring, (d, split) = self._cache
+            if ring is None:
+                terms = {k: Fraction(v, d) for k, v in split[()].items()}
+            else:
+                polys = {}
+                for e, layer in split.items():
+                    for k, v in layer.items():
+                        p = polys.get(k)
+                        if p is None:
+                            polys[k] = {e: Fraction(v, d)}
+                        else:
+                            p[e] = Fraction(v, d)
+                terms = {k: Poly(ring, p) for k, p in polys.items()}
+            self._terms = terms
         return terms
-
-    def _keys(self):
-        """The stored keys, from whichever form of the terms exists."""
-        terms = self._terms
-        return self._cache[2][1][()] if terms is None else terms
 
     def _kind(self):
         """(types, ring, split) of the coefficients, the split None until _split forms it."""
@@ -195,30 +221,69 @@ class Truncated:
         return cache
 
     def _split(self):
-        """layers(terms, ring) over the value's own ring, formed at most once."""
+        """The int layers over the value's own ring, formed at most once; the
+        one layer of int coefficients is their terms."""
         types, ring, split = self._kind()
         if split is None:
-            split = layers(self._terms, ring)
+            split = (1, {(): self._terms}) if types <= _INT else layers(self._terms, ring)
             self._cache = types, ring, split
         return split
 
-    def _layers(self, ring):
-        """The split over ring, the product's ring: a rational value's one
-        layer moves to ring's all-zero exponent vector."""
+    def _layers(self, ring, through=None):
+        """The split over ring: a rational value's one layer moves to ring's
+        all-zero exponent vector.  With through, the keys past that degree
+        are left out."""
         d, split = self._split()
         if ring is not None and self._cache[1] is None:
             split = {(0,) * len(ring.symbols): split[()]}
+        if through is not None and through < self.known_order:
+            deg = self._degree
+            split = {e: {k: v for k, v in layer.items() if deg(k) <= through}
+                     for e, layer in split.items()}
         return d, split
 
-    def _born(self, d, sums, ko):
-        """The value {key: v / d} of int sums, kept as its layered split over
-        the least denominator d / gcd(d, *sums); its terms are built when read."""
-        g = gcd(d, *sums.values())
-        ints = {k: v // g for k, v in sums.items() if v}
+    def _born(self, d, by_exps, ko, types, ring):
+        """The value of self's shape, known through ko, with coefficients
+        {key: sum_e v x^e / d} of the int sums {e: {key: v}}, whose exponent
+        vectors are reduced; types is _INT, _RATIONAL or _POLY.  The zero sums
+        and layers drop out, and d becomes the least denominator d / g, g =
+        gcd(d, every sum)."""
         out = self._like({}, ko)
-        if ints:
-            out._terms, out._cache = None, (_BORN, None, (d // g, {(): ints}))
+        g = d
+        for sums in by_exps.values():
+            if g == 1:
+                break
+            g = gcd(g, *sums.values())
+        split = {e: ints for e, sums in by_exps.items()
+                 if (ints := {k: v // g for k, v in sums.items() if v})}
+        if split:
+            out._terms = split[()] if types is _INT else None
+            out._cache = types, ring, (d // g, split)
         return out
+
+    def _remade(self, f, known_order=None):
+        """The value of self's kind and shape whose layers are f(layer) of
+        each of self's, over the same denominator, known through known_order
+        (self's by default); f keeps no key past it."""
+        types, ring, _ = self._kind()
+        d, split = self._split()
+        return self._born(d, {e: f(layer) for e, layer in split.items()},
+                          self.known_order if known_order is None else known_order,
+                          _born_types(types, ring), ring)
+
+    def _cut(self, known_order):
+        """This value known through known_order, its keys past it left out."""
+        deg = self._degree
+        return self._remade(lambda layer: {k: v for k, v in layer.items()
+                                           if deg(k) <= known_order}, known_order)
+
+    def _keys(self):
+        """The stored keys, from whichever form of the terms exists."""
+        terms = self._terms
+        if terms is None:
+            split = self._cache[2][1]
+            return next(iter(split.values())) if len(split) == 1 else set().union(*split.values())
+        return terms
 
     def order(self):
         """Degree of the lowest stored term, or None for zero."""
@@ -243,21 +308,24 @@ class Truncated:
 
     def homogeneous(self, degree):
         deg = self._degree
-        return self._like({k: c for k, c in self.terms.items() if deg(k) == degree})
+        return self._remade(lambda layer: {k: v for k, v in layer.items() if deg(k) == degree})
 
     def __add__(self, other):
+        """The sum through the lesser known order, in int over the lcm of the
+        two least denominators."""
         if not isinstance(other, Truncated):
             other = self._one() * other
         self._check(other)
-        out = dict(self.terms)
-        _scatter(out, other.terms.items())
-        return self._like(out, min(self.known_order, other.known_order))
+        ko = min(self.known_order, other.known_order)
+        types, ring = _joint(self, other)
+        d, by_exps = _settle([(1, *self._layers(ring, ko)), (1, *other._layers(ring, ko))])
+        return self._born(d, by_exps, ko, _born_types(types, ring), ring)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self._remade(lambda layer: {k: -v for k, v in layer.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Truncated) else -1 * other)
@@ -266,22 +334,33 @@ class Truncated:
         return (-self) + other
 
     def __rmul__(self, scalar):
+        """c * self for a coefficient c, coerced into self's ring: each layer
+        of c times each layer of self, in int."""
         if isinstance(scalar, Truncated):
             self._check(scalar)  # raises: a value of self's family multiplies in __mul__
         c = self._coerce(scalar)
-        return self._like({k: c * v for k, v in self.terms.items()})
+        if type(c) not in _EXACT:
+            raise ValueError("inexact coefficients: ['%s']" % type(c).__name__)
+        types, ring, _ = self._kind()
+        types = types | {type(c)}
+        if type(c) is Poly:
+            ring = _one_ring([r for r in (ring, c.ring) if r is not None])
+        d, split = self._layers(ring)
+        d_c, c_layers = _coefficient_layers(c, ring)
+        raw = {}
+        _gather(raw, c_layers, split)
+        m, by_exps = _reduced(raw, ring)
+        return self._born(d_c * d * m, by_exps, self.known_order, _born_types(types, ring), ring)
 
     def __mul__(self, other):
         """The product through min(K_a + w_b, K_b + w_a, maxdeg).
 
-        With a Fraction or a Poly among the coefficients, each factor is split
-        into int monomial layers {exponent vector: {key: int}} over its least
-        common denominator d (one layer over Q), the hook convolves each pair
-        of layers, and the sums add per key and exponent vector.  Over Q the
-        product is born in int, (d/g, {key: sum/g}) with g = gcd(d, *sums),
-        its own split; over a ring each key becomes one Poly of Fractions
-        over d, its quadratic symbols reduced once per output monomial:
-        exact, because the reduction is linear.
+        Each factor is taken as its int layers over its least common
+        denominator (over Q one layer, over a ring one per monomial), the
+        hook convolves each pair of layers, and the sums add per key and
+        exponent vector, each quadratic symbol's square folded in where two
+        layers meet.  The product is born in that form, (d/g, {e: {key:
+        sum/g}}), g the gcd of the denominator and every sum.
         """
         if not isinstance(other, Truncated) or isinstance(other, self._scalars):
             return self.__rmul__(other)
@@ -293,30 +372,10 @@ class Truncated:
             return self._like({}, min(self.known_order, other.known_order))
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
         types, ring = _joint(self, other)
-        if not types & _LAYERED:
-            return self._like(self._convolve(self.terms, other.terms, ko), ko)
         (d_a, a), (d_b, b) = self._layers(ring), other._layers(ring)
-        d = d_a * d_b
-        if ring is None:
-            return self._born(d, self._convolve(a[()], b[()], ko), ko)
-        by_exps = {}
-        for e1, x in a.items():
-            for e2, y in b.items():
-                sums = self._convolve(x, y, ko)
-                e = tuple(map(add, e1, e2))
-                acc = by_exps.get(e)
-                if acc is None:
-                    by_exps[e] = sums
-                else:
-                    for k, v in sums.items():
-                        acc[k] = acc.get(k, 0) + v
-        # a zero int sum builds no Fraction; _like drops the zero Polys
-        polys = {}
-        for e, sums in by_exps.items():
-            for k, v in sums.items():
-                if v:
-                    _add_term(polys.setdefault(k, {}), ring, e, Fraction(v, d))
-        return self._like({k: Poly(ring, p) for k, p in polys.items()}, ko)
+        convolve = self._convolve
+        m, by_exps = _reduced(_products(a, b, lambda x, y: convolve(x, y, ko)), ring)
+        return self._born(d_a * d_b * m, by_exps, ko, _born_types(types, ring), ring)
 
     def _convolve(self, a_terms, b_terms, ko):
         """The terms of the product of a_terms and b_terms through degree ko."""
@@ -345,38 +404,33 @@ class Truncated:
     def equal_through(self, other, order=None):
         """Equality through min(known orders), or through an order not past it.
 
-        Two values of one type compare their terms key by key, and over Q
-        their int splits: the whole splits when the comparison reads every
-        stored degree (the split over the least denominator is unique), else
-        numerators cross-multiplied by the other denominator.  Any other pair
-        (mixed types, a plain scalar, or two zeros, which have no coefficient
-        to tell their type by) is compared by its difference.
+        Two values of one type compare their int layers: the whole layers
+        when the comparison reads every stored degree (the layers over the
+        least denominator are unique), else per exponent vector the
+        numerators cross-multiplied by the other denominator.  Any other
+        pair (mixed types, a plain scalar, or two zeros, which have no
+        coefficient to tell their type by) is compared by its difference.
         """
         if type(other) is not type(self) or not (self._keys() or other._keys()):
             return (self - other).is_zero(order)
         self._check(other)
         ring = _joint(self, other)[1]
         k = _through(min(self.known_order, other.known_order), order)
+        (d_a, a), (d_b, b) = self._layers(ring), other._layers(ring)
+        if k == self.known_order == other.known_order:
+            return d_a == d_b and a == b
         deg = self._degree
-        if ring is None:
-            (d_a, a), (d_b, b) = self._split(), other._split()
-            a, b = a[()], b[()]
-            if k == self.known_order == other.known_order:
-                return d_a == d_b and a == b
-            return all(x * d_b == b.get(key, 0) * d_a for key, x in a.items() if deg(key) <= k) \
-                and not any(key not in a and deg(key) <= k for key in b)
-        a, b = self.terms, other.terms
-        for key, c in a.items():
-            if deg(key) <= k:
-                d = b.get(key)
-                if c if d is None else c != d:
-                    return False
-        return not any(d and key not in a and deg(key) <= k for key, d in b.items())
+        for e in a.keys() | b.keys():
+            x, y = a.get(e, {}), b.get(e, {})
+            if not all(v * d_b == y.get(key, 0) * d_a for key, v in x.items() if deg(key) <= k) \
+                    or any(key not in x and deg(key) <= k for key in y):
+                return False
+        return True
 
     def eps(self):
         """The involution h -> -h: the terms of odd degree change sign."""
         deg = self._degree
-        return self._like({k: -c if deg(k) % 2 else c for k, c in self.terms.items()})
+        return self._remade(lambda layer: {k: -v if deg(k) % 2 else v for k, v in layer.items()})
 
     def exp(self):
         """exp(self) = sum_k self^k / k! through the known order; the order must be positive."""
@@ -471,6 +525,92 @@ def _one_ring(rings):
     return rings[0] if rings else None
 
 
+def _born_types(types, ring):
+    """The coefficient types of a value born from inputs of these types over ring."""
+    return _POLY if ring is not None else _RATIONAL if Fraction in types else _INT
+
+
+def _coefficient_layers(c, ring):
+    """(d, {e: int}): an int, Fraction or Poly c times its least denominator
+    d, split by monomial of ring (a rational at the all-zero vector)."""
+    if type(c) is Poly:
+        d = lcm(*(x.denominator for x in c.terms.values()))
+        return d, {e: x.numerator * (d // x.denominator) for e, x in c.terms.items()}
+    return c.denominator, {() if ring is None else (0,) * len(ring.symbols): c.numerator}
+
+
+def _products(a, b, pair):
+    """{e1 + e2: sum of pair(x, y)} over the layers x of a at e1 and y of b
+    at e2, where pair returns a fresh {key: int}; exponent vectors unreduced."""
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            sums = pair(x, y)
+            e = tuple(map(add, e1, e2))
+            acc = out.get(e)
+            if acc is None:
+                out[e] = sums
+            else:
+                for k, v in sums.items():
+                    acc[k] = acc.get(k, 0) + v
+    return out
+
+
+def _gather(acc, xs, t):
+    """acc[e1 + e2][key] += x v for each x of xs at e1 and v of t's layer at e2."""
+    for e1, x in xs.items():
+        for e2, layer in t.items():
+            e = tuple(map(add, e1, e2))
+            sums = acc.get(e)
+            if sums is None:
+                acc[e] = {k: x * v for k, v in layer.items()}
+            else:
+                for k, v in layer.items():
+                    sums[k] = sums.get(k, 0) + x * v
+
+
+def _reduced(raw, ring):
+    """(m, layers) with layers / m equal to raw, each exponent of a
+    quadratic symbol s taken below 2 by its square: s^(2t+r) = (s^2)^t s^r."""
+    squares = None if ring is None else ring.squares
+    if not squares or all(e[i] < 2 for e in raw for i in squares):
+        return 1, raw
+    parts = []
+    for e, sums in raw.items():
+        e, f = list(e), Fraction(1)
+        for i, square in squares.items():
+            t = e[i] >> 1
+            e[i] -= 2 * t
+            f *= square ** t
+        parts.append((f.numerator, f.denominator, {tuple(e): sums}))
+    return _settle(parts)
+
+
+def _settle(parts):
+    """(d, layers) of sum num / den * layers over parts [(num, den, layers)],
+    in fresh dicts over d = lcm(den); the parts are left as they are."""
+    d = lcm(*(den for _, den, _ in parts))
+    out = {}
+    for num, den, split in parts:
+        m = num * (d // den)
+        for e, sums in split.items():
+            acc = out.get(e)
+            if acc is None:
+                out[e] = dict(sums) if m == 1 else {k: v * m for k, v in sums.items()}
+            else:
+                for k, v in sums.items():
+                    acc[k] = acc.get(k, 0) + v * m
+    return d, out
+
+
+def _settled(like, parts, types, ring):
+    """The value of like's shape and known order from int sums [(den, raw
+    layers)], their exponent vectors reduced first."""
+    parts = [(1, den * m, split) for den, raw in parts for m, split in (_reduced(raw, ring),)]
+    d, by_exps = parts[0][1:] if len(parts) == 1 else _settle(parts)
+    return like._born(d, by_exps, like.known_order, types, ring)
+
+
 def suffix_products(images, alphabet, one):
     """A function word -> product of the images of its letters, built from the left.
 
@@ -490,7 +630,7 @@ def suffix_products(images, alphabet, one):
     def image(letter, n):
         if (letter, n) not in cut:
             img = images[alphabet[letter]]
-            cut[letter, n] = img if n >= img.known_order else img._like(img.terms, n)
+            cut[letter, n] = img if n >= img.known_order else img._cut(n)
         return cut[letter, n]
 
     def product_for(word):
@@ -514,58 +654,52 @@ def substitute(elements, images, one):
     """Each series of elements, all over one alphabet, evaluated at images.
 
     images maps letter names to values of positive order known through K,
-    the known order of one; words longer than K are skipped.  The
-    words of every element are visited together in (length, lex) order, and
-    a word a.s is split at its first letter: suffix_products, built with one
-    cut to known order K - 1, forms the image of each suffix s once for all
-    the elements, and each element scatters its coefficient (coerced unless
-    an int, so that int series at int images stay in int) times that image
-    into one tail T_a per first letter a.  Each nonzero tail then
-    takes one product image(a) * T_a, and the empty word adds its
-    coefficient times one.  The products' terms go into one plain dict per
-    element, which one._like cleans of zeros and truncates at K: a zero
-    tail's product carries a known order below K, which a sum by ``+`` would
-    keep.  A Poly coefficient times a suffix image with rational
-    coefficients is scattered in int instead: both are scaled to int layers,
-    each pair adds into one flat dict {(key, exponent vector): int} per tail
-    and denominator, and at the end the dicts meet over the lcm of their
-    denominators, one Fraction per term and one Poly per key.
+    the known order of one; words longer than K are skipped.  Everything
+    happens on int layers.  The words of every element are visited together
+    in (length, lex) order, and a word a.s is split at its first letter:
+    suffix_products, built with one cut to known order K - 1, forms the
+    image of each suffix s once for all the elements, and each element adds
+    the layers of its coefficient times the layers of that image into one
+    tail T_a per first letter a, in one int sum per denominator.  Each
+    nonzero tail is then born, over the lcm of its denominators, and takes
+    one product image(a) * T_a; the products and the empty word's
+    coefficient times one add, per element, into int sums that are born at
+    K, their keys past K left out: a zero tail's product carries a known
+    order below K, which a sum by ``+`` would keep.  Each element's ring is
+    the one ring of its coefficients, of one and of the images; its values
+    stay in int where all of them are ints.
     """
     ko = one.known_order
-    uses = {}  # word -> [(element index, coefficient)]
+    image_kinds = [image._kind() for image in images.values()]
+    one_types, one_ring, _ = one._kind()
+    kinds, uses = [], {}  # per element (types, ring); word -> {element index: (d, {e: int})}
     for i, series in enumerate(elements):
-        for word, coeff in series.terms.items():
-            if len(word) <= ko:
-                c = coeff if type(coeff) is int else one._coerce(coeff)
-                uses.setdefault(word, []).append((i, c))
-    alphabet, cut = elements[0].alphabet, one._like(one.terms, ko - 1)
+        types, ring, _ = series._kind()
+        rings = [ring, getattr(one, "ring", None), one_ring] + [r for _, r, _ in image_kinds]
+        ring = _one_ring([r for r in rings if r is not None])
+        types = types.union(one_types, *(t for t, _, _ in image_kinds))
+        kinds.append((_born_types(types, ring), ring))
+        d, split = series._layers(ring)
+        for e, layer in split.items():
+            for word, v in layer.items():
+                if len(word) <= ko:
+                    uses.setdefault(word, {}).setdefault(i, (d, {}))[1][e] = v
+    alphabet, cut = elements[0].alphabet, one._cut(ko - 1)
     product_for = suffix_products(images, alphabet, cut)
-    accs = [{} for _ in elements]
-    tails, flats = {}, {}  # (element index, first letter) -> terms, and -> {den: flat dict}
+    accs = [{} for _ in elements]  # per element {den: raw layers}, the empty word's
+    tails = {}  # (element index, first letter) -> {den: raw layers}
     for word in sorted(uses, key=lambda w: (len(w), w)):
-        if not word:
-            for i, c in uses[word]:
-                _scatter(accs[i], one.terms.items(), c)
-            continue
-        image = product_for(word[1:])
-        terms = image.terms
-        ints = (image._split() if any(type(c) is Poly for _, c in uses[word])
-                and image._kind()[1] is None else None)
-        for i, c in uses[word]:
-            tail = i, word[0]
-            if ints is None or type(c) is not Poly:
-                _scatter(tails.setdefault(tail, {}), terms.items(), c)
-                continue
-            (d_c, xs), (d_t, vs) = layers(c.terms), ints
-            sums = flats.setdefault(tail, (c.ring, {}))[1].setdefault(d_c * d_t, {})
-            for key, v in vs[()].items():
-                for e, x in xs[()].items():
-                    sums[key, e] = sums.get((key, e), 0) + x * v
-    for tail, (ring, flat) in flats.items():
-        _scatter(tails.setdefault(tail, {}), _flat_polys(ring, flat).items())
-    for (i, letter), terms in tails.items():
-        _scatter(accs[i], (images[alphabet[letter]] * cut._like(terms)).terms.items())
-    return [one._like(acc) for acc in accs]
+        image = product_for(word[1:]) if word else one
+        for i, (d_c, xs) in uses[word].items():
+            d_t, t = image._layers(kinds[i][1])
+            acc = tails.setdefault((i, word[0]), {}) if word else accs[i]
+            _gather(acc.setdefault(d_c * d_t, {}), xs, t)
+    parts = [list(acc.items()) for acc in accs]  # per element [(den, layers)] through K
+    for (i, letter), acc in tails.items():
+        tail = _settled(cut, list(acc.items()), *kinds[i])
+        if tail._keys():
+            parts[i].append((images[alphabet[letter]] * tail)._layers(kinds[i][1], ko))
+    return [_settled(one, p, *kind) for p, kind in zip(parts, kinds)]
 
 
 def evaluate(series, images, one=None):
@@ -580,7 +714,7 @@ def evaluate(series, images, one=None):
         raise series._error("images must have order >= 1")
     ko = min([series.known_order] + [image.known_order for image in used])
     one = used[0]._one() if one is None else one
-    return substitute([series], images, one._like(one.terms, ko))[0]
+    return substitute([series], images, one._cut(ko))[0]
 
 
 def _scatter(acc, pairs, c=None):
@@ -590,18 +724,3 @@ def _scatter(acc, pairs, c=None):
             v = c * v
         cur = acc.get(key)
         acc[key] = v if cur is None else cur + v
-
-
-def _flat_polys(ring, flat):
-    """{key: Poly} from {den: {(key, exponent vector): int}}, one int sum per
-    (key, exponent vector) over the lcm of the denominators."""
-    den, total = lcm(*flat), {}
-    for d, sums in flat.items():
-        m = den // d
-        for ke, x in sums.items():
-            total[ke] = total.get(ke, 0) + x * m
-    polys = {}
-    for (key, e), x in total.items():
-        if x:
-            polys.setdefault(key, {})[e] = Fraction(x, den)
-    return {key: Poly(ring, poly_terms) for key, poly_terms in polys.items()}

@@ -1,12 +1,13 @@
 """The one Truncated product rule, against plain products.
 
 The rule splits each factor into int monomial layers over one common
-denominator and convolves layer pairs in int.  Over a ring it builds one
-Poly per output key, reducing quadratic symbols at the end; the oracle
-below multiplies key pairs with Poly arithmetic, coefficient by
-coefficient.  Over Q the product is born in int, its least denominator and
-int numerators, and builds its Fractions when its terms are first read; the
-oracle there is the type's own convolution of the Fraction terms.
+denominator and convolves layer pairs in int.  The product is born in that
+form, its least denominator and int layers, over a ring one layer per
+exponent vector with each quadratic symbol's square folded in where two
+layers meet, and builds its Polys, or over Q its Fractions, when its terms
+are first read.  Over a ring the oracle below multiplies key pairs with
+Poly arithmetic, coefficient by coefficient; over Q it is the type's own
+convolution of the Fraction terms.
 """
 
 import random

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gtassoc.hecke import unitary_ring
 from gtassoc.hmatrix import HMatrix, evaluate_series
 from gtassoc.holonomy import HoloAlgebra, embed_free, holonomy_algebra
 from gtassoc.ncseries import (AlgebraError, NCSeries, _dynkin_word, bch, commutator,
@@ -662,6 +663,22 @@ def test_promote_checks_the_target_ring():
         assert value.promote(ab) is value
         assert value.promote(abc) == make(abc) * abc.symbol("b")
         assert make(None).promote(ab) == make(ab) != make(None)
+
+
+def test_promote_refuses_a_lost_square_relation():
+    """Over unitary_ring(3), s2 * s2 = 3; over Q[s2, s3] it would be s2^2."""
+    u = unitary_ring(3)
+    value = ScalarSeries.const(u.symbol("s2"), 3, u)
+    assert (value * value).terms == {0: u.const(3)}
+    with pytest.raises(ValueError, match=r"cannot promote: s2\^2 is 3 in the source ring but free"):
+        value.promote(SymRing(("s2", "s3")))
+
+
+def test_promote_refuses_a_new_square_relation():
+    free = SymRing(("s2",))
+    value = NCSeries.letter(XY, "x", 3, free) * free.symbol("s2")
+    with pytest.raises(AlgebraError, match=r"cannot promote: s2\^2 is free in the source ring but 3"):
+        value.promote(unitary_ring(3))
 
 
 def _product_rule(a, b):

@@ -64,3 +64,31 @@ def test_ring_tag_round_trip():
     tag = ring_tag(R)
     assert parse_ring_tag(tag) == R
     assert parse_ring_tag("Q") is None
+
+
+# -- coercion between rings is an inclusion --------------------------------
+
+
+def test_coerce_carries_a_poly_into_a_larger_ring():
+    small, large = SymRing(("b", "s"), {"s": 3}), SymRing(("a", "s", "b"), {"s": 3})
+    p = small.symbol("b") * small.symbol("s") * F(2, 5) + small.const(1)
+    got = large.coerce(p)
+    assert got.ring is large
+    assert got == large.symbol("b") * large.symbol("s") * F(2, 5) + 1
+    assert large.coerce(small.symbol("s")) * large.symbol("s") == 3
+
+
+def test_coerce_refuses_a_missing_symbol():
+    with pytest.raises(ValueError, match=r"target ring lacks \['b'\]"):
+        SymRing(("a",)).coerce(SymRing(("a", "b")).symbol("b"))
+
+
+def test_coerce_refuses_a_lost_square_relation():
+    """s^2 = 3 in the source, s free in the target: there s * s is s^2, not 3."""
+    with pytest.raises(ValueError, match=r"s\^2 is 3 in the source ring but free in the target"):
+        SymRing(("s", "t")).coerce(SymRing(("s",), {"s": 3}).symbol("s"))
+
+
+def test_coerce_refuses_a_new_square_relation():
+    with pytest.raises(ValueError, match=r"s\^2 is free in the source ring but 1/3 in the target"):
+        SymRing(("s",), {"s": F(1, 3)}).coerce(SymRing(("s",)).symbol("s"))
