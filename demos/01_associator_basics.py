@@ -16,7 +16,8 @@ anywhere in the package.
 """
 
 from gtassoc import (AssociatorCandidate, NCSeries, c_extract, certify,
-                     extend_associator, holonomy_algebra, phi0_reference)
+                     extend_associator, phi0_reference)
+from gtassoc.holonomy import hilbert_dimensions
 from gtassoc.ncseries import to_text
 from gtassoc.wbasis import w_coordinates
 
@@ -32,8 +33,7 @@ for name, ok in certify(phi0).items():
 print("degree-3 coefficient c =", c_extract(phi0), "(an even associator has c = 0)")
 
 print("\nthe pentagon lives in the 4-strand holonomy enveloping algebra;")
-alg = holonomy_algebra(4, 6)
-print("its graded dimensions through degree 6:", alg.dimensions())
+print("its graded dimensions through degree 6:", hilbert_dimensions(4, 6))
 
 print("\nnow rebuild an associator from nothing but the equations.")
 cand = AssociatorCandidate(NCSeries.one(("x", "y"), 1), 1)

@@ -14,7 +14,6 @@ from .grtgt import (GrtElt, GtElt, act_grt, act_gt, certify_grt, g_ab, grt_cap_p
                     ihara_projection, iota, kappa_identification, psi1, psi2)
 from .hecke import (MatrixModel, b_semi, hecke_infinitesimal, q_integer, q_series,
                     rep_build, unitarity_check)
-from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .kz import (b_even_ref, b_kz, gamma3_F, h_tilde, kz_ring, loggamma,
                  phi_kz_symbolic, ratio_formula_rhs, specialize_even)
 from .ncseries import (NCSeries, bch, is_grouplike, is_lie, lie_project, lyndon_basis,

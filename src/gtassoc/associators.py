@@ -13,8 +13,18 @@ and the pentagon, an equation between the five faces
     d3 = Phi(t12, t23+t24)   d1 = Phi(t13+t23, t34)   d0 = Phi(t23, t34)
     d2 = Phi(t12+t13, t24+t34)   d4 = Phi(t12, t23)
 
-inside the truncated enveloping algebra of the 4-strand holonomy Lie
-algebra: (d3)(d1) = (d0)(d2)(d4).
+in the truncated enveloping algebra of the 4-strand holonomy Lie algebra
+t_4: (d3)(d1) = (d0)(d2)(d4).  For grouplike Phi = exp(phi) each face is
+exp phi(face), and exp is injective on the completed t_4 (Drinfeld), so the
+pentagon holds through K exactly when
+
+    P = BCH(phi(d3), phi(d1))  equals  Q = BCH(BCH(phi(d0), phi(d2)), phi(d4))
+
+in t_4 through K (module tlie).  pentagon_defect is P - Q on the
+normal-form words of U(T_4): where P = Q below degree m, exp P - exp Q is
+P - Q in degree m, so its lowest-degree part is that of the U(T_4) defect
+term for term.  Over a ring the defect is decided on a grid of rational
+points (_grid) and read back by interpolation there.
 
 The degree-3 coefficient c is the coordinate on [x,[x,y]] - [y,[y,x]]; the
 degree-5 reference candidate phi0_reference is even with c = 0.
@@ -33,32 +43,29 @@ Its kernel on Lie elements is the degree-(D+1) part of grt_1 (Drinfeld;
 Furusho, "Pentagon and hexagon equations"): dimensions 1, 0, 1, 0, 1 in
 degrees 3 to 7, spanned by sigma_3, sigma_5 and sigma_7.
 
-The solver works in the Lie algebra t_4 (module tlie), not in U(T_4): the
-unknowns and the pentagon residual are Lie.  The unknowns are the Lyndon
-basis elements of degree D+1.  Each face is evaluated on them by
-standard-factorization brackets, with one image cache per face, and their
-duality and hexagon blocks come from one int substitution of all of them
-at (z,x) and at (y,z).  The right-hand side is the residual of
-start = base - log tail, whose log is phi = log(base) cut at D.  Each face
-of start is exp of phi at that face, so its pentagon defect is
-exp P - exp Q, with P = BCH(phi(d3), phi(d1)) and
-Q = BCH(BCH(phi(d0), phi(d2)), phi(d4)) evaluated in t_4.  Where P = Q
-below degree D+1, exp P - exp Q equals P - Q in degree D+1, so the system
-is the one U(T_4) gives, row for row.  pentagon_defect and certify stay in
-U(T_4), the independent route that checks every result.
+The solver works in t_4 too: the unknowns and the pentagon residual are
+Lie.  The unknowns are the Lyndon basis elements of degree D+1.  Each face
+is evaluated on them by standard-factorization brackets, with one image
+cache per face and degree, and their duality and hexagon blocks come from
+one int substitution of all of them at (z,x) and at (y,z).  The
+right-hand side is the residual of start = base - log tail, whose log is
+phi = log(base) cut at D, so its pentagon rows are P - Q in degree D+1.
+A Lie element is fixed by its coefficients on Lyndon words, so the
+pentagon rows are those words alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from . import tlie
-from .holonomy import HoloAlgebra, HoloElt, embed_free, holonomy_algebra
 from .linalg import solve_columns
 from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis, lyndon_words,
                        nc_exp, nc_log, nc_substitute, to_text)
-from .symcoef import as_fraction, common_denominator, layers
+from .symcoef import Poly, as_fraction, common_denominator
 from .truncated import substitute
 from .wbasis import XY, w_coordinates, w_element
 
@@ -137,57 +144,160 @@ PENTAGON_FACES = (
 _FACE_SIGNS = {"d3": 1, "d1": 1, "d0": -1, "d2": -1, "d4": -1}
 
 
-def _face_images(algebra: HoloAlgebra, xs, ys):
-    """The images {"x": sum of the t_ij in xs, "y": sum of those in ys} of one face.
+# dim t_4 in the top degree, which sizes every pentagon and extension: admits
+# degree 8 (840) but not 9 (2240)
+T4_DIMENSION_BOUND = 1000
 
-    The coefficients are the int 1, so the face word images, which are
-    integral, are formed in int arithmetic.
+
+def check_size(degree):
+    """Refuses, with ValueError, a pentagon through a degree where dim t_4 is
+    past T4_DIMENSION_BOUND."""
+    dim = tlie.dimension(degree)
+    if dim > T4_DIMENSION_BOUND:
+        raise ValueError("degree-%d dimension %d of t_4 exceeds the resource bound %d"
+                         % (degree, dim, T4_DIMENSION_BOUND))
+
+
+@lru_cache(maxsize=None)
+def _lie_faces(degree):
+    """One Lyndon-image cache per pentagon face, at the face's images of x and
+    y in t_4 through degree; the faces do not depend on Phi, so each degree
+    builds them once."""
+    def image(pairs):
+        return tlie.combination([(1, tlie.generator(tlie.letter(i, j), degree))
+                                 for (_, i, j) in pairs], degree)
+    return {name: tlie.lyndon_images(image(xs), image(ys)) for name, xs, ys in PENTAGON_FACES}
+
+
+def _bch_faces(faces, coords, cut):
+    """((p, dp), (q, dq)) with P = p/dp = BCH(phi(d3), phi(d1)) and
+    Q = q/dq = BCH(BCH(phi(d0), phi(d2)), phi(d4)) in t_4 through cut, phi
+    the Lie series of the Lyndon coordinates coords, read through the face
+    caches."""
+    den = common_denominator(c for _, c in coords)
+    phi = {name: tlie.combination([(int(c * den), image(w)) for w, c in coords], cut)
+           for name, image in faces.items()}
+    p, dp = tlie.bch(phi["d3"], phi["d1"], den)
+    inner, di = tlie.bch(phi["d0"], phi["d2"], den)
+    m = lcm(di, den)
+    q, dq = tlie.bch(tlie.combination([(m // di, inner)], cut),
+                     tlie.combination([(m // den, phi["d4"])], cut), m)
+    return (p, dp), (q, dq)
+
+
+def _difference(pq, degree, keep=None):
+    """P - Q in one degree as {U(T_4) word: Fraction}, zeros dropped, on the
+    words that keep accepts (all of them for None)."""
+    (p, dp), (q, dq) = pq
+    pd, qd = p.homogeneous(degree), q.homogeneous(degree)
+    out = {}
+    for w in pd.keys() | qd.keys():
+        if keep is None or keep(w):
+            n = pd.get(w, 0) * dq - qd.get(w, 0) * dp
+            if n:
+                out[w] = Fraction(n, dp * dq)
+    return out
+
+
+def _rational_rows(series):
+    """[P - Q in degree d for d = 1..K] of a series over Q with constant term
+    1, known through K, or None when its log is not Lie."""
+    ko = series.known_order
+    try:
+        coords = tlie.lie_coordinates(nc_log(series), ko)
+    except ValueError:
+        return None
+    if ko < 1:
+        return []
+    pq = _bch_faces(_lie_faces(ko), coords, ko)
+    return [_difference(pq, d) for d in range(1, ko + 1)]
+
+
+def _grid(series):
+    """{symbol: m_s}: the pentagon of a series over a ring is decided on the
+    grid prod_s {0, ..., m_s} of rational points, and over Q at the one
+    point of the empty grid.
+
+    With r_s the largest deg_s(c_w)/|w| over the terms c_w w, a product adds
+    word degrees and symbol degrees alike, so every degree-d coefficient of
+    the log, of the faces, of the BCH series and of P - Q has deg_s at most
+    floor(r_s d).  Through the known order K, m_s = floor(r_s K) bounds them
+    all, and a polynomial of degree at most m_s in each s that vanishes on
+    the grid is zero: the grid decides the Lie test and P = Q exactly, and
+    Lagrange interpolation on it gives the ring's P - Q.  A ring with a
+    square relation has no such grid and is refused.
     """
-    return {letter: HoloElt(algebra, {bytes((algebra.generator_index(i, j),)): 1
-                                      for (_, i, j) in pairs})
-            for letter, pairs in (("x", xs), ("y", ys))}
+    ring = series.ring
+    if ring is None:
+        return {}
+    if ring.squares:
+        raise ValueError("the pentagon is decided at rational points, and the ring's %s "
+                         "has none" % ", ".join("%s^2 = %s" % (ring.symbols[i], v)
+                                                for i, v in sorted(ring.squares.items())))
+    ko = series.known_order
+    top = dict.fromkeys(ring.symbols, 0)
+    for w, c in series.terms.items():
+        if w and type(c) is Poly:
+            for e in c.terms:
+                for name, x in zip(ring.symbols, e):
+                    top[name] = max(top[name], x * ko // len(w))
+    return top
 
 
-def pentagon_faces(series: NCSeries, algebra: HoloAlgebra):
-    return {name: embed_free(series, algebra, _face_images(algebra, xs, ys))
-            for name, xs, ys in PENTAGON_FACES}
+def pentagon_defect(series: NCSeries):
+    """P - Q in t_4 through the known order K, as a series over the letters
+    tlie.LETTERS on U(T_4) normal-form words, with the series' ring.
 
-
-def pentagon_defect(series: NCSeries, algebra: HoloAlgebra):
-    """(d3)(d1) - (d0)(d2)(d4) in U(T_4).
-
-    The faces F of D*Phi, D the series' common denominator, are integral, and
-    D^3 times the defect is D (F3)(F1) - (F0)(F2)(F4).  Over a ring D = 1.
+    Its lowest-degree part is that of (d3)(d1) - (d0)(d2)(d4) in U(T_4).
+    A series whose constant term is not 1 or whose log is not Lie has no P
+    and Q: the defect is None, and the pentagon fails.  A ring with a
+    square relation (_grid) and a K past T4_DIMENSION_BOUND raise
+    ValueError.
     """
-    d = 1
-    if series.ring is None:
-        d, ints = layers(series.terms)
-        series = series.scaled_copy(ints[()])
-    f = pentagon_faces(series, algebra)
-    defect = d * (f["d3"] * f["d1"]) - f["d0"] * f["d2"] * f["d4"]
-    if d != 1:
-        defect = HoloElt(algebra, {w: Fraction(c, d ** 3) for w, c in defect.terms.items()},
-                         defect.known_order)
+    ko, ring = series.known_order, series.ring
+    top = _grid(series)
+    check_size(ko)
+    if series.coefficient(EMPTY) != 1:
+        return None
+    defect = NCSeries.zero(tlie.LETTERS, ko, ring)
+    for values in itertools.product(*(range(m + 1) for m in top.values())):
+        point = dict(zip(top, values))
+        rows = _rational_rows(series if ring is None else series.specialize(None, point))
+        if rows is None:
+            return None
+        # Lagrange interpolation: the value at each point of the grid times
+        # prod_s prod_{k != point_s} (s - k)/(point_s - k)
+        weight = 1
+        for name, at in point.items():
+            for k in range(top[name] + 1):
+                if k != at:
+                    weight = weight * (ring.symbol(name) - k) * Fraction(1, at - k)
+        value = NCSeries(tlie.LETTERS, ko, {w: c for part in rows for w, c in part.items()})
+        defect = defect + weight * value.promote(ring)
     return defect
 
 
 def pentagon_check(phi: AssociatorCandidate) -> bool:
-    """The pentagon defect vanishes through the known order."""
-    return pentagon_defect(phi.series, holonomy_algebra(4, phi.series.known_order)).is_zero()
+    """The pentagon holds through the known order: pentagon_defect is zero.
+    False for a series whose constant term is not 1 or whose log is not
+    Lie."""
+    defect = pentagon_defect(phi.series)
+    return defect is not None and defect.is_zero()
 
 
 def certify(phi: AssociatorCandidate) -> dict:
     """Run all four membership conditions; returns {check: bool}.
 
-    U(T_4) is looked up first, so a known order past its resource bound is
-    refused before any check runs.
+    The size of t_4 in the known order is checked first, so a degree past
+    T4_DIMENSION_BOUND is refused before any check runs.  The pentagon is
+    pentagon_check: False, with grouplike, for a series whose log is not Lie.
     """
-    algebra = holonomy_algebra(4, phi.series.known_order)
+    check_size(phi.series.known_order)
     return {
         "grouplike": is_grouplike(phi.series),
         "duality": duality_check(phi),
         "hexagon": hexagon_check(phi),
-        "pentagon": pentagon_defect(phi.series, algebra).is_zero(),
+        "pentagon": pentagon_check(phi),
     }
 
 
@@ -231,39 +341,18 @@ def phi0_reference(maxdeg=REFERENCE_DEGREE, ring=None) -> AssociatorCandidate:
     return AssociatorCandidate(phi, 1)
 
 
-def _lie_faces(degree):
-    """One Lyndon-image cache per pentagon face, at the face's images of x and
-    y in t_4 through degree."""
-    def image(pairs):
-        return tlie.combination([(1, tlie.generator(tlie.letter(i, j), degree))
-                                 for (_, i, j) in pairs], degree)
-    return {name: tlie.lyndon_images(image(xs), image(ys)) for name, xs, ys in PENTAGON_FACES}
-
-
 def _pentagon_rows(faces, log_base, degree):
-    """(P - Q) in the given degree, as {U(T_4) word: Fraction}, where
-    P = BCH(phi(d3), phi(d1)) and Q = BCH(BCH(phi(d0), phi(d2)), phi(d4))
-    and phi is log_base cut below degree, a Lie series evaluated on its
-    Lyndon coordinates through the face caches.  This is the pentagon
-    defect of exp(phi) there.  Raises ValueError, naming the degree, where
-    P - Q is nonzero below it: the pentagon fails before the degree solved."""
-    coords = tlie.lie_coordinates(log_base, degree - 1)
-    den = common_denominator(c for _, c in coords)
-    phi = {name: tlie.combination([(int(c * den), image(w)) for w, c in coords], degree)
-           for name, image in faces.items()}
-    p, dp = tlie.bch(phi["d3"], phi["d1"], den)
-    inner, di = tlie.bch(phi["d0"], phi["d2"], den)
-    m = lcm(di, den)
-    q, dq = tlie.bch(tlie.combination([(m // di, inner)], degree),
-                     tlie.combination([(m // den, phi["d4"])], degree), m)
-    for d in range(1, degree + 1):
-        pd, qd = p.homogeneous(d), q.homogeneous(d)
-        rows = {w: Fraction(pd.get(w, 0), dp) - Fraction(qd.get(w, 0), dq)
-                for w in pd.keys() | qd.keys()}
-        if d < degree and any(rows.values()):
+    """P - Q in the given degree on its Lyndon words, as {U(T_4) word:
+    Fraction}, where P and Q are those of _bch_faces and phi is log_base cut
+    below degree.  This is the pentagon defect of exp(phi) there.  Raises
+    ValueError, naming the degree, where P - Q is nonzero below it: the
+    pentagon fails before the degree solved."""
+    pq = _bch_faces(faces, tlie.lie_coordinates(log_base, degree - 1), degree)
+    for d in range(1, degree):
+        if _difference(pq, d, tlie.is_lyndon):
             raise ValueError("the candidate fails the pentagon in degree %d, below the "
                              "degree %d to solve" % (d, degree))
-    return rows
+    return _difference(pq, degree, tlie.is_lyndon)
 
 
 def _linear_residuals(lyndon, faces, degree):
@@ -273,8 +362,11 @@ def _linear_residuals(lyndon, faces, degree):
     int coefficients.  With z = -x-y, the keys (0, word) hold swap(psi) + psi,
     (1, word) psi(z,x) + psi(y,z) + psi(x,y) and (2, U(T_4) word)
     psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4), each face read from its
-    t_4 image cache.  Each hexagon substitution evaluates all the elements
-    in one call, in int.
+    t_4 image cache.  That sum is Lie, so its rows are its Lyndon words
+    alone, as in _pentagon_rows.  The duality and hexagon blocks stay whole:
+    their right-hand sides are Lie only where the candidate already solves
+    the equations below the degree.  Each hexagon substitution evaluates
+    all the elements in one call, in int.
     """
     elements = [psi for _, psi in lyndon]
     x, y = (NCSeries(XY, degree, {bytes((k,)): 1}) for k in range(2))
@@ -289,13 +381,13 @@ def _linear_residuals(lyndon, faces, degree):
         for name, image in faces.items():
             sign = _FACE_SIGNS[name]
             for w, c in image(word).homogeneous(degree).items():
-                column[2, w] = column.get((2, w), 0) + sign * c
+                if tlie.is_lyndon(w):
+                    column[2, w] = column.get((2, w), 0) + sign * c
         columns.append((1, column))
     return columns
 
 
-def extend_associator(phi: AssociatorCandidate, parity: bool = False,
-                      algebra: HoloAlgebra = None):
+def extend_associator(phi: AssociatorCandidate, parity: bool = False):
     """Extend a candidate satisfying the equations through degree D to D+1.
 
     Solves the linear system (grouplike + duality + hexagon + pentagon in
@@ -303,9 +395,8 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     Returns (extended candidate, kernel) where kernel is a basis of the
     homogeneous solution space as series; the particular solution zeroes a
     fixed complement of the pivot coordinates.  With parity=True and D+1
-    odd, the zero (even) correction is selected when admissible.  A given
-    algebra must be U(T_4) through degree D+1 at least; the pentagon itself
-    is solved in t_4, with no U(T_4) product.
+    odd, the zero (even) correction is selected when admissible.  A degree
+    D+1 where dim t_4 is past T4_DIMENSION_BOUND is refused before any work.
 
     The candidate is start + (Lie correction), where start = base - log
     tail: base is phi with known order D+1 and no degree-(D+1) terms, and
@@ -318,22 +409,14 @@ def extend_associator(phi: AssociatorCandidate, parity: bool = False,
     is exp of phi at the face, so the defect (d3)(d1) - (d0)(d2)(d4) is
     exp P - exp Q with P = BCH(phi(d3), phi(d1)) and
     Q = BCH(BCH(phi(d0), phi(d2)), phi(d4)), and where P = Q below D+1
-    that is P - Q in degree D+1.  A candidate with P != Q below D+1 fails
-    the pentagon there and is refused with ValueError.
+    that is P - Q in degree D+1, read on its Lyndon words.  A candidate with
+    P != Q below D+1 fails the pentagon there and is refused with ValueError.
     """
     s = phi.series
     if s.ring is not None:
         raise ValueError("the extension solver works over Q")
     target = s.known_order + 1
-    # U(T_4) through target bounds the work: the shared algebra's lookup refuses a
-    # degree past the resource bound, and an algebra of another n, or truncated
-    # below target, would read the pentagon only partly
-    if algebra is None:
-        holonomy_algebra(4, target)
-    elif algebra.n != 4 or algebra.maxdeg < target:
-        raise ValueError("the pentagon through degree %d needs U(T_4) through degree %d, "
-                         "not U(T_%d) through degree %d" % (target, target, algebra.n,
-                                                           algebra.maxdeg))
+    check_size(target)
     base = s.truncated(target, known_order=target)
     log_base = nc_log(base)
     log_tail = log_base.homogeneous(target)

@@ -4,7 +4,10 @@ Subcommands: verify {associator|grt|gt|braid|hecke|kz|all}, chars,
 resonance, extend, kz-report.  Exit codes: 0 all-pass, 1 check failure,
 2 usage error, 3 resource error.  Every bounded integer option has one row
 in BOUNDS, and main refuses a value outside its row, after parsing and
-before --out is opened or any work runs.
+before --out is opened or any work runs.  extend --degree has no upper
+bound there: cmd_extend refuses, with exit 3, a degree whose next one is
+past associators.T4_DIMENSION_BOUND, before the ladder of lower degrees
+runs.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import holonomy, kz, report
-from .associators import REFERENCE_DEGREE, extend_associator, phi0_reference
+from . import kz, report
+from .associators import REFERENCE_DEGREE, check_size, extend_associator, phi0_reference
 from .symcoef import render_coeff
 from .tableaux import Partition
 
@@ -39,7 +42,7 @@ BOUNDS = {
     ("chars", "order"): (0, REFERENCE_DEGREE, 2),
     # below 2 the scan visits no partition
     ("resonance", "n"): (2, RESONANCE_NMAX, 3),
-    # past the holonomy algebra's dimension bound, cmd_extend exits 3
+    # past associators.T4_DIMENSION_BOUND in the degree reached, cmd_extend exits 3
     ("extend", "degree"): (0, None, None),
     # below 3 the logs have no nonzero coefficient; a higher order needs a
     # zeta_k that the default kz ring lacks
@@ -104,7 +107,7 @@ def cmd_resonance(args):
 def cmd_extend(args):
     try:
         # fail before the ladder below spends time on the lower degrees
-        holonomy.holonomy_algebra(4, args.degree + 1)
+        check_size(args.degree + 1)
     except ValueError as exc:
         print("resource bound: %s" % exc, file=sys.stderr)
         return 3

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .associators import (REFERENCE_DEGREE, AssociatorCandidate, certify, pentagon_defect,
                           phi0_reference)
-from .holonomy import holonomy_algebra
 from .ncseries import (NCSeries, bch, commutator, is_grouplike, is_lie, letter_swap, nc_exp,
                        nc_log, nc_substitute)
 from .symcoef import Poly, SymRing
@@ -275,25 +274,32 @@ def gt_checks(g) -> dict:
     return report
 
 
+def _moved_reference(series: NCSeries) -> NCSeries:
+    """series.phi0, with phi0 the rational reference through
+    min(maxdeg, REFERENCE_DEGREE), promoted to the series' ring."""
+    ref = phi0_reference(min(series.maxdeg, REFERENCE_DEGREE)).promote(series.ring)
+    return act_gt(series, ref).series
+
+
 def gt_pentagon_defect(series: NCSeries):
-    """The 4-strand equation of series, as the pentagon defect of series.phi0
-    in U(T_4).
+    """The 4-strand equation of series, as the pentagon defect P - Q in t_4
+    of series.phi0 (associators.pentagon_defect).
 
     GT_1 acts freely and transitively on associators (Drinfeld), so g
     satisfies the 4-strand relation exactly when g.phi0 satisfies the
     associator pentagon.  That assumes phi0 satisfies its equations through
-    its degree: phi0 is the rational reference through
-    min(maxdeg, REFERENCE_DEGREE), promoted to the series' ring.
+    its degree.  A series that is not grouplike moves phi0 to a series with
+    no Lie log, and its defect is None.
     """
-    ref = phi0_reference(min(series.maxdeg, REFERENCE_DEGREE)).promote(series.ring)
-    moved = act_gt(series, ref).series
-    return pentagon_defect(moved, holonomy_algebra(4, moved.known_order))
+    return pentagon_defect(_moved_reference(series))
 
 
 def gt_pentagon_push(series: NCSeries) -> bool:
     """The 4-strand equation holds through the known order; a necessary
-    condition for membership, sufficient for every computation done here."""
-    return gt_pentagon_defect(series).is_zero()
+    condition for membership, sufficient for every computation done here.
+    False for a series that is not grouplike."""
+    defect = gt_pentagon_defect(series)
+    return defect is not None and defect.is_zero()
 
 
 # -- Ihara projection ----------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import associators, braidreps, characters, grtgt, hecke, kz
 from .associators import REFERENCE_DEGREE, AssociatorCandidate, phi0_reference
 from .hmatrix import HMatrix
-from .holonomy import holonomy_algebra
+from .holonomy import hilbert_dimensions
 from .ncseries import NCSeries, nc_log
 from .scalar import scalar_div
 from .symcoef import SymRing, render_coeff
@@ -129,8 +129,7 @@ def verify_associator(degree, phi0):
     yield "phi0-pentagon", "defining equation: pentagon", associators.pentagon_check(phi0)
     yield "phi0-c", "degree-3 coefficient", associators.c_extract(phi0) == 0, "c=0"
     yield "phi0-even", "parity through the truncation", associators.is_even(phi0)
-    alg = holonomy_algebra(4, 6)
-    dims = alg.dimensions()
+    dims = hilbert_dimensions(4, 6)
     yield ("holonomy-dims", "4-strand enveloping dimensions",
            dims == [1, 6, 25, 90, 301, 966, 3025], ",".join(map(str, dims)))
     # extension ladder from 1

@@ -1,17 +1,19 @@
 """The Lie algebra t_4 of the 4-strand holonomy algebra, graded and cut at one degree.
 
 t_4 = f_3 |x t_3 and t_3 = f_2 |x <t_12>, where f_3 is free on t_14, t_24,
-t_34 and f_2 is free on t_13, t_23; holonomy's normal form of U(T_4) rests
-on the same split.  An element holds int coefficients on exactly the
-U(T_4) normal-form words that its image there occupies, one dict per
-degree through the cut: its f_3 part as words in t_14, t_24, t_34 (the free
-Lie element expanded in the free associative algebra), its f_2 part as
-words in t_13, t_23, and the coefficient of t_12.  Letters are holonomy's
-indices, t12, t13, t23, t14, t24, t34 = 0..5.
+t_34 and f_2 is free on t_13, t_23.  An element holds int coefficients on
+exactly the normal-form words of U(T_4) that its image there occupies, one
+dict per degree through the cut: its f_3 part as words in t_14, t_24, t_34
+(the free Lie element expanded in the free associative algebra), its f_2
+part as words in t_13, t_23, and the coefficient of t_12.  Letters are the
+indices of LETTERS, t12, t13, t23, t14, t24, t34 = 0..5: column class j,
+then row i.  Both parts are Lie polynomials of free Lie algebras, so an
+element is zero exactly when its coefficients on Lyndon words are
+(is_lyndon), and dimension gives its Witt numbers.
 
 The bracket follows the semidirect structure: free commutators inside f_3
-and inside f_2, and the derivations of _DERIVATIONS, the relations that
-HoloAlgebra._bracket encodes,
+and inside f_2, and the derivations of _DERIVATIONS, which encode the
+holonomy relations [t_ij, t_ik + t_jk] = 0,
 
     ad_{t_ij}(t_i4) = [t_i4, t_j4]     ad_{t_ij}(t_j4) = [t_j4, t_i4]
     ad_{t_12}(t_13) = [t_13, t_23]     ad_{t_12}(t_23) = [t_23, t_13].
@@ -38,6 +40,7 @@ from math import lcm
 from .linalg import solve_columns
 from .ncseries import NCSeries, bch as free_bch, lyndon_bracket, lyndon_words, standard_factorization
 
+LETTERS = ("t12", "t13", "t23", "t14", "t24", "t34")
 T12, T13, T23, T14, T24, T34 = range(6)
 _F3 = (T14, T24, T34)
 _XY = ("x", "y")
@@ -49,8 +52,35 @@ _DERIVATIONS = {T12: {T14: (T14, T24), T24: (T24, T14), T13: (T13, T23), T23: (T
 
 
 def letter(i, j):
-    """The index of t_ij, i < j <= 4, in holonomy's order: column class j, then row i."""
+    """The index of t_ij, i < j <= 4, in LETTERS: column class j, then row i."""
     return (j - 1) * (j - 2) // 2 + i - 1
+
+
+def is_lyndon(word):
+    """A nonempty word strictly below each of its proper suffixes.  A Lie
+    polynomial of a free Lie algebra is fixed by its coefficients on Lyndon
+    words (Reutenauer, Free Lie Algebras, Thm 5.1), so these rows of an
+    element of t_4 decide it."""
+    return bool(word) and all(word < word[i:] for i in range(1, len(word)))
+
+
+def dimension(degree):
+    """dim t_4 in one degree: the Witt numbers of f_3 and f_2, and t_12 in degree 1."""
+    def witt(n):
+        # (1/k) sum over d | k of mu(d) n^(k/d), mu read off by trial division
+        total = 0
+        for d in range(1, degree + 1):
+            if degree % d:
+                continue
+            mu, rest, p = 1, d, 2
+            while rest > 1 and mu:
+                if rest % p == 0:
+                    rest //= p
+                    mu = 0 if rest % p == 0 else -mu
+                p += 1
+            total += mu * n ** (degree // d)
+        return total // degree
+    return witt(3) + witt(2) + (degree == 1) if degree > 0 else 0
 
 
 def _zero(cut):
@@ -155,7 +185,7 @@ class LieElt:
 
 
 def generator(index, cut):
-    """The generator of holonomy index `index` through degree cut >= 1."""
+    """The generator of index `index` in LETTERS through degree cut >= 1."""
     four, three = _zero(cut), _zero(cut)
     if index != T12:
         (four if index in _F3 else three)[1][bytes((index,))] = 1

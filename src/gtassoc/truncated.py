@@ -1,8 +1,9 @@
 """Series code written once for every truncated type in the package.
 
-``Truncated`` is the base of NCSeries, HoloElt, ScalarSeries and HMatrix.
-Every type has ``terms`` that map a key (a word, a power of h, or a (power,
-row, col) triple) to a nonzero coefficient, exact through ``known_order``.
+``Truncated`` is the base of NCSeries, ScalarSeries and HMatrix, and of the
+U(T_4) elements of the tests' holonomy oracle.  Every type has ``terms``
+that map a key (a word, a power of h, or a (power, row, col) triple) to a
+nonzero coefficient, exact through ``known_order``.
 The base holds the one truncation contract (``is_zero``, ``is_one``,
 ``equal_through`` and ``coefficient`` read through the known order and
 raise ValueError past it), the one shape check ``_check``, the sum,

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction as F
 
 import _acceptance_log
+from _holonomy_oracle import holonomy_algebra
 
 from gtassoc import associators, braidreps, characters, grtgt, hecke, kz
 from gtassoc.associators import (AssociatorCandidate, c_extract, certify,
@@ -17,7 +18,6 @@ from gtassoc.braidreps import b3_example, diagonal_conjugator, gt_act_on_rep, ph
 from gtassoc.characters import ExponentVector, chi_d
 from gtassoc.hecke import (MatrixModel, a_entry, b_semi, hecke_infinitesimal,
                            q_series, rep_build)
-from gtassoc.holonomy import holonomy_algebra
 from gtassoc.ncseries import NCSeries, nc_log
 from gtassoc.scalar import ScalarSeries, scalar_div
 from gtassoc.symcoef import SymRing

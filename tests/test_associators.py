@@ -5,18 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc import associators, grtgt
+from gtassoc import associators, grtgt, hecke
 from gtassoc.associators import (AssociatorCandidate, bar, c_extract, certify,
                                  duality_check, extend_associator, hexagon_check,
-                                 hexagon_product, is_even, pentagon_check,
-                                 pentagon_defect, pentagon_faces, phi0_reference)
-from gtassoc.holonomy import HoloElt, embed_free, holonomy_algebra
+                                 hexagon_product, is_even, pentagon_check, phi0_reference)
 from gtassoc.ncseries import (NCSeries, is_grouplike, letter_swap, lyndon_basis, nc_log,
                               nc_substitute, to_text)
 from gtassoc.symcoef import SymRing, common_denominator
+from gtassoc.tlie import is_lyndon
 from gtassoc.truncated import substitute
 from gtassoc.wbasis import XY, w_coordinates, w_element
 
+from _holonomy_oracle import (HoloElt, _face_images, embed_free, holonomy_algebra,
+                              pentagon_defect, pentagon_faces)
 from test_linalg import rref_solve_affine
 
 
@@ -160,31 +161,66 @@ def test_extension_to_degree_six_is_unique(phi0):
     assert faces["d3"].order() == 7 and linear.is_zero()
 
 
-def test_undersized_algebra_is_refused(phi0):
-    # U(T_4) through degree 4 would read the degree-5 pentagon as empty: the
-    # extension then kept a second kernel direction
-    cut = AssociatorCandidate(phi0.series.truncated(4), 1)
-    for algebra in (holonomy_algebra(4, 4), holonomy_algebra(3, 5)):
-        with pytest.raises(ValueError):
-            extend_associator(cut, algebra=algebra)
-    # an algebra through the degree read, or past it, serves
-    assert len(extend_associator(cut, algebra=holonomy_algebra(4, 5))[1]) == 1
-    assert len(extend_associator(cut, algebra=holonomy_algebra(4, 6))[1]) == 1
-
-
 def test_certify_refuses_past_the_resource_bound_before_any_check(monkeypatch):
-    """U(T_4) through degree 8 is past the default resource bound: certify,
-    pentagon_check and certify_grt refuse it before grouplike or a face runs."""
+    """t_4 in degree 9 (dim 2240) is past the resource bound: certify,
+    pentagon_check and certify_grt refuse it before grouplike or a log runs."""
     def ran(*args):
         raise AssertionError("a check ran before the refusal")
 
     monkeypatch.setattr(associators, "is_grouplike", ran)
-    monkeypatch.setattr(associators, "embed_free", ran)
-    series = NCSeries.one(XY, 8)
+    monkeypatch.setattr(associators, "nc_log", ran)
+    series = NCSeries.one(XY, 9)
     for call in (lambda: certify(AssociatorCandidate(series, 1)),
                  lambda: pentagon_check(AssociatorCandidate(series, 1)),
                  lambda: grtgt.certify_grt(grtgt.GrtElt(series))):
         with pytest.raises(ValueError, match="resource bound"):
+            call()
+
+
+def test_one_bound_admits_degree_8_and_refuses_9():
+    """dim t_4 is 840 in degree 8 and 2240 in degree 9."""
+    associators.check_size(8)
+    with pytest.raises(ValueError, match="degree-9 dimension 2240 of t_4"):
+        associators.check_size(9)
+
+
+def _bumped(cap, ring, bump):
+    """Psi_ab plus bump times w9, a degree-5 Lie element outside grt_1, and
+    Psi_ab plus bump times the word x^2 y^3, which is not Lie."""
+    word = NCSeries(XY, 5, {bytes((0, 0, 1, 1, 1)): ring.one}, ring)
+    return cap + bump * w_element(9, 5, ring), cap + bump * word
+
+
+def test_the_grid_follows_the_weights_of_the_series(ab_ring, cap_psi_symbolic, monkeypatch):
+    """a(a-1) vanishes on {0,1}: with it, the weight of a is 2/5, so the grid
+    reaches a = 2, where both bumps show.  Patched to a fixed 2x2 grid the
+    pentagon of both passes wrongly."""
+    a = ab_ring.symbol("a")
+    cap = cap_psi_symbolic.series
+    lie, word = _bumped(cap, ab_ring, a * (a - 1))
+    assert associators._grid(cap) == {"a": 1, "b": 1}
+    assert associators._grid(lie) == associators._grid(word) == {"a": 2, "b": 1}
+    lie_report = grtgt.certify_grt(grtgt.GrtElt(lie))
+    assert lie_report["grouplike"] and not lie_report["pentagon"]
+    defect = associators.pentagon_defect(lie)
+    assert defect.order() == 5
+    assert all(defect.specialize(None, {"a": p, "b": q}).is_zero()
+               for p in (0, 1) for q in (0, 1))
+    # the interpolated ring defect is the U(T_4) one
+    oracle = pentagon_defect(lie)
+    assert defect.homogeneous(5).terms == oracle.homogeneous(5).terms
+    assert associators.pentagon_defect(word) is None
+    monkeypatch.setattr(associators, "_grid", lambda series: {"a": 1, "b": 1})
+    assert all(associators.pentagon_check(AssociatorCandidate(s, 0)) for s in (lie, word))
+
+
+def test_a_ring_with_a_square_relation_is_refused(phi0):
+    """unitary_ring(3) has s2^2 = 3 and s3^2 = 8: no grid of rational points."""
+    ring = hecke.unitary_ring(3)
+    series = phi0.series.promote(ring) + ring.symbol("s2") * w_element(9, 5, ring)
+    for call in (lambda: certify(AssociatorCandidate(series, 1)),
+                 lambda: associators.pentagon_defect(series)):
+        with pytest.raises(ValueError, match=r"s2\^2 = 3"):
             call()
 
 
@@ -213,7 +249,7 @@ def test_substitute_on_a_list_matches_each_series_alone():
     algebra = holonomy_algebra(4, 6)
     one = HoloElt(algebra, {b"": 1})
     for _, xs, ys in associators.PENTAGON_FACES:
-        images = associators._face_images(algebra, xs, ys)
+        images = _face_images(algebra, xs, ys)
         for batch in (elements, elements + [poly]):
             values = substitute(batch, images, one)
             assert [v.terms for v in values] == [embed_free(e, algebra, images).terms
@@ -286,8 +322,9 @@ def brute_force_system(phi):
 
 def test_linearized_system_matches_brute_force(monkeypatch):
     """The sparse columns and right-hand side handed to the solver, densified
-    on the rows (duality words, hexagon words, U(T_4) basis words), equal the
-    brute-force system, and the solution equals the Gauss-Jordan oracle's."""
+    on the rows (duality words, hexagon words, the Lyndon words among the
+    U(T_4) basis words), equal those rows of the brute-force system, and the
+    solution equals the Gauss-Jordan oracle's on every row of it."""
     captured = []
     solve = associators.solve_columns
 
@@ -307,10 +344,12 @@ def test_linearized_system_matches_brute_force(monkeypatch):
         words = all_words(target)
         keys = ([(0, w) for w in words] + [(1, w) for w in words]
                 + [(2, w) for w in holonomy_algebra(4, target).basis_words(target)])
-        assert set(sparse_rhs).union(*(v for _, v in columns)) <= set(keys)
-        dense = [[F(v.get(key, 0), d) for d, v in columns] for key in keys]
-        assert dense == matrix
-        assert [sparse_rhs.get(key, 0) for key in keys] == rhs
+        # the pentagon block keeps its Lyndon rows alone
+        kept = [i for i, (block, w) in enumerate(keys) if block < 2 or is_lyndon(w)]
+        assert set(sparse_rhs).union(*(v for _, v in columns)) <= {keys[i] for i in kept}
+        dense = [[F(v.get(keys[i], 0), d) for d, v in columns] for i in kept]
+        assert dense == [matrix[i] for i in kept]
+        assert [sparse_rhs.get(keys[i], 0) for i in kept] == [rhs[i] for i in kept]
         assert (particular, kernel) == rref_solve_affine(matrix, rhs)
         return extended
 

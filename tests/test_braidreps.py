@@ -6,13 +6,12 @@ from gtassoc.braidreps import (BraidRep, InfinitesimalRep, _verify_conjugation, 
                                diagonal_conjugator, gt_act_on_rep, phat)
 from gtassoc.grtgt import act_gt, g_ab, grt_cap_psi, act_grt
 from gtassoc.hmatrix import HMatrix
-from gtassoc.holonomy import holonomy_algebra
 from gtassoc.scalar import ScalarSeries, scalar_div
 from gtassoc.tableaux import Partition, partitions_of
 from gtassoc.hecke import hecke_infinitesimal, rep_build
 
 import _dense_oracle as dense
-from _holonomy_oracle import braid_image, sigma_images
+from _holonomy_oracle import braid_image, holonomy_algebra, sigma_images
 
 
 def test_hmatrix_log_exp():

@@ -9,7 +9,7 @@ The chars report is out of scope: its rows are data (the tableau monomials
 and the chi_d series), always reported as passing, with nothing to compare.
 
 No row perturbs a function whose results are cached across calls (the
-holonomy prepend tables, the w-basis columns, the t_4 Lyndon tables), so a
+w-basis columns, the t_4 Lyndon tables and pentagon face caches), so a
 perturbation cannot outlive its test.
 """
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtassoc import associators, braids, characters, grtgt, hecke, holonomy, kz, report
+from gtassoc import associators, braids, characters, grtgt, hecke, kz, report
 from gtassoc.associators import AssociatorCandidate
 from gtassoc.cli import main
 from gtassoc.hmatrix import HMatrix
@@ -62,8 +62,10 @@ def twisted_phi0(mp):
 
 
 def drop_a_basis_word(mp):
-    words = holonomy.HoloAlgebra.basis_words
-    mp.setattr(holonomy.HoloAlgebra, "basis_words", lambda self, degree: words(self, degree)[1:])
+    """One normal-form word fewer in the top degree of U(T_4)."""
+    dims = report.hilbert_dimensions
+    mp.setattr(report, "hilbert_dimensions",
+               lambda n, maxdeg: dims(n, maxdeg)[:-1] + [dims(n, maxdeg)[-1] - 1])
 
 
 def hexagon_at_twice_lambda(mp):

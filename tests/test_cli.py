@@ -110,8 +110,8 @@ def test_extend_labels_the_degree_reached(capsys):
     assert label == "kernel dimension at degree 6: 0\n"
     series, _ = from_text(body)
     assert series.known_order == 6
-    # degree 8 is past the default resource bound: refused before any solving
-    code, out, err = run(capsys, "extend", "--degree", "7")
+    # t_4 in degree 9 is past the resource bound: refused before any solving
+    code, out, err = run(capsys, "extend", "--degree", "8")
     assert code == 3 and not out and "resource bound" in err
     code, _, _ = run(capsys, "extend", "--degree", "-1")
     assert code == 2

@@ -9,12 +9,13 @@ from gtassoc.grtgt import (GrtElt, GtElt, act_grt, act_gt, certify_grt, exp_s, g
                            grt_cap_psi, grt_exp, grt_inverse, grt_mul, gt_checks,
                            gt_inverse, gt_mul, ihara_projection, ihara_psi_ab, iota,
                            kappa_identification, psi1, psi2, psi_ab)
-from gtassoc.holonomy import holonomy_algebra
 from gtassoc.ncseries import NCSeries, commutator, is_grouplike, nc_log, nc_substitute
 from gtassoc.symcoef import SymRing
 from gtassoc.wbasis import XY, w_coordinates, w_element
 
-from _holonomy_oracle import braid_image, permuted, promoted_reference_defect, sigma_images
+from _holonomy_oracle import (braid_image, holonomy_algebra, pentagon_faces, permuted,
+                              promoted_reference_defect, sigma_images)
+from _holonomy_oracle import pentagon_defect as u_t4_defect
 
 
 def test_psi2_from_involution_matrix():
@@ -339,10 +340,11 @@ def _lowest_part(defect):
 
 
 def test_gt_pentagon_defect_matches_promoted_reference(phi0, gab_symbolic, ab_ring):
-    """The pentagon of g.phi0 and the 4-strand push through phi0's braid
-    morphism agree on zero-ness, on the order of the defect and on its
-    lowest-degree terms, for the member g_ab and five non-members."""
-    from gtassoc.grtgt import gt_pentagon_defect, gt_pentagon_push
+    """The pentagon P - Q of g.phi0 in t_4, its U(T_4) defect and the 4-strand
+    push through phi0's braid morphism agree on zero-ness, on the order of
+    the defect and on its lowest-degree terms, for the member g_ab and five
+    non-members."""
+    from gtassoc.grtgt import _moved_reference, gt_pentagon_defect, gt_pentagon_push
     from gtassoc.ncseries import nc_exp
     a = ab_ring.symbol("a")
     log_g = nc_log(gab_symbolic.series)
@@ -354,6 +356,7 @@ def test_gt_pentagon_defect_matches_promoted_reference(phi0, gab_symbolic, ab_ri
         oracle = promoted_reference_defect(series, phi0)
         assert gt_pentagon_push(series) == oracle.is_zero() == (n == 0), n
         assert _lowest_part(defect) == _lowest_part(oracle), n
+        assert _lowest_part(u_t4_defect(_moved_reference(series))) == _lowest_part(oracle), n
 
 
 def test_gt_checks_reports_pentagon_failure(gab_symbolic, ab_ring):
@@ -364,20 +367,15 @@ def test_gt_checks_reports_pentagon_failure(gab_symbolic, ab_ring):
     assert rep["pentagon"] is False
 
 
-def test_gt_pentagon_faces_are_pinned(gab_symbolic, monkeypatch):
-    """The five Poly faces of g_ab.phi0 for the generic g_ab, whose pentagon
-    is its 4-strand equation, keep their exact terms."""
+def test_gt_pentagon_faces_are_pinned(gab_symbolic):
+    """The five Poly faces in U(T_4) of g_ab.phi0 for the generic g_ab, whose
+    pentagon is its 4-strand equation, keep their exact terms."""
     import hashlib
-    from gtassoc import associators, grtgt
+    from gtassoc import grtgt
     from gtassoc.symcoef import render_coeff
-    pentagon_faces, faces = associators.pentagon_faces, []
-
-    def recording_pentagon_faces(*args):
-        faces.append(pentagon_faces(*args))
-        return faces[-1]
-    monkeypatch.setattr(associators, "pentagon_faces", recording_pentagon_faces)
     assert grtgt.gt_pentagon_defect(gab_symbolic.series).is_zero()
-    [faces] = faces
+    moved = grtgt._moved_reference(gab_symbolic.series)
+    faces = pentagon_faces(moved, holonomy_algebra(4, moved.known_order))
     lines = []
     for name, face in faces.items():
         lines.append("face %s known<=%d" % (name, face.known_order))

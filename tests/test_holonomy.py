@@ -5,12 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtassoc.holonomy import HoloAlgebra, HoloElt, embed_free, hilbert_dimensions, transposition
+from gtassoc.holonomy import hilbert_dimensions, transposition
 from gtassoc.ncseries import NCSeries, commutator
 from gtassoc.symcoef import Poly, SymRing
 
-from _holonomy_oracle import (braid_image, permuted, reduce_terms, relation_words, sigma_images,
-                              y_element)
+import _holonomy_oracle as holonomy
+from _holonomy_oracle import (HoloAlgebra, HoloElt, braid_image, embed_free, permuted,
+                              reduce_terms, relation_words, sigma_images, y_element)
 
 XY = ("x", "y")
 
@@ -346,7 +347,6 @@ def test_embed_free_of_a_poly_series_matches_the_per_word_sum():
 
 
 def test_registry_hands_racing_threads_one_algebra(monkeypatch):
-    from gtassoc import holonomy
     monkeypatch.setattr(holonomy, "_REGISTRY", {})
     barrier = threading.Barrier(2, timeout=5)
     build = HoloAlgebra.__init__
@@ -377,7 +377,6 @@ def test_registry_hands_racing_threads_one_algebra(monkeypatch):
 def _threaded_work(seed):
     """Products of seeded generator combinations in U(T_4) at degree 5, one exp,
     one S_4 image, and w-basis coordinates: every shared table gets filled."""
-    from gtassoc import holonomy
     from gtassoc.wbasis import DEGREE_SPANS, w_coordinates, w_element
     alg = holonomy.holonomy_algebra(4, 5)
     rng = random.Random(seed)
@@ -397,7 +396,7 @@ def _threaded_work(seed):
 
 
 def test_algebras_are_shared_freely_across_threads(monkeypatch):
-    from gtassoc import holonomy, wbasis
+    from gtassoc import wbasis
     monkeypatch.setattr(holonomy, "_REGISTRY", {})
     monkeypatch.setattr(wbasis, "_CACHE", {})
     expected = [_threaded_work(seed)[1] for seed in range(4)]
@@ -424,7 +423,6 @@ def test_algebras_are_shared_freely_across_threads(monkeypatch):
 
 
 def test_algebras_on_n_strands_share_one_row_table(monkeypatch):
-    from gtassoc import holonomy
     monkeypatch.setattr(holonomy, "_REGISTRY", {})
     low, high = holonomy.holonomy_algebra(4, 3), holonomy.holonomy_algebra(4, 5)
     assert low._prepend_cache is high._prepend_cache

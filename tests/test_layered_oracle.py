@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _poly_oracle as oracle
+from _holonomy_oracle import HoloAlgebra
 from gtassoc.hecke import unitary_ring
 from gtassoc.hmatrix import HMatrix
-from gtassoc.holonomy import HoloAlgebra
 from gtassoc.ncseries import NCSeries
 from gtassoc.scalar import ScalarSeries
 from gtassoc.symcoef import Poly, SymRing

@@ -15,9 +15,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from _holonomy_oracle import HoloAlgebra, HoloElt
 from gtassoc.hecke import unitary_ring
 from gtassoc.hmatrix import HMatrix
-from gtassoc.holonomy import HoloAlgebra, HoloElt
 from gtassoc.kz import kz_ring
 from gtassoc.ncseries import NCSeries
 from gtassoc.scalar import ScalarSeries

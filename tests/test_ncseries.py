@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from gtassoc.hecke import unitary_ring
 from gtassoc.hmatrix import HMatrix, evaluate_series
-from gtassoc.holonomy import HoloAlgebra, embed_free, holonomy_algebra
 from gtassoc.ncseries import (AlgebraError, NCSeries, _dynkin_word, bch, commutator,
                               dynkin, from_text, is_grouplike, is_lie, letter_swap,
                               lie_project, lyndon_basis, lyndon_words, nc_exp, nc_log,
@@ -18,7 +17,7 @@ from gtassoc.scalar import ScalarSeries
 from gtassoc.symcoef import SymRing
 from gtassoc.truncated import Truncated, evaluate, substitute, suffix_products
 
-from _holonomy_oracle import permuted
+from _holonomy_oracle import HoloAlgebra, embed_free, holonomy_algebra, permuted
 
 XY = ("x", "y")
 
