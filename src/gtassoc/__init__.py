@@ -16,8 +16,8 @@ from .hecke import (MatrixModel, b_semi, hecke_infinitesimal, q_integer, q_serie
                     rep_build, unitarity_check)
 from .kz import (b_even_ref, b_kz, gamma3_F, h_tilde, kz_ring, loggamma,
                  phi_kz_symbolic, ratio_formula_rhs, specialize_even)
-from .ncseries import (NCSeries, bch, is_grouplike, is_lie, lie_project, lyndon_basis,
-                       nc_exp, nc_log, nc_substitute)
+from .ncseries import (NCSeries, bch, is_grouplike, is_lie, lyndon_basis, nc_exp, nc_log,
+                       nc_substitute)
 from .scalar import ScalarSeries, scalar_div, scalar_sqrt
 from .symcoef import Poly, SymRing
 from .tableaux import Partition, StandardTableau, axial_distance, partitions_of, tableaux

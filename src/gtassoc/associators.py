@@ -63,8 +63,8 @@ from math import lcm
 
 from . import tlie
 from .linalg import solve_columns
-from .ncseries import (EMPTY, NCSeries, is_grouplike, letter_swap, lyndon_basis, lyndon_words,
-                       nc_exp, nc_log, nc_substitute, to_text)
+from .ncseries import (EMPTY, NCSeries, letter_swap, lie_coordinates, lyndon_basis,
+                       lyndon_words, nc_exp, nc_log, nc_substitute, to_text)
 from .symcoef import Poly, as_fraction, common_denominator
 from .truncated import substitute
 from .wbasis import XY, w_coordinates, w_element
@@ -204,7 +204,7 @@ def _rational_rows(series):
     1, known through K, or None when its log is not Lie."""
     ko = series.known_order
     try:
-        coords = tlie.lie_coordinates(nc_log(series), ko)
+        coords = lie_coordinates(nc_log(series), ko)
     except ValueError:
         return None
     if ko < 1:
@@ -288,16 +288,17 @@ def pentagon_check(phi: AssociatorCandidate) -> bool:
 def certify(phi: AssociatorCandidate) -> dict:
     """Run all four membership conditions; returns {check: bool}.
 
-    The size of t_4 in the known order is checked first, so a degree past
-    T4_DIMENSION_BOUND is refused before any check runs.  The pentagon is
-    pentagon_check: False, with grouplike, for a series whose log is not Lie.
+    pentagon_defect runs first and reads the log of Phi once: it refuses a
+    degree past T4_DIMENSION_BOUND before any check runs, and it is None,
+    so grouplike and the pentagon are False, exactly when the log is not
+    Lie.
     """
-    check_size(phi.series.known_order)
+    defect = pentagon_defect(phi.series)
     return {
-        "grouplike": is_grouplike(phi.series),
+        "grouplike": defect is not None,
         "duality": duality_check(phi),
         "hexagon": hexagon_check(phi),
-        "pentagon": pentagon_check(phi),
+        "pentagon": defect is not None and defect.is_zero(),
     }
 
 
@@ -347,7 +348,7 @@ def _pentagon_rows(faces, log_base, degree):
     below degree.  This is the pentagon defect of exp(phi) there.  Raises
     ValueError, naming the degree, where P - Q is nonzero below it: the
     pentagon fails before the degree solved."""
-    pq = _bch_faces(faces, tlie.lie_coordinates(log_base, degree - 1), degree)
+    pq = _bch_faces(faces, lie_coordinates(log_base, degree - 1), degree)
     for d in range(1, degree):
         if _difference(pq, d, tlie.is_lyndon):
             raise ValueError("the candidate fails the pentagon in degree %d, below the "

@@ -63,13 +63,7 @@ class InfinitesimalRep:
         for i in range(1, self.n):
             if not (s[i] * s[i]).is_one():
                 problems.append("s_%d is not an involution" % i)
-        for i in range(1, self.n - 1):
-            if not (s[i] * s[i + 1] * s[i]).equal_through(s[i + 1] * s[i] * s[i + 1]):
-                problems.append("braid relation fails for s_%d" % i)
-        for i in range(1, self.n):
-            for j in range(i + 2, self.n):
-                if not (s[i] * s[j]).equal_through(s[j] * s[i]):
-                    problems.append("s_%d and s_%d do not commute" % (i, j))
+        problems.extend(_braid_failures(s.__getitem__, self.n))
         # holonomy relations; [t_ij, t_kl] = 0 iff [t_kl, t_ij] = 0, so once per disjoint pair
         pairs = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
         for a, (i, j) in enumerate(pairs):
@@ -91,6 +85,20 @@ class InfinitesimalRep:
 
 def _commute(a, b):
     return (a * b).equal_through(b * a)
+
+
+def _braid_failures(gen, n):
+    """A message, naming the generators s_i, for each braid relation among
+    gen(1), ..., gen(n - 1) that fails: g_i g_{i+1} g_i = g_{i+1} g_i g_{i+1},
+    with g_i g_{i+1} formed once, and g_i g_j = g_j g_i for |i - j| > 1."""
+    for i in range(1, n - 1):
+        pair = gen(i) * gen(i + 1)
+        if not (pair * gen(i)).equal_through(gen(i + 1) * pair):
+            yield "braid relation fails for s_%d" % i
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            if not _commute(gen(i), gen(j)):
+                yield "s_%d and s_%d do not commute" % (i, j)
 
 
 class BraidRep:
@@ -140,16 +148,7 @@ class BraidRep:
         return BraidRep(self.n, [self.sigma(i).promote(ring) for i in range(1, self.n)])
 
     def braid_relations_ok(self) -> bool:
-        for i in range(1, self.n - 1):
-            pair = self.sigma(i) * self.sigma(i + 1)
-            if not (pair * self.sigma(i)).equal_through(self.sigma(i + 1) * pair):
-                return False
-        for i in range(1, self.n):
-            for j in range(i + 2, self.n):
-                if not (self.sigma(i) * self.sigma(j)).equal_through(
-                        self.sigma(j) * self.sigma(i)):
-                    return False
-        return True
+        return next(_braid_failures(self.sigma, self.n), None) is None
 
     def pure_braid_depth_ok(self) -> bool:
         """xi_ij in 1 + h M and pairwise commutators in 1 + h^2 M."""

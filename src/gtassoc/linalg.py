@@ -3,8 +3,11 @@
 ``solve_columns`` is the one elimination: it solves an affine system on its
 sparse int columns, one per unknown, against any number of right-hand sides
 at once.  It serves the associator solver (9 unknowns at degree 6, with 638
-of 3153 rows nonzero; 30 at degree 8, with 29 013 rows), the w-basis
-coordinates of ``wbasis`` and the constant-term inverses of ``mat_inv``.
+of 3153 rows nonzero; 30 at degree 8, with 29 013 rows), the constant-term
+inverses of ``mat_inv`` and ``coordinates``, the one reader of a target's
+coordinates on a basis over Q or over a ring of symbols: the w-basis
+coordinates of ``wbasis`` and the Lyndon coordinates of
+``ncseries.lie_coordinates``, hence the Lie test.
 Matrix products live in ``HMatrix`` alone; ``mat_inv`` on the dense grid of
 ``HMatrix.constant_term`` is the one dense boundary, that of the inverse's
 leading term.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .symcoef import common_denominator
+from .symcoef import Poly, common_denominator, layers
 
 
 def _int_column(values):
@@ -66,6 +69,27 @@ def solve_columns(columns, *rhs):
             g = gcd(*row.values(), *comb) * (1 if row[key] > 0 else -1)
             pivots.append((key, {k: x // g for k, x in row.items()}, [x // g for x in comb]))
     return particulars, kernel
+
+
+def coordinates(columns, terms, ring=None):
+    """The coordinates of a target {key: coefficient} on int columns (d, {key:
+    int}) of rationals, one per column: Fraction(0) where zero, else a
+    Fraction over Q or a Poly over ring.
+
+    symcoef.layers splits the target into one right-hand side per monomial
+    of the ring, all solved in one elimination and put back together; a
+    target outside the span of the columns raises ValueError.
+    """
+    d, by_exps = layers(terms, ring)
+    solutions, _ = solve_columns(columns, *by_exps.values())
+    coords = []
+    for i in range(len(columns)):
+        parts = {e: sol[i] / d for e, sol in zip(by_exps, solutions) if sol[i]}
+        if not parts:
+            coords.append(Fraction(0))
+        else:
+            coords.append(parts[()] if ring is None else Poly(ring, parts))
+    return coords
 
 
 def mat_inv(a):

@@ -5,17 +5,19 @@ of letter indices.  Every series carries ``maxdeg`` (the truncation bound)
 and ``known_order`` (the degree up to which coefficients are guaranteed
 exact); no operation ever reports a coefficient beyond its known order.
 
-The grouplike test goes through the Dynkin idempotent on the logarithm:
-a homogeneous component of degree n is a Lie element iff the right-to-left
-Dynkin bracketing D satisfies D(w) = n*w, and a series with constant term 1
-is grouplike iff its log is Lie degree by degree.
+The Lie test reads coordinates on the Lyndon brackets, a basis of the free
+Lie algebra (Reutenauer, Free Lie Algebras, Thm 5.1): a series is Lie
+exactly when lie_coordinates finds its coordinates on them degree by
+degree, and a series with constant term 1 is grouplike iff its log is Lie.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
+from .linalg import coordinates
 from .symcoef import parse_coeff, parse_ring_tag, render_coeff, ring_tag
 from .truncated import Truncated, evaluate
 
@@ -111,50 +113,20 @@ def letter_swap(f: NCSeries) -> NCSeries:
 
 
 def bch(u: NCSeries, v: NCSeries) -> NCSeries:
-    """log(exp(u) exp(v)), certified Lie by the Dynkin test."""
-    return _certified_lie(nc_log(nc_exp(u) * nc_exp(v)))
-
-
-def _dynkin_word(word):
-    """Right-to-left bracketing [w1,[w2,[...,wn]]] of a word, as {word: int}."""
-    acc = {word[-1:]: 1}
-    for b in reversed(word[:-1]):
-        letter, out = bytes([b]), {}
-        for w, n in acc.items():
-            for key, m in ((letter + w, n), (w + letter, -n)):
-                out[key] = out.get(key, 0) + m
-        acc = {w: n for w, n in out.items() if n}
-    return acc
-
-
-def dynkin(f: NCSeries) -> NCSeries:
-    """The Dynkin map D applied to every homogeneous component."""
-    if EMPTY in f.terms:
-        raise ValueError("Dynkin map undefined on constant terms")
-    return f.linear(lambda w: _dynkin_word(w).items())
+    """log(exp(u) exp(v)); ValueError when it is not Lie."""
+    out = nc_log(nc_exp(u) * nc_exp(v))
+    if not is_lie(out):
+        raise ValueError("log(exp(u) exp(v)) is not a Lie element")
+    return out
 
 
 def is_lie(f: NCSeries) -> bool:
-    """True iff every homogeneous component c_n satisfies D(c_n) = n c_n: D
-    keeps degrees, so the components are compared all at once."""
-    if f.coefficient(EMPTY):
+    """True iff lie_coordinates reads f through its known order."""
+    try:
+        lie_coordinates(f, f.known_order)
+    except ValueError:
         return False
-    graded = f._remade(lambda layer: {w: len(w) * v for w, v in layer.items()})
-    return dynkin(f).equal_through(graded)
-
-
-def lie_project(f: NCSeries) -> NCSeries:
-    """Degreewise D/n projection onto the free Lie subspace."""
-    if f.coefficient(EMPTY):
-        raise ValueError("cannot Lie-project a series with constant term")
-    return _certified_lie(dynkin(f._like({w: Fraction(1, len(w)) * c for w, c in f.terms.items()})))
-
-
-def _certified_lie(f: NCSeries) -> NCSeries:
-    """f, after the Dynkin test; ValueError when it fails."""
-    if not is_lie(f):
-        raise ValueError("series fails the Dynkin test; not a Lie element")
-    return f
+    return True
 
 
 def is_grouplike(g: NCSeries) -> bool:
@@ -199,6 +171,40 @@ def lyndon_bracket(word: bytes, alphabet, maxdeg) -> NCSeries:
         return NCSeries(alphabet, maxdeg, {word: 1})
     left, right = (lyndon_bracket(part, alphabet, maxdeg) for part in standard_factorization(word))
     return left * right - right * left
+
+
+@lru_cache(maxsize=None)
+def _lyndon_columns(n_letters, degree):
+    """The Lyndon words of one degree over n letters and their brackets as int columns."""
+    alphabet = tuple(map(str, range(n_letters)))
+    words = lyndon_words(n_letters, degree)
+    return words, [(1, lyndon_bracket(w, alphabet, degree).terms) for w in words]
+
+
+def lie_coordinates(series: NCSeries, depth):
+    """[(Lyndon word, coordinate)] of a free Lie series through degree depth,
+    the nonzero coordinates only, by degree and then word; a coordinate is a
+    Fraction over Q or a Poly over the series' ring.
+
+    Each degree that holds terms is read by linalg.coordinates on the
+    Lyndon brackets of that degree, built once per letter count and
+    degree.  ValueError for a constant term or where the series is not Lie.
+    """
+    if EMPTY in series.terms:
+        raise ValueError("a series with a constant term is not a Lie element")
+    by_degree = {}
+    for w, c in series.terms.items():
+        if len(w) <= depth:
+            by_degree.setdefault(len(w), {})[w] = c
+    out = []
+    for degree in sorted(by_degree):
+        words, columns = _lyndon_columns(len(series.alphabet), degree)
+        try:
+            coords = coordinates(columns, by_degree[degree], series.ring)
+        except ValueError:
+            raise ValueError("the series is not a Lie element through degree %d" % depth) from None
+        out.extend((w, c) for w, c in zip(words, coords) if c)
+    return out
 
 
 def lyndon_basis(alphabet, degree: int):

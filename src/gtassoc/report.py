@@ -22,7 +22,7 @@ from . import associators, braidreps, characters, grtgt, hecke, kz
 from .associators import REFERENCE_DEGREE, AssociatorCandidate, phi0_reference
 from .hmatrix import HMatrix
 from .holonomy import hilbert_dimensions
-from .ncseries import NCSeries, nc_log
+from .ncseries import NCSeries, is_grouplike, nc_log
 from .scalar import scalar_div
 from .symcoef import SymRing, render_coeff
 from .tableaux import Partition, partitions_of
@@ -122,8 +122,7 @@ def _suite(rows):
 @_suite
 def verify_associator(degree, phi0):
     # the equations of certify, each run just before its row so that it carries its own time
-    yield ("phi0-grouplike", "defining equation: grouplike",
-           associators.is_grouplike(phi0.series))
+    yield "phi0-grouplike", "defining equation: grouplike", is_grouplike(phi0.series)
     yield "phi0-duality", "defining equation: duality", associators.duality_check(phi0)
     yield "phi0-hexagon", "defining equation: hexagon", associators.hexagon_check(phi0)
     yield "phi0-pentagon", "defining equation: pentagon", associators.pentagon_check(phi0)

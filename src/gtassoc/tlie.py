@@ -26,10 +26,9 @@ generators by brackets and int combinations, which is what gives it its
 ad-map.
 
 lyndon_images evaluates Lyndon words over x, y at two elements by their
-standard factorizations, with one image cache per pair; lie_coordinates
-reads the Lyndon coordinates of a free Lie series; bch is the
+standard factorizations, with one image cache per pair; bch is the
 Baker-Campbell-Hausdorff series at two elements, weighted by the Lyndon
-coordinates of ncseries.bch.
+coordinates (ncseries.lie_coordinates) of ncseries.bch.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .linalg import solve_columns
-from .ncseries import NCSeries, bch as free_bch, lyndon_bracket, lyndon_words, standard_factorization
+from .ncseries import NCSeries, bch as free_bch, lie_coordinates, standard_factorization
 
 LETTERS = ("t12", "t13", "t23", "t14", "t24", "t34")
 T12, T13, T23, T14, T24, T34 = range(6)
@@ -258,26 +256,6 @@ def lyndon_images(x, y):
         return got
 
     return image
-
-
-@lru_cache(maxsize=None)
-def _lyndon_columns(depth):
-    """The Lyndon words over x, y of degrees 1..depth and their brackets as int columns."""
-    words = [w for d in range(1, depth + 1) for w in lyndon_words(2, d)]
-    return words, [(1, lyndon_bracket(w, _XY, depth).terms) for w in words]
-
-
-def lie_coordinates(series: NCSeries, depth):
-    """[(Lyndon word, coordinate)] of a free Lie series over x, y through
-    degree depth, the nonzero coordinates only; ValueError when the series
-    is not Lie there."""
-    words, columns = _lyndon_columns(depth)
-    try:
-        [coords], _ = solve_columns(columns, {w: c for w, c in series.terms.items()
-                                              if len(w) <= depth})
-    except ValueError:
-        raise ValueError("the series is not a Lie element through degree %d" % depth) from None
-    return [(w, c) for w, c in zip(words, coords) if c]
 
 
 @lru_cache(maxsize=None)

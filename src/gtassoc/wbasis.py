@@ -7,16 +7,14 @@
 
 Degrees 2/3/4/5 are spanned by {w3}, {w4,w5}, {w6,w7,w8}, {w9..w14}.
 ``w_coordinates`` reads a series' coordinates on them with
-``linalg.solve_columns``, over Q or over a ring of symbols.
+``linalg.coordinates``, over Q or over a ring of symbols.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import solve_columns
+from .linalg import coordinates
 from .ncseries import NCSeries, commutator
-from .symcoef import Poly, layers
+from .symcoef import layers
 
 XY = ("x", "y")
 
@@ -56,24 +54,14 @@ _CACHE = {}
 def w_coordinates(series: NCSeries, degree):
     """Coordinates {k: c} of the degree-d part of series on the w_k (d in 2..5).
 
-    The w_k of the degree are int columns, built once; symcoef.layers splits
-    the target into one right-hand side per monomial of its coefficient ring,
-    all solved in one elimination and put back together.  A coordinate is
-    Fraction(0) when zero, else a Fraction over Q or a Poly over a ring;
-    a target outside the span raises ValueError.
+    The w_k of the degree are int columns, built once, and linalg.coordinates
+    reads the target on them: a coordinate is Fraction(0) when zero, else a
+    Fraction over Q or a Poly over a ring; a target outside the span raises
+    ValueError.
     """
     columns = _CACHE.get(degree)
     if columns is None:
         columns = _CACHE[degree] = [(d, by_exps[()]) for d, by_exps in
                                     (layers(w_element(k).terms) for k in DEGREE_SPANS[degree])]
-    ring = series.ring
-    d, by_exps = layers(series.homogeneous(degree).terms, ring)
-    solutions, _ = solve_columns(columns, *by_exps.values())
-    coords = {}
-    for i, k in enumerate(DEGREE_SPANS[degree]):
-        parts = {e: sol[i] / d for e, sol in zip(by_exps, solutions) if sol[i]}
-        if not parts:
-            coords[k] = Fraction(0)
-        else:
-            coords[k] = parts[()] if ring is None else Poly(ring, parts)
-    return coords
+    return dict(zip(DEGREE_SPANS[degree],
+                    coordinates(columns, series.homogeneous(degree).terms, series.ring)))

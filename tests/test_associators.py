@@ -163,11 +163,11 @@ def test_extension_to_degree_six_is_unique(phi0):
 
 def test_certify_refuses_past_the_resource_bound_before_any_check(monkeypatch):
     """t_4 in degree 9 (dim 2240) is past the resource bound: certify,
-    pentagon_check and certify_grt refuse it before grouplike or a log runs."""
+    pentagon_check and certify_grt refuse it before a log or a Lie test runs."""
     def ran(*args):
         raise AssertionError("a check ran before the refusal")
 
-    monkeypatch.setattr(associators, "is_grouplike", ran)
+    monkeypatch.setattr(associators, "lie_coordinates", ran)
     monkeypatch.setattr(associators, "nc_log", ran)
     series = NCSeries.one(XY, 9)
     for call in (lambda: certify(AssociatorCandidate(series, 1)),

@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from gtassoc.hecke import unitary_ring
 from gtassoc.hmatrix import HMatrix, evaluate_series
-from gtassoc.ncseries import (AlgebraError, NCSeries, _dynkin_word, bch, commutator,
-                              dynkin, from_text, is_grouplike, is_lie, letter_swap,
-                              lie_project, lyndon_basis, lyndon_words, nc_exp, nc_log,
+from gtassoc.ncseries import (AlgebraError, NCSeries, bch, commutator, from_text,
+                              is_grouplike, is_lie, letter_swap, lie_coordinates,
+                              lyndon_basis, lyndon_bracket, lyndon_words, nc_exp, nc_log,
                               nc_substitute, to_text)
 from gtassoc.scalar import ScalarSeries
 from gtassoc.symcoef import SymRing
 from gtassoc.truncated import Truncated, evaluate, substitute, suffix_products
 
+from _dynkin_oracle import _dynkin_word, dynkin
+from _dynkin_oracle import is_lie as dynkin_is_lie
 from _holonomy_oracle import HoloAlgebra, embed_free, holonomy_algebra, permuted
 
 XY = ("x", "y")
@@ -125,9 +127,6 @@ def test_dynkin_and_lie_tests():
     assert is_lie(commutator(x, y))
     assert not is_lie(x * y)
     assert is_lie(commutator(x, commutator(x, y)))
-    proj = lie_project(x * y)
-    assert proj.equal_through(F(1, 2) * commutator(x, y))
-    assert type(proj) is NCSeries
 
 
 def test_dynkin_word_is_the_nested_commutator():
@@ -144,19 +143,61 @@ def test_dynkin_word_is_the_nested_commutator():
             assert _dynkin_word(word) == acc.terms, word
 
 
-def test_bch_and_lie_project_refuse_what_fails_the_dynkin_test(monkeypatch):
+def test_bch_refuses_what_is_not_lie(monkeypatch):
     import gtassoc.ncseries as ncseries
     _, x, y = letters(4)
     monkeypatch.setattr(ncseries, "is_lie", lambda f: False)
-    for op in (lambda: bch(x, y), lambda: lie_project(x * y)):
-        with pytest.raises(ValueError, match="fails the Dynkin test"):
-            op()
+    with pytest.raises(ValueError, match="is not a Lie element"):
+        bch(x, y)
+
+
+_LIE_RINGS = {"Q": None, "Q[a,b]": SymRing(("a", "b")), "unitary_ring(3)": unitary_ring(3)}
+_TRIPLE = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _scalar(ring, p, q, r):
+    """p + q s + r t, s and t the ring's two symbols, or p + q/2 + r/3 over Q."""
+    if ring is None:
+        return F(p) + F(q, 2) + F(r, 3)
+    s, t = (ring.symbol(name) for name in ring.symbols)
+    return p + q * s + r * t
+
+
+@pytest.mark.parametrize("n_letters", [2, 3])
+@pytest.mark.parametrize("over", sorted(_LIE_RINGS))
+@settings(max_examples=15, deadline=None)
+@given(spec=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 20), _TRIPLE), max_size=4),
+       ko=st.integers(1, 4), word=st.lists(st.integers(0, 2), min_size=2, max_size=4),
+       bump=st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)))
+def test_is_lie_agrees_with_the_dynkin_oracle(over, n_letters, spec, ko, word, bump):
+    """A combination of Lyndon brackets of degrees 1..4, of maxdeg 4 and known
+    through ko, is Lie for is_lie and for the Dynkin oracle, and its Lie
+    coordinates recombine to it through ko; one word of length 2..ko added
+    to it makes both tests fail."""
+    ring, alphabet = _LIE_RINGS[over], ("x", "y", "z")[:n_letters]
+    bracket = lambda w: lyndon_bracket(w, alphabet, 4).promote(ring)
+    f = NCSeries.zero(alphabet, 4, ring, ko)
+    for degree, pick, coeff in spec:
+        words = lyndon_words(n_letters, degree)
+        f = f + bracket(words[pick % len(words)]) * _scalar(ring, *coeff)
+    assert f.known_order == ko
+    assert is_lie(f) and dynkin_is_lie(f)
+    coords = lie_coordinates(f, ko)
+    assert all(0 < len(w) <= ko and c for w, c in coords)
+    back = sum((bracket(w) * c for w, c in coords), NCSeries.zero(alphabet, 4, ring))
+    assert back.equal_through(f)
+    if ko >= 2:
+        bad = f + NCSeries(alphabet, 4, {bytes(b % n_letters for b in word[:ko]):
+                                         _scalar(ring, *bump)}, ring)
+        assert not is_lie(bad) and not dynkin_is_lie(bad)
+        with pytest.raises(ValueError, match="not a Lie element through degree %d" % ko):
+            lie_coordinates(bad, ko)
 
 
 def test_grouplike():
     one, x, y = letters()
     assert is_grouplike(nc_exp(x + y))
-    # log(1+x+y) has degree-2 part -(x+y)^2/2 whose Dynkin test fails
+    # log(1+x+y) has degree-2 part -(x+y)^2/2, which is not Lie
     assert not is_grouplike(one + x + y)
     assert not is_grouplike(x)
 
