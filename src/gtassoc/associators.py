@@ -65,7 +65,7 @@ from . import tlie
 from .linalg import solve_columns
 from .ncseries import (EMPTY, NCSeries, letter_swap, lie_coordinates, lyndon_basis,
                        lyndon_words, nc_exp, nc_log, nc_substitute, to_text)
-from .symcoef import Poly, as_fraction, common_denominator
+from .symcoef import as_fraction, common_denominator, layers
 from .truncated import substitute
 from .wbasis import XY, w_coordinates, w_element
 
@@ -237,7 +237,7 @@ def _grid(series):
     ko = series.known_order
     top = dict.fromkeys(ring.symbols, 0)
     for w, c in series.terms.items():
-        if w and type(c) is Poly:
+        if w:
             for e in c.terms:
                 for name, x in zip(ring.symbols, e):
                     top[name] = max(top[name], x * ko // len(w))
@@ -359,15 +359,15 @@ def _pentagon_rows(faces, log_base, degree):
 def _linear_residuals(lyndon, faces, degree):
     """The linear part L of the defining equations on the Lyndon basis of one degree.
 
-    One sparse int column (1, {key: int}) per Lyndon element psi, which has
-    int coefficients.  With z = -x-y, the keys (0, word) hold swap(psi) + psi,
-    (1, word) psi(z,x) + psi(y,z) + psi(x,y) and (2, U(T_4) word)
-    psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4), each face read from its
-    t_4 image cache.  That sum is Lie, so its rows are its Lyndon words
-    alone, as in _pentagon_rows.  The duality and hexagon blocks stay whole:
-    their right-hand sides are Lie only where the candidate already solves
-    the equations below the degree.  Each hexagon substitution evaluates
-    all the elements in one call, in int.
+    One sparse int column (d, {key: int}) per Lyndon element psi, read with
+    symcoef.layers (d is 1: psi has int coefficients).  With z = -x-y, the
+    keys (0, word) hold swap(psi) + psi, (1, word) psi(z,x) + psi(y,z) +
+    psi(x,y) and (2, U(T_4) word) psi(d3) + psi(d1) - psi(d0) - psi(d2) -
+    psi(d4), each face read from its t_4 image cache.  That sum is Lie, so
+    its rows are its Lyndon words alone, as in _pentagon_rows.  The duality
+    and hexagon blocks stay whole: their right-hand sides are Lie only where
+    the candidate already solves the equations below the degree.  Each
+    hexagon substitution evaluates all the elements in one call.
     """
     elements = [psi for _, psi in lyndon]
     x, y = (NCSeries(XY, degree, {bytes((k,)): 1}) for k in range(2))
@@ -384,7 +384,8 @@ def _linear_residuals(lyndon, faces, degree):
             for w, c in image(word).homogeneous(degree).items():
                 if tlie.is_lyndon(w):
                     column[2, w] = column.get((2, w), 0) + sign * c
-        columns.append((1, column))
+        d, by_exps = layers(column)
+        columns.append((d, by_exps[()]))
     return columns
 
 

@@ -55,7 +55,7 @@ class ExponentVector:
 def chi_d(g, d, phi_ref: AssociatorCandidate) -> ScalarSeries:
     """chi_d(g) = b_d(g.Phi)/b_d(Phi); independent of the reference."""
     series = g.series if hasattr(g, "series") else g
-    ref = phi_ref if series.ring == phi_ref.series.ring else phi_ref.promote(series.ring)
+    ref = phi_ref.promote(series.ring)
     twisted = act_gt(g, ref)
     return scalar_div(b_semi(twisted, d), b_semi(ref, d))
 

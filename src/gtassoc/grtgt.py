@@ -243,7 +243,7 @@ def g_ab(a, b, phi0: AssociatorCandidate) -> GtElt:
         if isinstance(v, Poly):
             ring = v.ring
     psi = psi_ab(a, b, phi0.maxdeg, ring)
-    base = phi0 if ring is None else phi0.promote(ring)
+    base = phi0.promote(ring)
     return iota(base, grt_exp(psi))
 
 

@@ -17,7 +17,6 @@ of pure braids ever need.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 
 from .linalg import mat_inv
@@ -61,14 +60,12 @@ class HMatrix(Truncated):
 
     @classmethod
     def from_const(cls, matrix, maxdeg, ring=None, known_order=None, var="h"):
-        coerce = as_fraction if ring is None else ring.coerce
-        const = {(0, i, j): coerce(v) for i, row in enumerate(matrix) for j, v in enumerate(row)}
+        const = {(0, i, j): v for i, row in enumerate(matrix) for j, v in enumerate(row)}
         return cls.from_terms(len(matrix), const, maxdeg, ring, known_order, var)
 
     @classmethod
     def identity(cls, n, maxdeg, ring=None, known_order=None, var="h"):
-        one = Fraction(1) if ring is None else ring.one
-        return cls.from_terms(n, {(0, i, i): one for i in range(n)}, maxdeg, ring, known_order, var)
+        return cls.from_terms(n, {(0, i, i): 1 for i in range(n)}, maxdeg, ring, known_order, var)
 
     @classmethod
     def zero(cls, n, maxdeg, ring=None, known_order=None, var="h"):

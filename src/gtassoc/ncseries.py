@@ -14,11 +14,10 @@ degree, and a series with constant term 1 is grouplike iff its log is Lie.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import coordinates
-from .symcoef import parse_coeff, parse_ring_tag, render_coeff, ring_tag
+from .symcoef import layers, parse_coeff, parse_ring_tag, render_coeff, ring_tag
 from .truncated import Truncated, evaluate
 
 EMPTY = b""
@@ -47,15 +46,12 @@ class NCSeries(Truncated):
 
     @classmethod
     def one(cls, alphabet, maxdeg, ring=None, known_order=None):
-        unit = Fraction(1) if ring is None else ring.one
-        return cls(alphabet, maxdeg, {EMPTY: unit}, ring, known_order)
+        return cls(alphabet, maxdeg, {EMPTY: 1}, ring, known_order)
 
     @classmethod
     def letter(cls, alphabet, name, maxdeg, ring=None, known_order=None):
         alphabet = tuple(alphabet)
-        idx = alphabet.index(name)
-        unit = Fraction(1) if ring is None else ring.one
-        return cls(alphabet, maxdeg, {bytes([idx]): unit}, ring, known_order)
+        return cls(alphabet, maxdeg, {bytes([alphabet.index(name)]): 1}, ring, known_order)
 
     scaled_copy = Truncated._like  # public name of _like
 
@@ -178,7 +174,8 @@ def _lyndon_columns(n_letters, degree):
     """The Lyndon words of one degree over n letters and their brackets as int columns."""
     alphabet = tuple(map(str, range(n_letters)))
     words = lyndon_words(n_letters, degree)
-    return words, [(1, lyndon_bracket(w, alphabet, degree).terms) for w in words]
+    return words, [(d, by_exps[()]) for d, by_exps in
+                   (layers(lyndon_bracket(w, alphabet, degree).terms) for w in words)]
 
 
 def lie_coordinates(series: NCSeries, depth):

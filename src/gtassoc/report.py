@@ -80,6 +80,8 @@ class Report:
 # kz read a degree-3 coefficient, hecke the h^4 term of b_d, gt and braid
 # degree-5 coefficients; none reads past 5, where the reference data stops
 MIN_DEGREE = {"associator": 3, "grt": 3, "gt": 5, "braid": 5, "hecke": 4, "kz": 3}
+# the h-order through which the kz suite compares its scalars
+KZ_ORDER = 7
 
 
 # verify_<suite> for each suite, in the order verify all runs them
@@ -287,15 +289,15 @@ def verify_hecke(degree, phi0, nmax=6):
 
 
 @_suite
-def verify_kz(degree, phi0, order=7):
-    """The kz scalars through h^order; phi0, the even bridge and the symbolic
+def verify_kz(degree, phi0):
+    """The kz scalars through h^KZ_ORDER; phi0, the even bridge and the symbolic
     KZ truncation at degree."""
     ring = kz.kz_ring()
     # each scalar once per d: (b_kz(d, +1), b_kz(d, -1), b_even_ref(d), h_tilde(d))
     scalars = {d: (kz.b_kz(d, +1, ring), kz.b_kz(d, -1, ring), kz.b_even_ref(d, ring),
                    kz.h_tilde(d, ring)) for d in range(2, 7)}
     star_ok = all(
-        scalar_div(plus, minus).equal_through(kz.ratio_formula_rhs(d, ring), order)
+        scalar_div(plus, minus).equal_through(kz.ratio_formula_rhs(d, ring), KZ_ORDER)
         for d, (plus, minus, _, _) in scalars.items())
     yield "ratio-formula", "odd-zeta exponential ratio", star_ok
     ht_ok = clean_ok = True

@@ -37,8 +37,7 @@ class ScalarSeries(Truncated):
 
     @classmethod
     def const(cls, value, maxdeg, ring=None, known_order=None, var="h"):
-        c = as_fraction(value) if ring is None else ring.coerce(value)
-        return cls(maxdeg, {0: c}, ring, known_order, var)
+        return cls(maxdeg, {0: value}, ring, known_order, var)
 
     @classmethod
     def one(cls, maxdeg, ring=None, known_order=None, var="h"):
@@ -46,19 +45,15 @@ class ScalarSeries(Truncated):
 
     @classmethod
     def gen(cls, maxdeg, ring=None, known_order=None, var="h"):
-        c = Fraction(1) if ring is None else ring.one
-        return cls(maxdeg, {1: c}, ring, known_order, var)
+        return cls(maxdeg, {1: 1}, ring, known_order, var)
 
     @classmethod
     def exp_multiple(cls, m, maxdeg, ring=None, known_order=None, var="h"):
         """exp(m*h) as an exact truncated series, m rational."""
         m = as_fraction(m)
-        terms = {}
         ko = maxdeg if known_order is None else known_order
-        for k in range(0, ko + 1):
-            c = m ** k / math.factorial(k)
-            terms[k] = c if ring is None else ring.const(c)
-        return cls(maxdeg, terms, ring, known_order, var)
+        return cls(maxdeg, {k: m ** k / math.factorial(k) for k in range(ko + 1)}, ring,
+                   known_order, var)
 
     def _one(self):
         return ScalarSeries.one(self.maxdeg, self.ring, self.known_order, self.var)

@@ -13,17 +13,22 @@ min(K_a + w_b, K_b + w_a, maxdeg), or min(K_a, K_b) when a factor is zero,
 and asks the type's ``_convolve`` hook only for the terms through that
 degree, summed in int over each factor's least common denominator.
 
-Coefficients are exact: int, Fraction, or Poly of one ring.  Any other
-coefficient (a float), or Polys of two rings, raises ValueError as soon as
-a sum, a product or a comparison asks for their ring.
+A value's coefficients lie in one ring, its ``ring`` slot: Q for None, else
+a SymRing Q[a, b, ...].  A constructor coerces each coefficient it is given
+into that ring, and refuses one that is not exact (a float) with
+ValueError; ``terms`` reads a Fraction over Q and a Poly of the ring over a
+ring, however the value was made.  Two values of different rings do not
+combine: ``_check`` raises, as for any other shape slot.
 
-A value is held as its int layers: (d, {exponent vector: {key: int}}), its
-coefficients times their least common denominator d, split by monomial of
-the ring (one layer, at the exponent vector (), over Q).  The sum, the
-product, negation, scaling, h -> -h, the homogeneous parts and substitution
-work on the layers alone, reduce the quadratic symbols of a ring on the
-exponent vectors where two layers meet, and give a value born in that form;
-its Fractions or Polys are built when its terms are first read.
+A value is held as its int layers from birth: (d, {exponent vector: {key:
+int}}), its coefficients times their least common denominator d, split by
+monomial of the ring (one layer, at the exponent vector (), over Q).  The
+sum, the product, negation, scaling, h -> -h, the homogeneous parts, the
+cut to a lower degree and substitution work on the layers alone, reduce
+the quadratic symbols of a ring on the exponent vectors where two layers
+meet, and give a value born in that form; its Fractions or Polys are built
+when its terms are first read, and ``coefficient`` builds only the one it
+returns.
 
 The value maps are written here once, and every construction commutes
 with them:
@@ -56,18 +61,15 @@ from operator import add
 
 from .symcoef import Poly, as_fraction, layers
 
-# the exact coefficient types, the only ones a value may hold
+# the exact coefficient types, the only ones a constructor takes
 _EXACT = frozenset({int, Fraction, Poly})
-# the coefficient types a value born in int layers builds when read: ints
-# when every input was an int, else Fractions over Q and Polys over a ring
-_INT, _RATIONAL, _POLY = frozenset({int}), frozenset({Fraction}), frozenset({Poly})
 
 
 class Truncated:
     """Base of the truncated types.  A subclass provides
 
     - ``_shape``, one (slot, mismatch message) pair per attribute that two
-      operands must share;
+      operands must share, the coefficient ring ``ring`` among them;
     - ``maxdeg``, the truncation degree no product goes past;
     - ``_degree(key)``, the degree of a key of ``terms``;
     - ``_one()``, the unit at self's known order;
@@ -76,30 +78,28 @@ class Truncated:
     - public constructors, which set the shape slots and call
       ``_set(terms, known_order)``;
     - ``_error``, when a mismatch raises a subclass of ValueError;
-    - ``ring``, which ``_coerce`` and ``promote`` read, or its own
-      ``_coerce(scalar)``;
     - and, where keys do not multiply by ``+`` alone, ``_convolve(a_terms,
       b_terms, ko)``, the product of two {key: int} dicts through degree ko,
       its zero sums left in.
 
     From these the base writes once: ``_like(terms, known_order=None)``,
     ``_check(other)``, which raises ``_error`` unless other is of self's
-    type and shape, ``==`` (type, shape apart from maxdeg, terms), the
-    series algorithms ``exp``, ``log`` and ``inverse``, the value maps
+    type and shape, ``==`` (type, shape apart from maxdeg, coefficients),
+    the series algorithms ``exp``, ``log`` and ``inverse``, the value maps
     ``truncated``, ``specialize`` and ``promote``, the linear map
     ``linear(row)`` on keys, the map ``_remade(f)`` of the int layers, and
-    the ring-based ``_coerce``.  Operands of different types or shapes are
-    refused with ``_error``; a type in ``_scalars`` multiplies as a
-    coefficient.  No value stores a zero coefficient: ``_set`` drops them,
-    and so does ``_born`` for a value made from int layers.
+    ``_coerce``, which takes a coefficient into self's ring.  Operands of
+    different types or shapes are refused with ``_error``; a type in
+    ``_scalars`` multiplies as a coefficient.  No value stores a zero
+    coefficient: ``_set`` drops them, and so does ``_born`` for a value
+    made from int layers.
 
-    Values are immutable.  ``_cache`` holds (types, ring, split): the
-    coefficient types, their one ring (None over Q) and the int layers
-    (d, {exponent vector: {key: int}}), formed from the terms the first time
-    an operation asks for them.  A value that an operation makes is born
-    with its split alone and ``_terms`` None, unless its coefficients are
-    ints, whose one layer is its terms; ``terms`` builds one Fraction, or
-    one Poly, per key on first read.
+    Values are immutable.  ``_cache`` holds the int layers (d, {exponent
+    vector: {key: int}}), formed when the value is made.  ``_terms`` holds
+    the coefficients a constructor was given, coerced into the ring; a value
+    that an operation makes is born with its layers alone and ``_terms``
+    None, and ``terms`` builds one Fraction, or one Poly, per key on first
+    read.
     """
 
     __slots__ = ("_terms", "_cache")
@@ -108,12 +108,22 @@ class Truncated:
     _error = ValueError
 
     def _set(self, terms, known_order):
-        """Sets known_order, clamped to maxdeg, and keeps the nonzero terms of
-        degree 0 through it; returns self."""
+        """Sets known_order, clamped to maxdeg, keeps the nonzero terms of
+        degree 0 through it, each coerced into the ring, and forms their int
+        layers; returns self."""
         ko = self.known_order = min(known_order, self.maxdeg)
-        deg = self._degree
-        self._terms, self._cache = {k: c for k, c in terms.items() if c and 0 <= deg(k) <= ko}, None
+        deg, coerce = self._degree, self._coerce
+        terms = {k: coerce(c) for k, c in terms.items() if c and 0 <= deg(k) <= ko}
+        self._terms, self._cache = terms, layers(terms, self.ring)
         return self
+
+    def _coerce(self, c):
+        """c as a coefficient of self's ring: a Fraction over Q, a Poly of
+        the ring over one; ValueError for an inexact c or a Poly that does
+        not include into the ring."""
+        if type(c) not in _EXACT:
+            raise ValueError("inexact coefficients: %r" % [type(c).__name__])
+        return as_fraction(c) if self.ring is None else self.ring.coerce(c)
 
     def _like(self, terms, known_order=None):
         """A value of self's type and shape, from raw terms known through
@@ -137,14 +147,17 @@ class Truncated:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, slot) == getattr(other, slot)
-                   for slot, _ in self._shape if slot != "maxdeg") and self.terms == other.terms
+                   for slot, _ in self._shape if slot != "maxdeg") and self._cache == other._cache
 
     def truncated(self, maxdeg, known_order=None):
         """This value at truncation degree maxdeg, known through min(known order,
-        maxdeg), or through an explicit known_order not past maxdeg."""
+        maxdeg), or through an explicit known_order not past maxdeg; the
+        layers are cut, and no term is built."""
         out = self._like({})
         out.maxdeg = maxdeg
-        return out._set(self.terms, self.known_order if known_order is None else known_order)
+        ko = min(self.known_order if known_order is None else known_order, maxdeg)
+        d, split = self._layers(ko)
+        return out._born(d, split, ko)
 
     def promote(self, ring):
         """This value over ring, which must hold every symbol of self's ring
@@ -154,53 +167,47 @@ class Truncated:
             return self
         if ring is None:
             raise self._error("cannot demote coefficients to Q")
-        _, own, _ = self._kind()
-        try:
-            if self.ring is not None:
-                ring.positions(self.ring)
-            at = None if own is None else ring.positions(own)
-        except ValueError as exc:
-            raise self._error("cannot promote: %s" % exc) from None
-        d, split = self._layers(ring)
-        if at is not None:
+        d, split = self._cache
+        if self.ring is None:
+            zero = (0,) * len(ring.symbols)
+            split = {zero: layer for layer in split.values()}
+        else:
+            try:
+                at = ring.positions(self.ring)
+            except ValueError as exc:
+                raise self._error("cannot promote: %s" % exc) from None
             split = {ring.moved(e, at): layer for e, layer in split.items()}
         out = self._like({})
         out.ring = ring
-        return out._born(d, split, self.known_order, _POLY, ring)
+        return out._born(d, split, self.known_order)
 
     def specialize(self, ring, mapping):
         """This value over ring (Q for None): each Poly coefficient goes
-        through Poly.subs(ring, mapping), the others are coerced.  A mapping
-        that lacks a symbol some coefficient uses raises _error."""
-        coerce = as_fraction if ring is None else ring.coerce
+        through Poly.subs(ring, mapping); a value over Q is promoted.  A
+        mapping that lacks a symbol some coefficient uses raises _error."""
+        if self.ring is None:
+            return self.promote(ring)
         try:
-            terms = {k: c.subs(ring, mapping) if type(c) is Poly else coerce(c)
-                     for k, c in self.terms.items()}
+            terms = {k: c.subs(ring, mapping) for k, c in self.terms.items()}
         except KeyError:
-            used = {c.ring.symbols[i] for c in self.terms.values() if type(c) is Poly
+            used = {self.ring.symbols[i] for c in self.terms.values()
                     for e in c.terms for i, x in enumerate(e) if x}
             raise self._error("cannot specialize: no value for %r"
                               % sorted(used - set(mapping))) from None
-        return self._over(ring, terms)
-
-    def _over(self, ring, terms):
-        """A value of self's shape over ring, from terms over it."""
         out = self._like({})
         out.ring = ring
         return out._set(terms, self.known_order)
 
-    def _coerce(self, scalar):
-        return as_fraction(scalar) if self.ring is None else self.ring.coerce(scalar)
-
     @property
     def terms(self):
-        """{key: nonzero coefficient}, read-only; a born value builds its
-        Fractions, or one Poly per key, here once."""
+        """{key: nonzero coefficient}, read-only: Fractions over Q, Polys of
+        the ring over a ring; a born value builds them here once."""
         terms = self._terms
         if terms is None:
-            _, ring, (d, split) = self._cache
+            d, split = self._cache
+            ring = self.ring
             if ring is None:
-                terms = {k: Fraction(v, d) for k, v in split[()].items()}
+                terms = {k: Fraction(v, d) for layer in split.values() for k, v in layer.items()}
             else:
                 polys = {}
                 for e, layer in split.items():
@@ -214,41 +221,20 @@ class Truncated:
             self._terms = terms
         return terms
 
-    def _kind(self):
-        """(types, ring, split) of the coefficients, the split None until _split forms it."""
-        cache = self._cache
-        if cache is None:
-            cache = self._cache = _ring_of(self._terms) + (None,)
-        return cache
-
-    def _split(self):
-        """The int layers over the value's own ring, formed at most once; the
-        one layer of int coefficients is their terms."""
-        types, ring, split = self._kind()
-        if split is None:
-            split = (1, {(): self._terms}) if types <= _INT else layers(self._terms, ring)
-            self._cache = types, ring, split
-        return split
-
-    def _layers(self, ring, through=None):
-        """The split over ring: a rational value's one layer moves to ring's
-        all-zero exponent vector.  With through, the keys past that degree
-        are left out."""
-        d, split = self._split()
-        if ring is not None and self._cache[1] is None:
-            split = {(0,) * len(ring.symbols): split[()]}
-        if through is not None and through < self.known_order:
+    def _layers(self, through):
+        """The int layers, the keys past degree through left out."""
+        d, split = self._cache
+        if through < self.known_order:
             deg = self._degree
             split = {e: {k: v for k, v in layer.items() if deg(k) <= through}
                      for e, layer in split.items()}
         return d, split
 
-    def _born(self, d, by_exps, ko, types, ring):
+    def _born(self, d, by_exps, ko):
         """The value of self's shape, known through ko, with coefficients
         {key: sum_e v x^e / d} of the int sums {e: {key: v}}, whose exponent
-        vectors are reduced; types is _INT, _RATIONAL or _POLY.  The zero sums
-        and layers drop out, and d becomes the least denominator d / g, g =
-        gcd(d, every sum)."""
+        vectors are reduced.  The zero sums and layers drop out, and d
+        becomes the least denominator d / g, g = gcd(d, every sum)."""
         out = self._like({}, ko)
         g = d
         for sums in by_exps.values():
@@ -258,19 +244,16 @@ class Truncated:
         split = {e: ints for e, sums in by_exps.items()
                  if (ints := {k: v // g for k, v in sums.items() if v})}
         if split:
-            out._terms = split[()] if types is _INT else None
-            out._cache = types, ring, (d // g, split)
+            out._terms, out._cache = None, (d // g, split)
         return out
 
     def _remade(self, f, known_order=None):
-        """The value of self's kind and shape whose layers are f(layer) of
-        each of self's, over the same denominator, known through known_order
-        (self's by default); f keeps no key past it."""
-        types, ring, _ = self._kind()
-        d, split = self._split()
+        """The value of self's shape whose layers are f(layer) of each of
+        self's, over the same denominator, known through known_order (self's
+        by default); f keeps no key past it."""
+        d, split = self._cache
         return self._born(d, {e: f(layer) for e, layer in split.items()},
-                          self.known_order if known_order is None else known_order,
-                          _born_types(types, ring), ring)
+                          self.known_order if known_order is None else known_order)
 
     def _cut(self, known_order):
         """This value known through known_order, its keys past it left out."""
@@ -282,7 +265,7 @@ class Truncated:
         """The stored keys, from whichever form of the terms exists."""
         terms = self._terms
         if terms is None:
-            split = self._cache[2][1]
+            split = self._cache[1]
             return next(iter(split.values())) if len(split) == 1 else set().union(*split.values())
         return terms
 
@@ -292,12 +275,16 @@ class Truncated:
         return min(map(self._degree, keys)) if keys else None
 
     def coefficient(self, key):
-        """The coefficient of key, zero when absent; raises ValueError past the known order."""
+        """The coefficient of key, zero when absent; raises ValueError past
+        the known order.  Only this one Fraction or Poly is built."""
         if self._degree(key) > self.known_order:
             raise ValueError("coefficient of degree %d exceeds known order %d"
                              % (self._degree(key), self.known_order))
-        c = self.terms.get(key)
-        return self._coerce(0) if c is None else c
+        d, split = self._cache
+        parts = {e: Fraction(v, d) for e, layer in split.items() if (v := layer.get(key))}
+        if self.ring is not None:
+            return Poly(self.ring, parts)
+        return parts[()] if parts else Fraction(0)
 
     def linear(self, row):
         """sum_k c_k row(k), where row(key) yields (key, multiplier) pairs; the
@@ -318,9 +305,8 @@ class Truncated:
             other = self._one() * other
         self._check(other)
         ko = min(self.known_order, other.known_order)
-        types, ring = _joint(self, other)
-        d, by_exps = _settle([(1, *self._layers(ring, ko)), (1, *other._layers(ring, ko))])
-        return self._born(d, by_exps, ko, _born_types(types, ring), ring)
+        d, by_exps = _settle([(1, *self._layers(ko)), (1, *other._layers(ko))])
+        return self._born(d, by_exps, ko)
 
     def __radd__(self, other):
         return self + other
@@ -339,19 +325,12 @@ class Truncated:
         of c times each layer of self, in int."""
         if isinstance(scalar, Truncated):
             self._check(scalar)  # raises: a value of self's family multiplies in __mul__
-        c = self._coerce(scalar)
-        if type(c) not in _EXACT:
-            raise ValueError("inexact coefficients: ['%s']" % type(c).__name__)
-        types, ring, _ = self._kind()
-        types = types | {type(c)}
-        if type(c) is Poly:
-            ring = _one_ring([r for r in (ring, c.ring) if r is not None])
-        d, split = self._layers(ring)
-        d_c, c_layers = _coefficient_layers(c, ring)
+        d_c, c_layers = layers({None: self._coerce(scalar)}, self.ring)
+        d, split = self._cache
         raw = {}
-        _gather(raw, c_layers, split)
-        m, by_exps = _reduced(raw, ring)
-        return self._born(d_c * d * m, by_exps, self.known_order, _born_types(types, ring), ring)
+        _gather(raw, {e: layer[None] for e, layer in c_layers.items()}, split)
+        m, by_exps = _reduced(raw, self.ring)
+        return self._born(d_c * d * m, by_exps, self.known_order)
 
     def __mul__(self, other):
         """The product through min(K_a + w_b, K_b + w_a, maxdeg).
@@ -372,11 +351,10 @@ class Truncated:
         if wa is None or wb is None:
             return self._like({}, min(self.known_order, other.known_order))
         ko = min(self.known_order + wb, other.known_order + wa, self.maxdeg)
-        types, ring = _joint(self, other)
-        (d_a, a), (d_b, b) = self._layers(ring), other._layers(ring)
+        (d_a, a), (d_b, b) = self._cache, other._cache
         convolve = self._convolve
-        m, by_exps = _reduced(_products(a, b, lambda x, y: convolve(x, y, ko)), ring)
-        return self._born(d_a * d_b * m, by_exps, ko, _born_types(types, ring), ring)
+        m, by_exps = _reduced(_products(a, b, lambda x, y: convolve(x, y, ko)), self.ring)
+        return self._born(d_a * d_b * m, by_exps, ko)
 
     def _convolve(self, a_terms, b_terms, ko):
         """The terms of the product of a_terms and b_terms through degree ko."""
@@ -409,15 +387,13 @@ class Truncated:
         when the comparison reads every stored degree (the layers over the
         least denominator are unique), else per exponent vector the
         numerators cross-multiplied by the other denominator.  Any other
-        pair (mixed types, a plain scalar, or two zeros, which have no
-        coefficient to tell their type by) is compared by its difference.
+        pair (mixed types, a plain scalar) is compared by its difference.
         """
-        if type(other) is not type(self) or not (self._keys() or other._keys()):
+        if type(other) is not type(self):
             return (self - other).is_zero(order)
         self._check(other)
-        ring = _joint(self, other)[1]
         k = _through(min(self.known_order, other.known_order), order)
-        (d_a, a), (d_b, b) = self._layers(ring), other._layers(ring)
+        (d_a, a), (d_b, b) = self._cache, other._cache
         if k == self.known_order == other.known_order:
             return d_a == d_b and a == b
         deg = self._degree
@@ -498,48 +474,6 @@ def _through(known_order, order):
     return order
 
 
-def _ring_of(terms):
-    """(types, ring) of a term dict's coefficients: the set of their types,
-    and the one ring of their Polys (None when there are none).  Raises
-    ValueError for a coefficient that is not int, Fraction or Poly, or for
-    Polys of two rings."""
-    types = set(map(type, terms.values()))
-    if not types <= _EXACT:
-        raise ValueError("inexact coefficients: %s" % sorted(t.__name__ for t in types - _EXACT))
-    return types, _one_ring([c.ring for c in terms.values() if type(c) is Poly]
-                            if Poly in types else ())
-
-
-def _joint(x, y):
-    """(types, ring) of the coefficients of two values together, as _ring_of
-    gives them for one."""
-    (types_x, ring_x, _), (types_y, ring_y, _) = x._kind(), y._kind()
-    return types_x | types_y, _one_ring([r for r in (ring_x, ring_y) if r is not None])
-
-
-def _one_ring(rings):
-    """The one ring of a list of rings, None for none; ValueError for two."""
-    for r in rings:
-        # SymRing == tests identity first; its hash would hash the Fraction squares
-        if r != rings[0]:
-            raise ValueError("Poly coefficients of two rings: %r and %r" % (rings[0], r))
-    return rings[0] if rings else None
-
-
-def _born_types(types, ring):
-    """The coefficient types of a value born from inputs of these types over ring."""
-    return _POLY if ring is not None else _RATIONAL if Fraction in types else _INT
-
-
-def _coefficient_layers(c, ring):
-    """(d, {e: int}): an int, Fraction or Poly c times its least denominator
-    d, split by monomial of ring (a rational at the all-zero vector)."""
-    if type(c) is Poly:
-        d = lcm(*(x.denominator for x in c.terms.values()))
-        return d, {e: x.numerator * (d // x.denominator) for e, x in c.terms.items()}
-    return c.denominator, {() if ring is None else (0,) * len(ring.symbols): c.numerator}
-
-
 def _products(a, b, pair):
     """{e1 + e2: sum of pair(x, y)} over the layers x of a at e1 and y of b
     at e2, where pair returns a fresh {key: int}; exponent vectors unreduced."""
@@ -604,12 +538,12 @@ def _settle(parts):
     return d, out
 
 
-def _settled(like, parts, types, ring):
+def _settled(like, parts):
     """The value of like's shape and known order from int sums [(den, raw
     layers)], their exponent vectors reduced first."""
-    parts = [(1, den * m, split) for den, raw in parts for m, split in (_reduced(raw, ring),)]
+    parts = [(1, den * m, split) for den, raw in parts for m, split in (_reduced(raw, like.ring),)]
     d, by_exps = parts[0][1:] if len(parts) == 1 else _settle(parts)
-    return like._born(d, by_exps, like.known_order, types, ring)
+    return like._born(d, by_exps, like.known_order)
 
 
 def suffix_products(images, alphabet, one):
@@ -655,32 +589,26 @@ def substitute(elements, images, one):
     """Each series of elements, all over one alphabet, evaluated at images.
 
     images maps letter names to values of positive order known through K,
-    the known order of one; words longer than K are skipped.  Everything
-    happens on int layers.  The words of every element are visited together
-    in (length, lex) order, and a word a.s is split at its first letter:
-    suffix_products, built with one cut to known order K - 1, forms the
-    image of each suffix s once for all the elements, and each element adds
-    the layers of its coefficient times the layers of that image into one
-    tail T_a per first letter a, in one int sum per denominator.  Each
-    nonzero tail is then born, over the lcm of its denominators, and takes
-    one product image(a) * T_a; the products and the empty word's
-    coefficient times one add, per element, into int sums that are born at
-    K, their keys past K left out: a zero tail's product carries a known
-    order below K, which a sum by ``+`` would keep.  Each element's ring is
-    the one ring of its coefficients, of one and of the images; its values
-    stay in int where all of them are ints.
+    the known order of one; words longer than K are skipped.  The result is
+    over one's ring, into which each element and each image is promoted
+    first (a ring value at images over Q raises: nothing demotes).
+    Everything happens on int layers.  The words of every element are
+    visited together in (length, lex) order, and a word a.s is split at its
+    first letter: suffix_products, built with one cut to known order K - 1,
+    forms the image of each suffix s once for all the elements, and each
+    element adds the layers of its coefficient times the layers of that
+    image into one tail T_a per first letter a, in one int sum per
+    denominator.  Each nonzero tail is then born, over the lcm of its
+    denominators, and takes one product image(a) * T_a; the products and
+    the empty word's coefficient times one add, per element, into int sums
+    that are born at K, their keys past K left out: a zero tail's product
+    carries a known order below K, which a sum by ``+`` would keep.
     """
-    ko = one.known_order
-    image_kinds = [image._kind() for image in images.values()]
-    one_types, one_ring, _ = one._kind()
-    kinds, uses = [], {}  # per element (types, ring); word -> {element index: (d, {e: int})}
+    ko, ring = one.known_order, one.ring
+    images = {a: image.promote(ring) for a, image in images.items()}
+    uses = {}  # word -> {element index: (d, {e: int})}
     for i, series in enumerate(elements):
-        types, ring, _ = series._kind()
-        rings = [ring, getattr(one, "ring", None), one_ring] + [r for _, r, _ in image_kinds]
-        ring = _one_ring([r for r in rings if r is not None])
-        types = types.union(one_types, *(t for t, _, _ in image_kinds))
-        kinds.append((_born_types(types, ring), ring))
-        d, split = series._layers(ring)
+        d, split = series.promote(ring)._cache
         for e, layer in split.items():
             for word, v in layer.items():
                 if len(word) <= ko:
@@ -690,23 +618,22 @@ def substitute(elements, images, one):
     accs = [{} for _ in elements]  # per element {den: raw layers}, the empty word's
     tails = {}  # (element index, first letter) -> {den: raw layers}
     for word in sorted(uses, key=lambda w: (len(w), w)):
-        image = product_for(word[1:]) if word else one
+        d_t, t = (product_for(word[1:]) if word else one)._cache
         for i, (d_c, xs) in uses[word].items():
-            d_t, t = image._layers(kinds[i][1])
             acc = tails.setdefault((i, word[0]), {}) if word else accs[i]
             _gather(acc.setdefault(d_c * d_t, {}), xs, t)
     parts = [list(acc.items()) for acc in accs]  # per element [(den, layers)] through K
     for (i, letter), acc in tails.items():
-        tail = _settled(cut, list(acc.items()), *kinds[i])
+        tail = _settled(cut, list(acc.items()))
         if tail._keys():
-            parts[i].append((images[alphabet[letter]] * tail)._layers(kinds[i][1], ko))
-    return [_settled(one, p, *kind) for p, kind in zip(parts, kinds)]
+            parts[i].append((images[alphabet[letter]] * tail)._layers(ko))
+    return [_settled(one, p) for p in parts]
 
 
 def evaluate(series, images, one=None):
     """series at images of order >= 1, one per letter (else the series type's
     _error), through the least known order of both; built on one, by default
-    the unit of the first letter's image (an int unit keeps int images in int)."""
+    the unit of the first letter's image, whose ring the result is over."""
     missing = [a for a in series.alphabet if a not in images]
     if missing:
         raise series._error("no image for letters %r" % missing)

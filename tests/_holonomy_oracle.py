@@ -40,7 +40,7 @@ from gtassoc import associators
 from gtassoc.braids import xi_word
 from gtassoc.holonomy import hilbert_dimensions, transposition
 from gtassoc.ncseries import EMPTY, NCSeries
-from gtassoc.symcoef import as_fraction, layers
+from gtassoc.symcoef import as_fraction
 from gtassoc.truncated import Truncated, evaluate, substitute
 
 # dim U(T_n) in the top degree, which sizes the reduction tables and every
@@ -177,22 +177,20 @@ def _compositions(total, parts):
 
 
 class HoloElt(Truncated):
-    """Element of a HoloAlgebra as coordinates on the normal-form basis."""
+    """Element of a HoloAlgebra as coordinates on the normal-form basis, over
+    Q (ring None) or a SymRing."""
 
-    __slots__ = ("algebra", "known_order")
-    _shape = (("algebra", "elements of different holonomy algebras"),)
+    __slots__ = ("algebra", "known_order", "ring")
+    _shape = (("algebra", "elements of different holonomy algebras"),
+              ("ring", "coefficient ring mismatch"))
     _degree = staticmethod(len)
 
-    def __init__(self, algebra, terms, known_order=None):
-        self.algebra = algebra
+    def __init__(self, algebra, terms, known_order=None, ring=None):
+        self.algebra, self.ring = algebra, ring
         self._set(terms, algebra.maxdeg if known_order is None else known_order)
 
     def _one(self):
-        return self.algebra.one(self.known_order)
-
-    def _coerce(self, scalar):
-        """Scalars, Poly ones included, multiply unconverted."""
-        return scalar
+        return HoloElt(self.algebra, {EMPTY: 1}, self.known_order, self.ring)
 
     @property
     def maxdeg(self):
@@ -203,12 +201,6 @@ class HoloElt(Truncated):
         """A change of degree moves the terms onto the registered U(T_n) of that degree."""
         if maxdeg != self.algebra.maxdeg:
             self.algebra = holonomy_algebra(self.algebra.n, maxdeg)
-
-    def promote(self, ring):
-        raise ValueError("holonomy elements have no ring: they take Poly scalars as they are")
-
-    def _over(self, ring, terms):
-        return self._like(terms)
 
     def _convolve(self, a_terms, b_terms, ko):
         """Each pair of basis words is reduced by folding the left word onto
@@ -249,8 +241,9 @@ class HoloElt(Truncated):
 
 def embed_free(series: NCSeries, algebra: HoloAlgebra, images: dict) -> HoloElt:
     """Evaluate an NCSeries with letters mapped to order->=1 HoloElts."""
-    # an int unit keeps integral images (the pentagon faces) in int arithmetic
-    return evaluate(series, images, HoloElt(algebra, {EMPTY: 1}))
+    # the unit over the series' ring, or over the images' for a series over Q
+    ring = next(iter(images.values())).ring if series.ring is None else series.ring
+    return evaluate(series, images, HoloElt(algebra, {EMPTY: 1}, ring=ring))
 
 
 def holonomy_algebra(n, maxdeg) -> HoloAlgebra:
@@ -269,8 +262,8 @@ def holonomy_algebra(n, maxdeg) -> HoloAlgebra:
 def _face_images(algebra, xs, ys):
     """The images {"x": sum of the t_ij in xs, "y": sum of those in ys} of one face.
 
-    The coefficients are the int 1, so the face word images, which are
-    integral, are formed in int arithmetic.
+    The coefficients are 1, so the face word images are integral: their
+    int layers have denominator 1.
     """
     return {letter: HoloElt(algebra, {bytes((algebra.generator_index(i, j),)): 1
                                       for (_, i, j) in pairs})
@@ -283,23 +276,11 @@ def pentagon_faces(series, algebra):
 
 
 def pentagon_defect(series, algebra=None):
-    """(d3)(d1) - (d0)(d2)(d4) in U(T_4), through the series' known order by default.
-
-    The faces F of D*Phi, D the series' common denominator, are integral, and
-    D^3 times the defect is D (F3)(F1) - (F0)(F2)(F4).  Over a ring D = 1.
-    """
+    """(d3)(d1) - (d0)(d2)(d4) in U(T_4), through the series' known order by default."""
     if algebra is None:
         algebra = holonomy_algebra(4, series.known_order)
-    d = 1
-    if series.ring is None:
-        d, ints = layers(series.terms)
-        series = series.scaled_copy(ints[()])
     f = pentagon_faces(series, algebra)
-    defect = d * (f["d3"] * f["d1"]) - f["d0"] * f["d2"] * f["d4"]
-    if d != 1:
-        defect = HoloElt(algebra, {w: Fraction(c, d ** 3) for w, c in defect.terms.items()},
-                         defect.known_order)
-    return defect
+    return f["d3"] * f["d1"] - f["d0"] * f["d2"] * f["d4"]
 
 
 def relation_words(alg):
@@ -321,24 +302,22 @@ def relation_words(alg):
     return rels
 
 
-def reduce_terms(alg, terms, known_order=None):
-    """A {free word: coeff} dict reduced into a HoloElt; words past the known order are dropped."""
-    return HoloElt(alg, terms, known_order).linear(lambda w: alg.normal_form(w).items())
+def reduce_terms(alg, terms, known_order=None, ring=None):
+    """A {free word: coeff} dict reduced into a HoloElt over ring; words past
+    the known order are dropped."""
+    return HoloElt(alg, terms, known_order, ring).linear(lambda w: alg.normal_form(w).items())
 
 
 def pentagon_linear(elements, algebra):
-    """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) in U(T_4) for int series
-    psi of one degree, each face one int substitution of all of them; one
-    {basis word: int} per element, its zero sums left in."""
+    """psi(d3) + psi(d1) - psi(d0) - psi(d2) - psi(d4) in U(T_4) for series
+    psi of one degree, each face one substitution of all of them, summed as
+    HoloElts; one {basis word: Fraction} per element."""
     one = HoloElt(algebra, {b"": 1})
-    sums = [{} for _ in elements]
+    sums = [one - one for _ in elements]
     for name, xs, ys in associators.PENTAGON_FACES:
-        sign = associators._FACE_SIGNS[name]
-        images = _face_images(algebra, xs, ys)
-        for acc, value in zip(sums, substitute(elements, images, one)):
-            for mono, c in value.terms.items():
-                acc[mono] = acc.get(mono, 0) + sign * c
-    return sums
+        values = substitute(elements, _face_images(algebra, xs, ys), one)
+        sums = [acc + associators._FACE_SIGNS[name] * value for acc, value in zip(sums, values)]
+    return [acc.terms for acc in sums]
 
 
 def permuted(elt, perm):
@@ -367,12 +346,13 @@ def sigma_images(series, lam, algebra):
     sigma_i maps to a . s_i . b with t = t_{i,i+1}, a = Phi(t, Y_i) and
     b = exp(lam t/2) Phi(Y_i, t).  Moving s_i to the right, s_i . v = (s_i v) . s_i
     gives sigma_i = u_i . s_i and sigma_i^-1 = b^-1 . s_i . a^-1 = u'_i . s_i.
-    Returns {i: (s_i, u_i, u'_i)} for i = 1..n-1.
+    Returns {i: (s_i, u_i, u'_i)} for i = 1..n-1, over the series' ring.
     """
     lam = as_fraction(lam)
     out = {}
     for i in range(1, algebra.n):
-        t, y = algebra.generator(i, i + 1), y_element(algebra, i)
+        t = algebra.generator(i, i + 1).promote(series.ring)
+        y = y_element(algebra, i).promote(series.ring)
         a = embed_free(series, algebra, {"x": t, "y": y})
         b = (Fraction(lam, 2) * t).exp() * embed_free(series, algebra, {"x": y, "y": t})
         s = transposition(algebra.n, i)
@@ -383,9 +363,10 @@ def sigma_images(series, lam, algebra):
 def braid_image(images, algebra, letters):
     """The image u . p of a braid word (signed generator indices) under
     sigma_images, as the pair (u, p): each letter folds in as
-    (u, p)(v, s) = (u . p v, p s), where p v is v itself while p is the identity."""
+    (u, p)(v, s) = (u . p v, p s), where p v is v itself while p is the identity;
+    u is over the ring of the images."""
     identity = tuple(range(1, algebra.n + 1))
-    u, p = algebra.one(), identity
+    u, p = algebra.one().promote(images[1][1].ring), identity
     for v in letters:
         s, image, inverse = images[abs(v)]
         factor = image if v > 0 else inverse

@@ -10,9 +10,8 @@ builds its result by coefficient arithmetic, term by term:
   with ``_add_term``, which reduces the quadratic symbols;
 - ``add``, ``neg`` and ``scale``: ``Poly.__add__``, ``Poly.__neg__`` and
   ``Poly.__mul__`` (or their Fraction kin) per term;
-- ``substitute``: the suffix of each word evaluated once, the tails summed
-  per term, and a Poly coefficient times a suffix image over Q summed in
-  int through one flat dict {(key, exponent vector): int} per denominator;
+- ``substitute``: the suffix of each word evaluated once, and the tails
+  summed per term, each coefficient coerced into the ring of the unit;
 - ``exp``, ``log``, ``inverse``, ``evaluate`` and ``equal_through``, written
   on top of these.
 
@@ -21,16 +20,8 @@ and keys past the known order.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from gtassoc.symcoef import Poly, _add_term, layers
-
-
-def _ring(*values):
-    """The one ring of the Poly coefficients of values, None over Q."""
-    rings = {id(c.ring): c.ring for v in values for c in v.terms.values() if type(c) is Poly}
-    assert len(rings) <= 1, "Polys of two rings"
-    return next(iter(rings.values()), None)
 
 
 def _known_order(a, b):
@@ -45,7 +36,7 @@ def mul(a, b):
     ko = _known_order(a, b)
     if a.order() is None or b.order() is None:
         return a._like({}, ko)
-    ring = _ring(a, b)
+    ring = a.ring
     if ring is None:
         return a._like(a._convolve(a.terms, b.terms, ko), ko)
     (d_a, xs), (d_b, ys) = layers(a.terms, ring), layers(b.terms, ring)
@@ -135,29 +126,17 @@ def substitute(elements, images, one):
     for i, series in enumerate(elements):
         for word, coeff in series.terms.items():
             if len(word) <= ko:
-                c = coeff if type(coeff) is int else one._coerce(coeff)
-                uses.setdefault(word, []).append((i, c))
+                uses.setdefault(word, []).append((i, one._coerce(coeff)))
     accs = [{} for _ in elements]
-    tails, flats = {}, {}  # (element index, first letter) -> terms, and -> {den: flat dict}
+    tails = {}  # (element index, first letter) -> terms
     for word in sorted(uses, key=lambda w: (len(w), w)):
         if not word:
             for i, c in uses[word]:
                 _scatter(accs[i], one.terms.items(), c)
             continue
         img = image(word[1:])
-        rational = _ring(img) is None
         for i, c in uses[word]:
-            tail = i, word[0]
-            if type(c) is not Poly or not rational:
-                _scatter(tails.setdefault(tail, {}), img.terms.items(), c)
-                continue
-            (d_c, xs), (d_t, vs) = layers({0: c}, c.ring), layers(img.terms)
-            sums = flats.setdefault(tail, (c.ring, {}))[1].setdefault(d_c * d_t, {})
-            for key, v in vs[()].items():
-                for e, x in xs.items():
-                    sums[key, e] = sums.get((key, e), 0) + x[0] * v
-    for tail, (ring, flat) in flats.items():
-        _scatter(tails.setdefault(tail, {}), _flat_polys(ring, flat).items())
+            _scatter(tails.setdefault((i, word[0]), {}), img.terms.items(), c)
     for (i, letter), terms in tails.items():
         _scatter(accs[i], mul(images[alphabet[letter]], cut._like(terms)).terms.items())
     return [one._like(acc) for acc in accs]
@@ -185,17 +164,3 @@ def _scatter(acc, pairs, c=None):
             v = c * v
         acc[key] = acc[key] + v if key in acc else v
 
-
-def _flat_polys(ring, flat):
-    """{key: Poly} from {den: {(key, exponent vector): int}}, one int sum per
-    (key, exponent vector) over the lcm of the denominators."""
-    den, total = lcm(*flat), {}
-    for d, sums in flat.items():
-        m = den // d
-        for ke, x in sums.items():
-            total[ke] = total.get(ke, 0) + x * m
-    polys = {}
-    for (key, e), x in total.items():
-        if x:
-            polys.setdefault(key, {})[e] = Fraction(x, den)
-    return {key: Poly(ring, poly_terms) for key, poly_terms in polys.items()}

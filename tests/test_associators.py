@@ -228,8 +228,9 @@ def test_substitute_on_a_list_matches_each_series_alone():
     """substitute on a list of series against embed_free on the five faces and
     nc_substitute at the hexagon images, one series at a time, through degree 6:
     mixed words, a first-letter pair that cancels, one word, zero, words of
-    every length from 0 to 6 (suffixes of several lengths), and Poly
-    coefficients at the rational faces (the flat int branch)."""
+    every length from 0 to 6 (suffixes of several lengths), and, on a unit
+    over Q[a, b], Poly coefficients at the rational faces, which substitute
+    promotes to the ring of the unit."""
     rng = random.Random(6)
     words = all_words(6)
     mixed = NCSeries(XY, 6, {w: F(rng.randint(-9, 9), rng.randint(1, 9))
@@ -250,10 +251,10 @@ def test_substitute_on_a_list_matches_each_series_alone():
     one = HoloElt(algebra, {b"": 1})
     for _, xs, ys in associators.PENTAGON_FACES:
         images = _face_images(algebra, xs, ys)
-        for batch in (elements, elements + [poly]):
-            values = substitute(batch, images, one)
-            assert [v.terms for v in values] == [embed_free(e, algebra, images).terms
-                                                 for e in batch]
+        for batch, unit in ((elements, one), (elements + [poly], one.promote(ring))):
+            values = substitute(batch, images, unit)
+            assert [v.terms for v in values] == [
+                embed_free(e.promote(unit.ring), algebra, images).terms for e in batch]
             assert [v.known_order for v in values] == [6] * len(batch)
     x, y = NCSeries.letter(XY, "x", 6), NCSeries.letter(XY, "y", 6)
     z = -1 * x - y

@@ -326,7 +326,7 @@ def test_xi_images_equal_the_plain_word_folds(phi0, ab_ring, over):
     for p in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)):
         u, perm = braid_image(images, algebra, xi_word(4, *p))
         assert perm == (1, 2, 3, 4) and u.known_order == 5
-        plain, perm = algebra.one(), (1, 2, 3, 4)
+        plain, perm = algebra.one().promote(ref.series.ring), (1, 2, 3, 4)
         for v in xi_word(4, *p):
             s, image, inverse = images[abs(v)]
             plain = plain * permuted(image if v > 0 else inverse, perm)

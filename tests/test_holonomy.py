@@ -225,7 +225,7 @@ def _oracle_product(u, v):
         for w2, c2 in v.terms.items():
             if len(w1) + len(w2) <= ko:
                 concat[w1 + w2] = concat.get(w1 + w2, 0) + c1 * c2
-    return reduce_terms(alg, concat, ko)
+    return reduce_terms(alg, concat, ko, u.ring)
 
 
 def _random_element(rng, alg, ring):
@@ -238,7 +238,7 @@ def _random_element(rng, alg, ring):
         if ring is not None:
             c = c * ring.one + rng.randint(-2, 2) * ring.symbol(rng.choice(ring.symbols))
         terms[w] = c
-    return HoloElt(alg, terms, known_order=rng.randint(low, alg.maxdeg))
+    return HoloElt(alg, terms, known_order=rng.randint(low, alg.maxdeg), ring=ring)
 
 
 def test_product_folds_onto_normal_right_factor():
@@ -255,9 +255,9 @@ def test_product_folds_onto_normal_right_factor():
                     assert got.terms == want.terms
                     assert got.known_order == want.known_order
             # a sum of generators on the left, as in word images built from the left
-            gens = alg.zero()
+            gens = alg.zero().promote(ring)
             for i, j in ((1, 2), (1, n), (n - 1, n)):
-                gens = gens + alg.generator(i, j)
+                gens = gens + alg.generator(i, j).promote(ring)
             v = _random_element(rng, alg, ring)
             assert (gens * v).terms == _oracle_product(gens, v).terms
 
@@ -293,6 +293,7 @@ _COEFFS = {
 @pytest.mark.parametrize("kind", sorted(_COEFFS))
 def test_product_matches_the_plain_double_loop(kind):
     alg = HoloAlgebra(4, 5)
+    ring = {"poly": AB_RING, "quadratic": QUADRATIC}.get(kind)
     rng = random.Random(4057)
     formed = 0
     for _ in range(20):
@@ -301,17 +302,18 @@ def test_product_matches_the_plain_double_loop(kind):
             low = rng.randint(0, 2)
             terms = {rng.choice(alg.basis_words(rng.randint(low, 3))): _COEFFS[kind](rng, left)
                      for _ in range(rng.randint(1, 10))}
-            pair.append(HoloElt(alg, terms, known_order=rng.randint(max(low, 1), 5)))
+            pair.append(HoloElt(alg, terms, known_order=rng.randint(max(low, 1), 5), ring=ring))
         u, v = pair
-        for a, b in ((u, v), (v, u), (u, alg.zero(3)), (alg.zero(3), v)):
+        zero = alg.zero(3).promote(ring)
+        for a, b in ((u, v), (v, u), (u, zero), (zero, v)):
             got = a * b
             formed += len(got.terms)
             assert got.known_order == _oracle_product(a, b).known_order
             assert got.terms == _plain_product(a, b, got.known_order)
-            # int times int stays int, a Fraction operand gives Fractions
-            types = {type(c) for c in list(a.terms.values()) + list(b.terms.values())}
-            want = Poly if Poly in types else F if F in types else int
+            # the coefficients are Fractions over Q and Polys of the ring over a ring
+            want = F if ring is None else Poly
             assert {type(c) for c in got.terms.values()} <= {want}
+            assert all(c.ring == ring for c in got.terms.values() if type(c) is Poly)
     assert formed > 400
     # a known order that truncates: words past it are never formed
     short = HoloElt(alg, {bytes((0,)): F(1, 2), bytes((0, 1, 2)): F(2, 3)}, known_order=3)
@@ -328,11 +330,11 @@ def test_embed_free_of_a_poly_series_matches_the_per_word_sum():
               "y": alg.generator(1, 3) + F(1, 5) * alg.generator(2, 4) * alg.generator(1, 2)}
     series = (a * F(1, 3) + b) * x * y + (b - a) * y * x * x + a * y * y * y + F(3, 7) * x
     got = embed_free(series, alg, images)
-    want = alg.zero()
+    want = alg.zero().promote(AB_RING)
     for word, c in series.terms.items():
-        prod = alg.one()
+        prod = alg.one().promote(AB_RING)
         for letter in word:
-            prod = prod * images[XY[letter]]
+            prod = prod * images[XY[letter]].promote(AB_RING)
         want = want + c * prod
     assert got.terms == want.terms and got.known_order == want.known_order == 4
     assert all(type(c) is Poly for c in got.terms.values())

@@ -38,7 +38,7 @@ KINDS = {
                    [(0, 1, 1, 0), (1, 1, 0, 0)])],
                  lambda ko, ring: NCSeries(XY, MAXDEG, {}, ring, ko)),
     "HoloElt": ([T3.basis_words(d)[:3] for d in range(MAXDEG + 1)],
-                lambda ko, ring: T3.zero(ko)),
+                lambda ko, ring: T3.zero(ko).promote(ring)),
     "ScalarSeries": ([[p] for p in range(MAXDEG + 1)],
                      lambda ko, ring: ScalarSeries(MAXDEG, {}, ring, ko)),
     "HMatrix": ([[(p, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]

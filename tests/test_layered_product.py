@@ -11,11 +11,13 @@ convolution of the Fraction terms.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 
 from _holonomy_oracle import HoloAlgebra, HoloElt
+from gtassoc import truncated
 from gtassoc.hecke import unitary_ring
 from gtassoc.hmatrix import HMatrix
 from gtassoc.kz import kz_ring
@@ -82,11 +84,11 @@ def _matrix(rng, ring, coeff, n=3, maxdeg=5):
     return HMatrix.zero(n, maxdeg, ring, ko)._like(terms)
 
 
-def _holo(rng, alg, coeff):
+def _holo(rng, alg, coeff, ring=None):
     low = rng.randint(0, 2)
     terms = {rng.choice(alg.basis_words(rng.randint(low, 3))): coeff()
              for _ in range(rng.randint(1, 10))}
-    return HoloElt(alg, terms, known_order=rng.randint(max(low, 1), alg.maxdeg))
+    return HoloElt(alg, terms, known_order=rng.randint(max(low, 1), alg.maxdeg), ring=ring)
 
 
 def _scalar(rng, ring, coeff, maxdeg=8):
@@ -108,7 +110,8 @@ def test_holonomy_elements_over_a_b_match_the_plain_product():
     alg = HoloAlgebra(4, 5)
     rng = random.Random(77)
     for _ in range(20):
-        u, v = (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b"))) for _ in range(2))
+        u, v = (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b")), AB_RING)
+                for _ in range(2))
         assert_matches_plain(u, v, AB_RING)
         assert_matches_plain(v, u, AB_RING)
 
@@ -123,8 +126,8 @@ def test_kz_scalar_series_match_the_plain_product():
 
 
 def test_poly_factor_times_rational_factor_either_side():
-    """The ring comes from whichever factor has a Poly; the other's rationals
-    sit in the constant layer."""
+    """Both factors are over the ring; the rational coefficients of one,
+    coerced into the ring, sit in the constant layer."""
     rng = random.Random(31)
     ring = unitary_ring(4)
     alg = HoloAlgebra(4, 4)
@@ -132,11 +135,11 @@ def test_poly_factor_times_rational_factor_either_side():
         pairs = [
             (_matrix(rng, ring, lambda: _poly(rng, ring, ring.symbols)),
              _matrix(rng, ring, lambda: _rational(rng)), ring),
-            (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b"))),
-             _holo(rng, alg, lambda: _rational(rng)), AB_RING),
-            # the Q unit of the holonomy algebra, which braid_image folds a word onto
-            (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b"))),
-             HoloElt(alg, {b"": F(1)}), AB_RING),
+            (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b")), AB_RING),
+             _holo(rng, alg, lambda: _rational(rng), AB_RING), AB_RING),
+            # the unit of the holonomy algebra, which braid_image folds a word onto
+            (_holo(rng, alg, lambda: _poly(rng, AB_RING, ("a", "b")), AB_RING),
+             HoloElt(alg, {b"": F(1)}, ring=AB_RING), AB_RING),
         ]
         for p, q, r in pairs:
             assert_matches_plain(p, q, r)
@@ -217,10 +220,27 @@ RATIONAL_MAKERS = {
 }
 
 
+@contextmanager
+def fractions_built():
+    """A one-entry list that counts the Fractions the truncated module builds
+    inside the block."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return F(*args)
+    saved, truncated.Fraction = truncated.Fraction, counted
+    try:
+        yield count
+    finally:
+        truncated.Fraction = saved
+
+
 def _born_copy(x):
-    """x as a born product: x times its Fraction unit."""
-    got = x * x._one()
-    assert got._terms is None or not got._keys()
+    """x as a born product: x times its unit, which builds no coefficient."""
+    with fractions_built() as built:
+        got = x * x._one()
+    assert built == [0] and got == x and got.known_order == x.known_order
     return got
 
 
@@ -230,7 +250,9 @@ def assert_matches_fractions(a, b):
     assert got.known_order == want.known_order
     # the same values in the same insertion order as the eager Fraction build
     assert list(got.terms.items()) == list(want.terms.items())
-    assert got._split() == layers(got.terms)
+    assert all(type(c) is F for c in got.terms.values())
+    # the layers it was born with are those of its terms
+    assert got == got._like(got.terms)
     return got
 
 
@@ -239,9 +261,13 @@ def test_rational_products_are_born_in_int_and_match_the_fraction_product(kind):
     make, rng = RATIONAL_MAKERS[kind], random.Random(len(kind))
     for _ in range(15):
         a, b = make(rng, lambda: _rational(rng)), make(rng, lambda: _rational(rng))
-        got = a * b
         # born: no Fraction term is built until the terms are read
-        assert got._terms is None or not got._keys()
+        with fractions_built() as built:
+            got = a * b
+        assert built == [0]
+        with fractions_built() as built:
+            got.terms
+        assert built == [len(got.terms)]
         assert_matches_fractions(a, b)
         assert_matches_fractions(b, a)
 
@@ -253,10 +279,10 @@ def test_an_all_int_factor_meets_a_fraction_factor(kind):
         ints, fracs = make(rng, lambda: _int(rng)), make(rng, lambda: _rational(rng))
         assert_matches_fractions(ints, fracs)
         assert_matches_fractions(fracs, ints)
-        # two int factors stay int
+        # two int factors give Fractions, as every value over Q reads
         got = ints * ints
         assert got.terms == _fraction_product(ints, ints).terms
-        assert all(type(c) is int for c in got.terms.values())
+        assert all(type(c) is F for c in got.terms.values())
 
 
 @pytest.mark.parametrize("kind", sorted(RATIONAL_MAKERS))
@@ -309,17 +335,17 @@ def test_equal_through_below_the_known_order_where_denominators_differ_above_it(
     """Equal through h^1, the least denominators 30 and 42 differ only at h^2."""
     a = _born_copy(ScalarSeries(4, {0: F(1, 2), 1: F(1, 3), 2: F(1, 5)}, None, 2))
     b = _born_copy(ScalarSeries(4, {0: F(1, 2), 1: F(1, 3), 2: F(1, 7)}, None, 2))
-    assert a._split()[0] == 30 and b._split()[0] == 42
+    assert layers(a.terms)[0] == 30 and layers(b.terms)[0] == 42
     for order in (0, 1):
         assert a.equal_through(b, order) and (a - b).is_zero(order)
     assert not a.equal_through(b) and not a.equal_through(b, 2)
     # one denominator, numerators that differ only past the order read
     c = _born_copy(ScalarSeries(4, {0: F(1, 2), 1: F(1, 3), 2: F(-1, 5)}, None, 2))
-    assert a._split()[0] == c._split()[0]
+    assert layers(a.terms)[0] == layers(c.terms)[0]
     assert a.equal_through(c, 1) and not a.equal_through(c)
     # the same numerators over different denominators
     half, third = (_born_copy(ScalarSeries(4, {0: F(1, n), 1: F(1, n)})) for n in (2, 3))
-    assert half._split()[1] == third._split()[1] and not half.equal_through(third)
+    assert layers(half.terms)[1] == layers(third.terms)[1] and not half.equal_through(third)
     assert not half.equal_through(third, 0)
     # past the known order the comparison raises, as every comparison does
     with pytest.raises(ValueError):
@@ -327,12 +353,14 @@ def test_equal_through_below_the_known_order_where_denominators_differ_above_it(
 
 
 def test_a_fraction_built_operand_is_split_once():
+    """A value made from Fractions is split into layers when made: products
+    of it build no Fraction, and give one value each time."""
     a = ScalarSeries(6, {0: F(1, 2), 1: F(2, 3)})
     b = ScalarSeries(6, {0: F(3, 5), 2: F(1, 7)})
-    first = a * b
-    split = a._split()
-    assert split == layers(a.terms) and a._split() is split
-    assert (a * b).terms == first.terms and a._split() is split
+    with fractions_built() as built:
+        first, again = a * b, a * b
+    assert built == [0]
+    assert a == a._like(a.terms) and again.terms == first.terms
 
 
 @pytest.mark.parametrize("kind", sorted(RATIONAL_MAKERS))

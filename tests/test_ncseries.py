@@ -431,8 +431,8 @@ def test_truncation_contract(kind, spec_f, spec_g, spec_s, c0, ko):
 
 # -- the value maps commute with every operation ------------------------
 #
-# Over Q[a, b] each word of _build is scaled by p + q a + r b; HoloElt has no
-# ring and takes the Poly scalars as they are, the others are promoted first.
+# Over Q[a, b] each word of _build is scaled by p + q a + r b, on the unit and
+# generators of each kind promoted to Q[a, b] first.
 
 AB_POINT = {"a": F(2, 3), "b": F(-5, 7)}
 _SPEC_AB = st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2)),
@@ -450,9 +450,7 @@ def _build_ab(spec, one, gens):
 def _ab_case(kind, ko):
     """(one, generators, series unit, series letters) of a kind over Q[a, b]."""
     one, gens = KINDS[kind][0](ko)
-    if kind != "HoloElt":
-        one, gens = one.promote(AB), [g.promote(AB) for g in gens]
-    return one, gens, letters(4, AB)
+    return one.promote(AB), [g.promote(AB) for g in gens], letters(4, AB)
 
 
 def _at_point(value):
@@ -479,7 +477,7 @@ def test_specialization_commutes_with_the_operations(kind, spec_f, spec_g, spec_
     for symbolic, rational in pairs:
         got = at(symbolic)
         assert {type(c) for c in got.terms.values()} <= {F}
-        assert getattr(got, "ring", None) is None
+        assert got.ring is None
         assert got.known_order == symbolic.known_order and got.equal_through(rational)
 
 
@@ -531,16 +529,16 @@ def test_truncated_keeps_or_sets_the_known_order():
 
 def test_specialize_to_a_ring_and_at_a_point():
     """Partial specialization lands in the smaller ring, and a second one at the
-    rest of the point gives the full specialization; a HoloElt keeps no ring."""
+    rest of the point gives the full specialization."""
     b_only = SymRing(("b",))
     a, b = AB.symbol("a"), AB.symbol("b")
     values = [NCSeries.letter(XY, "x", 3, AB) * (a * b + 1) + NCSeries.one(XY, 3, AB) * a,
               ScalarSeries.gen(3, AB) * (a - b) + ScalarSeries.one(3, AB) * F(1, 2),
               HMatrix.identity(2, 3, AB) * b + HMatrix.from_terms(2, {(2, 0, 1): a * a}, 3, AB),
-              T3.generator(1, 2) * (a * b) + T3.one() * F(3)]
+              T3.generator(1, 2).promote(AB) * (a * b) + T3.one().promote(AB) * F(3)]
     for value in values:
         half = value.specialize(b_only, {"a": AB_POINT["a"], "b": b_only.symbol("b")})
-        assert getattr(half, "ring", b_only) == b_only
+        assert half.ring == b_only
         assert all(c.ring == b_only for c in half.terms.values())
         whole = _at_point(value)
         assert half.specialize(None, {"b": AB_POINT["b"]}) == whole
@@ -555,20 +553,19 @@ def test_specialize_to_a_ring_and_at_a_point():
 
 
 def test_coefficients_must_be_exact():
-    """A float coefficient, or Polys of two rings in one product, raise
-    ValueError; a holonomy element has no ring to promote."""
-    half = NCSeries(XY, 3, {b"\x00": 0.5, b"\x01": F(1)})
-    for op in (lambda: half * half, lambda: half.equal_through(half),
-               lambda: half * NCSeries.one(XY, 3)):
+    """A float coefficient is refused as soon as a value is made or scaled, and
+    two values over different rings do not combine."""
+    for make in (lambda: NCSeries(XY, 3, {b"\x00": 0.5, b"\x01": F(1)}),
+                 lambda: NCSeries.one(XY, 3) * 0.5, lambda: ScalarSeries(3, {1: 0.5}, AB)):
         with pytest.raises(ValueError, match=r"inexact coefficients: \['float'\]"):
-            op()
+            make()
     ac = SymRing(("a", "c"))
-    u, v = T3.generator(1, 2) * AB.symbol("a"), T3.generator(2, 3) * ac.symbol("c")
+    u = T3.generator(1, 2).promote(AB) * AB.symbol("a")
+    v = T3.generator(2, 3).promote(ac) * ac.symbol("c")
+    assert (u.ring, v.ring) == (AB, ac)
     for op in (lambda: u * v, lambda: (u + v) * u, lambda: u.equal_through(v)):
-        with pytest.raises(ValueError, match="Poly coefficients of two rings"):
+        with pytest.raises(ValueError, match="coefficient ring mismatch"):
             op()
-    with pytest.raises(ValueError, match="no ring"):
-        T3.one().promote(AB)
 
 
 @pytest.mark.parametrize("kind", ["NCSeries", "HoloElt", "HMatrix"])
@@ -600,12 +597,12 @@ def test_truncation_contract_past_known_order(kind):
 
 
 # one key of each degree 0..4 and a constructor make(terms, known_order, ring) per
-# flat kind; HoloElt keys are normal-form words and carry no ring
+# flat kind; HoloElt keys are normal-form words
 _KEYED = {
     "NCSeries": ([bytes(w) for w in ([], [0], [1, 0], [0, 1, 1], [1, 1, 0, 1])],
                  lambda terms, ko, ring: NCSeries(XY, 4, terms, ring, ko)),
     "HoloElt": ([T3.basis_words(d)[-1] for d in range(5)],
-                lambda terms, ko, ring: T3.zero(ko)._like(terms)),
+                lambda terms, ko, ring: T3.zero(ko).promote(ring)._like(terms)),
     "ScalarSeries": (list(range(5)), lambda terms, ko, ring: ScalarSeries(4, terms, ring, ko)),
     "HMatrix": ([(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1), (4, 0, 1)],
                 lambda terms, ko, ring: HMatrix.from_terms(2, terms, 4, ring, ko)),
@@ -820,7 +817,7 @@ def _whole_products(series, images, one, zero):
 
 def _cut_case(kind, ring, ko):
     """(one at maxdeg, zero at ko, order-1 generators, entry point) for one kind;
-    HoloElt images keep rational coefficients (substitute's flat Poly branch)."""
+    HoloElt images stay over Q, and embed_free promotes them to the series' ring."""
     if kind == "NCSeries":
         one, x, y = letters(6, ring)
         return one, NCSeries.zero(XY, 6, ring, ko), [x, y], nc_substitute
@@ -846,6 +843,7 @@ def test_cut_word_products_equal_whole_products(kind, coeffs, orders, below):
     series_ring = AB if coeffs == "Poly" else None
     ko = 5 if below == "series" else 4
     one, zero, gens, entry = _cut_case(kind, ring, ko)
+    zero = zero.promote(series_ring)
 
     def coefficient():
         c = F(rng.randint(-4, 4), rng.randint(1, 3))
